@@ -9,7 +9,6 @@ Synthetic noise injectors and a CLI for desk-scale experiments are included.
 
 from .datasets import (
     LabeledDataset,
-    NoiseSpec,
     ProbeConfig,
     gen_blobs,
     gen_spirals,
@@ -18,7 +17,7 @@ from .datasets import (
     load_idx_images,
     split,
 )
-from .linalg import matmul, softmax, softmax_backward
+from .linalg import softmax, softmax_backward
 from .losses import (
     LossValue,
     cce_loss,
@@ -35,29 +34,26 @@ from .trainer import (
     EpochMetrics,
     TrainConfig,
     accuracy,
-    grad_alignment,
     label_gradient_along,
     meta_gradient_direction,
-    meta_label_gradient,
     mslg_epoch,
     recovery_rate,
     train,
-    virtual_step,
     warmup_epoch,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "LabeledDataset", "NoiseSpec", "ProbeConfig", "gen_blobs", "gen_spirals",
+    "LabeledDataset", "ProbeConfig", "gen_blobs", "gen_spirals",
     "inject_feature_dependent", "inject_uniform", "load_idx_images", "split",
-    "matmul", "softmax", "softmax_backward",
+    "softmax", "softmax_backward",
     "LossValue", "cce_loss", "classification_objective", "entropy_loss",
     "kl_loss_v1", "kl_loss_v2",
     "Mlp", "NumericalError", "SgdState", "sgd_step",
     "PRESETS", "resolve_preset", "Rng", "SoftLabelStore",
-    "EpochMetrics", "TrainConfig", "accuracy", "grad_alignment",
-    "label_gradient_along", "meta_gradient_direction", "meta_label_gradient",
-    "mslg_epoch", "recovery_rate", "train", "virtual_step", "warmup_epoch",
+    "EpochMetrics", "TrainConfig", "accuracy",
+    "label_gradient_along", "meta_gradient_direction",
+    "mslg_epoch", "recovery_rate", "train", "warmup_epoch",
     "__version__",
 ]

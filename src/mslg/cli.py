@@ -27,7 +27,6 @@ import numpy as np
 from . import __version__
 from .datasets import (
     LabeledDataset,
-    NoiseSpec,
     ProbeConfig,
     gen_blobs,
     gen_spirals,
@@ -143,8 +142,6 @@ def _generate_dataset(args) -> tuple[dict[str, LabeledDataset], dict]:
     train_ds, meta_ds, test_ds = split(ds, args.meta, args.test, rng.child(_GEN_SPLIT))
 
     kind, ratio = _parse_noise(args.noise)
-    noise_spec = NoiseSpec(kind, ratio, seed)
-    noise_spec.validate()
     if kind == "uniform":
         train_ds = inject_uniform(train_ds, ratio, rng.child(_GEN_NOISE))
     elif kind == "feature_dependent":
@@ -194,10 +191,8 @@ _CONFIG_FIELD_PARSERS = {
     "warmup_epochs": int,
     "total_epochs": int,
     "entropy_weight": float,
-    "hvp_epsilon": float,
     "seed": int,
     "hidden_sizes": _parse_hidden,
-    "virtual_step_plain": lambda s: s.lower() in ("1", "true", "yes"),
 }
 
 
@@ -508,11 +503,8 @@ def _add_train_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--warmup-epochs", dest="warmup_epochs", type=int)
     p.add_argument("--total-epochs", dest="total_epochs", type=int)
     p.add_argument("--entropy-weight", dest="entropy_weight", type=float)
-    p.add_argument("--hvp-epsilon", dest="hvp_epsilon", type=float)
     p.add_argument("--hidden", dest="hidden_sizes", metavar="H,H",
                    help="hidden layer widths, e.g. 32,32")
-    p.add_argument("--virtual-step-plain", dest="virtual_step_plain",
-                   choices=("true", "false"))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -23,7 +23,6 @@ from .rng import Rng
 
 __all__ = [
     "LabeledDataset",
-    "NoiseSpec",
     "ProbeConfig",
     "IdxFormatError",
     "IdxBadMagicError",
@@ -73,19 +72,6 @@ class LabeledDataset:
 
     def corrupted_mask(self) -> np.ndarray:
         return self.noisy_labels != self.true_labels
-
-
-@dataclass
-class NoiseSpec:
-    kind: str            # "uniform" | "feature_dependent" | "none"
-    ratio: float = 0.0
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.kind not in ("uniform", "feature_dependent", "none"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        if not (0.0 <= self.ratio < 1.0):
-            raise ValueError(f"noise ratio must be in [0, 1), got {self.ratio}")
 
 
 # -- generators -------------------------------------------------------------

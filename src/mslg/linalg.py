@@ -11,9 +11,6 @@ import numpy as np
 
 __all__ = [
     "as_matrix",
-    "as_vector",
-    "check_finite",
-    "matmul",
     "softmax",
     "softmax_backward",
 ]
@@ -25,28 +22,6 @@ def as_matrix(a, name: str = "array") -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError(f"{name}: expected a 2-D array, got shape {arr.shape}")
     return arr
-
-
-def as_vector(a, name: str = "array") -> np.ndarray:
-    arr = np.ascontiguousarray(a, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"{name}: expected a 1-D array, got shape {arr.shape}")
-    return arr
-
-
-def check_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise FloatingPointError(f"{name}: contains non-finite entries")
-    return arr
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul: inner dimensions disagree: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def softmax(v) -> np.ndarray:

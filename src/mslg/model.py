@@ -5,15 +5,17 @@ takes the gradient with respect to the softmax *output* (probabilities) and
 routes it through the softmax Jacobian itself, so loss code only ever
 differentiates with respect to probabilities.
 
-Parameter flattening order (used by checkpoints and perturbations): all
-weight matrices in layer order, each row-major, then all bias vectors in
-layer order.
+The parameters live in one contiguous float64 vector `params`; `weights[i]`
+and `biases[i]` are reshaped views into it. Its order, shared by gradients,
+the optimizer state and checkpoints: all weight matrices in layer order, each
+row-major, then all bias vectors in layer order.
 """
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,31 +54,37 @@ class Mlp:
         if len(sizes) < 2 or any(s <= 0 for s in sizes):
             raise ValueError(f"layer_sizes must be >= 2 positive ints, got {sizes}")
         self.layer_sizes = sizes
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-            if rng is None:
-                w = np.zeros((n_in, n_out))
-            else:
-                limit = np.sqrt(6.0 / n_in)
-                w = (rng.uniform(size=(n_in, n_out)) * 2.0 - 1.0) * limit
-            self.weights.append(w)
-            self.biases.append(np.zeros(n_out))
+        pairs = list(zip(sizes[:-1], sizes[1:]))
+        self._blocks: list[tuple[slice, tuple[int, ...]]] = []
+        pos = 0
+        for shape in pairs + [(n_out,) for _, n_out in pairs]:
+            self._blocks.append((slice(pos, pos + math.prod(shape)), shape))
+            pos += math.prod(shape)
+        self.params = np.zeros(pos)
+        self.weights, self.biases = self.views(self.params)
+        if rng is not None:
+            for w in self.weights:
+                limit = np.sqrt(6.0 / w.shape[0])
+                w[...] = (rng.uniform(size=w.shape) * 2.0 - 1.0) * limit
         self._version = 0
 
     # -- shape / parameter plumbing --------------------------------------
 
     @property
     def num_layers(self) -> int:
-        return len(self.weights)
+        return len(self.layer_sizes) - 1
 
     @property
     def num_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.params.size
+
+    def views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer (weights, biases) views into a vector in parameter order."""
+        parts = [flat[where].reshape(shape) for where, shape in self._blocks]
+        return parts[:self.num_layers], parts[self.num_layers:]
 
     def get_flat(self) -> np.ndarray:
-        parts = [w.ravel() for w in self.weights] + [b.ravel() for b in self.biases]
-        return np.concatenate(parts)
+        return self.params.copy()
 
     def set_flat(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=np.float64).ravel()
@@ -84,20 +92,12 @@ class Mlp:
             raise ValueError(
                 f"flat parameter vector has {flat.size} entries, model has {self.num_params}"
             )
-        pos = 0
-        for w in self.weights:
-            w[...] = flat[pos:pos + w.size].reshape(w.shape)
-            pos += w.size
-        for b in self.biases:
-            b[...] = flat[pos:pos + b.size]
-            pos += b.size
+        self.params[...] = flat
         self._version += 1
 
     def copy(self) -> "Mlp":
         dup = Mlp(self.layer_sizes)
-        for i in range(self.num_layers):
-            dup.weights[i][...] = self.weights[i]
-            dup.biases[i][...] = self.biases[i]
+        dup.params[...] = self.params
         return dup
 
     def perturbed(self, direction: np.ndarray, eps: float) -> "Mlp":
@@ -107,14 +107,9 @@ class Mlp:
             raise ValueError(
                 f"direction has {direction.size} entries, model has {self.num_params}"
             )
-        dup = self.copy()
-        dup.set_flat(self.get_flat() + eps * direction)
+        dup = Mlp(self.layer_sizes)
+        dup.params[...] = self.params + eps * direction
         return dup
-
-    def flatten_grads(self, grads) -> np.ndarray:
-        """Flatten a backward() result in the same order as get_flat()."""
-        parts = [dw.ravel() for dw, _ in grads] + [db.ravel() for _, db in grads]
-        return np.concatenate(parts)
 
     # -- forward / backward ----------------------------------------------
 
@@ -144,11 +139,11 @@ class Mlp:
     def predict(self, x) -> np.ndarray:
         return self.forward(x)[0]
 
-    def backward(self, cache: dict, dL_df) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Gradients of the scalar loss whose probability-gradient is dL_df.
+    def backward(self, cache: dict, dL_df) -> np.ndarray:
+        """Gradient of the scalar loss whose probability-gradient is dL_df.
 
-        Returns [(dW, db), ...] per layer. Any batch-mean factor must already
-        be inside dL_df; nothing is rescaled here.
+        Returns a fresh flat vector in parameter order. Any batch-mean factor
+        must already be inside dL_df; nothing is rescaled here.
         """
         if cache.get("model") is not self or cache.get("version") != self._version:
             raise ValueError("backward: cache is stale or from a different model")
@@ -159,14 +154,15 @@ class Mlp:
                 f"dL_df shape {dL_df.shape} does not match forward output {probs.shape}"
             )
         dz = softmax_backward(probs, dL_df)
-        grads: list[tuple[np.ndarray, np.ndarray]] = [None] * self.num_layers
+        grad = np.empty(self.num_params)
+        dws, dbs = self.views(grad)
         for i in range(self.num_layers - 1, -1, -1):
-            a_prev = cache["acts"][i]
-            grads[i] = (a_prev.T @ dz, dz.sum(axis=0))
+            np.matmul(cache["acts"][i].T, dz, out=dws[i])
+            dz.sum(axis=0, out=dbs[i])
             if i > 0:
                 da = dz @ self.weights[i].T
                 dz = da * (cache["pre"][i - 1] > 0.0)
-        return grads
+        return grad
 
     # -- checkpoint io -----------------------------------------------------
 
@@ -178,7 +174,7 @@ class Mlp:
             fh.write(CHECKPOINT_MAGIC)
             fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(sizes)))
             fh.write(struct.pack(f"<{len(sizes)}I", *sizes))
-            fh.write(self.get_flat().astype("<f8").tobytes())
+            fh.write(self.params.astype("<f8").tobytes())
 
     @classmethod
     def load(cls, path) -> "Mlp":
@@ -213,27 +209,24 @@ class SgdState:
     lr: float
     momentum: float = 0.0
     weight_decay: float = 0.0
-    buffers: list[tuple[np.ndarray, np.ndarray]] | None = field(default=None)
-
-    def ensure_buffers(self, model: Mlp) -> None:
-        if self.buffers is None:
-            self.buffers = [
-                (np.zeros_like(w), np.zeros_like(b))
-                for w, b in zip(model.weights, model.biases)
-            ]
+    velocity: np.ndarray | None = None
 
 
-def sgd_step(model: Mlp, grads, opt: SgdState) -> None:
-    """Apply one optimizer step in place. Aborts on non-finite gradients."""
-    opt.ensure_buffers(model)
-    for i, (dw, db) in enumerate(grads):
-        if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
-            raise NumericalError(f"non-finite gradient in layer {i}")
-        vw, vb = opt.buffers[i]
-        vw *= opt.momentum
-        vw += dw + opt.weight_decay * model.weights[i]
-        vb *= opt.momentum
-        vb += db + opt.weight_decay * model.biases[i]
-        model.weights[i] -= opt.lr * vw
-        model.biases[i] -= opt.lr * vb
+def sgd_step(model: Mlp, grad: np.ndarray, opt: SgdState) -> None:
+    """Apply one optimizer step in place. Aborts on non-finite gradients,
+    naming the first layer that holds one, before touching any parameter."""
+    if np.shape(grad) != model.params.shape:
+        raise ValueError(f"gradient shape {np.shape(grad)} does not match "
+                         f"{model.num_params} parameters")
+    finite = np.isfinite(grad)
+    if not finite.all():
+        dws, dbs = model.views(finite)
+        layer = next(i for i, (w, b) in enumerate(zip(dws, dbs))
+                     if not (w.all() and b.all()))
+        raise NumericalError(f"non-finite gradient in layer {layer}")
+    if opt.velocity is None:
+        opt.velocity = np.zeros_like(model.params)
+    opt.velocity *= opt.momentum
+    opt.velocity += grad + opt.weight_decay * model.params
+    model.params -= opt.lr * opt.velocity
     model._version += 1

@@ -26,7 +26,6 @@ _CIFAR10_BASE = TrainConfig(
     warmup_epochs=44,
     total_epochs=120,
     entropy_weight=1.0,
-    hvp_epsilon=1e-3,
 )
 
 # Desk-scale: 80 epochs with the same ~37% warm-up fraction and schedule
@@ -47,7 +46,6 @@ _BLOBS_DESK = TrainConfig(
     warmup_epochs=30,
     total_epochs=80,
     entropy_weight=0.2,
-    hvp_epsilon=1e-3,
     hidden_sizes=(32, 32),
 )
 

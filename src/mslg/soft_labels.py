@@ -26,18 +26,11 @@ class LabelSnapshotError(ValueError):
 
 
 class SoftLabelStore:
-    def __init__(self, logits: np.ndarray, k: float, sample_ids=None):
+    def __init__(self, logits: np.ndarray, k: float):
         self.logits = np.ascontiguousarray(logits, dtype=np.float64)
         if self.logits.ndim != 2:
             raise ValueError(f"logits must be (N, C), got shape {self.logits.shape}")
         self.k = float(k)
-        n = self.logits.shape[0]
-        if sample_ids is None:
-            sample_ids = np.arange(n)
-        self.sample_ids = np.asarray(sample_ids, dtype=np.int64)
-        if self.sample_ids.shape != (n,):
-            raise ValueError("sample_ids must align with logit rows")
-        self._row_of = {int(s): i for i, s in enumerate(self.sample_ids)}
         self.skipped_rows_total = 0
 
     @property
@@ -49,8 +42,8 @@ class SoftLabelStore:
         return self.logits.shape[1]
 
     @classmethod
-    def init_from_noisy(cls, noisy_labels, num_classes: int, k: float = 10.0,
-                        sample_ids=None) -> "SoftLabelStore":
+    def init_from_noisy(cls, noisy_labels, num_classes: int,
+                        k: float = 10.0) -> "SoftLabelStore":
         """logits_i = k * onehot(noisy_i); argmax of the soft label equals the
         noisy label for any k > 0."""
         noisy = np.asarray(noisy_labels, dtype=np.int64).ravel()
@@ -60,15 +53,16 @@ class SoftLabelStore:
             raise ValueError(f"noisy label {bad} out of range [0, {c})")
         logits = np.zeros((noisy.size, c))
         logits[np.arange(noisy.size), noisy] = float(k)
-        return cls(logits, k, sample_ids)
+        return cls(logits, k)
 
     def _rows(self, ids) -> np.ndarray:
-        ids = np.asarray(ids, dtype=np.int64).ravel()
-        try:
-            return np.fromiter((self._row_of[int(s)] for s in ids), dtype=np.int64,
-                               count=ids.size)
-        except KeyError as exc:
-            raise KeyError(f"unknown sample id {exc.args[0]}") from None
+        """Sample ids are the row indices 0..N-1; anything else is unknown
+        (negative ids included, which numpy indexing would wrap)."""
+        rows = np.asarray(ids, dtype=np.int64).ravel()
+        bad = (rows < 0) | (rows >= self.n)
+        if bad.any():
+            raise KeyError(f"unknown sample id {rows[bad.argmax()]}")
+        return rows
 
     def soft_labels(self, ids=None) -> np.ndarray:
         """Row-wise softmax of the selected logits; (b, C)."""
@@ -133,4 +127,4 @@ class SoftLabelStore:
             fh.write(f"sample_id,{cols},argmax\n")
             for i in range(self.n):
                 vals = ",".join(repr(float(v)) for v in yhat[i])
-                fh.write(f"{int(self.sample_ids[i])},{vals},{int(arg[i])}\n")
+                fh.write(f"{i},{vals},{int(arg[i])}\n")

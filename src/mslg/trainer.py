@@ -3,8 +3,8 @@
 Stage one is plain cross-entropy warm-up on the noisy labels. Stage two
 alternates, per batch:
 
-  1. a virtual SGD step theta_hat = theta - alpha * grad KL(f||yhat) on the
-     training batch;
+  1. a look-ahead step theta_hat = theta - alpha * grad KL(f||yhat) on the
+     training batch, a plain gradient step on the flat parameter vector;
   2. a label update: the gradient of the meta cross-entropy (clean meta
      batch, evaluated at theta_hat) with respect to the batch's soft labels,
      applied to the label logits with rate beta;
@@ -42,11 +42,8 @@ __all__ = [
     "recovery_rate",
     "epoch_order",
     "training_loss_grad",
-    "virtual_step",
     "meta_gradient_direction",
     "label_gradient_along",
-    "meta_label_gradient",
-    "grad_alignment",
     "warmup_epoch",
     "mslg_epoch",
     "train",
@@ -59,10 +56,13 @@ ROLE_INIT = 0
 ROLE_TRAIN = 1
 ROLE_META = 2
 
+# relative parameter-space step of the label-gradient difference quotient
+HVP_EPSILON = 1e-3
+
 
 @dataclass
 class TrainConfig:
-    alpha: float = 0.5            # virtual-step learning rate
+    alpha: float = 0.5            # look-ahead step learning rate
     beta: float = 4000.0          # label learning rate
     lambda_schedule: tuple[tuple[int, float], ...] = ((0, 1e-2), (40, 1e-3), (80, 1e-4))
     k_init: float = 10.0          # label logit init scale
@@ -72,16 +72,12 @@ class TrainConfig:
     warmup_epochs: int = 44
     total_epochs: int = 120
     entropy_weight: float = 1.0
-    hvp_epsilon: float = 1e-3     # relative perturbation for the label gradient
     seed: int = 0
     hidden_sizes: tuple[int, ...] = (32, 32)
-    virtual_step_plain: bool = True  # bare gradient step, no momentum / decay
 
     def validate(self) -> None:
         if self.alpha <= 0 or self.beta < 0:
             raise ValueError(f"need alpha > 0 and beta >= 0, got {self.alpha}, {self.beta}")
-        if not (0 < self.hvp_epsilon <= 1e-1):
-            raise ValueError(f"hvp_epsilon must be in (0, 0.1], got {self.hvp_epsilon}")
         if self.batch_size < 1 or self.total_epochs < 0:
             raise ValueError("batch_size and total_epochs must be positive")
         # warmup == total is the plain cross-entropy baseline
@@ -147,78 +143,47 @@ def epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
 
 
 def training_loss_grad(model: Mlp, x, yhat) -> tuple[float, np.ndarray]:
-    """Batch KL(f||yhat) and its flattened parameter gradient."""
+    """Batch KL(f||yhat) and its flat parameter gradient."""
     probs, cache = model.forward(x)
     lv = kl_loss_v2(probs, yhat)
-    grads = model.backward(cache, lv.grad_wrt_predictions)
-    return lv.scalar, model.flatten_grads(grads)
+    return lv.scalar, model.backward(cache, lv.grad_wrt_predictions)
 
 
-def _stepped(model: Mlp, grad_flat: np.ndarray, alpha: float,
-             opt: SgdState | None) -> Mlp:
-    direction = grad_flat
-    if opt is not None:
-        direction = grad_flat + opt.weight_decay * model.get_flat()
-        if opt.buffers is not None:
-            vflat = np.concatenate(
-                [vw.ravel() for vw, _ in opt.buffers]
-                + [vb.ravel() for _, vb in opt.buffers])
-            direction = direction + opt.momentum * vflat
-    out = model.copy()
-    out.set_flat(model.get_flat() - alpha * direction)
-    return out
-
-
-def virtual_step(model: Mlp, x, yhat, alpha: float,
-                 opt: SgdState | None = None) -> Mlp:
-    """One-step look-ahead of the parameters on the training batch.
-
-    Plain gradient step by default; pass the optimizer state to fold in
-    weight decay and the current momentum buffers instead.
-    """
-    _, g = training_loss_grad(model, x, yhat)
-    if not np.all(np.isfinite(g)):
-        raise NumericalError("virtual step: non-finite training gradient")
-    return _stepped(model, g, alpha, opt)
-
-
-def meta_gradient_direction(model: Mlp, x, yhat, meta_x, meta_y, alpha: float,
-                            opt: SgdState | None = None
+def meta_gradient_direction(model: Mlp, x, yhat, meta_x, meta_y, alpha: float
                             ) -> tuple[np.ndarray, np.ndarray, float]:
     """Meta cross-entropy gradient at the looked-ahead parameters.
 
-    Returns (g_meta, g_train, meta_loss): the flattened meta gradient taken
-    at theta_hat, the flattened training-batch gradient at theta that
-    produced theta_hat, and the meta loss value.
+    Returns (g_meta, g_train, meta_loss): the flat meta gradient taken at
+    theta_hat = theta - alpha * g_train, the flat training-batch gradient at
+    theta, and the meta loss value.
     """
     _, g_train = training_loss_grad(model, x, yhat)
     if not np.all(np.isfinite(g_train)):
         raise NumericalError("meta gradient: non-finite training gradient")
-    theta_hat = _stepped(model, g_train, alpha, opt)
+    theta_hat = model.perturbed(g_train, -alpha)
     probs_m, cache_m = theta_hat.forward(meta_x)
     lv = cce_loss(probs_m, meta_y)
-    g_meta = theta_hat.flatten_grads(
-        theta_hat.backward(cache_m, lv.grad_wrt_predictions))
+    g_meta = theta_hat.backward(cache_m, lv.grad_wrt_predictions)
     if not np.all(np.isfinite(g_meta)):
         raise NumericalError("meta gradient: non-finite meta gradient")
     return g_meta, g_train, lv.scalar
 
 
 def label_gradient_along(model: Mlp, x, yhat, direction: np.ndarray,
-                         alpha: float, hvp_epsilon: float) -> np.ndarray:
+                         alpha: float) -> np.ndarray:
     """-alpha * d/d(yhat) of (training gradient . direction), by differencing.
 
     The label gradient of the training loss is analytic (-f/yhat scaled by
     1/b), so its directional derivative along `direction` in parameter space
     needs only two forward passes at theta +/- eps * direction. The step eps
-    is hvp_epsilon * (1 + |theta|) / |direction|; a vanishing direction means
+    is HVP_EPSILON * (1 + |theta|) / |direction|; a vanishing direction means
     the meta loss is flat and the gradient is exactly zero.
     """
     yhat = np.asarray(yhat, dtype=np.float64)
     norm = float(np.linalg.norm(direction))
     if norm < 1e-12:
         return np.zeros_like(yhat)
-    eps = hvp_epsilon * (1.0 + float(np.linalg.norm(model.get_flat()))) / norm
+    eps = HVP_EPSILON * (1.0 + float(np.linalg.norm(model.params))) / norm
     gl_plus = kl_loss_v2(model.perturbed(direction, eps).predict(x), yhat,
                          want_label_grad=True).grad_wrt_labels
     gl_minus = kl_loss_v2(model.perturbed(direction, -eps).predict(x), yhat,
@@ -227,32 +192,6 @@ def label_gradient_along(model: Mlp, x, yhat, direction: np.ndarray,
     if not np.all(np.isfinite(out)):
         raise NumericalError("label gradient: non-finite difference quotient")
     return out
-
-
-def meta_label_gradient(model: Mlp, x, yhat, meta_batch, cfg: TrainConfig,
-                        opt: SgdState | None = None) -> np.ndarray:
-    """Gradient of the meta loss with respect to the batch's soft labels.
-
-    meta_batch is an (x_m, y_m) pair from the clean meta set. The virtual
-    step inside uses a plain gradient step unless cfg.virtual_step_plain is
-    off and an optimizer state is supplied.
-    """
-    meta_x, meta_y = meta_batch
-    g_meta, _, _ = meta_gradient_direction(
-        model, x, yhat, meta_x, meta_y, cfg.alpha,
-        opt if not cfg.virtual_step_plain else None)
-    return label_gradient_along(model, x, yhat, g_meta, cfg.alpha, cfg.hvp_epsilon)
-
-
-def grad_alignment(model: Mlp, x_sample, yhat_sample, meta_x, meta_y) -> float:
-    """Dot product of the meta-batch mean parameter gradient and one training
-    sample's parameter gradient, both at the given model."""
-    _, g_sample = training_loss_grad(model, np.atleast_2d(x_sample),
-                                     np.atleast_2d(yhat_sample))
-    probs_m, cache_m = model.forward(meta_x)
-    lv = cce_loss(probs_m, meta_y)
-    g_meta = model.flatten_grads(model.backward(cache_m, lv.grad_wrt_predictions))
-    return float(g_meta @ g_sample)
 
 
 class _MetaCycler:
@@ -337,9 +276,8 @@ def mslg_epoch(model: Mlp, train_ds: LabeledDataset, store: SoftLabelStore,
         m_idx = meta_iter.next_batch()
         g_meta, g_train, _ = meta_gradient_direction(
             model, x, yhat, meta_ds.features[m_idx], meta_ds.noisy_labels[m_idx],
-            cfg.alpha, opt if not cfg.virtual_step_plain else None)
-        grad_yhat = label_gradient_along(model, x, yhat, g_meta, cfg.alpha,
-                                         cfg.hvp_epsilon)
+            cfg.alpha)
+        grad_yhat = label_gradient_along(model, x, yhat, g_meta, cfg.alpha)
         store.apply_label_gradient(ids, grad_yhat, cfg.beta)
         probs, cache = model.forward(x)
         obj = classification_objective(probs, store.soft_labels(ids),
@@ -367,6 +305,12 @@ def train(train_ds: LabeledDataset, meta_ds: LabeledDataset, cfg: TrainConfig,
     cfg.validate()
     if meta_ds is train_ds:
         raise ValueError("meta set must be disjoint from the training set")
+    if meta_ds.n == 0:
+        raise ValueError("meta set is empty")
+    if (meta_ds.dim, meta_ds.num_classes) != (train_ds.dim, train_ds.num_classes):
+        raise ValueError(
+            f"meta set has {meta_ds.dim} features and {meta_ds.num_classes} classes, "
+            f"training set has {train_ds.dim} and {train_ds.num_classes}")
     root = Rng(cfg.seed)
     model = Mlp((train_ds.dim, *cfg.hidden_sizes, train_ds.num_classes),
                 root.child(ROLE_INIT))

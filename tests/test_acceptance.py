@@ -38,14 +38,14 @@ from mslg.trainer import (
     TrainConfig,
     accuracy,
     epoch_order,
-    meta_label_gradient,
+    label_gradient_along,
+    meta_gradient_direction,
     metrics_csv_header,
     metrics_csv_row,
     recovery_rate,
     train,
     training_loss_grad,
 )
-from mslg.trainer import _stepped
 
 SEEDS = (0, 1, 2)
 
@@ -121,7 +121,7 @@ def meta_sweep(desk_runs):
 
 
 def test_criterion_1_bilevel_oracle():
-    cfg = TrainConfig(alpha=0.5, hvp_epsilon=1e-3)
+    cfg = TrainConfig(alpha=0.5)
     t0 = time.perf_counter()
     worst = 0.0
     for seed in range(20):
@@ -135,13 +135,15 @@ def test_criterion_1_bilevel_oracle():
         meta_y = rng.child(5).integers(0, 2, size=4)
         yhat = store.soft_labels(np.arange(4))
 
-        grad_yhat = meta_label_gradient(model, x, yhat, (meta_x, meta_y), cfg)
+        g_meta, _, _ = meta_gradient_direction(model, x, yhat, meta_x, meta_y,
+                                               cfg.alpha)
+        grad_yhat = label_gradient_along(model, x, yhat, g_meta, cfg.alpha)
         analytic = softmax_backward(yhat, grad_yhat)
 
         def meta_loss_for(logits):
             yh = softmax(logits)
             _, g = training_loss_grad(model, x, yh)
-            return cce_loss(_stepped(model, g, cfg.alpha, None).predict(meta_x),
+            return cce_loss(model.perturbed(g, -cfg.alpha).predict(meta_x),
                             meta_y).scalar
 
         oracle = np.zeros_like(store.logits)
@@ -234,7 +236,7 @@ def test_criterion_2_analytic_gradient_suite():
         yhat = softmax(Rng(7000 + case).normal(size=(3, 3)))
         probs, cache = model.forward(x)
         lv = classification_objective(probs, yhat, entropy_weight=0.5)
-        analytic = model.flatten_grads(model.backward(cache, lv.grad_wrt_predictions))
+        analytic = model.backward(cache, lv.grad_wrt_predictions)
 
         flat = model.get_flat()
         fd = np.zeros_like(flat)

@@ -3,44 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mslg.linalg import matmul, softmax, softmax_backward
+from mslg.linalg import softmax, softmax_backward
 from mslg.rng import Rng
-
-
-# -- matmul -------------------------------------------------------------------
-
-
-def test_matmul_identity():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(matmul(np.eye(2), a), a)
-
-
-def test_matmul_zero():
-    z = np.zeros((2, 2))
-    b = np.arange(6.0).reshape(2, 3)
-    assert np.array_equal(matmul(z, b), np.zeros((2, 3)))
-
-
-def test_matmul_hand_case():
-    out = matmul([[1.0, 2.0], [3.0, 4.0]], [[5.0], [6.0]])
-    assert np.allclose(out, [[17.0], [39.0]], rtol=0, atol=0)
-
-
-def test_matmul_dimension_mismatch_names_shapes():
-    with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 2\)"):
-        matmul(np.ones((2, 3)), np.ones((2, 2)))
-
-
-def test_matmul_associative_on_random_triples():
-    rng = Rng(7)
-    for _ in range(20):
-        a = rng.normal(size=(4, 5))
-        b = rng.normal(size=(5, 3))
-        c = rng.normal(size=(3, 6))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        denom = max(np.abs(left).max(), 1.0)
-        assert np.abs(left - right).max() / denom <= 1e-10
 
 
 # -- softmax ------------------------------------------------------------------

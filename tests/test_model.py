@@ -102,9 +102,9 @@ def test_init_is_seed_deterministic():
 def test_backward_zero_upstream_zero_grads():
     model = _tiny_net(7)
     probs, cache = model.forward(Rng(8).normal(size=(4, 2)))
-    grads = model.backward(cache, np.zeros_like(probs))
-    for dw, db in grads:
-        assert np.all(dw == 0.0) and np.all(db == 0.0)
+    grad = model.backward(cache, np.zeros_like(probs))
+    assert grad.shape == (model.num_params,)
+    assert np.all(grad == 0.0)
 
 
 def test_backward_linearity():
@@ -112,8 +112,8 @@ def test_backward_linearity():
     x = Rng(10).normal(size=(4, 2))
     probs, cache = model.forward(x)
     up = Rng(11).normal(size=probs.shape)
-    g1 = model.flatten_grads(model.backward(cache, up))
-    g2 = model.flatten_grads(model.backward(cache, 2.0 * up))
+    g1 = model.backward(cache, up)
+    g2 = model.backward(cache, 2.0 * up)
     assert np.allclose(g2, 2.0 * g1, rtol=1e-13, atol=0)
 
 
@@ -179,7 +179,7 @@ def test_backprop_matches_finite_differences(loss_name):
             fn = lambda f: classification_objective(f, yhat, entropy_weight=0.7)
 
         probs, cache = model.forward(x)
-        analytic = model.flatten_grads(model.backward(cache, fn(probs).grad_wrt_predictions))
+        analytic = model.backward(cache, fn(probs).grad_wrt_predictions)
         fd = _fd_param_grad(model, x, lambda f: fn(f).scalar)
         assert_grads_close(analytic, fd)
 
@@ -188,8 +188,7 @@ def test_backprop_matches_finite_differences(loss_name):
 
 
 def _const_grads(model, value):
-    return [(np.full_like(w, value), np.full_like(b, value))
-            for w, b in zip(model.weights, model.biases)]
+    return np.full(model.num_params, value)
 
 
 def test_sgd_zero_lr_leaves_params():
@@ -221,7 +220,7 @@ def test_sgd_weight_decay_order():
     model = Mlp((1, 1))
     model.weights[0][...] = 2.0
     model.biases[0][...] = 1.0
-    sgd_step(model, [(np.array([[1.0]]), np.array([0.5]))],
+    sgd_step(model, np.array([1.0, 0.5]),
              SgdState(lr=0.1, momentum=0.0, weight_decay=0.01))
     assert model.weights[0][0, 0] == pytest.approx(2.0 - 0.1 * (1.0 + 0.02), abs=1e-15)
     assert model.biases[0][0] == pytest.approx(1.0 - 0.1 * (0.5 + 0.01), abs=1e-15)
@@ -230,8 +229,28 @@ def test_sgd_weight_decay_order():
 def test_sgd_nonfinite_gradient_aborts():
     model = _tiny_net(17)
     grads = _const_grads(model, 1.0)
-    grads[0][0][0, 0] = np.nan
+    grads[0] = np.nan  # first entry of layer 0's weights
+    before = model.get_flat()
     with pytest.raises(NumericalError, match="layer 0"):
+        sgd_step(model, grads, SgdState(lr=0.1))
+    assert np.array_equal(model.get_flat(), before)
+
+
+def test_sgd_rejects_gradient_of_wrong_length():
+    model = _tiny_net(17)
+    before = model.get_flat()
+    for bad in (np.ones(1), np.ones(model.num_params + 1)):
+        with pytest.raises(ValueError, match="gradient shape"):
+            sgd_step(model, bad, SgdState(lr=0.1))
+    assert np.array_equal(model.get_flat(), before)
+
+
+def test_sgd_nonfinite_gradient_names_its_layer():
+    # a bad bias of layer 1 sits after every weight in parameter order
+    model = _tiny_net(17)
+    grads = _const_grads(model, 1.0)
+    grads[-1] = np.inf
+    with pytest.raises(NumericalError, match="layer 1"):
         sgd_step(model, grads, SgdState(lr=0.1))
 
 
@@ -290,6 +309,19 @@ def test_flatten_roundtrip_identity():
     assert np.array_equal(other.get_flat(), flat)
     for w1, w2 in zip(model.weights, other.weights):
         assert np.array_equal(w1, w2)
+
+
+def test_parameters_are_views_in_checkpoint_order(tmp_path):
+    model = _tiny_net(30, (3, 5, 2))
+    expect = np.concatenate([w.ravel() for w in model.weights]
+                            + [b.ravel() for b in model.biases])
+    assert np.array_equal(model.params, expect)
+    for arr in model.weights + model.biases:
+        assert np.shares_memory(arr, model.params)
+    model.biases[1][0] = 7.5
+    assert model.params[-2] == 7.5
+    model.save(tmp_path / "m.ckpt")
+    assert tmp_path.joinpath("m.ckpt").read_bytes().endswith(model.params.tobytes())
 
 
 # -- checkpoint io ---------------------------------------------------------------

@@ -48,6 +48,10 @@ def test_soft_labels_unknown_id():
     store = _store([0, 1], c=2)
     with pytest.raises(KeyError, match="unknown sample id"):
         store.soft_labels([5])
+    with pytest.raises(KeyError, match="unknown sample id -1"):
+        store.soft_labels([0, -1])
+    with pytest.raises(KeyError, match="unknown sample id 2"):
+        store.apply_label_gradient([2], np.zeros((1, 2)), beta=1.0)
 
 
 # -- gradient application -----------------------------------------------------------

@@ -1,7 +1,21 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from mslg.datasets import gen_blobs, inject_feature_dependent, split, ProbeConfig
+import mslg
+
+from mslg.datasets import (
+    LabeledDataset,
+    ProbeConfig,
+    gen_blobs,
+    inject_feature_dependent,
+    split,
+)
 from mslg.linalg import softmax, softmax_backward
 from mslg.losses import cce_loss, kl_loss_v2
 from mslg.model import Mlp, SgdState, sgd_step
@@ -12,20 +26,16 @@ from mslg.trainer import (
     TrainConfig,
     accuracy,
     epoch_order,
-    grad_alignment,
     label_gradient_along,
     meta_gradient_direction,
-    meta_label_gradient,
     metrics_csv_header,
     metrics_csv_row,
     mslg_epoch,
     recovery_rate,
     train,
     training_loss_grad,
-    virtual_step,
     warmup_epoch,
 )
-from mslg.trainer import _stepped
 
 
 # -- shared tiny bilevel instances -------------------------------------------------
@@ -49,8 +59,15 @@ def _meta_loss_after_virtual(model, x, logits, meta_x, meta_y, alpha):
     label logits: softmax them, take the virtual step, read the meta loss."""
     yhat = softmax(logits)
     _, g = training_loss_grad(model, x, yhat)
-    theta_hat = _stepped(model, g, alpha, None)
+    theta_hat = model.perturbed(g, -alpha)
     return cce_loss(theta_hat.predict(meta_x), meta_y).scalar
+
+
+def _label_grad(model, x, yhat, meta_x, meta_y, alpha):
+    """Meta-loss gradient w.r.t. the batch's soft labels, composed the way
+    mslg_epoch composes it."""
+    g_meta, _, _ = meta_gradient_direction(model, x, yhat, meta_x, meta_y, alpha)
+    return label_gradient_along(model, x, yhat, g_meta, alpha)
 
 
 def _brute_force_logit_grad(model, x, logits, meta_x, meta_y, alpha, h=1e-4):
@@ -72,11 +89,11 @@ def _brute_force_logit_grad(model, x, logits, meta_x, meta_y, alpha, h=1e-4):
 def test_bilevel_oracle_twenty_seeds():
     # the analytic label gradient, chained back to logit space, must match
     # brute-force differentiation of the full virtual-step pipeline
-    cfg = TrainConfig(alpha=0.5, hvp_epsilon=1e-3)
+    cfg = TrainConfig(alpha=0.5)
     for seed in range(20):
         model, x, store, meta_x, meta_y = _tiny_instance(seed)
         yhat = store.soft_labels(np.arange(store.n))
-        grad_yhat = meta_label_gradient(model, x, yhat, (meta_x, meta_y), cfg)
+        grad_yhat = _label_grad(model, x, yhat, meta_x, meta_y, cfg.alpha)
         analytic = softmax_backward(yhat, grad_yhat)
         oracle = _brute_force_logit_grad(model, x, store.logits.copy(),
                                          meta_x, meta_y, cfg.alpha)
@@ -86,12 +103,14 @@ def test_bilevel_oracle_twenty_seeds():
 
 
 # -- virtual step -----------------------------------------------------------------
+# The look-ahead theta_hat = theta - alpha * g_train is model.perturbed(g, -alpha).
 
 
 def test_virtual_step_zero_alpha_identity():
     model, x, store, *_ = _tiny_instance(30)
     yhat = store.soft_labels(np.arange(store.n))
-    stepped = virtual_step(model, x, yhat, alpha=0.0)
+    _, g = training_loss_grad(model, x, yhat)
+    stepped = model.perturbed(g, -0.0)
     assert stepped is not model
     assert np.array_equal(stepped.get_flat(), model.get_flat())
 
@@ -100,8 +119,8 @@ def test_virtual_step_exact_gradient_offset():
     model, x, store, *_ = _tiny_instance(31)
     yhat = store.soft_labels(np.arange(store.n))
     alpha = 0.7
-    stepped = virtual_step(model, x, yhat, alpha)
     _, g = training_loss_grad(model, x, yhat)
+    stepped = model.perturbed(g, -alpha)
     assert np.array_equal(stepped.get_flat(), model.get_flat() - alpha * g)
     # original untouched
     _, g2 = training_loss_grad(model, x, yhat)
@@ -112,26 +131,9 @@ def test_virtual_step_descends_training_loss_for_small_alpha():
     model, x, store, *_ = _tiny_instance(32)
     yhat = store.soft_labels(np.arange(store.n))
     before = kl_loss_v2(model.predict(x), yhat).scalar
-    stepped = virtual_step(model, x, yhat, alpha=1e-3)
-    after = kl_loss_v2(stepped.predict(x), yhat).scalar
-    assert after <= before
-
-
-def test_virtual_step_with_optimizer_state_folds_decay_and_momentum():
-    model, x, store, *_ = _tiny_instance(33)
-    yhat = store.soft_labels(np.arange(store.n))
-    opt = SgdState(lr=0.1, momentum=0.9, weight_decay=0.01)
-    opt.ensure_buffers(model)
-    for vw, vb in opt.buffers:
-        vw += 0.3
-        vb += 0.3
-    alpha = 0.2
-    stepped = virtual_step(model, x, yhat, alpha, opt=opt)
     _, g = training_loss_grad(model, x, yhat)
-    flat = model.get_flat()
-    vflat = np.full_like(flat, 0.3)
-    expect = flat - alpha * (g + 0.01 * flat + 0.9 * vflat)
-    assert np.allclose(stepped.get_flat(), expect, atol=1e-15)
+    after = kl_loss_v2(model.perturbed(g, -1e-3).predict(x), yhat).scalar
+    assert after <= before
 
 
 # -- meta label gradient ------------------------------------------------------------
@@ -141,7 +143,7 @@ def test_zero_meta_direction_gives_zero_gradient():
     model, x, store, *_ = _tiny_instance(34)
     yhat = store.soft_labels(np.arange(store.n))
     out = label_gradient_along(model, x, yhat, np.zeros(model.num_params),
-                               alpha=0.5, hvp_epsilon=1e-3)
+                               alpha=0.5)
     assert np.array_equal(out, np.zeros_like(yhat))
 
 
@@ -154,12 +156,12 @@ def test_flat_meta_loss_gives_zero_gradient():
     yhat = np.full((2, 2), 0.5)
     meta_x = np.array([[1.0, 2.0], [1.0, 2.0]])
     meta_y = np.array([0, 1])
-    cfg = TrainConfig(alpha=0.5, hvp_epsilon=1e-3)
+    cfg = TrainConfig(alpha=0.5)
     g_meta, g_train, _ = meta_gradient_direction(model, x, yhat, meta_x, meta_y,
                                                  cfg.alpha)
     assert np.array_equal(g_train, np.zeros(model.num_params))
     assert np.array_equal(g_meta, np.zeros(model.num_params))
-    out = meta_label_gradient(model, x, yhat, (meta_x, meta_y), cfg)
+    out = label_gradient_along(model, x, yhat, g_meta, cfg.alpha)
     assert np.array_equal(out, np.zeros((2, 2)))
 
 
@@ -169,12 +171,22 @@ def test_doubling_alpha_doubles_gradient_at_fixed_base():
     model, x, store, meta_x, meta_y = _tiny_instance(35)
     yhat = store.soft_labels(np.arange(store.n))
     g_meta, _, _ = meta_gradient_direction(model, x, yhat, meta_x, meta_y, 0.5)
-    one = label_gradient_along(model, x, yhat, g_meta, alpha=0.5, hvp_epsilon=1e-3)
-    two = label_gradient_along(model, x, yhat, g_meta, alpha=1.0, hvp_epsilon=1e-3)
+    one = label_gradient_along(model, x, yhat, g_meta, alpha=0.5)
+    two = label_gradient_along(model, x, yhat, g_meta, alpha=1.0)
     assert np.abs(two - 2.0 * one).max() <= 1e-10
 
 
 # -- gradient alignment ---------------------------------------------------------------
+
+
+def _alignment(model, x_sample, yhat_sample, meta_x, meta_y):
+    """g_meta . g_train for one training sample, the per-batch quantity that
+    mslg_epoch averages into mean_grad_alignment. alpha = 0 takes both
+    gradients at the model itself."""
+    g_meta, g_train, _ = meta_gradient_direction(
+        model, np.atleast_2d(x_sample), np.atleast_2d(yhat_sample), meta_x, meta_y,
+        alpha=0.0)
+    return float(g_meta @ g_train)
 
 
 def test_alignment_zero_when_meta_gradient_zero():
@@ -183,7 +195,7 @@ def test_alignment_zero_when_meta_gradient_zero():
     yhat_j = np.array([0.9, 0.1])
     meta_x = np.array([[1.0, 2.0], [1.0, 2.0]])
     meta_y = np.array([0, 1])
-    assert grad_alignment(model, x_j, yhat_j, meta_x, meta_y) == 0.0
+    assert _alignment(model, x_j, yhat_j, meta_x, meta_y) == 0.0
 
 
 def test_alignment_zero_for_disjoint_gradient_support():
@@ -195,7 +207,7 @@ def test_alignment_zero_for_disjoint_gradient_support():
     meta_y = np.array([0, 1])
     x_j = np.array([0.0, 1.0])
     yhat_j = np.array([0.8, 0.2])
-    out = grad_alignment(model, x_j, yhat_j, meta_x, meta_y)
+    out = _alignment(model, x_j, yhat_j, meta_x, meta_y)
     assert out == 0.0
 
 
@@ -207,11 +219,11 @@ def test_alignment_positive_for_matching_sample():
     meta_x = np.tile(x, (3, 1))
     meta_y = np.array([2, 2, 2])
     yhat_j = softmax(np.array([0.0, 0.0, 10.0]))
-    assert grad_alignment(model, x, yhat_j, meta_x, meta_y) > 0.0
+    assert _alignment(model, x, yhat_j, meta_x, meta_y) > 0.0
 
 
 def test_label_update_raises_alignment_or_lowers_meta_loss():
-    cfg = TrainConfig(alpha=0.5, hvp_epsilon=1e-3)
+    cfg = TrainConfig(alpha=0.5)
     for seed in (0, 1, 2):
         model, x, store, meta_x, meta_y = _tiny_instance(seed)
         ids = np.arange(store.n)
@@ -228,7 +240,7 @@ def test_label_update_raises_alignment_or_lowers_meta_loss():
         for _ in range(10):
             trial = SoftLabelStore(logits0.copy(), k=10.0)
             yhat = trial.soft_labels(ids)
-            grad = meta_label_gradient(model, x, yhat, (meta_x, meta_y), cfg)
+            grad = _label_grad(model, x, yhat, meta_x, meta_y, cfg.alpha)
             trial.apply_label_gradient(ids, grad, beta)
             lm_after = _meta_loss_after_virtual(model, x, trial.logits, meta_x,
                                                 meta_y, cfg.alpha)
@@ -243,7 +255,7 @@ def test_label_update_raises_alignment_or_lowers_meta_loss():
 
 
 def test_single_label_update_descends_meta_loss_with_halving():
-    cfg = TrainConfig(alpha=0.5, hvp_epsilon=1e-3)
+    cfg = TrainConfig(alpha=0.5)
     for seed in (3, 4, 5, 6):
         model, x, store, meta_x, meta_y = _tiny_instance(seed)
         ids = np.arange(store.n)
@@ -255,7 +267,7 @@ def test_single_label_update_descends_meta_loss_with_halving():
         for _ in range(10):
             trial = SoftLabelStore(logits0.copy(), k=10.0)
             yhat = trial.soft_labels(ids)
-            grad = meta_label_gradient(model, x, yhat, (meta_x, meta_y), cfg)
+            grad = _label_grad(model, x, yhat, meta_x, meta_y, cfg.alpha)
             trial.apply_label_gradient(ids, grad, beta)
             after = _meta_loss_after_virtual(model, x, trial.logits, meta_x,
                                              meta_y, cfg.alpha)
@@ -384,17 +396,6 @@ def test_mslg_epoch_deterministic():
     assert any(m.mean_grad_alignment != 0.0 for m in h1[2:])
 
 
-def test_non_plain_virtual_step_runs_and_differs():
-    train_ds, meta_ds, test_ds = _blob_setting(seed=7, noise=0.3)
-    plain = _warm_cfg(warmup_epochs=2, total_epochs=5, beta=20.0)
-    folded = _warm_cfg(warmup_epochs=2, total_epochs=5, beta=20.0,
-                       virtual_step_plain=False)
-    m1, _, h1 = train(train_ds, meta_ds, plain, test_ds)
-    m2, _, h2 = train(train_ds, meta_ds, folded, test_ds)
-    assert not np.array_equal(m1.get_flat(), m2.get_flat())
-    assert len(h2) == 5  # the folded variant still trains to completion
-
-
 def test_simplex_preserved_through_training():
     train_ds, meta_ds, test_ds = _blob_setting(seed=4, noise=0.4)
     cfg = _warm_cfg(warmup_epochs=2, total_epochs=8, beta=100.0)
@@ -426,8 +427,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(warmup_epochs=10, total_epochs=5).validate()
     with pytest.raises(ValueError):
-        TrainConfig(hvp_epsilon=0.0).validate()
-    with pytest.raises(ValueError):
         TrainConfig(lambda_schedule=()).validate()
     with pytest.raises(ValueError):
         TrainConfig(lambda_schedule=((10, 0.1), (5, 0.01))).validate()
@@ -448,6 +447,45 @@ def test_train_rejects_shared_meta_set():
     train_ds, meta_ds, test_ds = _blob_setting()
     with pytest.raises(ValueError, match="disjoint"):
         train(train_ds, train_ds, _warm_cfg())
+
+
+def test_train_rejects_meta_set_of_other_shape():
+    train_ds, meta_ds, _ = _blob_setting()
+    wider = LabeledDataset(np.hstack([meta_ds.features, meta_ds.features]),
+                           meta_ds.true_labels, meta_ds.noisy_labels, 3)
+    with pytest.raises(ValueError, match="features"):
+        train(train_ds, wider, _warm_cfg())
+    more_classes = LabeledDataset(meta_ds.features, meta_ds.true_labels,
+                                  meta_ds.noisy_labels, 4)
+    with pytest.raises(ValueError, match="classes"):
+        train(train_ds, more_classes, _warm_cfg())
+
+
+def test_train_rejects_empty_meta_set_without_hanging():
+    # an empty meta set once made the meta-batch cycler loop forever, so the
+    # call runs in a child process that a timeout can stop
+    script = textwrap.dedent("""
+        import numpy as np
+        from mslg.datasets import LabeledDataset, gen_blobs
+        from mslg.presets import resolve_preset
+        from mslg.rng import Rng
+        from mslg.trainer import train
+
+        train_ds = gen_blobs(60, 3, 2, 6.0, Rng(0))
+        empty = LabeledDataset(np.zeros((0, 2)), np.zeros(0), np.zeros(0), 3)
+        try:
+            train(train_ds, empty, resolve_preset("blobs-smoke"))
+        except ValueError as exc:
+            print(exc)
+        else:
+            raise SystemExit("train() accepted an empty meta set")
+    """)
+    src = str(Path(mslg.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert "meta set is empty" in proc.stdout
 
 
 def test_metrics_csv_format():
