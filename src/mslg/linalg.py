@@ -1,8 +1,9 @@
 """Dense float64 array helpers shared by every other module.
 
 All numeric state in this package lives in row-major float64 numpy arrays.
-Everything here is a pure function; 64-bit precision is required because the
-meta-gradient path differences two nearly equal gradients.
+Everything here is a pure function. 64-bit precision keeps the label
+gradient, a second-order quantity divided by soft-label probabilities that
+can be tiny, accurate enough to match a brute-force bilevel oracle.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_write
 from .linalg import as_matrix, softmax, softmax_backward
 from .rng import Rng
 
@@ -102,14 +103,19 @@ class Mlp:
 
     def perturbed(self, direction: np.ndarray, eps: float) -> "Mlp":
         """Fresh model at theta + eps*direction; this model is untouched."""
+        direction = self._direction(direction)
+        dup = Mlp(self.layer_sizes)
+        dup.params[...] = self.params + eps * direction
+        return dup
+
+    def _direction(self, direction) -> np.ndarray:
+        """A parameter-space direction as a flat float64 vector."""
         direction = np.asarray(direction, dtype=np.float64).ravel()
         if direction.size != self.num_params:
             raise ValueError(
                 f"direction has {direction.size} entries, model has {self.num_params}"
             )
-        dup = Mlp(self.layer_sizes)
-        dup.params[...] = self.params + eps * direction
-        return dup
+        return direction
 
     # -- forward / backward ----------------------------------------------
 
@@ -145,8 +151,7 @@ class Mlp:
         Returns a fresh flat vector in parameter order. Any batch-mean factor
         must already be inside dL_df; nothing is rescaled here.
         """
-        if cache.get("model") is not self or cache.get("version") != self._version:
-            raise ValueError("backward: cache is stale or from a different model")
+        self._check_cache(cache, "backward")
         dL_df = as_matrix(dL_df, "dL_df")
         probs = cache["probs"]
         if dL_df.shape != probs.shape:
@@ -164,13 +169,34 @@ class Mlp:
                 dz = da * (cache["pre"][i - 1] > 0.0)
         return grad
 
+    def tangent(self, cache: dict, direction: np.ndarray) -> np.ndarray:
+        """Directional derivative of the forward output, J_theta f . direction.
+
+        One forward-mode pass over the activations and ReLU masks in `cache`
+        (Pearlmutter's R-operator): exact, and no new forward is run.
+        `direction` is a flat vector in parameter order; returns (b, C).
+        """
+        self._check_cache(cache, "tangent")
+        dws, dbs = self.views(self._direction(direction))
+        acts, pre = cache["acts"], cache["pre"]
+        dz = acts[0] @ dws[0] + dbs[0]
+        for i in range(1, self.num_layers):
+            dz = (dz * (pre[i - 1] > 0.0)) @ self.weights[i] + acts[i] @ dws[i] + dbs[i]
+        # the softmax Jacobian is symmetric, so its JVP is its VJP
+        return softmax_backward(cache["probs"], dz)
+
+    def _check_cache(self, cache: dict, who: str) -> None:
+        if cache.get("model") is not self or cache.get("version") != self._version:
+            raise ValueError(f"{who}: cache is stale or from a different model")
+
     # -- checkpoint io -----------------------------------------------------
 
     def save(self, path) -> None:
         """Little-endian binary: magic, u32 version, u32 n_sizes, u32 sizes,
-        then float64 parameters in flatten order."""
+        then float64 parameters in flatten order. Written through a temp file,
+        so a crash mid-write leaves the previous file at `path` intact."""
         sizes = self.layer_sizes
-        with open(path, "wb") as fh:
+        with atomic_write(path) as fh:
             fh.write(CHECKPOINT_MAGIC)
             fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(sizes)))
             fh.write(struct.pack(f"<{len(sizes)}I", *sizes))

@@ -13,6 +13,7 @@ import struct
 
 import numpy as np
 
+from .atomic import atomic_write
 from .linalg import softmax, softmax_backward
 
 __all__ = ["SoftLabelStore", "LabelSnapshotError", "SNAPSHOT_MAGIC"]
@@ -93,8 +94,9 @@ class SoftLabelStore:
 
     def save(self, path) -> None:
         """Little-endian binary: magic, u32 version, u64 N, u32 C, f64 K,
-        then row-major float64 logits."""
-        with open(path, "wb") as fh:
+        then row-major float64 logits. Written through a temp file, so a crash
+        mid-write leaves the previous file at `path` intact."""
+        with atomic_write(path) as fh:
             fh.write(SNAPSHOT_MAGIC)
             fh.write(struct.pack("<IQId", SNAPSHOT_VERSION, self.n,
                                  self.num_classes, self.k))

@@ -14,8 +14,10 @@ alternates, per batch:
 The label gradient in step 2 is the mixed second derivative of the training
 loss contracted with the meta gradient. It is computed without any second
 backward pass: the gradient of the training loss with respect to the labels
-is analytic (-f/yhat), so perturbing theta by +/- eps along the meta gradient
-and differencing needs two extra forward passes only.
+is analytic (-f/yhat scaled by 1/b), so its derivative along the meta
+gradient in parameter space is the forward-mode tangent J_theta f . g_meta
+divided by b * yhat. The tangent is exact and reuses the activations of the
+one forward pass at theta, which also serves steps 1 and 3.
 
 Everything is driven by the run seed: batch orders, meta-batch cycling, and
 weight init each use keyed child streams, so identically configured runs are
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import LabeledDataset
-from .losses import cce_loss, classification_objective, kl_loss_v2
+from .losses import PROB_FLOOR, cce_loss, classification_objective, kl_loss_v2
 from .model import Mlp, NumericalError, SgdState, sgd_step
 from .rng import Rng
 from .soft_labels import SoftLabelStore
@@ -55,9 +57,6 @@ __all__ = [
 ROLE_INIT = 0
 ROLE_TRAIN = 1
 ROLE_META = 2
-
-# relative parameter-space step of the label-gradient difference quotient
-HVP_EPSILON = 1e-3
 
 
 @dataclass
@@ -142,22 +141,22 @@ def epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
     return Rng(seed).child(ROLE_TRAIN, epoch).permutation(n)
 
 
-def training_loss_grad(model: Mlp, x, yhat) -> tuple[float, np.ndarray]:
-    """Batch KL(f||yhat) and its flat parameter gradient."""
-    probs, cache = model.forward(x)
-    lv = kl_loss_v2(probs, yhat)
+def training_loss_grad(model: Mlp, cache: dict, yhat) -> tuple[float, np.ndarray]:
+    """Batch KL(f||yhat) and its flat parameter gradient, from a forward cache."""
+    lv = kl_loss_v2(cache["probs"], yhat)
     return lv.scalar, model.backward(cache, lv.grad_wrt_predictions)
 
 
-def meta_gradient_direction(model: Mlp, x, yhat, meta_x, meta_y, alpha: float
-                            ) -> tuple[np.ndarray, np.ndarray, float]:
+def meta_gradient_direction(model: Mlp, cache: dict, yhat, meta_x, meta_y,
+                            alpha: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Meta cross-entropy gradient at the looked-ahead parameters.
 
-    Returns (g_meta, g_train, meta_loss): the flat meta gradient taken at
-    theta_hat = theta - alpha * g_train, the flat training-batch gradient at
-    theta, and the meta loss value.
+    `cache` is the forward of the training batch at theta. Returns (g_meta,
+    g_train, meta_loss): the flat meta gradient taken at theta_hat = theta -
+    alpha * g_train, the flat training-batch gradient at theta, and the meta
+    loss value.
     """
-    _, g_train = training_loss_grad(model, x, yhat)
+    _, g_train = training_loss_grad(model, cache, yhat)
     if not np.all(np.isfinite(g_train)):
         raise NumericalError("meta gradient: non-finite training gradient")
     theta_hat = model.perturbed(g_train, -alpha)
@@ -169,28 +168,20 @@ def meta_gradient_direction(model: Mlp, x, yhat, meta_x, meta_y, alpha: float
     return g_meta, g_train, lv.scalar
 
 
-def label_gradient_along(model: Mlp, x, yhat, direction: np.ndarray,
+def label_gradient_along(model: Mlp, cache: dict, yhat, direction: np.ndarray,
                          alpha: float) -> np.ndarray:
-    """-alpha * d/d(yhat) of (training gradient . direction), by differencing.
+    """-alpha * d/d(yhat) of (training gradient . direction), exactly.
 
-    The label gradient of the training loss is analytic (-f/yhat scaled by
-    1/b), so its directional derivative along `direction` in parameter space
-    needs only two forward passes at theta +/- eps * direction. The step eps
-    is HVP_EPSILON * (1 + |theta|) / |direction|; a vanishing direction means
-    the meta loss is flat and the gradient is exactly zero.
+    The label gradient of the training loss is -f/yhat scaled by 1/b, linear
+    in f, so its derivative along `direction` in parameter space is the
+    forward-mode tangent of f over `cache` (the forward at theta) divided by
+    b * yhat.
     """
     yhat = np.asarray(yhat, dtype=np.float64)
-    norm = float(np.linalg.norm(direction))
-    if norm < 1e-12:
-        return np.zeros_like(yhat)
-    eps = HVP_EPSILON * (1.0 + float(np.linalg.norm(model.params))) / norm
-    gl_plus = kl_loss_v2(model.perturbed(direction, eps).predict(x), yhat,
-                         want_label_grad=True).grad_wrt_labels
-    gl_minus = kl_loss_v2(model.perturbed(direction, -eps).predict(x), yhat,
-                          want_label_grad=True).grad_wrt_labels
-    out = -alpha * (gl_plus - gl_minus) / (2.0 * eps)
+    out = alpha * model.tangent(cache, direction) / (
+        yhat.shape[0] * np.maximum(yhat, PROB_FLOOR))
     if not np.all(np.isfinite(out)):
-        raise NumericalError("label gradient: non-finite difference quotient")
+        raise NumericalError("label gradient: non-finite tangent")
     return out
 
 
@@ -271,15 +262,16 @@ def mslg_epoch(model: Mlp, train_ds: LabeledDataset, store: SoftLabelStore,
     batches = 0
     for start in range(0, train_ds.n, cfg.batch_size):
         ids = order[start:start + cfg.batch_size]
-        x = train_ds.features[ids]
         yhat = store.soft_labels(ids)
         m_idx = meta_iter.next_batch()
+        # theta only moves at the committed step, so one forward serves the
+        # look-ahead gradient, the label tangent and the committed step
+        probs, cache = model.forward(train_ds.features[ids])
         g_meta, g_train, _ = meta_gradient_direction(
-            model, x, yhat, meta_ds.features[m_idx], meta_ds.noisy_labels[m_idx],
-            cfg.alpha)
-        grad_yhat = label_gradient_along(model, x, yhat, g_meta, cfg.alpha)
+            model, cache, yhat, meta_ds.features[m_idx],
+            meta_ds.noisy_labels[m_idx], cfg.alpha)
+        grad_yhat = label_gradient_along(model, cache, yhat, g_meta, cfg.alpha)
         store.apply_label_gradient(ids, grad_yhat, cfg.beta)
-        probs, cache = model.forward(x)
         obj = classification_objective(probs, store.soft_labels(ids),
                                        cfg.entropy_weight)
         sgd_step(model, model.backward(cache, obj.grad_wrt_predictions), opt)
@@ -311,6 +303,11 @@ def train(train_ds: LabeledDataset, meta_ds: LabeledDataset, cfg: TrainConfig,
         raise ValueError(
             f"meta set has {meta_ds.dim} features and {meta_ds.num_classes} classes, "
             f"training set has {train_ds.dim} and {train_ds.num_classes}")
+    meta_y = meta_ds.noisy_labels
+    bad = (meta_y < 0) | (meta_y >= meta_ds.num_classes)
+    if bad.any():
+        raise ValueError(f"meta label {meta_y[bad.argmax()]} out of range "
+                         f"[0, {meta_ds.num_classes})")
     root = Rng(cfg.seed)
     model = Mlp((train_ds.dim, *cfg.hidden_sizes, train_ds.num_classes),
                 root.child(ROLE_INIT))

@@ -1,4 +1,4 @@
-"""Shared assertions for gradient-oracle tests."""
+"""Shared assertions for gradient-oracle tests, and a failing-write fixture."""
 
 import numpy as np
 
@@ -16,3 +16,10 @@ def assert_grads_close(analytic, reference, rel=1e-4, abs_floor=1e-8):
         f"gradient mismatch: worst excess {worst:.3e}, "
         f"max err {err.max():.3e} at |ref| {np.abs(reference).flat[err.argmax()]:.3e}"
     )
+
+
+class FailingArray(np.ndarray):
+    """Array whose serialisation fails, as a full disk would mid-write."""
+
+    def astype(self, *args, **kwargs):
+        raise OSError("no space left on device")

@@ -135,14 +135,15 @@ def test_criterion_1_bilevel_oracle():
         meta_y = rng.child(5).integers(0, 2, size=4)
         yhat = store.soft_labels(np.arange(4))
 
-        g_meta, _, _ = meta_gradient_direction(model, x, yhat, meta_x, meta_y,
+        cache = model.forward(x)[1]
+        g_meta, _, _ = meta_gradient_direction(model, cache, yhat, meta_x, meta_y,
                                                cfg.alpha)
-        grad_yhat = label_gradient_along(model, x, yhat, g_meta, cfg.alpha)
+        grad_yhat = label_gradient_along(model, cache, yhat, g_meta, cfg.alpha)
         analytic = softmax_backward(yhat, grad_yhat)
 
         def meta_loss_for(logits):
             yh = softmax(logits)
-            _, g = training_loss_grad(model, x, yh)
+            _, g = training_loss_grad(model, model.forward(x)[1], yh)
             return cce_loss(model.perturbed(g, -cfg.alpha).predict(meta_x),
                             meta_y).scalar
 

@@ -147,6 +147,25 @@ def test_train_invalid_config_exit_code(tmp_path, data_dir):
                    "--total-epochs", "3") == EXIT_CONFIG
 
 
+def test_train_meta_label_out_of_range_is_config_error(tmp_path, data_dir, capsys):
+    # one meta row labelled 3 in a 3-class dataset is rejected at entry, not
+    # by the meta loss after the first epoch
+    bad_data = tmp_path / "data"
+    bad_data.mkdir()
+    (bad_data / "manifest.json").write_bytes((data_dir / "manifest.json").read_bytes())
+    lines = (data_dir / "dataset.csv").read_text().splitlines()
+    row = next(i for i, line in enumerate(lines) if line.endswith(",meta"))
+    cells = lines[row].split(",")
+    cells[-2] = "3"
+    lines[row] = ",".join(cells)
+    (bad_data / "dataset.csv").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "run"
+    assert run_cli("train", "--data", bad_data, "--out", out, "--method", "mslg",
+                   *TRAIN_FAST) == EXIT_CONFIG
+    assert "meta label 3 out of range [0, 3)" in capsys.readouterr().err
+    assert len((out / "metrics.csv").read_text().splitlines()) == 1  # header only
+
+
 def test_train_missing_data_is_io_error(tmp_path):
     assert run_cli("train", "--data", tmp_path / "nope", "--out", tmp_path / "x",
                    "--method", "ce", *TRAIN_FAST) == EXIT_IO

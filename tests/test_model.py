@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mslg.losses import (
     cce_loss,
@@ -11,7 +13,7 @@ from mslg.losses import (
 from mslg.model import CheckpointError, Mlp, NumericalError, SgdState, sgd_step
 from mslg.rng import Rng
 
-from helpers import assert_grads_close
+from helpers import FailingArray, assert_grads_close
 
 
 def _tiny_net(seed=0, sizes=(2, 4, 2)):
@@ -324,6 +326,75 @@ def test_parameters_are_views_in_checkpoint_order(tmp_path):
     assert tmp_path.joinpath("m.ckpt").read_bytes().endswith(model.params.tobytes())
 
 
+# -- tangent (forward-mode directional derivative) ------------------------------------
+
+
+@pytest.mark.parametrize("sizes", [(2, 32, 32, 4), (64, 256, 256, 10)],
+                         ids=["desk", "wide"])
+def test_tangent_matches_central_difference(sizes):
+    # at eps = 1e-7 the difference quotient of the softmax output is accurate
+    # to ~1e-9; the tangent must agree far beyond the old eps = 1e-3 quotient
+    eps = 1e-7
+    for trial in range(3):
+        model = _tiny_net(60 + trial, sizes)
+        x = _inputs_clear_of_relu_kinks(model, Rng(61), trial, sizes[0], margin=1e-5)
+        direction = Rng(62).child(trial).normal(size=model.num_params)
+        direction /= np.linalg.norm(direction)
+        _, cache = model.forward(x)
+        tangent = model.tangent(cache, direction)
+        fd = (model.perturbed(direction, eps).predict(x)
+              - model.perturbed(direction, -eps).predict(x)) / (2 * eps)
+        assert tangent.shape == fd.shape
+        assert np.abs(tangent - fd).max() <= 1e-6 * np.abs(fd).max()
+
+
+def test_tangent_is_adjoint_of_backward():
+    # <u, J d> == <J^T u, d> for any upstream u and direction d
+    model = _tiny_net(63, (3, 7, 5, 4))
+    probs, cache = model.forward(Rng(64).normal(size=(6, 3)))
+    u = Rng(65).normal(size=probs.shape)
+    d = Rng(66).normal(size=model.num_params)
+    lhs = float(np.sum(u * model.tangent(cache, d)))
+    rhs = float(model.backward(cache, u) @ d)
+    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+       seed=st.integers(0, 2**16),
+       a=st.floats(-10, 10), b=st.floats(-10, 10))
+def test_tangent_is_linear_in_direction(sizes, seed, a, b):
+    model = _tiny_net(seed, tuple(sizes))
+    rng = Rng(seed).child(1)
+    _, cache = model.forward(rng.child(0).normal(size=(3, sizes[0])))
+    d1 = rng.child(1).normal(size=model.num_params)
+    d2 = rng.child(2).normal(size=model.num_params)
+    t1 = model.tangent(cache, d1)
+    t2 = model.tangent(cache, d2)
+    combined = model.tangent(cache, a * d1 + b * d2)
+    scale = abs(a) * np.abs(t1).max() + abs(b) * np.abs(t2).max()
+    assert np.abs(combined - (a * t1 + b * t2)).max() <= 1e-12 * max(scale, 1.0)
+    assert np.all(model.tangent(cache, np.zeros(model.num_params)) == 0.0)
+
+
+def test_tangent_stale_or_foreign_cache_rejected():
+    model = _tiny_net(67)
+    probs, cache = model.forward(Rng(68).normal(size=(2, 2)))
+    direction = np.ones(model.num_params)
+    with pytest.raises(ValueError, match="stale"):
+        _tiny_net(67).tangent(cache, direction)
+    sgd_step(model, model.backward(cache, np.ones_like(probs)), SgdState(lr=0.1))
+    with pytest.raises(ValueError, match="stale"):
+        model.tangent(cache, direction)
+
+
+def test_tangent_direction_length_mismatch():
+    model = _tiny_net(69)
+    _, cache = model.forward(Rng(70).normal(size=(2, 2)))
+    with pytest.raises(ValueError, match="direction"):
+        model.tangent(cache, np.ones(model.num_params + 1))
+
+
 # -- checkpoint io ---------------------------------------------------------------
 
 
@@ -351,3 +422,15 @@ def test_checkpoint_truncated(tmp_path):
     path.write_bytes(blob[:-16])
     with pytest.raises(CheckpointError):
         Mlp.load(path)
+
+
+def test_checkpoint_failed_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "last_good.ckpt"
+    _tiny_net(30).save(path)
+    before = path.read_bytes()
+    model = _tiny_net(31)
+    model.params = model.params.view(FailingArray)
+    with pytest.raises(OSError, match="no space"):
+        model.save(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]

@@ -6,6 +6,8 @@ import pytest
 from mslg.rng import Rng
 from mslg.soft_labels import LabelSnapshotError, SoftLabelStore
 
+from helpers import FailingArray
+
 
 def _store(noisy, c=3, k=10.0):
     return SoftLabelStore.init_from_noisy(noisy, c, k)
@@ -187,3 +189,15 @@ def test_csv_export_argmax_matches_noisy(tmp_path):
         assert int(cells[-1]) == noisy[i]
         probs = [float(v) for v in cells[1:-1]]
         assert abs(sum(probs) - 1.0) <= 1e-9
+
+
+def test_snapshot_failed_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "last_good.slbl"
+    _store([0, 1, 2], c=3).save(path)
+    before = path.read_bytes()
+    store = _store([2, 1, 0], c=3)
+    store.logits = store.logits.view(FailingArray)
+    with pytest.raises(OSError, match="no space"):
+        store.save(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import mslg
+import mslg.trainer
 
 from mslg.datasets import (
     LabeledDataset,
@@ -58,7 +59,7 @@ def _meta_loss_after_virtual(model, x, logits, meta_x, meta_y, alpha):
     """Independent evaluation of the meta objective as a function of the
     label logits: softmax them, take the virtual step, read the meta loss."""
     yhat = softmax(logits)
-    _, g = training_loss_grad(model, x, yhat)
+    _, g = training_loss_grad(model, model.forward(x)[1], yhat)
     theta_hat = model.perturbed(g, -alpha)
     return cce_loss(theta_hat.predict(meta_x), meta_y).scalar
 
@@ -66,8 +67,9 @@ def _meta_loss_after_virtual(model, x, logits, meta_x, meta_y, alpha):
 def _label_grad(model, x, yhat, meta_x, meta_y, alpha):
     """Meta-loss gradient w.r.t. the batch's soft labels, composed the way
     mslg_epoch composes it."""
-    g_meta, _, _ = meta_gradient_direction(model, x, yhat, meta_x, meta_y, alpha)
-    return label_gradient_along(model, x, yhat, g_meta, alpha)
+    cache = model.forward(x)[1]
+    g_meta, _, _ = meta_gradient_direction(model, cache, yhat, meta_x, meta_y, alpha)
+    return label_gradient_along(model, cache, yhat, g_meta, alpha)
 
 
 def _brute_force_logit_grad(model, x, logits, meta_x, meta_y, alpha, h=1e-4):
@@ -109,7 +111,7 @@ def test_bilevel_oracle_twenty_seeds():
 def test_virtual_step_zero_alpha_identity():
     model, x, store, *_ = _tiny_instance(30)
     yhat = store.soft_labels(np.arange(store.n))
-    _, g = training_loss_grad(model, x, yhat)
+    _, g = training_loss_grad(model, model.forward(x)[1], yhat)
     stepped = model.perturbed(g, -0.0)
     assert stepped is not model
     assert np.array_equal(stepped.get_flat(), model.get_flat())
@@ -119,11 +121,11 @@ def test_virtual_step_exact_gradient_offset():
     model, x, store, *_ = _tiny_instance(31)
     yhat = store.soft_labels(np.arange(store.n))
     alpha = 0.7
-    _, g = training_loss_grad(model, x, yhat)
+    _, g = training_loss_grad(model, model.forward(x)[1], yhat)
     stepped = model.perturbed(g, -alpha)
     assert np.array_equal(stepped.get_flat(), model.get_flat() - alpha * g)
     # original untouched
-    _, g2 = training_loss_grad(model, x, yhat)
+    _, g2 = training_loss_grad(model, model.forward(x)[1], yhat)
     assert np.array_equal(g, g2)
 
 
@@ -131,7 +133,7 @@ def test_virtual_step_descends_training_loss_for_small_alpha():
     model, x, store, *_ = _tiny_instance(32)
     yhat = store.soft_labels(np.arange(store.n))
     before = kl_loss_v2(model.predict(x), yhat).scalar
-    _, g = training_loss_grad(model, x, yhat)
+    _, g = training_loss_grad(model, model.forward(x)[1], yhat)
     after = kl_loss_v2(model.perturbed(g, -1e-3).predict(x), yhat).scalar
     assert after <= before
 
@@ -142,8 +144,8 @@ def test_virtual_step_descends_training_loss_for_small_alpha():
 def test_zero_meta_direction_gives_zero_gradient():
     model, x, store, *_ = _tiny_instance(34)
     yhat = store.soft_labels(np.arange(store.n))
-    out = label_gradient_along(model, x, yhat, np.zeros(model.num_params),
-                               alpha=0.5)
+    out = label_gradient_along(model, model.forward(x)[1], yhat,
+                               np.zeros(model.num_params), alpha=0.5)
     assert np.array_equal(out, np.zeros_like(yhat))
 
 
@@ -157,22 +159,24 @@ def test_flat_meta_loss_gives_zero_gradient():
     meta_x = np.array([[1.0, 2.0], [1.0, 2.0]])
     meta_y = np.array([0, 1])
     cfg = TrainConfig(alpha=0.5)
-    g_meta, g_train, _ = meta_gradient_direction(model, x, yhat, meta_x, meta_y,
-                                                 cfg.alpha)
+    cache = model.forward(x)[1]
+    g_meta, g_train, _ = meta_gradient_direction(model, cache, yhat, meta_x,
+                                                 meta_y, cfg.alpha)
     assert np.array_equal(g_train, np.zeros(model.num_params))
     assert np.array_equal(g_meta, np.zeros(model.num_params))
-    out = label_gradient_along(model, x, yhat, g_meta, cfg.alpha)
+    out = label_gradient_along(model, cache, yhat, g_meta, cfg.alpha)
     assert np.array_equal(out, np.zeros((2, 2)))
 
 
 def test_doubling_alpha_doubles_gradient_at_fixed_base():
-    # hold the perturbation direction (and hence eps) fixed: the returned
-    # gradient is then exactly linear in alpha
+    # hold the meta direction fixed: the returned gradient is then exactly
+    # linear in alpha
     model, x, store, meta_x, meta_y = _tiny_instance(35)
     yhat = store.soft_labels(np.arange(store.n))
-    g_meta, _, _ = meta_gradient_direction(model, x, yhat, meta_x, meta_y, 0.5)
-    one = label_gradient_along(model, x, yhat, g_meta, alpha=0.5)
-    two = label_gradient_along(model, x, yhat, g_meta, alpha=1.0)
+    cache = model.forward(x)[1]
+    g_meta, _, _ = meta_gradient_direction(model, cache, yhat, meta_x, meta_y, 0.5)
+    one = label_gradient_along(model, cache, yhat, g_meta, alpha=0.5)
+    two = label_gradient_along(model, cache, yhat, g_meta, alpha=1.0)
     assert np.abs(two - 2.0 * one).max() <= 1e-10
 
 
@@ -184,8 +188,8 @@ def _alignment(model, x_sample, yhat_sample, meta_x, meta_y):
     mslg_epoch averages into mean_grad_alignment. alpha = 0 takes both
     gradients at the model itself."""
     g_meta, g_train, _ = meta_gradient_direction(
-        model, np.atleast_2d(x_sample), np.atleast_2d(yhat_sample), meta_x, meta_y,
-        alpha=0.0)
+        model, model.forward(np.atleast_2d(x_sample))[1],
+        np.atleast_2d(yhat_sample), meta_x, meta_y, alpha=0.0)
     return float(g_meta @ g_train)
 
 
@@ -230,7 +234,8 @@ def test_label_update_raises_alignment_or_lowers_meta_loss():
         logits0 = store.logits.copy()
         lm_before = _meta_loss_after_virtual(model, x, logits0, meta_x, meta_y,
                                              cfg.alpha)
-        g_meta0, g_train0, _ = meta_gradient_direction(model, x,
+        g_meta0, g_train0, _ = meta_gradient_direction(model,
+                                                       model.forward(x)[1],
                                                        softmax(logits0),
                                                        meta_x, meta_y, cfg.alpha)
         align_before = float(g_meta0 @ g_train0)
@@ -245,7 +250,8 @@ def test_label_update_raises_alignment_or_lowers_meta_loss():
             lm_after = _meta_loss_after_virtual(model, x, trial.logits, meta_x,
                                                 meta_y, cfg.alpha)
             g_meta1, g_train1, _ = meta_gradient_direction(
-                model, x, trial.soft_labels(ids), meta_x, meta_y, cfg.alpha)
+                model, model.forward(x)[1], trial.soft_labels(ids), meta_x,
+                meta_y, cfg.alpha)
             align_after = float(g_meta1 @ g_train1)
             if lm_after <= lm_before + 1e-15 or align_after >= align_before:
                 ok = True
@@ -396,6 +402,48 @@ def test_mslg_epoch_deterministic():
     assert any(m.mean_grad_alignment != 0.0 for m in h1[2:])
 
 
+def test_mslg_batch_runs_two_forwards_three_backwards_one_tangent(monkeypatch):
+    # per batch: one forward at theta shared by the training gradient, the
+    # label tangent and the committed step, plus the meta forward at
+    # theta_hat; backwards for g_train, g_meta and the committed step.
+    # The per-epoch evaluation in _epoch_metrics is not counted.
+    train_ds, meta_ds, test_ds = _blob_setting(seed=6)
+    cfg = _warm_cfg(warmup_epochs=0, total_epochs=1)
+    model = Mlp((2, *cfg.hidden_sizes, 3), Rng(cfg.seed).child(0))
+    store = SoftLabelStore.init_from_noisy(train_ds.noisy_labels, 3, cfg.k_init)
+    opt = SgdState(lr=cfg.lr_at(0), momentum=cfg.momentum,
+                   weight_decay=cfg.weight_decay)
+    counts = {"forward": 0, "backward": 0, "tangent": 0}
+    counting = [True]
+
+    def count(name):
+        original = getattr(Mlp, name)
+
+        def wrapper(self, *args, **kwargs):
+            if counting[0]:
+                counts[name] += 1
+            return original(self, *args, **kwargs)
+        monkeypatch.setattr(Mlp, name, wrapper)
+
+    for name in counts:
+        count(name)
+    epoch_metrics = mslg.trainer._epoch_metrics
+
+    def uncounted(*args, **kwargs):
+        counting[0] = False
+        try:
+            return epoch_metrics(*args, **kwargs)
+        finally:
+            counting[0] = True
+    monkeypatch.setattr(mslg.trainer, "_epoch_metrics", uncounted)
+
+    mslg_epoch(model, train_ds, store, opt, cfg, 0, meta_ds, test_ds)
+    batches = -(-train_ds.n // cfg.batch_size)
+    assert batches > 1
+    assert counts == {"forward": 2 * batches, "backward": 3 * batches,
+                      "tangent": batches}
+
+
 def test_simplex_preserved_through_training():
     train_ds, meta_ds, test_ds = _blob_setting(seed=4, noise=0.4)
     cfg = _warm_cfg(warmup_epochs=2, total_epochs=8, beta=100.0)
@@ -459,6 +507,20 @@ def test_train_rejects_meta_set_of_other_shape():
                                   meta_ds.noisy_labels, 4)
     with pytest.raises(ValueError, match="classes"):
         train(train_ds, more_classes, _warm_cfg())
+
+
+def test_train_rejects_meta_label_out_of_range_before_training(monkeypatch):
+    train_ds, meta_ds, _ = _blob_setting()
+
+    def no_epoch(*args, **kwargs):
+        raise AssertionError("an epoch ran before the meta labels were checked")
+    monkeypatch.setattr(mslg.trainer, "warmup_epoch", no_epoch)
+    for bad in (3, -1):
+        labels = meta_ds.noisy_labels.copy()
+        labels[1] = bad
+        wrong = LabeledDataset(meta_ds.features, meta_ds.true_labels, labels, 3)
+        with pytest.raises(ValueError, match=rf"meta label {bad} out of range \[0, 3\)"):
+            train(train_ds, wrong, _warm_cfg())
 
 
 def test_train_rejects_empty_meta_set_without_hanging():
