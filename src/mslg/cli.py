@@ -229,13 +229,6 @@ def _resolve_train_config(args) -> TrainConfig:
     return cfg
 
 
-def _config_manifest(cfg: TrainConfig) -> dict:
-    payload = dataclasses.asdict(cfg)
-    payload["lambda_schedule"] = [list(pair) for pair in cfg.lambda_schedule]
-    payload["hidden_sizes"] = list(cfg.hidden_sizes)
-    return payload
-
-
 def _load_splits(data_dir: Path) -> tuple[dict[str, LabeledDataset], dict]:
     manifest_path = data_dir / "manifest.json"
     data_manifest = {}
@@ -263,7 +256,7 @@ def cmd_train(args) -> int:
         "method": args.method,
         "preset": args.preset,
         "data": str(data_dir),
-        "config": _config_manifest(cfg),
+        "config": dataclasses.asdict(cfg),
         "data_manifest": data_manifest,
     }
     _write_json(out / "manifest.json", manifest)

@@ -37,7 +37,6 @@ _SIMPLEX_TOL = 1e-6
 class LossValue:
     scalar: float
     grad_wrt_predictions: np.ndarray | None = None
-    grad_wrt_labels: np.ndarray | None = None
 
 
 def _check_simplex(m: np.ndarray, name: str) -> None:
@@ -50,12 +49,11 @@ def _check_simplex(m: np.ndarray, name: str) -> None:
         )
 
 
-def kl_loss_v2(f, yhat, want_label_grad: bool = False) -> LossValue:
+def kl_loss_v2(f, yhat) -> LossValue:
     """KL(predictions || soft labels), batch mean.
 
     scalar = (1/b) sum_i sum_j f_ij log(f_ij / yhat_ij)
     d/df   = (1 + log(f/yhat)) / b
-    d/dyhat = -(f/yhat) / b        (only if want_label_grad)
     """
     f = as_matrix(f, "predictions")
     yhat = as_matrix(yhat, "soft labels")
@@ -67,10 +65,7 @@ def kl_loss_v2(f, yhat, want_label_grad: bool = False) -> LossValue:
     log_ratio = np.log(np.maximum(f, PROB_FLOOR)) - np.log(np.maximum(yhat, PROB_FLOOR))
     scalar = float(np.sum(f * log_ratio) / b)
     grad_pred = (1.0 + log_ratio) / b
-    grad_labels = None
-    if want_label_grad:
-        grad_labels = -(f / np.maximum(yhat, PROB_FLOOR)) / b
-    return LossValue(scalar, grad_pred, grad_labels)
+    return LossValue(scalar, grad_pred)
 
 
 def kl_loss_v1(f, yhat) -> LossValue:
@@ -125,16 +120,14 @@ def entropy_loss(f) -> LossValue:
     return LossValue(scalar, grad)
 
 
-def classification_objective(f, yhat, entropy_weight: float = 1.0,
-                             want_label_grad: bool = False) -> LossValue:
+def classification_objective(f, yhat, entropy_weight: float = 1.0) -> LossValue:
     """Training objective for the label-corrected phase: KL(f||yhat) plus a
     weighted entropy term. Gradients are the matching sums."""
-    kl = kl_loss_v2(f, yhat, want_label_grad=want_label_grad)
+    kl = kl_loss_v2(f, yhat)
     if entropy_weight == 0.0:
         return kl
     ent = entropy_loss(f)
     return LossValue(
         kl.scalar + entropy_weight * ent.scalar,
         kl.grad_wrt_predictions + entropy_weight * ent.grad_wrt_predictions,
-        kl.grad_wrt_labels,
     )

@@ -84,9 +84,6 @@ class Mlp:
         parts = [flat[where].reshape(shape) for where, shape in self._blocks]
         return parts[:self.num_layers], parts[self.num_layers:]
 
-    def get_flat(self) -> np.ndarray:
-        return self.params.copy()
-
     def set_flat(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=np.float64).ravel()
         if flat.size != self.num_params:

@@ -35,10 +35,6 @@ class Rng:
         """Standard normal draws."""
         return self._gen.standard_normal(size)
 
-    def shuffle(self, arr) -> None:
-        """In-place Fisher-Yates shuffle along the first axis."""
-        self._gen.shuffle(arr)
-
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 

@@ -19,14 +19,14 @@ gradient in parameter space is the forward-mode tangent J_theta f . g_meta
 divided by b * yhat. The tangent is exact and reuses the activations of the
 one forward pass at theta, which also serves steps 1 and 3.
 
-Everything is driven by the run seed: batch orders, meta-batch cycling, and
-weight init each use keyed child streams, so identically configured runs are
-bitwise reproducible.
+Everything is driven by the run seed: batch orders, meta batches, and weight
+init each use keyed child streams, so identically configured runs are bitwise
+reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,7 +51,6 @@ __all__ = [
     "train",
     "metrics_csv_header",
     "metrics_csv_row",
-    "save_metrics_csv",
 ]
 
 ROLE_INIT = 0
@@ -111,8 +110,7 @@ class EpochMetrics:
     lr: float
 
 
-METRICS_COLUMNS = ("epoch", "train_loss", "meta_loss", "test_accuracy",
-                   "label_recovery_rate", "mean_grad_alignment", "lr")
+METRICS_COLUMNS = tuple(f.name for f in fields(EpochMetrics))
 
 
 # -- evaluation helpers (these may read true labels) --------------------------
@@ -141,31 +139,28 @@ def epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
     return Rng(seed).child(ROLE_TRAIN, epoch).permutation(n)
 
 
-def training_loss_grad(model: Mlp, cache: dict, yhat) -> tuple[float, np.ndarray]:
-    """Batch KL(f||yhat) and its flat parameter gradient, from a forward cache."""
-    lv = kl_loss_v2(cache["probs"], yhat)
-    return lv.scalar, model.backward(cache, lv.grad_wrt_predictions)
+def training_loss_grad(model: Mlp, cache: dict, yhat) -> np.ndarray:
+    """Flat parameter gradient of the batch KL(f||yhat), from a forward cache."""
+    return model.backward(cache, kl_loss_v2(cache["probs"], yhat).grad_wrt_predictions)
 
 
 def meta_gradient_direction(model: Mlp, cache: dict, yhat, meta_x, meta_y,
-                            alpha: float) -> tuple[np.ndarray, np.ndarray, float]:
+                            alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Meta cross-entropy gradient at the looked-ahead parameters.
 
     `cache` is the forward of the training batch at theta. Returns (g_meta,
-    g_train, meta_loss): the flat meta gradient taken at theta_hat = theta -
-    alpha * g_train, the flat training-batch gradient at theta, and the meta
-    loss value.
+    g_train): the flat meta gradient taken at theta_hat = theta - alpha *
+    g_train, and the flat training-batch gradient at theta.
     """
-    _, g_train = training_loss_grad(model, cache, yhat)
+    g_train = training_loss_grad(model, cache, yhat)
     if not np.all(np.isfinite(g_train)):
         raise NumericalError("meta gradient: non-finite training gradient")
     theta_hat = model.perturbed(g_train, -alpha)
     probs_m, cache_m = theta_hat.forward(meta_x)
-    lv = cce_loss(probs_m, meta_y)
-    g_meta = theta_hat.backward(cache_m, lv.grad_wrt_predictions)
+    g_meta = theta_hat.backward(cache_m, cce_loss(probs_m, meta_y).grad_wrt_predictions)
     if not np.all(np.isfinite(g_meta)):
         raise NumericalError("meta gradient: non-finite meta gradient")
-    return g_meta, g_train, lv.scalar
+    return g_meta, g_train
 
 
 def label_gradient_along(model: Mlp, cache: dict, yhat, direction: np.ndarray,
@@ -185,33 +180,20 @@ def label_gradient_along(model: Mlp, cache: dict, yhat, direction: np.ndarray,
     return out
 
 
-class _MetaCycler:
-    """Cyclic meta-batch iterator; reshuffles on each wrap with a seed derived
-    from (run seed, epoch, wrap count)."""
+def _meta_batches(m: int, seed: int, epoch: int, batches: int,
+                  batch_size: int) -> np.ndarray:
+    """Meta-set indices of every batch in an epoch, shape (batches, batch_size).
 
-    def __init__(self, m: int, seed: int, epoch: int, batch_size: int):
-        self._m = m
-        self._seed = seed
-        self._epoch = epoch
-        self._bs = batch_size
-        self._wrap = 0
-        self._pos = 0
-        self._order = self._reshuffle()
-
-    def _reshuffle(self) -> np.ndarray:
-        return Rng(self._seed).child(ROLE_META, self._epoch, self._wrap).permutation(self._m)
-
-    def next_batch(self) -> np.ndarray:
-        out: list[int] = []
-        while len(out) < self._bs:
-            take = min(self._bs - len(out), self._m - self._pos)
-            out.extend(self._order[self._pos:self._pos + take])
-            self._pos += take
-            if self._pos == self._m:
-                self._wrap += 1
-                self._pos = 0
-                self._order = self._reshuffle()
-        return np.asarray(out, dtype=np.int64)
+    The epoch's meta stream is one permutation of 0..m-1 per wrap, keyed by
+    (run seed, epoch, wrap), laid end to end; row k is the meta batch of
+    training batch k. Every row is full, the last one too. A meta set smaller
+    than a batch repeats samples within a batch: each aligned m-window of the
+    stream is still one permutation.
+    """
+    wraps = -(-batches * batch_size // m)
+    stream = np.concatenate([Rng(seed).child(ROLE_META, epoch, wrap).permutation(m)
+                             for wrap in range(wraps)])
+    return stream[:batches * batch_size].reshape(batches, batch_size)
 
 
 # -- epochs ---------------------------------------------------------------------
@@ -256,18 +238,17 @@ def mslg_epoch(model: Mlp, train_ds: LabeledDataset, store: SoftLabelStore,
     meta gradient, then take a committed step on the corrected labels."""
     opt.lr = cfg.lr_at(epoch)
     order = epoch_order(cfg.seed, epoch, train_ds.n)
-    meta_iter = _MetaCycler(meta_ds.n, cfg.seed, epoch, cfg.batch_size)
+    meta_rows = _meta_batches(meta_ds.n, cfg.seed, epoch,
+                              -(-train_ds.n // cfg.batch_size), cfg.batch_size)
     loss_sum = 0.0
     align_sum = 0.0
-    batches = 0
-    for start in range(0, train_ds.n, cfg.batch_size):
+    for start, m_idx in zip(range(0, train_ds.n, cfg.batch_size), meta_rows):
         ids = order[start:start + cfg.batch_size]
         yhat = store.soft_labels(ids)
-        m_idx = meta_iter.next_batch()
         # theta only moves at the committed step, so one forward serves the
         # look-ahead gradient, the label tangent and the committed step
         probs, cache = model.forward(train_ds.features[ids])
-        g_meta, g_train, _ = meta_gradient_direction(
+        g_meta, g_train = meta_gradient_direction(
             model, cache, yhat, meta_ds.features[m_idx],
             meta_ds.noisy_labels[m_idx], cfg.alpha)
         grad_yhat = label_gradient_along(model, cache, yhat, g_meta, cfg.alpha)
@@ -279,10 +260,9 @@ def mslg_epoch(model: Mlp, train_ds: LabeledDataset, store: SoftLabelStore,
         # mean over (meta sample, train sample) gradient dot products collapses
         # to the dot of the two batch-mean gradients by bilinearity
         align_sum += float(g_meta @ g_train)
-        batches += 1
     return _epoch_metrics(epoch, loss_sum / train_ds.n,
-                          align_sum / max(batches, 1), model, store, train_ds,
-                          meta_ds, test_ds, opt.lr)
+                          align_sum / max(len(meta_rows), 1), model, store,
+                          train_ds, meta_ds, test_ds, opt.lr)
 
 
 def train(train_ds: LabeledDataset, meta_ds: LabeledDataset, cfg: TrainConfig,
@@ -337,16 +317,5 @@ def metrics_csv_header() -> str:
 
 
 def metrics_csv_row(m: EpochMetrics) -> str:
-    vals = [str(int(m.epoch))] + [
-        repr(float(v)) for v in (m.train_loss, m.meta_loss, m.test_accuracy,
-                                 m.label_recovery_rate, m.mean_grad_alignment,
-                                 m.lr)
-    ]
-    return ",".join(vals) + "\n"
-
-
-def save_metrics_csv(path, history) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(metrics_csv_header())
-        for m in history:
-            fh.write(metrics_csv_row(m))
+    epoch, *rest = (getattr(m, name) for name in METRICS_COLUMNS)
+    return ",".join([str(int(epoch))] + [repr(float(v)) for v in rest]) + "\n"

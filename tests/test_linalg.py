@@ -109,12 +109,6 @@ def test_rng_different_seed_differs():
     assert not np.array_equal(Rng(1).uniform(100), Rng(2).uniform(100))
 
 
-def test_rng_shuffle_singleton_unchanged():
-    arr = np.array([7.0])
-    Rng(0).shuffle(arr)
-    assert arr[0] == 7.0
-
-
 def test_rng_uniform_mean_law_of_large_numbers():
     draws = Rng(123).uniform(100_000)
     assert abs(draws.mean() - 0.5) <= 0.01

@@ -93,8 +93,8 @@ def test_param_count():
 
 
 def test_init_is_seed_deterministic():
-    a = _tiny_net(9, (3, 6, 2)).get_flat()
-    b = _tiny_net(9, (3, 6, 2)).get_flat()
+    a = _tiny_net(9, (3, 6, 2)).params
+    b = _tiny_net(9, (3, 6, 2)).params
     assert np.array_equal(a, b)
 
 
@@ -139,7 +139,7 @@ def _inputs_clear_of_relu_kinks(model, rng, trial, d, n=4, margin=1e-3):
 
 
 def _fd_param_grad(model, x, scalar_of_probs, h=1e-5):
-    flat = model.get_flat()
+    flat = model.params.copy()
     out = np.zeros_like(flat)
     for k in range(flat.size):
         p = flat.copy()
@@ -195,26 +195,26 @@ def _const_grads(model, value):
 
 def test_sgd_zero_lr_leaves_params():
     model = _tiny_net(14)
-    before = model.get_flat()
+    before = model.params.copy()
     sgd_step(model, _const_grads(model, 1.0), SgdState(lr=0.0, momentum=0.9))
-    assert np.array_equal(model.get_flat(), before)
+    assert np.array_equal(model.params, before)
 
 
 def test_sgd_plain_reduction():
     model = _tiny_net(15)
-    before = model.get_flat()
+    before = model.params.copy()
     sgd_step(model, _const_grads(model, 0.5), SgdState(lr=0.1))
-    assert np.allclose(model.get_flat(), before - 0.1 * 0.5, atol=1e-15)
+    assert np.allclose(model.params, before - 0.1 * 0.5, atol=1e-15)
 
 
 def test_sgd_momentum_two_steps_displacement():
     # v1 = g, v2 = 0.9 g + g = 1.9 g -> total displacement lr*g*(1 + 1.9)
     model = _tiny_net(16)
-    before = model.get_flat()
+    before = model.params.copy()
     opt = SgdState(lr=0.2, momentum=0.9, weight_decay=0.0)
     sgd_step(model, _const_grads(model, 1.0), opt)
     sgd_step(model, _const_grads(model, 1.0), opt)
-    assert np.allclose(model.get_flat(), before - 0.2 * (1.0 + 1.9), atol=1e-12)
+    assert np.allclose(model.params, before - 0.2 * (1.0 + 1.9), atol=1e-12)
 
 
 def test_sgd_weight_decay_order():
@@ -232,19 +232,19 @@ def test_sgd_nonfinite_gradient_aborts():
     model = _tiny_net(17)
     grads = _const_grads(model, 1.0)
     grads[0] = np.nan  # first entry of layer 0's weights
-    before = model.get_flat()
+    before = model.params.copy()
     with pytest.raises(NumericalError, match="layer 0"):
         sgd_step(model, grads, SgdState(lr=0.1))
-    assert np.array_equal(model.get_flat(), before)
+    assert np.array_equal(model.params, before)
 
 
 def test_sgd_rejects_gradient_of_wrong_length():
     model = _tiny_net(17)
-    before = model.get_flat()
+    before = model.params.copy()
     for bad in (np.ones(1), np.ones(model.num_params + 1)):
         with pytest.raises(ValueError, match="gradient shape"):
             sgd_step(model, bad, SgdState(lr=0.1))
-    assert np.array_equal(model.get_flat(), before)
+    assert np.array_equal(model.params, before)
 
 
 def test_sgd_nonfinite_gradient_names_its_layer():
@@ -266,7 +266,7 @@ def test_sgd_bitwise_reproducible():
             probs, cache = model.forward(x)
             lv = cce_loss(probs, y)
             sgd_step(model, model.backward(cache, lv.grad_wrt_predictions), opt)
-        return model.get_flat()
+        return model.params
 
     assert np.array_equal(run(), run())
 
@@ -278,7 +278,7 @@ def test_perturb_zero_eps_identical_copy():
     model = _tiny_net(21)
     copy = model.perturbed(np.ones(model.num_params), 0.0)
     assert copy is not model
-    assert np.array_equal(copy.get_flat(), model.get_flat())
+    assert np.array_equal(copy.params, model.params)
 
 
 def test_perturb_reads_back_exact_offset():
@@ -286,15 +286,15 @@ def test_perturb_reads_back_exact_offset():
     direction = Rng(23).normal(size=model.num_params)
     eps = 3e-3
     pert = model.perturbed(direction, eps)
-    assert np.array_equal(pert.get_flat(), model.get_flat() + eps * direction)
+    assert np.array_equal(pert.params, model.params + eps * direction)
 
 
 def test_perturb_symmetric_average_recovers_original():
     model = _tiny_net(24)
     direction = Rng(25).normal(size=model.num_params)
-    up = model.perturbed(direction, 1e-3).get_flat()
-    down = model.perturbed(direction, -1e-3).get_flat()
-    assert np.abs((up + down) / 2 - model.get_flat()).max() <= 1e-12
+    up = model.perturbed(direction, 1e-3).params
+    down = model.perturbed(direction, -1e-3).params
+    assert np.abs((up + down) / 2 - model.params).max() <= 1e-12
 
 
 def test_perturb_length_mismatch():
@@ -305,10 +305,10 @@ def test_perturb_length_mismatch():
 
 def test_flatten_roundtrip_identity():
     model = _tiny_net(27, (3, 6, 4, 2))
-    flat = model.get_flat()
+    flat = model.params.copy()
     other = Mlp((3, 6, 4, 2))
     other.set_flat(flat)
-    assert np.array_equal(other.get_flat(), flat)
+    assert np.array_equal(other.params, flat)
     for w1, w2 in zip(model.weights, other.weights):
         assert np.array_equal(w1, w2)
 
@@ -404,7 +404,7 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     model.save(path)
     loaded = Mlp.load(path)
     assert loaded.layer_sizes == model.layer_sizes
-    assert np.array_equal(loaded.get_flat(), model.get_flat())
+    assert np.array_equal(loaded.params, model.params)
 
 
 def test_checkpoint_bad_magic(tmp_path):

@@ -23,6 +23,7 @@ from mslg.model import Mlp, SgdState, sgd_step
 from mslg.rng import Rng
 from mslg.soft_labels import SoftLabelStore
 from mslg.trainer import (
+    ROLE_META,
     EpochMetrics,
     TrainConfig,
     accuracy,
@@ -35,6 +36,7 @@ from mslg.trainer import (
     recovery_rate,
     train,
     training_loss_grad,
+    _meta_batches,
     warmup_epoch,
 )
 
@@ -59,7 +61,7 @@ def _meta_loss_after_virtual(model, x, logits, meta_x, meta_y, alpha):
     """Independent evaluation of the meta objective as a function of the
     label logits: softmax them, take the virtual step, read the meta loss."""
     yhat = softmax(logits)
-    _, g = training_loss_grad(model, model.forward(x)[1], yhat)
+    g = training_loss_grad(model, model.forward(x)[1], yhat)
     theta_hat = model.perturbed(g, -alpha)
     return cce_loss(theta_hat.predict(meta_x), meta_y).scalar
 
@@ -68,7 +70,7 @@ def _label_grad(model, x, yhat, meta_x, meta_y, alpha):
     """Meta-loss gradient w.r.t. the batch's soft labels, composed the way
     mslg_epoch composes it."""
     cache = model.forward(x)[1]
-    g_meta, _, _ = meta_gradient_direction(model, cache, yhat, meta_x, meta_y, alpha)
+    g_meta, _ = meta_gradient_direction(model, cache, yhat, meta_x, meta_y, alpha)
     return label_gradient_along(model, cache, yhat, g_meta, alpha)
 
 
@@ -111,21 +113,21 @@ def test_bilevel_oracle_twenty_seeds():
 def test_virtual_step_zero_alpha_identity():
     model, x, store, *_ = _tiny_instance(30)
     yhat = store.soft_labels(np.arange(store.n))
-    _, g = training_loss_grad(model, model.forward(x)[1], yhat)
+    g = training_loss_grad(model, model.forward(x)[1], yhat)
     stepped = model.perturbed(g, -0.0)
     assert stepped is not model
-    assert np.array_equal(stepped.get_flat(), model.get_flat())
+    assert np.array_equal(stepped.params, model.params)
 
 
 def test_virtual_step_exact_gradient_offset():
     model, x, store, *_ = _tiny_instance(31)
     yhat = store.soft_labels(np.arange(store.n))
     alpha = 0.7
-    _, g = training_loss_grad(model, model.forward(x)[1], yhat)
+    g = training_loss_grad(model, model.forward(x)[1], yhat)
     stepped = model.perturbed(g, -alpha)
-    assert np.array_equal(stepped.get_flat(), model.get_flat() - alpha * g)
+    assert np.array_equal(stepped.params, model.params - alpha * g)
     # original untouched
-    _, g2 = training_loss_grad(model, model.forward(x)[1], yhat)
+    g2 = training_loss_grad(model, model.forward(x)[1], yhat)
     assert np.array_equal(g, g2)
 
 
@@ -133,7 +135,7 @@ def test_virtual_step_descends_training_loss_for_small_alpha():
     model, x, store, *_ = _tiny_instance(32)
     yhat = store.soft_labels(np.arange(store.n))
     before = kl_loss_v2(model.predict(x), yhat).scalar
-    _, g = training_loss_grad(model, model.forward(x)[1], yhat)
+    g = training_loss_grad(model, model.forward(x)[1], yhat)
     after = kl_loss_v2(model.perturbed(g, -1e-3).predict(x), yhat).scalar
     assert after <= before
 
@@ -160,8 +162,8 @@ def test_flat_meta_loss_gives_zero_gradient():
     meta_y = np.array([0, 1])
     cfg = TrainConfig(alpha=0.5)
     cache = model.forward(x)[1]
-    g_meta, g_train, _ = meta_gradient_direction(model, cache, yhat, meta_x,
-                                                 meta_y, cfg.alpha)
+    g_meta, g_train = meta_gradient_direction(model, cache, yhat, meta_x,
+                                              meta_y, cfg.alpha)
     assert np.array_equal(g_train, np.zeros(model.num_params))
     assert np.array_equal(g_meta, np.zeros(model.num_params))
     out = label_gradient_along(model, cache, yhat, g_meta, cfg.alpha)
@@ -174,7 +176,7 @@ def test_doubling_alpha_doubles_gradient_at_fixed_base():
     model, x, store, meta_x, meta_y = _tiny_instance(35)
     yhat = store.soft_labels(np.arange(store.n))
     cache = model.forward(x)[1]
-    g_meta, _, _ = meta_gradient_direction(model, cache, yhat, meta_x, meta_y, 0.5)
+    g_meta, _ = meta_gradient_direction(model, cache, yhat, meta_x, meta_y, 0.5)
     one = label_gradient_along(model, cache, yhat, g_meta, alpha=0.5)
     two = label_gradient_along(model, cache, yhat, g_meta, alpha=1.0)
     assert np.abs(two - 2.0 * one).max() <= 1e-10
@@ -187,7 +189,7 @@ def _alignment(model, x_sample, yhat_sample, meta_x, meta_y):
     """g_meta . g_train for one training sample, the per-batch quantity that
     mslg_epoch averages into mean_grad_alignment. alpha = 0 takes both
     gradients at the model itself."""
-    g_meta, g_train, _ = meta_gradient_direction(
+    g_meta, g_train = meta_gradient_direction(
         model, model.forward(np.atleast_2d(x_sample))[1],
         np.atleast_2d(yhat_sample), meta_x, meta_y, alpha=0.0)
     return float(g_meta @ g_train)
@@ -234,10 +236,10 @@ def test_label_update_raises_alignment_or_lowers_meta_loss():
         logits0 = store.logits.copy()
         lm_before = _meta_loss_after_virtual(model, x, logits0, meta_x, meta_y,
                                              cfg.alpha)
-        g_meta0, g_train0, _ = meta_gradient_direction(model,
-                                                       model.forward(x)[1],
-                                                       softmax(logits0),
-                                                       meta_x, meta_y, cfg.alpha)
+        g_meta0, g_train0 = meta_gradient_direction(model,
+                                                    model.forward(x)[1],
+                                                    softmax(logits0),
+                                                    meta_x, meta_y, cfg.alpha)
         align_before = float(g_meta0 @ g_train0)
 
         beta = 1.0
@@ -249,7 +251,7 @@ def test_label_update_raises_alignment_or_lowers_meta_loss():
             trial.apply_label_gradient(ids, grad, beta)
             lm_after = _meta_loss_after_virtual(model, x, trial.logits, meta_x,
                                                 meta_y, cfg.alpha)
-            g_meta1, g_train1, _ = meta_gradient_direction(
+            g_meta1, g_train1 = meta_gradient_direction(
                 model, model.forward(x)[1], trial.soft_labels(ids), meta_x,
                 meta_y, cfg.alpha)
             align_after = float(g_meta1 @ g_train1)
@@ -309,11 +311,11 @@ def test_warmup_zero_lr_leaves_parameters():
     train_ds, meta_ds, test_ds = _blob_setting()
     cfg = _warm_cfg(lambda_schedule=((0, 0.0),))
     model = Mlp((2, 16, 3), Rng(0).child(0))
-    before = model.get_flat()
+    before = model.params.copy()
     opt = SgdState(lr=0.0, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
     metrics = warmup_epoch(model, train_ds, opt, cfg, epoch=0,
                            meta_ds=meta_ds, test_ds=test_ds)
-    assert np.array_equal(model.get_flat(), before)
+    assert np.array_equal(model.params, before)
     assert isinstance(metrics, EpochMetrics)
     assert metrics.train_loss > 0.0
     assert 0.0 <= metrics.test_accuracy <= 1.0
@@ -333,7 +335,7 @@ def test_warmup_is_deterministic():
     cfg = _warm_cfg(warmup_epochs=3, total_epochs=3)
     m1, _, h1 = train(train_ds, meta_ds, cfg, test_ds)
     m2, _, h2 = train(train_ds, meta_ds, cfg, test_ds)
-    assert np.array_equal(m1.get_flat(), m2.get_flat())
+    assert np.array_equal(m1.params, m2.params)
     assert h1 == h2
 
 
@@ -371,7 +373,7 @@ def test_beta_zero_entropy_zero_equals_frozen_soft_ce():
                        recovery_rate(store_b, train_ds)))
 
     assert np.array_equal(store_a.logits, store_b.logits)  # labels never moved
-    assert np.array_equal(model_a.get_flat(), model_b.get_flat())
+    assert np.array_equal(model_a.params, model_b.params)
     for m, (tl, ml, ta, rec) in zip(hist_a, hist_b):
         # mean_grad_alignment is a stage-two diagnostic with no counterpart
         # in a plain soft-CE loop; all training-relevant metrics must agree
@@ -386,7 +388,7 @@ def test_mslg_with_total_equal_warmup_is_ce_baseline():
     cfg = _warm_cfg(warmup_epochs=5, total_epochs=5)
     model_a, store_a, hist_a = train(train_ds, meta_ds, cfg, test_ds)
     model_b, store_b, hist_b = train(train_ds, meta_ds, cfg, test_ds)
-    assert np.array_equal(model_a.get_flat(), model_b.get_flat())
+    assert np.array_equal(model_a.params, model_b.params)
     assert hist_a == hist_b
     # the label store was created but never updated
     init = SoftLabelStore.init_from_noisy(train_ds.noisy_labels, 3, cfg.k_init)
@@ -442,6 +444,52 @@ def test_mslg_batch_runs_two_forwards_three_backwards_one_tangent(monkeypatch):
     assert batches > 1
     assert counts == {"forward": 2 * batches, "backward": 3 * batches,
                       "tangent": batches}
+
+
+# -- meta batches ------------------------------------------------------------------
+
+
+def test_meta_batches_shape_and_windows_when_meta_set_is_smaller_than_a_batch():
+    # m=3 < batch 4: batches repeat samples, but every aligned 3-window of the
+    # epoch's stream is one permutation of the meta set
+    rows = _meta_batches(3, seed=5, epoch=2, batches=3, batch_size=4)
+    assert rows.shape == (3, 4)
+    for window in rows.ravel().reshape(-1, 3):
+        assert sorted(window) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("m, batches, batch_size", [(3, 3, 4), (5, 3, 4), (8, 2, 4)])
+def test_meta_batches_are_the_keyed_permutation_per_wrap(m, batches, batch_size):
+    wraps = [Rng(5).child(ROLE_META, 2, wrap).permutation(m) for wrap in range(6)]
+    expected = np.concatenate(wraps)[:batches * batch_size]
+    rows = _meta_batches(m, seed=5, epoch=2, batches=batches, batch_size=batch_size)
+    assert np.array_equal(rows.ravel(), expected)
+
+
+def test_meta_batches_differ_across_epochs():
+    assert not np.array_equal(_meta_batches(3, 5, 2, 3, 4), _meta_batches(3, 5, 3, 3, 4))
+
+
+def test_mslg_epoch_draws_meta_row_k_for_batch_k(monkeypatch):
+    train_ds, meta_ds, test_ds = _blob_setting(seed=6)
+    cfg = _warm_cfg(warmup_epochs=0, total_epochs=1)
+    model = Mlp((2, *cfg.hidden_sizes, 3), Rng(cfg.seed).child(0))
+    store = SoftLabelStore.init_from_noisy(train_ds.noisy_labels, 3, cfg.k_init)
+    opt = SgdState(lr=cfg.lr_at(0))
+    seen = []
+    original = mslg.trainer.meta_gradient_direction
+
+    def recording(model, cache, yhat, meta_x, meta_y, alpha):
+        seen.append((meta_x, meta_y))
+        return original(model, cache, yhat, meta_x, meta_y, alpha)
+    monkeypatch.setattr(mslg.trainer, "meta_gradient_direction", recording)
+
+    mslg_epoch(model, train_ds, store, opt, cfg, 4, meta_ds, test_ds)
+    rows = _meta_batches(meta_ds.n, cfg.seed, 4, len(seen), cfg.batch_size)
+    assert len(seen) == -(-train_ds.n // cfg.batch_size)
+    for (meta_x, meta_y), row in zip(seen, rows):
+        assert np.array_equal(meta_x, meta_ds.features[row])
+        assert np.array_equal(meta_y, meta_ds.noisy_labels[row])
 
 
 def test_simplex_preserved_through_training():
