@@ -10,7 +10,8 @@ then command-line flags; later wins.
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical abort
 (a non-finite loss or gradient; the rolling last_good checkpoint survives).
 
-If MSLG_OUTPUT_ROOT is set, relative --out paths are created under it.
+If MSLG_OUTPUT_ROOT is set, every relative --out path (a directory for gen,
+train and sweep, a file for eval and export-labels) is created under it.
 """
 
 from __future__ import annotations
@@ -55,19 +56,29 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
-# keyed child streams of the gen seed
+# stream keys under the gen seed: Rng(seed, _GEN_*)
 _GEN_DATA = 10
 _GEN_SPLIT = 11
 _GEN_NOISE = 12
 
 
-def _out_dir(path_str: str) -> Path:
+def _out_dir(path_str: str | Path) -> Path:
+    """An --out directory, under MSLG_OUTPUT_ROOT when relative; created.
+
+    The root is made absolute, so a resolved path resolves to itself (sweep
+    cells pass theirs to gen and train)."""
     path = Path(path_str)
     root = os.environ.get("MSLG_OUTPUT_ROOT")
     if root and not path.is_absolute():
-        path = Path(root) / path
+        path = Path(root).absolute() / path
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _out_file(path_str: str | Path) -> Path:
+    """An --out file, in the directory `_out_dir` resolves for its parent."""
+    path = Path(path_str)
+    return _out_dir(path.parent) / path.name
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -76,13 +87,16 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _parse_kv(tokens: list[str], what: str) -> dict[str, str]:
+def _parse_kv(tokens: list[str], what: str, keys: tuple[str, ...]) -> dict[str, str]:
     out = {}
     for tok in tokens:
         if "=" not in tok:
             raise ValueError(f"{what}: expected key=value, got {tok!r}")
         key, value = tok.split("=", 1)
-        out[key.replace("-", "_")] = value
+        key = key.replace("-", "_")
+        if key not in keys:
+            raise ValueError(f"{what}: unknown key {key!r}; accepted: {' '.join(keys)}")
+        out[key] = value
     return out
 
 
@@ -114,21 +128,20 @@ def _parse_hidden(spec: str) -> tuple[int, ...]:
 
 def _generate_dataset(args) -> tuple[dict[str, LabeledDataset], dict]:
     seed = args.seed
-    rng = Rng(seed)
     if args.blobs:
-        kv = _parse_kv(args.blobs, "--blobs")
+        kv = _parse_kv(args.blobs, "--blobs", ("n", "c", "d", "sep", "separation"))
         n = int(kv.get("n", 2000))
         c = int(kv.get("c", 4))
         d = int(kv.get("d", 2))
         sep = float(kv.get("sep", kv.get("separation", 6.0)))
-        ds = gen_blobs(n, c, d, sep, rng.child(_GEN_DATA))
+        ds = gen_blobs(n, c, d, sep, Rng(seed, _GEN_DATA))
         source = {"generator": "blobs", "n": n, "c": c, "d": d, "separation": sep}
     elif args.spirals:
-        kv = _parse_kv(args.spirals, "--spirals")
+        kv = _parse_kv(args.spirals, "--spirals", ("n", "c", "noise_sd"))
         n = int(kv.get("n", 600))
         c = int(kv.get("c", 3))
         sd = float(kv.get("noise_sd", 0.03))
-        ds = gen_spirals(n, c, sd, rng.child(_GEN_DATA))
+        ds = gen_spirals(n, c, sd, Rng(seed, _GEN_DATA))
         source = {"generator": "spirals", "n": n, "c": c, "noise_sd": sd}
     elif args.idx_images:
         if not args.idx_labels:
@@ -139,16 +152,16 @@ def _generate_dataset(args) -> tuple[dict[str, LabeledDataset], dict]:
     else:
         raise ValueError("choose a source: --blobs, --spirals, or --idx-images")
 
-    train_ds, meta_ds, test_ds = split(ds, args.meta, args.test, rng.child(_GEN_SPLIT))
+    train_ds, meta_ds, test_ds = split(ds, args.meta, args.test, Rng(seed, _GEN_SPLIT))
 
     kind, ratio = _parse_noise(args.noise)
     if kind == "uniform":
-        train_ds = inject_uniform(train_ds, ratio, rng.child(_GEN_NOISE))
+        train_ds = inject_uniform(train_ds, ratio, Rng(seed, _GEN_NOISE))
     elif kind == "feature_dependent":
         probe = ProbeConfig(hidden_sizes=_parse_hidden(args.probe_hidden),
                             epochs=args.probe_epochs)
         train_ds = inject_feature_dependent(train_ds, ratio, probe,
-                                            rng.child(_GEN_NOISE))
+                                            Rng(seed, _GEN_NOISE))
 
     manifest = {
         "command": "gen",
@@ -245,6 +258,9 @@ def _load_splits(data_dir: Path) -> tuple[dict[str, LabeledDataset], dict]:
 
 
 def cmd_train(args) -> int:
+    if args.snapshot_every < 0:
+        raise ValueError(f"--snapshot-every must be >= 0 (0 is off), "
+                         f"got {args.snapshot_every}")
     data_dir = Path(args.data)
     out = _out_dir(args.out)
     cfg = _resolve_train_config(args)
@@ -344,18 +360,18 @@ def build_eval_report(model: Mlp, store: SoftLabelStore | None,
     return report
 
 
+def _eval_report(data, checkpoint, labels) -> dict:
+    splits, _ = _load_splits(Path(data))
+    model = Mlp.load(checkpoint)
+    store = SoftLabelStore.load(labels) if labels else None
+    return build_eval_report(model, store, splits)
+
+
 def cmd_eval(args) -> int:
-    splits, _ = _load_splits(Path(args.data))
-    model = Mlp.load(args.checkpoint)
-    store = SoftLabelStore.load(args.labels) if args.labels else None
-    report = build_eval_report(model, store, splits)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
+    report = _eval_report(args.data, args.checkpoint, args.labels)
+    print(json.dumps(report, indent=2, sort_keys=True))
     if args.out:
-        out_path = Path(args.out)
-        if out_path.parent != Path("."):
-            out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(text + "\n", encoding="utf-8")
+        _write_json(_out_file(args.out), report)
     return EXIT_OK
 
 
@@ -365,38 +381,26 @@ def cmd_eval(args) -> int:
 _SWEEP_AXES = ("meta_fraction", "noise_ratio", "beta")
 
 
-def _sweep_cell(args, axis: str, value: float, seed: int, cell_dir: Path) -> dict:
-    gen_args = argparse.Namespace(
-        out=str(cell_dir / "data"),
-        blobs=args.blobs, spirals=args.spirals,
-        idx_images=args.idx_images, idx_labels=args.idx_labels,
-        noise=args.noise, meta=args.meta, test=args.test, seed=seed,
-        probe_hidden=args.probe_hidden, probe_epochs=args.probe_epochs,
-    )
-    if axis == "meta_fraction":
-        gen_args.meta = value
-    elif axis == "noise_ratio":
+def _sweep_cell(args, value: float, seed: int, cell_dir: Path) -> dict:
+    """gen, train and eval of one cell, with the sweep's own flags but for the
+    seed and the swept value."""
+    cell = argparse.Namespace(**vars(args))
+    cell.seed, cell.snapshot_every = seed, 0
+    if args.axis == "meta_fraction":
+        cell.meta = value
+    elif args.axis == "noise_ratio":
         kind, _ = _parse_noise(args.noise)
         if kind == "none":
             raise ValueError("noise_ratio sweep needs --noise kind:ratio")
-        gen_args.noise = f"{kind}:{value}"
-    cmd_gen(gen_args)
-
-    train_args = argparse.Namespace(
-        data=str(cell_dir / "data"), out=str(cell_dir / "run"),
-        method=args.method, preset=args.preset, config=args.config,
-        snapshot_every=0,
-        **{field: getattr(args, field, None) for field in _CONFIG_FIELD_PARSERS},
-    )
-    train_args.seed = seed
-    if axis == "beta":
-        train_args.beta = value
-    cmd_train(train_args)
-
-    splits, _ = _load_splits(cell_dir / "data")
-    model = Mlp.load(cell_dir / "run" / "model.ckpt")
-    store = SoftLabelStore.load(cell_dir / "run" / "labels.slbl")
-    return build_eval_report(model, store, splits)
+        cell.noise = f"{kind}:{value}"
+    else:
+        cell.beta = value
+    cell.out = cell.data = str(cell_dir / "data")
+    cmd_gen(cell)
+    cell.out = str(cell_dir / "run")
+    cmd_train(cell)
+    return _eval_report(cell.data, cell_dir / "run" / "model.ckpt",
+                        cell_dir / "run" / "labels.slbl")
 
 
 def cmd_sweep(args) -> int:
@@ -408,53 +412,43 @@ def cmd_sweep(args) -> int:
         raise ValueError("--values and --seeds must be non-empty")
     out = _out_dir(args.out)
 
-    rows = []
-    for value in values:
-        for seed in seeds:
-            cell_dir = out / "cells" / f"{args.axis}={value:g}" / f"seed{seed}"
-            try:
-                report = _sweep_cell(args, args.axis, value, seed, cell_dir)
-                rows.append({
-                    "axis": args.axis, "value": value, "seed": seed,
-                    "status": "ok",
-                    "test_accuracy": report["test_accuracy"],
-                    "label_recovery_rate": report.get("label_recovery_rate", 0.0),
-                })
-            except (ValueError, OSError, NumericalError) as exc:
-                rows.append({"axis": args.axis, "value": value, "seed": seed,
-                             "status": f"error: {exc}", "test_accuracy": "",
-                             "label_recovery_rate": ""})
-
-    with open(out / "runs.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("axis,value,seed,status,test_accuracy,label_recovery_rate\n")
-        for r in rows:
-            acc = repr(r["test_accuracy"]) if r["status"] == "ok" else ""
-            rec = repr(r["label_recovery_rate"]) if r["status"] == "ok" else ""
-            status = str(r["status"]).replace(",", ";")
-            fh.write(f"{r['axis']},{r['value']:g},{r['seed']},{status},{acc},{rec}\n")
-
-    with open(out / "summary.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("axis,value,n_ok,accuracy_mean,accuracy_sd,recovery_mean,recovery_sd\n")
+    n_ok = 0
+    # line-buffered: each row is on disk as soon as its cell (or value) ends
+    line = {"encoding": "utf-8", "newline": "", "buffering": 1}
+    with open(out / "runs.csv", "w", **line) as runs, \
+            open(out / "summary.csv", "w", **line) as summary:
+        runs.write("axis,value,seed,status,test_accuracy,label_recovery_rate\n")
+        summary.write("axis,value,n_ok,accuracy_mean,accuracy_sd,recovery_mean,recovery_sd\n")
         for value in values:
-            ok = [r for r in rows if r["value"] == value and r["status"] == "ok"]
-            accs = np.array([r["test_accuracy"] for r in ok], dtype=np.float64)
-            recs = np.array([r["label_recovery_rate"] for r in ok], dtype=np.float64)
-            if len(ok):
-                fh.write(f"{args.axis},{value:g},{len(ok)},{float(accs.mean())!r},"
-                         f"{float(accs.std())!r},{float(recs.mean())!r},{float(recs.std())!r}\n")
+            key = f"{args.axis},{value:g}"
+            accs, recs = [], []
+            for seed in seeds:
+                cell_dir = out / "cells" / f"{args.axis}={value:g}" / f"seed{seed}"
+                try:
+                    report = _sweep_cell(args, value, seed, cell_dir)
+                except (ValueError, OSError, NumericalError) as exc:
+                    status = f"error: {exc}".replace(",", ";")
+                    runs.write(f"{key},{seed},{status},,\n")
+                    continue
+                accs.append(report["test_accuracy"])
+                recs.append(report["label_recovery_rate"])
+                runs.write(f"{key},{seed},ok,{accs[-1]!r},{recs[-1]!r}\n")
+            if accs:
+                a, r = np.array(accs, dtype=np.float64), np.array(recs, dtype=np.float64)
+                summary.write(f"{key},{len(accs)},{float(a.mean())!r},{float(a.std())!r},"
+                              f"{float(r.mean())!r},{float(r.std())!r}\n")
             else:
-                fh.write(f"{args.axis},{value:g},0,,,,\n")
+                summary.write(f"{key},0,,,,\n")
+            n_ok += len(accs)
 
-    n_ok = sum(1 for r in rows if r["status"] == "ok")
-    print(f"sweep finished: {n_ok}/{len(rows)} runs ok -> {out / 'summary.csv'}")
+    print(f"sweep finished: {n_ok}/{len(values) * len(seeds)} runs ok "
+          f"-> {out / 'summary.csv'}")
     return EXIT_OK
 
 
 def cmd_export_labels(args) -> int:
     store = SoftLabelStore.load(args.labels)
-    out_path = Path(args.out)
-    if str(out_path.parent) not in (".", ""):
-        out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path = _out_file(args.out)
     store.export_csv(out_path)
     print(f"wrote {out_path} ({store.n} rows, {store.num_classes} classes)")
     return EXIT_OK

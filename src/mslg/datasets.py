@@ -242,10 +242,12 @@ class ProbeConfig:
 
 def _fit_probe(features: np.ndarray, labels: np.ndarray, num_classes: int,
                cfg: ProbeConfig, rng: Rng) -> Mlp:
-    model = Mlp((features.shape[1], *cfg.hidden_sizes, num_classes), rng.child(101))
+    # keyed by the seed alone, not under the key of `rng`: the probe, and so
+    # every feature-dependent dataset, depends on exactly these two streams
+    model = Mlp((features.shape[1], *cfg.hidden_sizes, num_classes), Rng(rng.seed, 101))
     opt = SgdState(lr=cfg.lr, momentum=cfg.momentum)
     n = features.shape[0]
-    shuffle_rng = rng.child(102)
+    shuffle_rng = Rng(rng.seed, 102)
     for _ in range(cfg.epochs):
         order = shuffle_rng.permutation(n)
         for start in range(0, n, cfg.batch_size):

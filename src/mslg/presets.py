@@ -15,18 +15,8 @@ from .trainer import TrainConfig
 
 __all__ = ["PRESETS", "resolve_preset", "preset_names"]
 
-_CIFAR10_BASE = TrainConfig(
-    alpha=0.5,
-    beta=4000.0,
-    lambda_schedule=((0, 1e-2), (40, 1e-3), (80, 1e-4)),
-    k_init=10.0,
-    batch_size=128,
-    momentum=0.9,
-    weight_decay=1e-4,
-    warmup_epochs=44,
-    total_epochs=120,
-    entropy_weight=1.0,
-)
+# TrainConfig's defaults are the published CIFAR-10 hyperparameters
+_CIFAR10_BASE = TrainConfig()
 
 # Desk-scale: 80 epochs with the same ~37% warm-up fraction and schedule
 # breakpoints. beta, K, weight decay, and the entropy weight are recalibrated

@@ -3,8 +3,9 @@
 One fixed algorithm: PCG64 behind numpy's Generator, seeded through
 SeedSequence. numpy guarantees identical streams for a given seed across
 platforms and releases, so a run is fully reproducible from the integer seed
-recorded in its manifest. Child streams (per epoch, per role) are derived via
-SeedSequence spawn keys and never overlap the parent.
+recorded in its manifest. `Rng(seed, *key)` addresses one stream by the seed
+and a key (per role, epoch, ...) as a SeedSequence spawn key; distinct keys
+give non-overlapping streams, and the empty key is the seed's own stream.
 """
 
 from __future__ import annotations
@@ -15,17 +16,12 @@ __all__ = ["Rng"]
 
 
 class Rng:
-    """PCG64 stream with explicit state and keyed child derivation."""
+    """PCG64 stream addressed by (seed, *key). Same address, same stream."""
 
-    def __init__(self, seed: int, _ss: np.random.SeedSequence | None = None):
+    def __init__(self, seed: int, *key: int):
         self.seed = int(seed)
-        ss = np.random.SeedSequence(self.seed) if _ss is None else _ss
-        self._gen = np.random.Generator(np.random.PCG64(ss))
-
-    def child(self, *key: int) -> "Rng":
-        """Independent stream addressed by (seed, *key). Same key, same stream."""
         ss = np.random.SeedSequence(self.seed, spawn_key=tuple(int(k) for k in key))
-        return Rng(self.seed, _ss=ss)
+        self._gen = np.random.Generator(np.random.PCG64(ss))
 
     def uniform(self, size=None):
         """Draws in [0, 1)."""

@@ -20,8 +20,8 @@ divided by b * yhat. The tangent is exact and reuses the activations of the
 one forward pass at theta, which also serves steps 1 and 3.
 
 Everything is driven by the run seed: batch orders, meta batches, and weight
-init each use keyed child streams, so identically configured runs are bitwise
-reproducible.
+init each draw from a stream Rng(seed, role, ...) keyed by the run seed, so
+identically configured runs are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ def recovery_rate(store: SoftLabelStore, ds: LabeledDataset) -> float:
 
 def epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
     """Training-batch permutation for an epoch; a pure function of (seed, epoch)."""
-    return Rng(seed).child(ROLE_TRAIN, epoch).permutation(n)
+    return Rng(seed, ROLE_TRAIN, epoch).permutation(n)
 
 
 def training_loss_grad(model: Mlp, cache: dict, yhat) -> np.ndarray:
@@ -191,7 +191,7 @@ def _meta_batches(m: int, seed: int, epoch: int, batches: int,
     stream is still one permutation.
     """
     wraps = -(-batches * batch_size // m)
-    stream = np.concatenate([Rng(seed).child(ROLE_META, epoch, wrap).permutation(m)
+    stream = np.concatenate([Rng(seed, ROLE_META, epoch, wrap).permutation(m)
                              for wrap in range(wraps)])
     return stream[:batches * batch_size].reshape(batches, batch_size)
 
@@ -288,9 +288,8 @@ def train(train_ds: LabeledDataset, meta_ds: LabeledDataset, cfg: TrainConfig,
     if bad.any():
         raise ValueError(f"meta label {meta_y[bad.argmax()]} out of range "
                          f"[0, {meta_ds.num_classes})")
-    root = Rng(cfg.seed)
     model = Mlp((train_ds.dim, *cfg.hidden_sizes, train_ds.num_classes),
-                root.child(ROLE_INIT))
+                Rng(cfg.seed, ROLE_INIT))
     store = SoftLabelStore.init_from_noisy(train_ds.noisy_labels,
                                            train_ds.num_classes, cfg.k_init)
     opt = SgdState(lr=cfg.lr_at(0), momentum=cfg.momentum,

@@ -125,14 +125,13 @@ def test_criterion_1_bilevel_oracle():
     t0 = time.perf_counter()
     worst = 0.0
     for seed in range(20):
-        rng = Rng(seed)
-        model = Mlp((2, 4, 2), rng.child(0))
-        x = rng.child(1).normal(size=(4, 2))
-        noisy = rng.child(2).integers(0, 2, size=4)
+        model = Mlp((2, 4, 2), Rng(seed, 0))
+        x = Rng(seed, 1).normal(size=(4, 2))
+        noisy = Rng(seed, 2).integers(0, 2, size=4)
         store = SoftLabelStore.init_from_noisy(noisy, 2, k=10.0)
-        store.logits += rng.child(3).normal(size=store.logits.shape)
-        meta_x = rng.child(4).normal(size=(4, 2))
-        meta_y = rng.child(5).integers(0, 2, size=4)
+        store.logits += Rng(seed, 3).normal(size=store.logits.shape)
+        meta_x = Rng(seed, 4).normal(size=(4, 2))
+        meta_y = Rng(seed, 5).integers(0, 2, size=4)
         yhat = store.soft_labels(np.arange(4))
 
         cache = model.forward(x)[1]
@@ -189,15 +188,15 @@ def _within(analytic, fd, rel=1e-4, floor=1e-8):
 
 
 def test_criterion_2_analytic_gradient_suite():
-    rng = Rng(2024)
+    seed = 2024
     checks = {"kl_v1": 0, "kl_v2": 0, "cce": 0, "entropy": 0, "backprop": 0}
 
     for case in range(100):
         b, c = 2, 4
-        z = rng.child(1, case).normal(size=(b, c)) * 2
+        z = Rng(seed, 1, case).normal(size=(b, c)) * 2
         f = softmax(z)
-        yhat = softmax(rng.child(2, case).normal(size=(b, c)) * 2)
-        y = rng.child(3, case).integers(0, c, size=b)
+        yhat = softmax(Rng(seed, 2, case).normal(size=(b, c)) * 2)
+        y = Rng(seed, 3, case).integers(0, c, size=b)
 
         lv = kl_loss_v1(f, yhat)
         ok = _within(softmax_backward(f, lv.grad_wrt_predictions),
@@ -220,9 +219,9 @@ def test_criterion_2_analytic_gradient_suite():
         checks["entropy"] += ok
 
     for case in range(100):
-        model = Mlp((2, 4, 3), Rng(5000 + case).child(0))
+        model = Mlp((2, 4, 3), Rng(5000 + case, 0))
         for attempt in range(50):
-            x = Rng(6000 + case).child(attempt).normal(size=(3, 2))
+            x = Rng(6000 + case, attempt).normal(size=(3, 2))
             _, cache = model.forward(x)
             if min(np.abs(zz).min() for zz in cache["pre"][:-1]) > 1e-3:
                 break
@@ -284,7 +283,7 @@ def test_criterion_3b_beta_zero_is_frozen_soft_ce():
     cfg.entropy_weight = 0.0
     model_a, store_a, hist_a = train(tr, me, cfg, te)
 
-    model_b = Mlp((tr.dim, *cfg.hidden_sizes, tr.num_classes), Rng(cfg.seed).child(0))
+    model_b = Mlp((tr.dim, *cfg.hidden_sizes, tr.num_classes), Rng(cfg.seed, 0))
     store_b = SoftLabelStore.init_from_noisy(tr.noisy_labels, tr.num_classes,
                                              cfg.k_init)
     frozen = store_b.soft_labels()

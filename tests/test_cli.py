@@ -61,10 +61,49 @@ def test_gen_requires_source(tmp_path):
     assert run_cli("gen", "--out", tmp_path / "x") == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("flag,token,accepted", [
+    ("--blobs", "classes=10", "n c d sep separation"),
+    ("--spirals", "d=9", "n c noise_sd"),
+])
+def test_gen_unknown_source_key_is_config_error(tmp_path, capsys, flag, token, accepted):
+    out = tmp_path / "data"
+    assert run_cli("gen", flag, "n=300", token, "--out", out) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert repr(token.split("=")[0]) in err and accepted in err
+    assert not (out / "dataset.csv").exists()
+
+
 def test_output_root_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("MSLG_OUTPUT_ROOT", str(tmp_path))
+    root = tmp_path / "root"
+    monkeypatch.setenv("MSLG_OUTPUT_ROOT", str(root))
+    monkeypatch.chdir(tmp_path)
     assert run_cli(*GEN_SMALL, "--out", "nested/data") == EXIT_OK
-    assert (tmp_path / "nested" / "data" / "dataset.csv").exists()
+    data = root / "nested" / "data"
+    assert (data / "dataset.csv").exists()
+
+    splits = load_dataset_csv(data / "dataset.csv", 3)
+    ckpt, snap = tmp_path / "m.ckpt", tmp_path / "m.slbl"
+    Mlp((2, 3)).save(ckpt)
+    SoftLabelStore.init_from_noisy(splits["train"].noisy_labels, 3, 10.0).save(snap)
+    assert run_cli("eval", "--data", data, "--checkpoint", ckpt,
+                   "--out", "reports/r.json") == EXIT_OK
+    assert json.loads((root / "reports" / "r.json").read_text())["n_test"] == 48
+    assert run_cli("export-labels", "--labels", snap, "--out", "labels.csv") == EXIT_OK
+    assert (root / "labels.csv").exists()
+    assert not (tmp_path / "reports").exists() and not (tmp_path / "labels.csv").exists()
+
+
+def test_sweep_under_relative_output_root(tmp_path, monkeypatch):
+    # the cells' paths are already under the root and must not get it twice
+    monkeypatch.setenv("MSLG_OUTPUT_ROOT", "outs")
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("sweep", "--axis", "beta", "--values", "40", "--seeds", "0",
+                   "--blobs", "n=150", "c=3", "d=2", "sep=6", "--noise", "uniform:0.2",
+                   "--meta", "0.06", "--test", "0.2", *TRAIN_FAST,
+                   "--total-epochs", "2", "--out", "sw") == EXIT_OK
+    rows = (tmp_path / "outs" / "sw" / "runs.csv").read_text().splitlines()
+    assert rows[1].split(",")[3] == "ok"
+    assert not (tmp_path / "outs" / "outs").exists()
 
 
 # -- train ----------------------------------------------------------------------------
@@ -209,6 +248,15 @@ def test_train_snapshot_cadence(tmp_path, data_dir):
     assert snaps == ["epoch_0001.ckpt", "epoch_0003.ckpt", "epoch_0005.ckpt"]
 
 
+def test_train_negative_snapshot_every_is_config_error(tmp_path, data_dir, capsys):
+    out = tmp_path / "run"
+    assert run_cli("train", "--data", data_dir, "--out", out, "--method", "ce",
+                   *TRAIN_FAST, "--snapshot-every", "-1") == EXIT_CONFIG
+    assert "--snapshot-every" in capsys.readouterr().err
+    assert not (out / "last_good.ckpt").exists()
+    assert not (out / "checkpoints").exists()
+
+
 # -- eval ----------------------------------------------------------------------------
 
 
@@ -313,6 +361,15 @@ def test_sweep_single_cell_matches_single_run(tmp_path):
     cell = sweep_out / "cells" / "beta=40" / "seed9"
     assert (cell / "data" / "dataset.csv").read_bytes() == (data / "dataset.csv").read_bytes()
     assert (cell / "run" / "metrics.csv").read_bytes() == (run / "metrics.csv").read_bytes()
+
+    report = tmp_path / "report.json"
+    assert run_cli("eval", "--data", data, "--checkpoint", run / "model.ckpt",
+                   "--labels", run / "labels.slbl", "--out", report) == EXIT_OK
+    report = json.loads(report.read_text())
+    row = (sweep_out / "runs.csv").read_text().splitlines()[1].split(",")
+    assert row[3] == "ok"
+    assert float(row[4]) == report["test_accuracy"]
+    assert float(row[5]) == report["label_recovery_rate"]
 
 
 def test_sweep_cardinality_and_summary(tmp_path):

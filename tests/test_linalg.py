@@ -127,9 +127,16 @@ def test_rng_choice_without_replacement_unique():
 
 
 def test_rng_child_streams_are_keyed_and_reproducible():
-    root = Rng(17)
-    a = root.child(1, 4).uniform(32)
-    b = Rng(17).child(1, 4).uniform(32)
-    c = Rng(17).child(1, 5).uniform(32)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
+    # Rng(seed, *key) is the SeedSequence spawn-key stream; artifacts depend
+    # on this exact formula
+    def spawned(seed, *key):
+        ss = np.random.SeedSequence(seed, spawn_key=key)
+        return np.random.Generator(np.random.PCG64(ss)).random(32)
+
+    a = Rng(17, 1, 4).uniform(32)
+    assert np.array_equal(a, spawned(17, 1, 4))
+    assert np.array_equal(a, Rng(17, 1, 4).uniform(32))
+    assert np.array_equal(Rng(17).uniform(32), spawned(17))
+    assert not np.array_equal(a, Rng(17, 1, 5).uniform(32))
+    assert not np.array_equal(a, Rng(17, 4, 1).uniform(32))
+    assert not np.array_equal(a, Rng(18, 1, 4).uniform(32))

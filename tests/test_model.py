@@ -17,7 +17,7 @@ from helpers import FailingArray, assert_grads_close
 
 
 def _tiny_net(seed=0, sizes=(2, 4, 2)):
-    return Mlp(sizes, Rng(seed).child(0))
+    return Mlp(sizes, Rng(seed, 0))
 
 
 # -- forward ---------------------------------------------------------------------
@@ -127,11 +127,11 @@ def test_backward_stale_cache_rejected():
         model.backward(cache, np.ones_like(probs))
 
 
-def _inputs_clear_of_relu_kinks(model, rng, trial, d, n=4, margin=1e-3):
+def _inputs_clear_of_relu_kinks(model, seed, trial, d, n=4, margin=1e-3):
     """Draw a batch whose hidden pre-activations all sit away from zero, so
     central differences do not straddle a ReLU kink."""
     for attempt in range(50):
-        x = rng.child(100 + trial, attempt).normal(size=(n, d))
+        x = Rng(seed, 100 + trial, attempt).normal(size=(n, d))
         _, cache = model.forward(x)
         if min(np.abs(z).min() for z in cache["pre"][:-1]) > margin:
             return x
@@ -159,15 +159,15 @@ _LOSS_SEEDS = {"kl_v2": 31, "kl_v1": 37, "cce": 41, "entropy": 43, "objective": 
 
 @pytest.mark.parametrize("loss_name", sorted(_LOSS_SEEDS))
 def test_backprop_matches_finite_differences(loss_name):
-    rng = Rng(_LOSS_SEEDS[loss_name])
+    seed = _LOSS_SEEDS[loss_name]
     for trial in range(5):
         sizes = (3, 5, 4) if trial % 2 == 0 else (2, 4, 4, 3)
-        model = Mlp(sizes, rng.child(trial))
+        model = Mlp(sizes, Rng(seed, trial))
         c = sizes[-1]
-        x = _inputs_clear_of_relu_kinks(model, rng, trial, sizes[0])
-        yhat = np.exp(rng.child(200 + trial).normal(size=(4, c)))
+        x = _inputs_clear_of_relu_kinks(model, seed, trial, sizes[0])
+        yhat = np.exp(Rng(seed, 200 + trial).normal(size=(4, c)))
         yhat /= yhat.sum(axis=1, keepdims=True)
-        y_hard = rng.child(300 + trial).integers(0, c, size=4)
+        y_hard = Rng(seed, 300 + trial).integers(0, c, size=4)
 
         if loss_name == "kl_v2":
             fn = lambda f: kl_loss_v2(f, yhat)
@@ -337,8 +337,8 @@ def test_tangent_matches_central_difference(sizes):
     eps = 1e-7
     for trial in range(3):
         model = _tiny_net(60 + trial, sizes)
-        x = _inputs_clear_of_relu_kinks(model, Rng(61), trial, sizes[0], margin=1e-5)
-        direction = Rng(62).child(trial).normal(size=model.num_params)
+        x = _inputs_clear_of_relu_kinks(model, 61, trial, sizes[0], margin=1e-5)
+        direction = Rng(62, trial).normal(size=model.num_params)
         direction /= np.linalg.norm(direction)
         _, cache = model.forward(x)
         tangent = model.tangent(cache, direction)
@@ -365,10 +365,9 @@ def test_tangent_is_adjoint_of_backward():
        a=st.floats(-10, 10), b=st.floats(-10, 10))
 def test_tangent_is_linear_in_direction(sizes, seed, a, b):
     model = _tiny_net(seed, tuple(sizes))
-    rng = Rng(seed).child(1)
-    _, cache = model.forward(rng.child(0).normal(size=(3, sizes[0])))
-    d1 = rng.child(1).normal(size=model.num_params)
-    d2 = rng.child(2).normal(size=model.num_params)
+    _, cache = model.forward(Rng(seed, 0).normal(size=(3, sizes[0])))
+    d1 = Rng(seed, 1).normal(size=model.num_params)
+    d2 = Rng(seed, 2).normal(size=model.num_params)
     t1 = model.tangent(cache, d1)
     t2 = model.tangent(cache, d2)
     combined = model.tangent(cache, a * d1 + b * d2)

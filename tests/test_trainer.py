@@ -45,15 +45,14 @@ from mslg.trainer import (
 
 
 def _tiny_instance(seed, b=4, meta_b=4, c=2, d=2, hidden=4):
-    rng = Rng(seed)
-    model = Mlp((d, hidden, c), rng.child(0))
-    x = rng.child(1).normal(size=(b, d))
-    noisy = rng.child(2).integers(0, c, size=b)
+    model = Mlp((d, hidden, c), Rng(seed, 0))
+    x = Rng(seed, 1).normal(size=(b, d))
+    noisy = Rng(seed, 2).integers(0, c, size=b)
     store = SoftLabelStore.init_from_noisy(noisy, c, k=10.0)
     # move the logits off the one-hot ray so the test point is generic
-    store.logits += rng.child(3).normal(size=store.logits.shape)
-    meta_x = rng.child(4).normal(size=(meta_b, d))
-    meta_y = rng.child(5).integers(0, c, size=meta_b)
+    store.logits += Rng(seed, 3).normal(size=store.logits.shape)
+    meta_x = Rng(seed, 4).normal(size=(meta_b, d))
+    meta_y = Rng(seed, 5).integers(0, c, size=meta_b)
     return model, x, store, meta_x, meta_y
 
 
@@ -220,7 +219,7 @@ def test_alignment_zero_for_disjoint_gradient_support():
 def test_alignment_positive_for_matching_sample():
     # a training sample labelled like the meta set and sharing its features
     # must align positively
-    model = Mlp((2, 3), Rng(36).child(0))
+    model = Mlp((2, 3), Rng(36, 0))
     x = np.array([1.0, -0.5])
     meta_x = np.tile(x, (3, 1))
     meta_y = np.array([2, 2, 2])
@@ -310,7 +309,7 @@ def _warm_cfg(**kw):
 def test_warmup_zero_lr_leaves_parameters():
     train_ds, meta_ds, test_ds = _blob_setting()
     cfg = _warm_cfg(lambda_schedule=((0, 0.0),))
-    model = Mlp((2, 16, 3), Rng(0).child(0))
+    model = Mlp((2, 16, 3), Rng(0, 0))
     before = model.params.copy()
     opt = SgdState(lr=0.0, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
     metrics = warmup_epoch(model, train_ds, opt, cfg, epoch=0,
@@ -350,7 +349,7 @@ def test_beta_zero_entropy_zero_equals_frozen_soft_ce():
     model_a, store_a, hist_a = train(train_ds, meta_ds, cfg, test_ds)
 
     # independent reference: soft cross-entropy on the frozen initial labels
-    model_b = Mlp((2, *cfg.hidden_sizes, 3), Rng(cfg.seed).child(0))
+    model_b = Mlp((2, *cfg.hidden_sizes, 3), Rng(cfg.seed, 0))
     store_b = SoftLabelStore.init_from_noisy(train_ds.noisy_labels, 3, cfg.k_init)
     frozen = store_b.soft_labels()
     opt = SgdState(lr=cfg.lr_at(0), momentum=cfg.momentum,
@@ -411,7 +410,7 @@ def test_mslg_batch_runs_two_forwards_three_backwards_one_tangent(monkeypatch):
     # The per-epoch evaluation in _epoch_metrics is not counted.
     train_ds, meta_ds, test_ds = _blob_setting(seed=6)
     cfg = _warm_cfg(warmup_epochs=0, total_epochs=1)
-    model = Mlp((2, *cfg.hidden_sizes, 3), Rng(cfg.seed).child(0))
+    model = Mlp((2, *cfg.hidden_sizes, 3), Rng(cfg.seed, 0))
     store = SoftLabelStore.init_from_noisy(train_ds.noisy_labels, 3, cfg.k_init)
     opt = SgdState(lr=cfg.lr_at(0), momentum=cfg.momentum,
                    weight_decay=cfg.weight_decay)
@@ -460,7 +459,7 @@ def test_meta_batches_shape_and_windows_when_meta_set_is_smaller_than_a_batch():
 
 @pytest.mark.parametrize("m, batches, batch_size", [(3, 3, 4), (5, 3, 4), (8, 2, 4)])
 def test_meta_batches_are_the_keyed_permutation_per_wrap(m, batches, batch_size):
-    wraps = [Rng(5).child(ROLE_META, 2, wrap).permutation(m) for wrap in range(6)]
+    wraps = [Rng(5, ROLE_META, 2, wrap).permutation(m) for wrap in range(6)]
     expected = np.concatenate(wraps)[:batches * batch_size]
     rows = _meta_batches(m, seed=5, epoch=2, batches=batches, batch_size=batch_size)
     assert np.array_equal(rows.ravel(), expected)
@@ -473,7 +472,7 @@ def test_meta_batches_differ_across_epochs():
 def test_mslg_epoch_draws_meta_row_k_for_batch_k(monkeypatch):
     train_ds, meta_ds, test_ds = _blob_setting(seed=6)
     cfg = _warm_cfg(warmup_epochs=0, total_epochs=1)
-    model = Mlp((2, *cfg.hidden_sizes, 3), Rng(cfg.seed).child(0))
+    model = Mlp((2, *cfg.hidden_sizes, 3), Rng(cfg.seed, 0))
     store = SoftLabelStore.init_from_noisy(train_ds.noisy_labels, 3, cfg.k_init)
     opt = SgdState(lr=cfg.lr_at(0))
     seen = []
