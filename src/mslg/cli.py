@@ -87,7 +87,11 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _parse_kv(tokens: list[str], what: str, keys: tuple[str, ...]) -> dict[str, str]:
+def _parse_kv(tokens: list[str], what: str, keys: tuple[str, ...],
+              aliases: dict[str, str] | None = None) -> dict[str, str]:
+    """key=value tokens as {key: value}; an alias is stored under its key.
+    A key given twice, directly or through an alias, is an error."""
+    aliases = aliases or {}
     out = {}
     for tok in tokens:
         if "=" not in tok:
@@ -96,7 +100,11 @@ def _parse_kv(tokens: list[str], what: str, keys: tuple[str, ...]) -> dict[str, 
         key = key.replace("-", "_")
         if key not in keys:
             raise ValueError(f"{what}: unknown key {key!r}; accepted: {' '.join(keys)}")
-        out[key] = value
+        name = aliases.get(key, key)
+        if name in out:
+            also = f" (as {key!r})" if key != name else ""
+            raise ValueError(f"{what}: key {name!r} given more than once{also}")
+        out[name] = value
     return out
 
 
@@ -129,11 +137,12 @@ def _parse_hidden(spec: str) -> tuple[int, ...]:
 def _generate_dataset(args) -> tuple[dict[str, LabeledDataset], dict]:
     seed = args.seed
     if args.blobs:
-        kv = _parse_kv(args.blobs, "--blobs", ("n", "c", "d", "sep", "separation"))
+        kv = _parse_kv(args.blobs, "--blobs", ("n", "c", "d", "sep", "separation"),
+                       aliases={"separation": "sep"})
         n = int(kv.get("n", 2000))
         c = int(kv.get("c", 4))
         d = int(kv.get("d", 2))
-        sep = float(kv.get("sep", kv.get("separation", 6.0)))
+        sep = float(kv.get("sep", 6.0))
         ds = gen_blobs(n, c, d, sep, Rng(seed, _GEN_DATA))
         source = {"generator": "blobs", "n": n, "c": c, "d": d, "separation": sep}
     elif args.spirals:

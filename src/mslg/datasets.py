@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import softmax_backward
 from .losses import cce_loss
 from .model import Mlp, SgdState, sgd_step
 from .rng import Rng
@@ -253,8 +254,12 @@ def _fit_probe(features: np.ndarray, labels: np.ndarray, num_classes: int,
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             probs, cache = model.forward(features[idx])
-            loss = cce_loss(probs, labels[idx])
-            sgd_step(model, model.backward(cache, loss.grad_wrt_predictions), opt)
+            # the floored probability-space gradient pulled back through
+            # softmax, not the trainer's exact (f - onehot)/b: they differ
+            # where f_y < PROB_FLOOR, and the probe keeps this one so that
+            # generated datasets stay as they were
+            dz = softmax_backward(probs, cce_loss(probs, labels[idx]).grad_wrt_predictions)
+            sgd_step(model, model.backward(cache, dz), opt)
     return model
 
 

@@ -2,8 +2,8 @@
 
 All numeric state in this package lives in row-major float64 numpy arrays.
 Everything here is a pure function. 64-bit precision keeps the label
-gradient, a second-order quantity divided by soft-label probabilities that
-can be tiny, accurate enough to match a brute-force bilevel oracle.
+gradient, a second-order quantity taken through a softmax tangent, accurate
+enough to match a brute-force bilevel oracle.
 """
 
 from __future__ import annotations

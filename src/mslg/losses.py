@@ -4,10 +4,14 @@ Predictions and soft labels are (b, C) row-simplex matrices. Every scalar is
 a batch mean and the returned gradients carry the same 1/b factor, so a batch
 gradient step with learning rate lr moves by lr * mean-gradient.
 
-Gradients are taken with respect to the *probabilities*; callers route them
-through the softmax Jacobian themselves (the model does this for its output
-layer, the label store for its logits). Probabilities are floored at
-PROB_FLOOR inside logs and divisions only; inputs are never modified.
+Gradients are taken with respect to the *probabilities*, and every input is
+checked to lie on the simplex. These functions are the reference form of
+each loss: they serve the per-epoch meta loss and the noise probe, and a
+caller that needs the gradient with respect to the logits pulls it back with
+`linalg.softmax_backward`. The training loop instead uses the logit-space
+kernels of `mslg.trainer`, which equal that pull-back and skip the checks.
+Probabilities are floored at PROB_FLOOR inside logs and divisions only;
+inputs are never modified.
 """
 
 from __future__ import annotations

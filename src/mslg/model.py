@@ -1,9 +1,10 @@
 """Fully connected classifier with explicit forward and backward passes.
 
 Hidden layers are ReLU, the output layer is a row-wise softmax. `backward`
-takes the gradient with respect to the softmax *output* (probabilities) and
-routes it through the softmax Jacobian itself, so loss code only ever
-differentiates with respect to probabilities.
+takes the gradient with respect to the pre-softmax output z (the logits), so
+loss code differentiates through the softmax itself; a gradient with respect
+to the probabilities is pulled back with `linalg.softmax_backward` first.
+`tangent` returns the directional derivative of the probabilities.
 
 The parameters live in one contiguous float64 vector `params`; `weights[i]`
 and `biases[i]` are reshaped views into it. Its order, shared by gradients,
@@ -142,20 +143,19 @@ class Mlp:
     def predict(self, x) -> np.ndarray:
         return self.forward(x)[0]
 
-    def backward(self, cache: dict, dL_df) -> np.ndarray:
-        """Gradient of the scalar loss whose probability-gradient is dL_df.
+    def backward(self, cache: dict, dL_dz) -> np.ndarray:
+        """Gradient of the scalar loss whose gradient with respect to the
+        pre-softmax output z is dL_dz.
 
         Returns a fresh flat vector in parameter order. Any batch-mean factor
-        must already be inside dL_df; nothing is rescaled here.
+        must already be inside dL_dz; nothing is rescaled here.
         """
         self._check_cache(cache, "backward")
-        dL_df = as_matrix(dL_df, "dL_df")
-        probs = cache["probs"]
-        if dL_df.shape != probs.shape:
+        dz = as_matrix(dL_dz, "dL_dz")
+        if dz.shape != cache["probs"].shape:
             raise ValueError(
-                f"dL_df shape {dL_df.shape} does not match forward output {probs.shape}"
+                f"dL_dz shape {dz.shape} does not match forward output {cache['probs'].shape}"
             )
-        dz = softmax_backward(probs, dL_df)
         grad = np.empty(self.num_params)
         dws, dbs = self.views(grad)
         for i in range(self.num_layers - 1, -1, -1):

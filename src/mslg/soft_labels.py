@@ -1,10 +1,10 @@
 """Trainable per-sample label distributions.
 
 Each training sample owns a row of unconstrained logits; the softmax of a row
-is the sample's soft label. Updates land on the logits through the softmax
-Jacobian, so the derived labels stay valid distributions no matter how far
-the logits drift. Logits start at K * onehot(noisy label), which makes the
-initial soft labels a sharpened copy of the noisy labels.
+is the sample's soft label. Updates are gradients with respect to the logits
+and land on them directly, so the derived labels stay valid distributions no
+matter how far the logits drift. Logits start at K * onehot(noisy label),
+which makes the initial soft labels a sharpened copy of the noisy labels.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import struct
 import numpy as np
 
 from .atomic import atomic_write
-from .linalg import softmax, softmax_backward
+from .linalg import softmax
 
 __all__ = ["SoftLabelStore", "LabelSnapshotError", "SNAPSHOT_MAGIC"]
 
@@ -71,21 +71,19 @@ class SoftLabelStore:
             return softmax(self.logits)
         return softmax(self.logits[self._rows(ids)])
 
-    def apply_label_gradient(self, ids, grad_wrt_yhat, beta: float) -> int:
-        """Descend the logits along d(loss)/d(soft label) pulled back through
-        softmax. Rows with non-finite gradients are skipped (not zero-filled)
-        and counted; returns the number skipped. Other rows are untouched."""
+    def apply_label_gradient(self, ids, grad_wrt_logits, beta: float) -> int:
+        """Descend the selected logits: logits[ids] -= beta * grad_wrt_logits.
+        Rows with non-finite gradients are skipped (not zero-filled) and
+        counted; returns the number skipped. Other rows are untouched."""
         rows = self._rows(ids)
-        grad = np.asarray(grad_wrt_yhat, dtype=np.float64)
+        grad = np.asarray(grad_wrt_logits, dtype=np.float64)
         if grad.shape != (rows.size, self.num_classes):
             raise ValueError(
                 f"gradient shape {grad.shape} does not match batch ({rows.size}, {self.num_classes})"
             )
         ok = np.all(np.isfinite(grad), axis=1)
         rows_ok = rows[ok]
-        if rows_ok.size:
-            yhat = softmax(self.logits[rows_ok])
-            self.logits[rows_ok] -= float(beta) * softmax_backward(yhat, grad[ok])
+        self.logits[rows_ok] -= float(beta) * grad[ok]
         skipped = int(rows.size - rows_ok.size)
         self.skipped_rows_total += skipped
         return skipped

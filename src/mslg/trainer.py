@@ -6,18 +6,24 @@ alternates, per batch:
   1. a look-ahead step theta_hat = theta - alpha * grad KL(f||yhat) on the
      training batch, a plain gradient step on the flat parameter vector;
   2. a label update: the gradient of the meta cross-entropy (clean meta
-     batch, evaluated at theta_hat) with respect to the batch's soft labels,
-     applied to the label logits with rate beta;
+     batch, evaluated at theta_hat) with respect to the batch's label
+     logits, applied to the logits with rate beta;
   3. a committed optimizer step on KL(f||yhat_new) + entropy, with rate
      lambda from the schedule.
 
 The label gradient in step 2 is the mixed second derivative of the training
 loss contracted with the meta gradient. It is computed without any second
-backward pass: the gradient of the training loss with respect to the labels
-is analytic (-f/yhat scaled by 1/b), so its derivative along the meta
-gradient in parameter space is the forward-mode tangent J_theta f . g_meta
-divided by b * yhat. The tangent is exact and reuses the activations of the
-one forward pass at theta, which also serves steps 1 and 3.
+backward pass: the gradient of the training loss with respect to the label
+logits is analytic, (yhat - f)/b, so its derivative along the meta gradient
+in parameter space is the forward-mode tangent J_theta f . g_meta scaled by
+-1/b. The tangent is exact and reuses the activations of the one forward pass
+at theta, which also serves steps 1 and 3.
+
+The hot path works in logit space: its loss kernels return the gradient with
+respect to the model's pre-softmax output z, which `Mlp.backward` takes
+directly. They skip the simplex checks of the public losses in
+`mslg.losses`; the loop checks finiteness instead (the forward, the soft
+labels of each batch, and every gradient before it is applied).
 
 Everything is driven by the run seed: batch orders, meta batches, and weight
 init each draw from a stream Rng(seed, role, ...) keyed by the run seed, so
@@ -31,7 +37,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .datasets import LabeledDataset
-from .losses import PROB_FLOOR, cce_loss, classification_objective, kl_loss_v2
+from .losses import PROB_FLOOR, cce_loss
 from .model import Mlp, NumericalError, SgdState, sgd_step
 from .rng import Rng
 from .soft_labels import SoftLabelStore
@@ -43,6 +49,8 @@ __all__ = [
     "accuracy",
     "recovery_rate",
     "epoch_order",
+    "cce_logit_loss",
+    "kl_logit_loss",
     "training_loss_grad",
     "meta_gradient_direction",
     "label_gradient_along",
@@ -139,9 +147,44 @@ def epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
     return Rng(seed, ROLE_TRAIN, epoch).permutation(n)
 
 
+def cce_logit_loss(probs: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Cross entropy against hard labels, batch mean: (scalar, dL/dz).
+
+    dL/dz = (f - onehot(y)) / b for the pre-softmax output z with softmax f.
+    Labels must already be in range.
+    """
+    b = probs.shape[0]
+    rows = np.arange(b)
+    scalar = float(-np.mean(np.log(np.maximum(probs[rows, y], PROB_FLOOR))))
+    dz = probs.copy()
+    dz[rows, y] -= 1.0
+    dz /= b
+    return scalar, dz
+
+
+def kl_logit_loss(probs: np.ndarray, yhat: np.ndarray,
+                  entropy_weight: float = 0.0) -> tuple[float, np.ndarray]:
+    """KL(f||yhat) plus entropy_weight * entropy(f), batch mean: (scalar, dL/dz).
+
+    With r = log f - log yhat - entropy_weight * log f (logs floored at
+    PROB_FLOOR), scalar = sum(f * r) / b and dL/dz = f * (r - <f, r>) / b,
+    row-wise: the KL part f * (r_kl - <f, r_kl>) / b and the entropy part
+    -f * (log f - <f, log f>) / b in one pass.
+    """
+    logf = np.log(np.maximum(probs, PROB_FLOOR))
+    r = logf - np.log(np.maximum(yhat, PROB_FLOOR))
+    if entropy_weight != 0.0:
+        r -= entropy_weight * logf
+    fr = probs * r
+    b = probs.shape[0]
+    dz = probs * (r - fr.sum(axis=1, keepdims=True))
+    dz /= b
+    return float(fr.sum() / b), dz
+
+
 def training_loss_grad(model: Mlp, cache: dict, yhat) -> np.ndarray:
     """Flat parameter gradient of the batch KL(f||yhat), from a forward cache."""
-    return model.backward(cache, kl_loss_v2(cache["probs"], yhat).grad_wrt_predictions)
+    return model.backward(cache, kl_logit_loss(cache["probs"], yhat)[1])
 
 
 def meta_gradient_direction(model: Mlp, cache: dict, yhat, meta_x, meta_y,
@@ -157,24 +200,23 @@ def meta_gradient_direction(model: Mlp, cache: dict, yhat, meta_x, meta_y,
         raise NumericalError("meta gradient: non-finite training gradient")
     theta_hat = model.perturbed(g_train, -alpha)
     probs_m, cache_m = theta_hat.forward(meta_x)
-    g_meta = theta_hat.backward(cache_m, cce_loss(probs_m, meta_y).grad_wrt_predictions)
+    g_meta = theta_hat.backward(cache_m, cce_logit_loss(probs_m, meta_y)[1])
     if not np.all(np.isfinite(g_meta)):
         raise NumericalError("meta gradient: non-finite meta gradient")
     return g_meta, g_train
 
 
-def label_gradient_along(model: Mlp, cache: dict, yhat, direction: np.ndarray,
+def label_gradient_along(model: Mlp, cache: dict, direction: np.ndarray,
                          alpha: float) -> np.ndarray:
-    """-alpha * d/d(yhat) of (training gradient . direction), exactly.
+    """-alpha * d/du of (training gradient . direction), exactly, for the
+    batch's label logits u.
 
-    The label gradient of the training loss is -f/yhat scaled by 1/b, linear
-    in f, so its derivative along `direction` in parameter space is the
-    forward-mode tangent of f over `cache` (the forward at theta) divided by
-    b * yhat.
+    The label-logit gradient of KL(f||softmax(u)) is (yhat - f)/b, so its
+    derivative along `direction` in parameter space is the forward-mode
+    tangent of f over `cache` (the forward at theta) scaled by -1/b.
     """
-    yhat = np.asarray(yhat, dtype=np.float64)
-    out = alpha * model.tangent(cache, direction) / (
-        yhat.shape[0] * np.maximum(yhat, PROB_FLOOR))
+    t = model.tangent(cache, direction)
+    out = alpha / t.shape[0] * t
     if not np.all(np.isfinite(out)):
         raise NumericalError("label gradient: non-finite tangent")
     return out
@@ -223,9 +265,9 @@ def warmup_epoch(model: Mlp, train_ds: LabeledDataset, opt: SgdState,
     for start in range(0, train_ds.n, cfg.batch_size):
         ids = order[start:start + cfg.batch_size]
         probs, cache = model.forward(train_ds.features[ids])
-        lv = cce_loss(probs, train_ds.noisy_labels[ids])
-        sgd_step(model, model.backward(cache, lv.grad_wrt_predictions), opt)
-        loss_sum += lv.scalar * ids.size
+        loss, dz = cce_logit_loss(probs, train_ds.noisy_labels[ids])
+        sgd_step(model, model.backward(cache, dz), opt)
+        loss_sum += loss * ids.size
     return _epoch_metrics(epoch, loss_sum / train_ds.n, 0.0, model, store,
                           train_ds, meta_ds, test_ds, opt.lr)
 
@@ -245,18 +287,19 @@ def mslg_epoch(model: Mlp, train_ds: LabeledDataset, store: SoftLabelStore,
     for start, m_idx in zip(range(0, train_ds.n, cfg.batch_size), meta_rows):
         ids = order[start:start + cfg.batch_size]
         yhat = store.soft_labels(ids)
+        if not np.all(np.isfinite(yhat)):
+            raise NumericalError("non-finite soft label in the training batch")
         # theta only moves at the committed step, so one forward serves the
         # look-ahead gradient, the label tangent and the committed step
         probs, cache = model.forward(train_ds.features[ids])
         g_meta, g_train = meta_gradient_direction(
             model, cache, yhat, meta_ds.features[m_idx],
             meta_ds.noisy_labels[m_idx], cfg.alpha)
-        grad_yhat = label_gradient_along(model, cache, yhat, g_meta, cfg.alpha)
-        store.apply_label_gradient(ids, grad_yhat, cfg.beta)
-        obj = classification_objective(probs, store.soft_labels(ids),
-                                       cfg.entropy_weight)
-        sgd_step(model, model.backward(cache, obj.grad_wrt_predictions), opt)
-        loss_sum += obj.scalar * ids.size
+        store.apply_label_gradient(
+            ids, label_gradient_along(model, cache, g_meta, cfg.alpha), cfg.beta)
+        loss, dz = kl_logit_loss(probs, store.soft_labels(ids), cfg.entropy_weight)
+        sgd_step(model, model.backward(cache, dz), opt)
+        loss_sum += loss * ids.size
         # mean over (meta sample, train sample) gradient dot products collapses
         # to the dot of the two batch-mean gradients by bilinearity
         align_sum += float(g_meta @ g_train)

@@ -38,6 +38,7 @@ from mslg.trainer import (
     TrainConfig,
     accuracy,
     epoch_order,
+    kl_logit_loss,
     label_gradient_along,
     meta_gradient_direction,
     metrics_csv_header,
@@ -137,8 +138,7 @@ def test_criterion_1_bilevel_oracle():
         cache = model.forward(x)[1]
         g_meta, _ = meta_gradient_direction(model, cache, yhat, meta_x, meta_y,
                                             cfg.alpha)
-        grad_yhat = label_gradient_along(model, cache, yhat, g_meta, cfg.alpha)
-        analytic = softmax_backward(yhat, grad_yhat)
+        analytic = label_gradient_along(model, cache, g_meta, cfg.alpha)
 
         def meta_loss_for(logits):
             yh = softmax(logits)
@@ -226,9 +226,10 @@ def test_criterion_2_analytic_gradient_suite():
             if min(np.abs(zz).min() for zz in cache["pre"][:-1]) > 1e-3:
                 break
         yhat = softmax(Rng(7000 + case).normal(size=(3, 3)))
+        # the committed step's gradient: the trainer's logit-space kernel
+        # through backprop, against differences of the public objective
         probs, cache = model.forward(x)
-        lv = classification_objective(probs, yhat, entropy_weight=0.5)
-        analytic = model.backward(cache, lv.grad_wrt_predictions)
+        analytic = model.backward(cache, kl_logit_loss(probs, yhat, 0.5)[1])
 
         flat = model.params.copy()
         fd = np.zeros_like(flat)
@@ -297,9 +298,9 @@ def test_criterion_3b_beta_zero_is_frozen_soft_ce():
         for start in range(0, tr.n, cfg.batch_size):
             ids = order[start:start + cfg.batch_size]
             probs, cache = model_b.forward(tr.features[ids])
-            lv = kl_loss_v2(probs, frozen[ids])
-            sgd_step(model_b, model_b.backward(cache, lv.grad_wrt_predictions), opt)
-            loss_sum += lv.scalar * ids.size
+            loss, dz = kl_logit_loss(probs, frozen[ids])
+            sgd_step(model_b, model_b.backward(cache, dz), opt)
+            loss_sum += loss * ids.size
         m = hist_a[epoch]
         worst = max(
             worst,

@@ -73,6 +73,24 @@ def test_gen_unknown_source_key_is_config_error(tmp_path, capsys, flag, token, a
     assert not (out / "dataset.csv").exists()
 
 
+def test_gen_repeated_source_key_is_config_error(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert run_cli("gen", "--blobs", "n=300", "c=3", "n=200", "--out", out) == EXIT_CONFIG
+    assert "key 'n' given more than once" in capsys.readouterr().err
+    assert not (out / "dataset.csv").exists()
+
+
+def test_gen_separation_is_an_alias_of_sep(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert run_cli("gen", "--blobs", "n=100", "sep=6", "separation=1",
+                   "--out", out) == EXIT_CONFIG
+    assert "key 'sep' given more than once (as 'separation')" in capsys.readouterr().err
+    assert not (out / "dataset.csv").exists()
+    assert run_cli("gen", "--blobs", "n=100", "separation=5", "--out", out) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["source"]["separation"] == 5.0
+
+
 def test_output_root_env(tmp_path, monkeypatch):
     root = tmp_path / "root"
     monkeypatch.setenv("MSLG_OUTPUT_ROOT", str(root))

@@ -234,3 +234,32 @@ def test_peaked_wrong_label_gradient_ratio():
         g1 = abs(kl_loss_v1(f, yhat).grad_wrt_predictions[0, 5])
         g2 = abs(kl_loss_v2(f, yhat).grad_wrt_predictions[0, 5])
         assert g1 >= 10.0 * g2
+
+
+# -- input checks ------------------------------------------------------------------
+# The training loop runs the logit-space kernels of mslg.trainer, which skip
+# these checks; the public losses keep them.
+
+_GOOD = np.array([[0.25, 0.75], [0.5, 0.5]])
+_PUBLIC_LOSSES = {
+    "kl_v1": lambda f, yhat: kl_loss_v1(f, yhat),
+    "kl_v2": lambda f, yhat: kl_loss_v2(f, yhat),
+    "cce": lambda f, yhat: cce_loss(f, np.array([1, 0])),
+    "entropy": lambda f, yhat: entropy_loss(f),
+    "objective": lambda f, yhat: classification_objective(f, yhat, 0.5),
+}
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([[0.25, 0.75], [0.5, 0.45]]),      # a row off the simplex
+    np.array([[0.25, 0.75], [np.nan, 0.5]]),    # a non-finite entry
+], ids=["off_sum", "nan"])
+@pytest.mark.parametrize("name", sorted(_PUBLIC_LOSSES))
+def test_public_losses_reject_off_simplex_input(name, bad):
+    loss = _PUBLIC_LOSSES[name]
+    loss(_GOOD, _GOOD)  # accepted
+    with pytest.raises(ValueError, match="row 1 is not on the simplex"):
+        loss(bad, _GOOD)
+    if name in ("kl_v1", "kl_v2", "objective"):
+        with pytest.raises(ValueError, match="soft labels: row 1"):
+            loss(_GOOD, bad)

@@ -1,8 +1,13 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from mslg.linalg import softmax_backward
 from mslg.losses import (
     cce_loss,
     classification_objective,
@@ -181,7 +186,8 @@ def test_backprop_matches_finite_differences(loss_name):
             fn = lambda f: classification_objective(f, yhat, entropy_weight=0.7)
 
         probs, cache = model.forward(x)
-        analytic = model.backward(cache, fn(probs).grad_wrt_predictions)
+        dz = softmax_backward(probs, fn(probs).grad_wrt_predictions)
+        analytic = model.backward(cache, dz)
         fd = _fd_param_grad(model, x, lambda f: fn(f).scalar)
         assert_grads_close(analytic, fd)
 
@@ -349,13 +355,14 @@ def test_tangent_matches_central_difference(sizes):
 
 
 def test_tangent_is_adjoint_of_backward():
-    # <u, J d> == <J^T u, d> for any upstream u and direction d
+    # <u, J d> == <J^T u, d> for any upstream u and direction d; backward
+    # starts at the logits, so u is pulled back through softmax first
     model = _tiny_net(63, (3, 7, 5, 4))
     probs, cache = model.forward(Rng(64).normal(size=(6, 3)))
     u = Rng(65).normal(size=probs.shape)
     d = Rng(66).normal(size=model.num_params)
     lhs = float(np.sum(u * model.tangent(cache, d)))
-    rhs = float(model.backward(cache, u) @ d)
+    rhs = float(model.backward(cache, softmax_backward(probs, u)) @ d)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
 
 
@@ -404,6 +411,22 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     loaded = Mlp.load(path)
     assert loaded.layer_sizes == model.layer_sizes
     assert np.array_equal(loaded.params, model.params)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), sizes=st.lists(st.integers(1, 9), min_size=2, max_size=5))
+def test_checkpoint_roundtrip_bitwise_property(data, sizes):
+    # any float64 bit pattern, NaN payloads and infinities included
+    model = Mlp(sizes)
+    params = data.draw(hnp.arrays(np.float64, model.num_params,
+                                  elements=st.floats(width=64)))
+    model.params[...] = params
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        model.save(path)
+        loaded = Mlp.load(path)
+    assert loaded.layer_sizes == tuple(sizes)
+    assert loaded.params.tobytes() == params.tobytes()
 
 
 def test_checkpoint_bad_magic(tmp_path):

@@ -1,7 +1,13 @@
 import math
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mslg.rng import Rng
 from mslg.soft_labels import LabelSnapshotError, SoftLabelStore
@@ -68,17 +74,18 @@ def test_apply_zero_gradient_is_noop():
 
 
 def test_apply_constant_gradient_is_noop():
-    # softmax Jacobian annihilates constant rows
+    # a constant row shifts every logit of a sample equally, which softmax
+    # ignores: the soft labels do not move
     store = _store([1, 0], c=2)
-    before = store.logits.copy()
+    before = store.soft_labels()
     store.apply_label_gradient([0, 1], np.full((2, 2), 3.3), beta=2.0)
-    assert np.abs(store.logits - before).max() <= 1e-15
+    assert np.abs(store.soft_labels() - before).max() <= 1e-15
 
 
 def test_apply_hand_case_delta():
-    store = SoftLabelStore(np.zeros((1, 2)), k=0.0)  # yhat = [0.5, 0.5]
-    store.apply_label_gradient([0], np.array([[1.0, 0.0]]), beta=1.0)
-    assert np.allclose(store.logits, [[-0.25, 0.25]], atol=1e-15)
+    store = SoftLabelStore(np.array([[0.5, -1.0]]), k=0.0)
+    store.apply_label_gradient([0], np.array([[1.0, -0.25]]), beta=2.0)
+    assert np.allclose(store.logits, [[-1.5, -0.5]], atol=1e-15)
 
 
 def test_apply_leaves_other_rows_bitwise_untouched():
@@ -153,6 +160,22 @@ def test_snapshot_roundtrip_bitwise(tmp_path):
     loaded = SoftLabelStore.load(path)
     assert loaded.k == store.k
     assert np.array_equal(loaded.logits, store.logits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(0, 12), c=st.integers(1, 6),
+       k=st.floats(width=64))
+def test_snapshot_roundtrip_bitwise_property(data, n, c, k):
+    # any float64 bit pattern for the logits and K, NaN and infinities included
+    logits = data.draw(hnp.arrays(np.float64, (n, c), elements=st.floats(width=64)))
+    store = SoftLabelStore(logits, k)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "labels.slbl"
+        store.save(path)
+        loaded = SoftLabelStore.load(path)
+    assert loaded.logits.shape == (n, c)
+    assert loaded.logits.tobytes() == logits.tobytes()
+    assert struct.pack("<d", loaded.k) == struct.pack("<d", k)
 
 
 def test_snapshot_truncated_file(tmp_path):

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mslg
 import mslg.trainer
@@ -18,8 +20,8 @@ from mslg.datasets import (
     split,
 )
 from mslg.linalg import softmax, softmax_backward
-from mslg.losses import cce_loss, kl_loss_v2
-from mslg.model import Mlp, SgdState, sgd_step
+from mslg.losses import PROB_FLOOR, cce_loss, classification_objective, kl_loss_v2
+from mslg.model import Mlp, NumericalError, SgdState, sgd_step
 from mslg.rng import Rng
 from mslg.soft_labels import SoftLabelStore
 from mslg.trainer import (
@@ -27,7 +29,9 @@ from mslg.trainer import (
     EpochMetrics,
     TrainConfig,
     accuracy,
+    cce_logit_loss,
     epoch_order,
+    kl_logit_loss,
     label_gradient_along,
     meta_gradient_direction,
     metrics_csv_header,
@@ -66,11 +70,11 @@ def _meta_loss_after_virtual(model, x, logits, meta_x, meta_y, alpha):
 
 
 def _label_grad(model, x, yhat, meta_x, meta_y, alpha):
-    """Meta-loss gradient w.r.t. the batch's soft labels, composed the way
+    """Meta-loss gradient w.r.t. the batch's label logits, composed the way
     mslg_epoch composes it."""
     cache = model.forward(x)[1]
     g_meta, _ = meta_gradient_direction(model, cache, yhat, meta_x, meta_y, alpha)
-    return label_gradient_along(model, cache, yhat, g_meta, alpha)
+    return label_gradient_along(model, cache, g_meta, alpha)
 
 
 def _brute_force_logit_grad(model, x, logits, meta_x, meta_y, alpha, h=1e-4):
@@ -90,19 +94,68 @@ def _brute_force_logit_grad(model, x, logits, meta_x, meta_y, alpha, h=1e-4):
 
 
 def test_bilevel_oracle_twenty_seeds():
-    # the analytic label gradient, chained back to logit space, must match
-    # brute-force differentiation of the full virtual-step pipeline
+    # the analytic label-logit gradient must match brute-force
+    # differentiation of the full virtual-step pipeline
     cfg = TrainConfig(alpha=0.5)
     for seed in range(20):
         model, x, store, meta_x, meta_y = _tiny_instance(seed)
         yhat = store.soft_labels(np.arange(store.n))
-        grad_yhat = _label_grad(model, x, yhat, meta_x, meta_y, cfg.alpha)
-        analytic = softmax_backward(yhat, grad_yhat)
+        analytic = _label_grad(model, x, yhat, meta_x, meta_y, cfg.alpha)
         oracle = _brute_force_logit_grad(model, x, store.logits.copy(),
                                          meta_x, meta_y, cfg.alpha)
         err = np.abs(analytic - oracle)
         tol = np.maximum(1e-3 * np.abs(oracle), 1e-8)
         assert np.all(err <= tol), f"seed {seed}: worst excess {(err - tol).max():.3e}"
+
+
+# -- logit-space loss kernels -------------------------------------------------------
+# Each kernel must equal its public probability-space loss pulled back through
+# the softmax Jacobian, including on rows near one-hot.
+
+
+def _logit_batch(seed, b, c, scale, peak):
+    """Probabilities of random logits; `peak` adds a one-hot spike per row,
+    so large values give rows near one-hot."""
+    z = Rng(seed, 0).normal(size=(b, c)) * scale
+    z[np.arange(b), Rng(seed, 1).integers(0, c, size=b)] += peak
+    return softmax(z)
+
+
+_KERNEL_CASES = dict(seed=st.integers(0, 2**16), b=st.integers(1, 8),
+                     c=st.integers(2, 6), scale=st.floats(0.0, 8.0),
+                     peak=st.floats(0.0, 40.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_KERNEL_CASES, label_scale=st.floats(0.0, 8.0),
+       label_peak=st.floats(0.0, 40.0), weight=st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+def test_kl_logit_kernel_is_the_pulled_back_public_loss(seed, b, c, scale, peak,
+                                                        label_scale, label_peak,
+                                                        weight):
+    f = _logit_batch(seed, b, c, scale, peak)
+    yhat = _logit_batch(seed + 1, b, c, label_scale, label_peak)
+    scalar, dz = kl_logit_loss(f, yhat, weight)
+    ref = (classification_objective(f, yhat, weight) if weight
+           else kl_loss_v2(f, yhat))
+    assert np.abs(dz - softmax_backward(f, ref.grad_wrt_predictions)).max() <= 1e-12
+    assert scalar == pytest.approx(ref.scalar, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_KERNEL_CASES)
+def test_cce_logit_kernel_is_the_pulled_back_public_loss(seed, b, c, scale, peak):
+    f = _logit_batch(seed, b, c, scale, peak)
+    y = Rng(seed, 2).integers(0, c, size=b)
+    scalar, dz = cce_logit_loss(f, y)
+    ref = cce_loss(f, y)
+    assert scalar == pytest.approx(ref.scalar, rel=1e-12, abs=1e-12)
+    onehot = np.eye(c)[y]
+    assert np.array_equal(dz, (f - onehot) / b)
+    # the public gradient floors 1/f_y at 1/PROB_FLOOR, so the two agree
+    # only on rows where the label's probability is above the floor
+    rows = f[np.arange(b), y] >= PROB_FLOOR
+    pulled = softmax_backward(f, ref.grad_wrt_predictions)
+    assert np.abs(dz[rows] - pulled[rows]).max(initial=0.0) <= 1e-12
 
 
 # -- virtual step -----------------------------------------------------------------
@@ -145,7 +198,7 @@ def test_virtual_step_descends_training_loss_for_small_alpha():
 def test_zero_meta_direction_gives_zero_gradient():
     model, x, store, *_ = _tiny_instance(34)
     yhat = store.soft_labels(np.arange(store.n))
-    out = label_gradient_along(model, model.forward(x)[1], yhat,
+    out = label_gradient_along(model, model.forward(x)[1],
                                np.zeros(model.num_params), alpha=0.5)
     assert np.array_equal(out, np.zeros_like(yhat))
 
@@ -165,7 +218,7 @@ def test_flat_meta_loss_gives_zero_gradient():
                                               meta_y, cfg.alpha)
     assert np.array_equal(g_train, np.zeros(model.num_params))
     assert np.array_equal(g_meta, np.zeros(model.num_params))
-    out = label_gradient_along(model, cache, yhat, g_meta, cfg.alpha)
+    out = label_gradient_along(model, cache, g_meta, cfg.alpha)
     assert np.array_equal(out, np.zeros((2, 2)))
 
 
@@ -176,9 +229,46 @@ def test_doubling_alpha_doubles_gradient_at_fixed_base():
     yhat = store.soft_labels(np.arange(store.n))
     cache = model.forward(x)[1]
     g_meta, _ = meta_gradient_direction(model, cache, yhat, meta_x, meta_y, 0.5)
-    one = label_gradient_along(model, cache, yhat, g_meta, alpha=0.5)
-    two = label_gradient_along(model, cache, yhat, g_meta, alpha=1.0)
+    one = label_gradient_along(model, cache, g_meta, alpha=0.5)
+    two = label_gradient_along(model, cache, g_meta, alpha=1.0)
     assert np.abs(two - 2.0 * one).max() <= 1e-10
+
+
+def test_logit_label_update_equals_the_probability_space_pull_back():
+    # the former update: divide the tangent by b * max(yhat, PROB_FLOOR), then
+    # pull it back through softmax at yhat. Rows of a softmax tangent sum to
+    # zero, so it reduces to alpha / b * t wherever the floor does not bind.
+    alpha, compared = 0.5, 0
+    for seed in range(20):
+        model, x, store, meta_x, meta_y = _tiny_instance(seed, b=8, c=4, hidden=6)
+        store.logits *= 1.0 + seed  # sharper labels, down to ~1e-30
+        yhat = store.soft_labels(np.arange(store.n))
+        cache = model.forward(x)[1]
+        g_meta, _ = meta_gradient_direction(model, cache, yhat, meta_x, meta_y, alpha)
+        t = model.tangent(cache, g_meta)
+        old = softmax_backward(yhat, alpha * t / (x.shape[0] * np.maximum(yhat, PROB_FLOOR)))
+        new = label_gradient_along(model, cache, g_meta, alpha)
+        rows = yhat.min(axis=1) >= 1e-9
+        assert np.abs(new[rows] - old[rows]).max(initial=0.0) <= 1e-12
+        compared += int(rows.sum())
+    assert 0 < compared < 20 * 8
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_label_logit_aborts_mslg_batch_before_parameters_move(bad):
+    train_ds, meta_ds, test_ds = _blob_setting(seed=6)
+    cfg = _warm_cfg(warmup_epochs=0, total_epochs=1)
+    model = Mlp((2, *cfg.hidden_sizes, 3), Rng(cfg.seed, 0))
+    store = SoftLabelStore.init_from_noisy(train_ds.noisy_labels, 3, cfg.k_init)
+    first_batch = epoch_order(cfg.seed, 0, train_ds.n)[:cfg.batch_size]
+    store.logits[first_batch[3], 1] = bad
+    before = model.params.copy()
+    opt = SgdState(lr=cfg.lr_at(0), momentum=cfg.momentum,
+                   weight_decay=cfg.weight_decay)
+    with pytest.raises(NumericalError, match="soft label"), np.errstate(invalid="ignore"):
+        mslg_epoch(model, train_ds, store, opt, cfg, 0, meta_ds, test_ds)
+    assert np.array_equal(model.params, before)
+    assert opt.velocity is None
 
 
 # -- gradient alignment ---------------------------------------------------------------
@@ -362,9 +452,9 @@ def test_beta_zero_entropy_zero_equals_frozen_soft_ce():
         for start in range(0, train_ds.n, cfg.batch_size):
             ids = order[start:start + cfg.batch_size]
             probs, cache = model_b.forward(train_ds.features[ids])
-            lv = kl_loss_v2(probs, frozen[ids])
-            sgd_step(model_b, model_b.backward(cache, lv.grad_wrt_predictions), opt)
-            loss_sum += lv.scalar * ids.size
+            loss, dz = kl_logit_loss(probs, frozen[ids])
+            sgd_step(model_b, model_b.backward(cache, dz), opt)
+            loss_sum += loss * ids.size
         meta_loss = cce_loss(model_b.predict(meta_ds.features),
                              meta_ds.noisy_labels).scalar
         hist_b.append((loss_sum / train_ds.n, meta_loss,
