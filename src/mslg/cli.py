@@ -11,7 +11,10 @@ Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical abort
 (a non-finite loss or gradient; the rolling last_good checkpoint survives).
 
 If MSLG_OUTPUT_ROOT is set, every relative --out path (a directory for gen,
-train and sweep, a file for eval and export-labels) is created under it.
+train and sweep, a file for eval and export-labels) is created under it, and
+every relative --data, --checkpoint and --labels path is read from under it,
+so relative paths chain from one command to the next. --config and --idx-*
+name the user's own files and stay relative to the working directory.
 """
 
 from __future__ import annotations
@@ -62,15 +65,21 @@ _GEN_SPLIT = 11
 _GEN_NOISE = 12
 
 
-def _out_dir(path_str: str | Path) -> Path:
-    """An --out directory, under MSLG_OUTPUT_ROOT when relative; created.
+def _rooted(path_str: str | Path) -> Path:
+    """An artifact path, under MSLG_OUTPUT_ROOT when relative.
 
     The root is made absolute, so a resolved path resolves to itself (sweep
-    cells pass theirs to gen and train)."""
+    cells pass theirs to gen, train and eval)."""
     path = Path(path_str)
     root = os.environ.get("MSLG_OUTPUT_ROOT")
     if root and not path.is_absolute():
         path = Path(root).absolute() / path
+    return path
+
+
+def _out_dir(path_str: str | Path) -> Path:
+    """An --out directory, resolved by `_rooted`; created."""
+    path = _rooted(path_str)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -218,6 +227,14 @@ _CONFIG_FIELD_PARSERS = {
 }
 
 
+def _parse_field(key: str, value, where: str = ""):
+    """A value through its key's parser; an error names `where` and the key."""
+    try:
+        return _CONFIG_FIELD_PARSERS[key](value)
+    except ValueError as exc:
+        raise ValueError(f"{where}bad value for {key!r}: {exc}") from None
+
+
 def _read_config_file(path) -> dict:
     overrides = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -231,7 +248,7 @@ def _read_config_file(path) -> dict:
             key = key.replace("-", "_")
             if key not in _CONFIG_FIELD_PARSERS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            overrides[key] = _CONFIG_FIELD_PARSERS[key](value)
+            overrides[key] = _parse_field(key, value, f"{path}:{lineno}: ")
     return overrides
 
 
@@ -240,10 +257,10 @@ def _resolve_train_config(args) -> TrainConfig:
     overrides: dict = {}
     if args.config:
         overrides.update(_read_config_file(args.config))
-    for field, parser in _CONFIG_FIELD_PARSERS.items():
+    for field in _CONFIG_FIELD_PARSERS:
         value = getattr(args, field, None)
         if value is not None:
-            overrides[field] = parser(value) if isinstance(value, str) else value
+            overrides[field] = _parse_field(field, value)
     cfg = dataclasses.replace(cfg, **overrides)
     if args.method == "ce":
         cfg = dataclasses.replace(cfg, warmup_epochs=cfg.total_epochs)
@@ -270,7 +287,7 @@ def cmd_train(args) -> int:
     if args.snapshot_every < 0:
         raise ValueError(f"--snapshot-every must be >= 0 (0 is off), "
                          f"got {args.snapshot_every}")
-    data_dir = Path(args.data)
+    data_dir = _rooted(args.data)
     out = _out_dir(args.out)
     cfg = _resolve_train_config(args)
     splits, data_manifest = _load_splits(data_dir)
@@ -370,9 +387,9 @@ def build_eval_report(model: Mlp, store: SoftLabelStore | None,
 
 
 def _eval_report(data, checkpoint, labels) -> dict:
-    splits, _ = _load_splits(Path(data))
-    model = Mlp.load(checkpoint)
-    store = SoftLabelStore.load(labels) if labels else None
+    splits, _ = _load_splits(_rooted(data))
+    model = Mlp.load(_rooted(checkpoint))
+    store = SoftLabelStore.load(_rooted(labels)) if labels else None
     return build_eval_report(model, store, splits)
 
 
@@ -456,7 +473,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_export_labels(args) -> int:
-    store = SoftLabelStore.load(args.labels)
+    store = SoftLabelStore.load(_rooted(args.labels))
     out_path = _out_file(args.out)
     store.export_csv(out_path)
     print(f"wrote {out_path} ({store.n} rows, {store.num_classes} classes)")
@@ -479,26 +496,28 @@ def _add_source_args(p: argparse.ArgumentParser) -> None:
                    help="meta fraction (clean holdout)")
     p.add_argument("--test", type=float, default=0.25, help="test fraction")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--probe-hidden", default="16",
+    p.add_argument("--probe-hidden",
+                   default=",".join(map(str, ProbeConfig.hidden_sizes)),
                    help="probe hidden sizes for feature-dependent noise")
-    p.add_argument("--probe-epochs", type=int, default=30)
+    p.add_argument("--probe-epochs", type=int, default=ProbeConfig.epochs)
 
 
 def _add_train_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", choices=("ce", "mslg"), default="mslg")
     p.add_argument("--preset", help=f"one of: {', '.join(preset_names())}")
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
+    # no type=: flag values go through `_CONFIG_FIELD_PARSERS`, as file values do
+    p.add_argument("--alpha")
+    p.add_argument("--beta")
     p.add_argument("--lambda-schedule", dest="lambda_schedule",
                    metavar="E:LR,E:LR", help="e.g. 0:0.02,30:0.005")
-    p.add_argument("--k", dest="k_init", type=float, help="label logit init scale")
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--warmup-epochs", dest="warmup_epochs", type=int)
-    p.add_argument("--total-epochs", dest="total_epochs", type=int)
-    p.add_argument("--entropy-weight", dest="entropy_weight", type=float)
+    p.add_argument("--k", dest="k_init", help="label logit init scale")
+    p.add_argument("--batch-size", dest="batch_size")
+    p.add_argument("--momentum")
+    p.add_argument("--weight-decay", dest="weight_decay")
+    p.add_argument("--warmup-epochs", dest="warmup_epochs")
+    p.add_argument("--total-epochs", dest="total_epochs")
+    p.add_argument("--entropy-weight", dest="entropy_weight")
     p.add_argument("--hidden", dest="hidden_sizes", metavar="H,H",
                    help="hidden layer widths, e.g. 32,32")
 

@@ -45,11 +45,12 @@ IDX_LABELS_MAGIC = 0x00000801
 
 @dataclass
 class LabeledDataset:
+    """One split, with labels in [0, num_classes) (checked here). Its name is
+    its key in a splits dict, as `save_dataset_csv` writes it."""
     features: np.ndarray      # (N, D) float64
     true_labels: np.ndarray   # (N,) int64; evaluators/injectors only
     noisy_labels: np.ndarray  # (N,) int64; what trainers see
     num_classes: int
-    split_tag: str = "train"
     ids: np.ndarray | None = None  # provenance ids, default 0..N-1
 
     def __post_init__(self):
@@ -59,6 +60,11 @@ class LabeledDataset:
         n = self.features.shape[0]
         if self.true_labels.shape[0] != n or self.noisy_labels.shape[0] != n:
             raise ValueError("feature/label row counts disagree")
+        for kind, labels in (("true", self.true_labels), ("noisy", self.noisy_labels)):
+            bad = (labels < 0) | (labels >= self.num_classes)
+            if bad.any():
+                raise ValueError(f"{kind} label {labels[bad.argmax()]} out of range "
+                                 f"[0, {self.num_classes})")
         if self.ids is None:
             self.ids = np.arange(n)
         self.ids = np.asarray(self.ids, dtype=np.int64).ravel()
@@ -228,17 +234,16 @@ def inject_uniform(ds: LabeledDataset, ratio: float, rng: Rng) -> LabeledDataset
         offsets = rng.integers(0, ds.num_classes - 1, size=k)
         noisy[chosen] = offsets + (offsets >= noisy[chosen])
     return LabeledDataset(ds.features, ds.true_labels.copy(), noisy,
-                          ds.num_classes, ds.split_tag, ds.ids.copy())
+                          ds.num_classes, ds.ids.copy())
 
 
 @dataclass
 class ProbeConfig:
-    """Probe classifier used to rank samples by decision-boundary distance."""
+    """Probe classifier used to rank samples by decision-boundary distance:
+    an MLP of these hidden widths, fit for `epochs` passes of SGD (batch 32,
+    learning rate 0.1, momentum 0.9) on the clean labels."""
     hidden_sizes: tuple[int, ...] = (16,)
-    epochs: int = 40
-    batch_size: int = 32
-    lr: float = 0.1
-    momentum: float = 0.9
+    epochs: int = 30
 
 
 def _fit_probe(features: np.ndarray, labels: np.ndarray, num_classes: int,
@@ -246,13 +251,13 @@ def _fit_probe(features: np.ndarray, labels: np.ndarray, num_classes: int,
     # keyed by the seed alone, not under the key of `rng`: the probe, and so
     # every feature-dependent dataset, depends on exactly these two streams
     model = Mlp((features.shape[1], *cfg.hidden_sizes, num_classes), Rng(rng.seed, 101))
-    opt = SgdState(lr=cfg.lr, momentum=cfg.momentum)
+    opt = SgdState(lr=0.1, momentum=0.9)
     n = features.shape[0]
     shuffle_rng = Rng(rng.seed, 102)
     for _ in range(cfg.epochs):
         order = shuffle_rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
+        for start in range(0, n, 32):
+            idx = order[start:start + 32]
             probs, cache = model.forward(features[idx])
             # the floored probability-space gradient pulled back through
             # softmax, not the trainer's exact (f - onehot)/b: they differ
@@ -300,7 +305,7 @@ def inject_feature_dependent(ds: LabeledDataset, ratio: float,
         sel = eligible[:k]
         noisy[sel] = runner_up[sel]
     return LabeledDataset(ds.features, ds.true_labels.copy(), noisy,
-                          ds.num_classes, ds.split_tag, ds.ids.copy())
+                          ds.num_classes, ds.ids.copy())
 
 
 # -- splitting ----------------------------------------------------------------
@@ -327,7 +332,7 @@ def split(ds: LabeledDataset, meta_fraction: float, test_fraction: float,
         idx = np.sort(parts[tag])
         out.append(LabeledDataset(
             ds.features[idx], ds.true_labels[idx], ds.true_labels[idx].copy(),
-            ds.num_classes, tag, ds.ids[idx]))
+            ds.num_classes, ds.ids[idx]))
     return tuple(out)
 
 
@@ -335,7 +340,8 @@ def split(ds: LabeledDataset, meta_fraction: float, test_fraction: float,
 
 
 def save_dataset_csv(path, splits: dict[str, LabeledDataset]) -> None:
-    """One CSV for all splits: id, f0..f{D-1}, true_label, noisy_label, split."""
+    """One CSV for all splits: id, f0..f{D-1}, true_label, noisy_label, split
+    (the split's key in `splits`)."""
     dims = {ds.dim for ds in splits.values()}
     if len(dims) != 1:
         raise ValueError(f"splits disagree on feature dimension: {sorted(dims)}")
@@ -348,10 +354,11 @@ def save_dataset_csv(path, splits: dict[str, LabeledDataset]) -> None:
             for i in range(ds.n):
                 feats = ",".join(repr(float(v)) for v in ds.features[i])
                 fh.write(f"{int(ds.ids[i])},{feats},{int(ds.true_labels[i])},"
-                         f"{int(ds.noisy_labels[i])},{ds.split_tag}\n")
+                         f"{int(ds.noisy_labels[i])},{tag}\n")
 
 
 def load_dataset_csv(path, num_classes: int | None = None) -> dict[str, LabeledDataset]:
+    """Splits keyed by their split column; a bad label names file and split."""
     rows_by_tag: dict[str, list] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -370,11 +377,14 @@ def load_dataset_csv(path, num_classes: int | None = None) -> dict[str, LabeledD
     out: dict[str, LabeledDataset] = {}
     for tag, rows in rows_by_tag.items():
         feats = np.array([[float(v) for v in r[1:1 + d]] for r in rows])
-        out[tag] = LabeledDataset(
-            feats,
-            np.array([int(r[-3]) for r in rows]),
-            np.array([int(r[-2]) for r in rows]),
-            num_classes, tag,
-            np.array([int(r[0]) for r in rows]),
-        )
+        try:
+            out[tag] = LabeledDataset(
+                feats,
+                np.array([int(r[-3]) for r in rows]),
+                np.array([int(r[-2]) for r in rows]),
+                num_classes,
+                np.array([int(r[0]) for r in rows]),
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: {tag!r} split: {exc}") from None
     return out

@@ -73,7 +73,8 @@ def kl_loss_v2(f, yhat) -> LossValue:
 
 
 def kl_loss_v1(f, yhat) -> LossValue:
-    """KL(soft labels || predictions), batch mean. Kept for ablation.
+    """KL(soft labels || predictions), batch mean. Acceptance criterion 8
+    compares its gradient with `kl_loss_v2`'s.
 
     scalar = (1/b) sum_i sum_j yhat_ij log(yhat_ij / f_ij)
     d/df   = -(yhat/f) / b

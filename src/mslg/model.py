@@ -102,8 +102,8 @@ class Mlp:
     def perturbed(self, direction: np.ndarray, eps: float) -> "Mlp":
         """Fresh model at theta + eps*direction; this model is untouched."""
         direction = self._direction(direction)
-        dup = Mlp(self.layer_sizes)
-        dup.params[...] = self.params + eps * direction
+        dup = self.copy()
+        dup.params += eps * direction
         return dup
 
     def _direction(self, direction) -> np.ndarray:

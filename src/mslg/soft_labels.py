@@ -32,7 +32,6 @@ class SoftLabelStore:
         if self.logits.ndim != 2:
             raise ValueError(f"logits must be (N, C), got shape {self.logits.shape}")
         self.k = float(k)
-        self.skipped_rows_total = 0
 
     @property
     def n(self) -> int:
@@ -73,8 +72,8 @@ class SoftLabelStore:
 
     def apply_label_gradient(self, ids, grad_wrt_logits, beta: float) -> int:
         """Descend the selected logits: logits[ids] -= beta * grad_wrt_logits.
-        Rows with non-finite gradients are skipped (not zero-filled) and
-        counted; returns the number skipped. Other rows are untouched."""
+        Rows with non-finite gradients are skipped (not zero-filled); returns
+        the number skipped. Other rows are untouched."""
         rows = self._rows(ids)
         grad = np.asarray(grad_wrt_logits, dtype=np.float64)
         if grad.shape != (rows.size, self.num_classes):
@@ -84,9 +83,7 @@ class SoftLabelStore:
         ok = np.all(np.isfinite(grad), axis=1)
         rows_ok = rows[ok]
         self.logits[rows_ok] -= float(beta) * grad[ok]
-        skipped = int(rows.size - rows_ok.size)
-        self.skipped_rows_total += skipped
-        return skipped
+        return int(rows.size - rows_ok.size)
 
     # -- snapshot io -------------------------------------------------------
 

@@ -242,21 +242,18 @@ def _meta_batches(m: int, seed: int, epoch: int, batches: int,
 
 
 def _epoch_metrics(epoch: int, train_loss: float, align: float, model: Mlp,
-                   store: SoftLabelStore | None, train_ds: LabeledDataset,
-                   meta_ds: LabeledDataset | None, test_ds: LabeledDataset | None,
+                   store: SoftLabelStore, train_ds: LabeledDataset,
+                   meta_ds: LabeledDataset, test_ds: LabeledDataset | None,
                    lr: float) -> EpochMetrics:
-    meta_loss = 0.0
-    if meta_ds is not None:
-        meta_loss = cce_loss(model.predict(meta_ds.features),
-                             meta_ds.noisy_labels).scalar
+    meta_loss = cce_loss(model.predict(meta_ds.features), meta_ds.noisy_labels).scalar
     test_acc = accuracy(model, test_ds) if test_ds is not None else 0.0
-    rec = recovery_rate(store, train_ds) if store is not None else 0.0
-    return EpochMetrics(epoch, train_loss, meta_loss, test_acc, rec, align, lr)
+    return EpochMetrics(epoch, train_loss, meta_loss, test_acc,
+                        recovery_rate(store, train_ds), align, lr)
 
 
-def warmup_epoch(model: Mlp, train_ds: LabeledDataset, opt: SgdState,
-                 cfg: TrainConfig, epoch: int, store: SoftLabelStore | None = None,
-                 meta_ds: LabeledDataset | None = None,
+def warmup_epoch(model: Mlp, train_ds: LabeledDataset, store: SoftLabelStore,
+                 opt: SgdState, cfg: TrainConfig, epoch: int,
+                 meta_ds: LabeledDataset,
                  test_ds: LabeledDataset | None = None) -> EpochMetrics:
     """One pass of plain cross-entropy SGD on the noisy hard labels."""
     opt.lr = cfg.lr_at(epoch)
@@ -339,12 +336,8 @@ def train(train_ds: LabeledDataset, meta_ds: LabeledDataset, cfg: TrainConfig,
                    weight_decay=cfg.weight_decay)
     history: list[EpochMetrics] = []
     for epoch in range(cfg.total_epochs):
-        if epoch < cfg.warmup_epochs:
-            m = warmup_epoch(model, train_ds, opt, cfg, epoch, store=store,
-                             meta_ds=meta_ds, test_ds=test_ds)
-        else:
-            m = mslg_epoch(model, train_ds, store, opt, cfg, epoch, meta_ds,
-                           test_ds)
+        run_epoch = warmup_epoch if epoch < cfg.warmup_epochs else mslg_epoch
+        m = run_epoch(model, train_ds, store, opt, cfg, epoch, meta_ds, test_ds)
         history.append(m)
         if epoch_callback is not None:
             epoch_callback(epoch, model, store, m)

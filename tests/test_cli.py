@@ -110,6 +110,20 @@ def test_output_root_env(tmp_path, monkeypatch):
     assert (root / "labels.csv").exists()
     assert not (tmp_path / "reports").exists() and not (tmp_path / "labels.csv").exists()
 
+    # input paths resolve under the root too, so relative paths chain
+    assert run_cli("train", "--data", "nested/data", "--out", "run", "--method", "mslg",
+                   *TRAIN_FAST) == EXIT_OK
+    manifest = json.loads((root / "run" / "manifest.json").read_text())
+    assert manifest["data"] == str(data)
+    assert run_cli("eval", "--data", "nested/data", "--checkpoint", "run/model.ckpt",
+                   "--labels", "run/labels.slbl", "--out", "run/report.json") == EXIT_OK
+    assert "label_recovery_rate" in json.loads((root / "run" / "report.json").read_text())
+    assert run_cli("export-labels", "--labels", "run/labels.slbl",
+                   "--out", "run/labels2.csv") == EXIT_OK
+    assert ((root / "run" / "labels2.csv").read_bytes()
+            == (root / "run" / "labels.csv").read_bytes())
+    assert not (tmp_path / "run").exists()
+
 
 def test_sweep_under_relative_output_root(tmp_path, monkeypatch):
     # the cells' paths are already under the root and must not get it twice
@@ -204,23 +218,53 @@ def test_train_invalid_config_exit_code(tmp_path, data_dir):
                    "--total-epochs", "3") == EXIT_CONFIG
 
 
-def test_train_meta_label_out_of_range_is_config_error(tmp_path, data_dir, capsys):
-    # one meta row labelled 3 in a 3-class dataset is rejected at entry, not
-    # by the meta loss after the first epoch
-    bad_data = tmp_path / "data"
-    bad_data.mkdir()
-    (bad_data / "manifest.json").write_bytes((data_dir / "manifest.json").read_bytes())
+def _with_label(data_dir, dst, split, label):
+    """A copy of a gen directory whose first `split` row has noisy label `label`."""
+    dst.mkdir()
+    (dst / "manifest.json").write_bytes((data_dir / "manifest.json").read_bytes())
     lines = (data_dir / "dataset.csv").read_text().splitlines()
-    row = next(i for i, line in enumerate(lines) if line.endswith(",meta"))
+    row = next(i for i, line in enumerate(lines) if line.endswith("," + split))
     cells = lines[row].split(",")
-    cells[-2] = "3"
+    cells[-2] = str(label)
     lines[row] = ",".join(cells)
-    (bad_data / "dataset.csv").write_text("\n".join(lines) + "\n")
+    (dst / "dataset.csv").write_text("\n".join(lines) + "\n")
+    return dst
+
+
+def test_train_meta_label_out_of_range_is_config_error(tmp_path, data_dir, capsys):
+    # one meta row labelled 3 in a 3-class dataset is rejected when the data
+    # is loaded, before any run artifact is written
+    bad_data = _with_label(data_dir, tmp_path / "data", "meta", 3)
     out = tmp_path / "run"
     assert run_cli("train", "--data", bad_data, "--out", out, "--method", "mslg",
                    *TRAIN_FAST) == EXIT_CONFIG
-    assert "meta label 3 out of range [0, 3)" in capsys.readouterr().err
-    assert len((out / "metrics.csv").read_text().splitlines()) == 1  # header only
+    err = capsys.readouterr().err
+    assert "'meta' split: noisy label 3 out of range [0, 3)" in err
+    assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("label", [3, -1])
+def test_eval_test_label_out_of_range_is_config_error(tmp_path, data_dir, capsys, label):
+    bad_data = _with_label(data_dir, tmp_path / "data", "test", label)
+    ckpt = tmp_path / "m.ckpt"
+    Mlp((2, 3)).save(ckpt)
+    assert run_cli("eval", "--data", bad_data, "--checkpoint", ckpt) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"dataset.csv: 'test' split: noisy label {label} out of range [0, 3)" in err
+
+
+def test_bad_flag_value_is_config_error_naming_key(tmp_path, data_dir, capsys):
+    assert run_cli("train", "--data", data_dir, "--out", tmp_path / "run",
+                   *TRAIN_FAST, "--alpha", "abc") == EXIT_CONFIG
+    assert "bad value for 'alpha'" in capsys.readouterr().err
+
+
+def test_bad_config_file_value_names_key_and_line(tmp_path, data_dir, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("beta = 10\nalpha=abc\n")
+    assert run_cli("train", "--data", data_dir, "--out", tmp_path / "run",
+                   *TRAIN_FAST, "--config", cfg_file) == EXIT_CONFIG
+    assert f"{cfg_file}:2: bad value for 'alpha'" in capsys.readouterr().err
 
 
 def test_train_missing_data_is_io_error(tmp_path):

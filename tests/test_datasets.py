@@ -1,7 +1,12 @@
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mslg.datasets import (
     IdxBadMagicError,
@@ -74,7 +79,7 @@ def test_spirals_degenerate_one_per_class():
 
 def test_spirals_learnable_by_default_mlp():
     ds = gen_spirals(600, 3, 0.03, Rng(5))
-    cfg = ProbeConfig(hidden_sizes=(32, 32), epochs=200, lr=0.05)
+    cfg = ProbeConfig(hidden_sizes=(32, 32), epochs=200)
     probe = _fit_probe(ds.features, ds.true_labels, 3, cfg, Rng(6))
     acc = float(np.mean(probe.predict(ds.features).argmax(axis=1) == ds.true_labels))
     assert acc >= 0.9
@@ -200,6 +205,19 @@ def test_uniform_flip_targets_chi_square():
     assert chi2 <= 30.578
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 60), c=st.integers(2, 6),
+       ratio=st.floats(0.0, 1.0, exclude_max=True), seed=st.integers(0, 2**32 - 1))
+def test_uniform_exact_count_property(data, n, c, ratio, seed):
+    labels = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, c - 1)))
+    ds = LabeledDataset(np.zeros((n, 1)), labels, labels.copy(), c)
+    out = inject_uniform(ds, ratio, Rng(seed))
+    assert np.array_equal(out.true_labels, labels)
+    # exactly round(ratio*n) samples are chosen, and every one of them moved
+    # off its true class
+    assert int(out.corrupted_mask().sum()) == round(ratio * n)
+
+
 def test_uniform_invalid_ratio():
     ds = gen_blobs(20, 2, 2, 5.0, Rng(15))
     with pytest.raises(ValueError, match="ratio"):
@@ -222,6 +240,16 @@ def test_featdep_exact_count_and_true_labels_kept():
     out = inject_feature_dependent(ds, 0.3, PROBE, Rng(19))
     assert int(np.sum(out.noisy_labels != out.true_labels)) == 150
     assert np.array_equal(out.true_labels, ds.true_labels)
+
+
+@settings(max_examples=8, deadline=None)  # each example fits a probe
+@given(n=st.integers(40, 120), c=st.integers(2, 4), ratio=st.floats(0.0, 0.4),
+       seed=st.integers(0, 2**32 - 1))
+def test_featdep_exact_count_property(n, c, ratio, seed):
+    ds = gen_blobs(n, c, 2, 8.0, Rng(seed))
+    out = inject_feature_dependent(ds, ratio, PROBE, Rng(seed, 1))
+    assert np.array_equal(out.true_labels, ds.true_labels)
+    assert int(out.corrupted_mask().sum()) == round(ratio * n)
 
 
 def test_featdep_flips_lowest_margin_to_runner_up():
@@ -269,7 +297,6 @@ def test_split_meta_labels_clean():
     train, meta, test = split(ds, 0.1, 0.2, Rng(26))
     assert np.array_equal(meta.noisy_labels, meta.true_labels)
     assert np.array_equal(test.noisy_labels, test.true_labels)
-    assert meta.split_tag == "meta" and test.split_tag == "test"
 
 
 def test_split_invalid_fractions():
@@ -297,6 +324,31 @@ def test_dataset_csv_roundtrip(tmp_path):
         assert np.array_equal(got.true_labels, orig.true_labels)
         assert np.array_equal(got.noisy_labels, orig.noisy_labels)
         assert np.array_equal(got.ids, orig.ids)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), d=st.integers(1, 4), c=st.integers(1, 5),
+       tags=st.sets(st.sampled_from(["train", "meta", "test"]), min_size=1))
+def test_dataset_csv_roundtrip_bitwise_property(data, d, c, tags):
+    # any finite float64, -0.0 and subnormals included, and any int64 id
+    splits = {}
+    for tag in sorted(tags):
+        n = data.draw(st.integers(1, 6))
+        labels = hnp.arrays(np.int64, n, elements=st.integers(0, c - 1))
+        splits[tag] = LabeledDataset(
+            data.draw(hnp.arrays(np.float64, (n, d),
+                                 elements=st.floats(allow_nan=False, allow_infinity=False))),
+            data.draw(labels), data.draw(labels), c,
+            data.draw(hnp.arrays(np.int64, n)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dataset.csv"
+        save_dataset_csv(path, splits)
+        loaded = load_dataset_csv(path, c)
+    assert set(loaded) == set(splits)
+    for tag, orig in splits.items():
+        got = loaded[tag]
+        for name in ("features", "true_labels", "noisy_labels", "ids"):
+            assert getattr(got, name).tobytes() == getattr(orig, name).tobytes(), name
 
 
 def test_dataset_csv_rerun_identical_bytes(tmp_path):

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mslg.linalg import softmax, softmax_backward
 from mslg.rng import Rng
@@ -65,6 +68,20 @@ def test_softmax_backward_constant_upstream_is_zero():
 def test_softmax_backward_hand_case():
     out = softmax_backward(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
     assert np.allclose(out, [0.25, -0.25], atol=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), b=st.integers(1, 5), c=st.integers(1, 7))
+def test_softmax_backward_is_jacobian_product_property(data, b, c):
+    z = data.draw(hnp.arrays(np.float64, (b, c), elements=st.floats(-30.0, 30.0)))
+    u = data.draw(hnp.arrays(np.float64, (b, c), elements=st.floats(-1e3, 1e3)))
+    s = softmax(z)
+    out = softmax_backward(s, u)
+    tol = 1e-12 * (1.0 + np.abs(u).max())
+    for row in range(b):
+        jac = np.diag(s[row]) - np.outer(s[row], s[row])
+        assert np.allclose(out[row], jac @ u[row], rtol=0, atol=tol)
+    assert np.abs(out.sum(axis=1)).max() <= tol
 
 
 def _fd_softmax_jacobian(v, h=1e-5):

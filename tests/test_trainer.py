@@ -401,9 +401,9 @@ def test_warmup_zero_lr_leaves_parameters():
     cfg = _warm_cfg(lambda_schedule=((0, 0.0),))
     model = Mlp((2, 16, 3), Rng(0, 0))
     before = model.params.copy()
+    store = SoftLabelStore.init_from_noisy(train_ds.noisy_labels, 3, cfg.k_init)
     opt = SgdState(lr=0.0, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
-    metrics = warmup_epoch(model, train_ds, opt, cfg, epoch=0,
-                           meta_ds=meta_ds, test_ds=test_ds)
+    metrics = warmup_epoch(model, train_ds, store, opt, cfg, 0, meta_ds, test_ds)
     assert np.array_equal(model.params, before)
     assert isinstance(metrics, EpochMetrics)
     assert metrics.train_loss > 0.0
@@ -653,9 +653,10 @@ def test_train_rejects_meta_label_out_of_range_before_training(monkeypatch):
         raise AssertionError("an epoch ran before the meta labels were checked")
     monkeypatch.setattr(mslg.trainer, "warmup_epoch", no_epoch)
     for bad in (3, -1):
-        labels = meta_ds.noisy_labels.copy()
-        labels[1] = bad
-        wrong = LabeledDataset(meta_ds.features, meta_ds.true_labels, labels, 3)
+        # the dataset checks its labels when built; this one is changed after
+        wrong = LabeledDataset(meta_ds.features, meta_ds.true_labels,
+                               meta_ds.noisy_labels.copy(), 3)
+        wrong.noisy_labels[1] = bad
         with pytest.raises(ValueError, match=rf"meta label {bad} out of range \[0, 3\)"):
             train(train_ds, wrong, _warm_cfg())
 
