@@ -7,6 +7,10 @@ configuration and seeds, sufficient to reproduce the run bit for bit.
 Training-config resolution order: preset, then config file (key=value lines),
 then command-line flags; later wins.
 
+Each value (flag, --blobs/--spirals token or --config line) is parsed once, by
+its key in `_PARSERS`, before a command runs; a bad one is a configuration
+error naming the key. Flags must be spelled in full.
+
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical abort
 (a non-finite loss or gradient; the rolling last_good checkpoint survives).
 
@@ -29,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .atomic import atomic_write
 from .datasets import (
     LabeledDataset,
     ProbeConfig,
@@ -91,30 +96,8 @@ def _out_file(path_str: str | Path) -> Path:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _parse_kv(tokens: list[str], what: str, keys: tuple[str, ...],
-              aliases: dict[str, str] | None = None) -> dict[str, str]:
-    """key=value tokens as {key: value}; an alias is stored under its key.
-    A key given twice, directly or through an alias, is an error."""
-    aliases = aliases or {}
-    out = {}
-    for tok in tokens:
-        if "=" not in tok:
-            raise ValueError(f"{what}: expected key=value, got {tok!r}")
-        key, value = tok.split("=", 1)
-        key = key.replace("-", "_")
-        if key not in keys:
-            raise ValueError(f"{what}: unknown key {key!r}; accepted: {' '.join(keys)}")
-        name = aliases.get(key, key)
-        if name in out:
-            also = f" (as {key!r})" if key != name else ""
-            raise ValueError(f"{what}: key {name!r} given more than once{also}")
-        out[name] = value
-    return out
+    with atomic_write(path) as fh:
+        fh.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def _parse_noise(spec: str) -> tuple[str, float]:
@@ -136,8 +119,64 @@ def _parse_schedule(spec: str) -> tuple[tuple[int, float], ...]:
     return tuple(pairs)
 
 
-def _parse_hidden(spec: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in spec.split(",") if v)
+def _comma_list(item):
+    return lambda spec: tuple(item(v) for v in spec.split(",") if v)
+
+
+_TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig))
+
+# every value's parser, by key: TrainConfig's fields (a scalar parses as the
+# type of its default), then gen's --blobs/--spirals keys and flags, then
+# train's and sweep's own
+_PARSERS = {
+    **{f.name: {"lambda_schedule": _parse_schedule, "hidden_sizes": _comma_list(int)}
+       .get(f.name, type(f.default)) for f in dataclasses.fields(TrainConfig)},
+    "n": int, "c": int, "d": int, "sep": float, "noise_sd": float,
+    "noise": _parse_noise, "meta": float, "test": float,
+    "probe_hidden": _comma_list(int), "probe_epochs": int,
+    "snapshot_every": int, "values": _comma_list(float), "seeds": _comma_list(int),
+}
+
+# the keys --blobs/--spirals accept; `separation` is stored as `sep`
+_SOURCE_KEYS = {"blobs": ("n", "c", "d", "sep", "separation"),
+                "spirals": ("n", "c", "noise_sd")}
+_ALIASES = {"separation": "sep"}
+
+
+def _parse_field(key: str, value: str, where: str = ""):
+    """A value through its key's parser; an error names `where` and the key."""
+    try:
+        return _PARSERS[key](value)
+    except ValueError as exc:
+        raise ValueError(f"{where}bad value for {key!r}: {exc}") from None
+
+
+def _parse_kv(tokens: list[str], what: str, keys: tuple[str, ...]) -> dict:
+    """key=value tokens as {key: parsed value}; an alias is stored under its
+    key. A key given twice, directly or through an alias, is an error."""
+    out = {}
+    for tok in tokens:
+        if "=" not in tok:
+            raise ValueError(f"{what}: expected key=value, got {tok!r}")
+        key, value = tok.split("=", 1)
+        key = key.replace("-", "_")
+        if key not in keys:
+            raise ValueError(f"{what}: unknown key {key!r}; accepted: {' '.join(keys)}")
+        name = _ALIASES.get(key, key)
+        if name in out:
+            also = f" (as {key!r})" if key != name else ""
+            raise ValueError(f"{what}: key {name!r} given more than once{also}")
+        out[name] = _parse_field(name, value, f"{what}: ")
+    return out
+
+
+def _parse_values(args: argparse.Namespace) -> None:
+    """Parse, in place, each value in `args` that has a parser."""
+    for key, value in list(vars(args).items()):
+        if value is not None and key in _SOURCE_KEYS:
+            setattr(args, key, _parse_kv(value, f"--{key}", _SOURCE_KEYS[key]))
+        elif value is not None and key in _PARSERS:
+            setattr(args, key, _parse_field(key, value))
 
 
 # -- dataset generation ------------------------------------------------------------
@@ -146,19 +185,14 @@ def _parse_hidden(spec: str) -> tuple[int, ...]:
 def _generate_dataset(args) -> tuple[dict[str, LabeledDataset], dict]:
     seed = args.seed
     if args.blobs:
-        kv = _parse_kv(args.blobs, "--blobs", ("n", "c", "d", "sep", "separation"),
-                       aliases={"separation": "sep"})
-        n = int(kv.get("n", 2000))
-        c = int(kv.get("c", 4))
-        d = int(kv.get("d", 2))
-        sep = float(kv.get("sep", 6.0))
+        kv = args.blobs
+        n, c, d = kv.get("n", 2000), kv.get("c", 4), kv.get("d", 2)
+        sep = kv.get("sep", 6.0)
         ds = gen_blobs(n, c, d, sep, Rng(seed, _GEN_DATA))
         source = {"generator": "blobs", "n": n, "c": c, "d": d, "separation": sep}
     elif args.spirals:
-        kv = _parse_kv(args.spirals, "--spirals", ("n", "c", "noise_sd"))
-        n = int(kv.get("n", 600))
-        c = int(kv.get("c", 3))
-        sd = float(kv.get("noise_sd", 0.03))
+        kv = args.spirals
+        n, c, sd = kv.get("n", 600), kv.get("c", 3), kv.get("noise_sd", 0.03)
         ds = gen_spirals(n, c, sd, Rng(seed, _GEN_DATA))
         source = {"generator": "spirals", "n": n, "c": c, "noise_sd": sd}
     elif args.idx_images:
@@ -172,12 +206,11 @@ def _generate_dataset(args) -> tuple[dict[str, LabeledDataset], dict]:
 
     train_ds, meta_ds, test_ds = split(ds, args.meta, args.test, Rng(seed, _GEN_SPLIT))
 
-    kind, ratio = _parse_noise(args.noise)
+    kind, ratio = args.noise
     if kind == "uniform":
         train_ds = inject_uniform(train_ds, ratio, Rng(seed, _GEN_NOISE))
     elif kind == "feature_dependent":
-        probe = ProbeConfig(hidden_sizes=_parse_hidden(args.probe_hidden),
-                            epochs=args.probe_epochs)
+        probe = ProbeConfig(hidden_sizes=args.probe_hidden, epochs=args.probe_epochs)
         train_ds = inject_feature_dependent(train_ds, ratio, probe,
                                             Rng(seed, _GEN_NOISE))
 
@@ -211,30 +244,6 @@ def cmd_gen(args) -> int:
 # -- training ---------------------------------------------------------------------
 
 
-_CONFIG_FIELD_PARSERS = {
-    "alpha": float,
-    "beta": float,
-    "lambda_schedule": _parse_schedule,
-    "k_init": float,
-    "batch_size": int,
-    "momentum": float,
-    "weight_decay": float,
-    "warmup_epochs": int,
-    "total_epochs": int,
-    "entropy_weight": float,
-    "seed": int,
-    "hidden_sizes": _parse_hidden,
-}
-
-
-def _parse_field(key: str, value, where: str = ""):
-    """A value through its key's parser; an error names `where` and the key."""
-    try:
-        return _CONFIG_FIELD_PARSERS[key](value)
-    except ValueError as exc:
-        raise ValueError(f"{where}bad value for {key!r}: {exc}") from None
-
-
 def _read_config_file(path) -> dict:
     overrides = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -246,7 +255,7 @@ def _read_config_file(path) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             key = key.replace("-", "_")
-            if key not in _CONFIG_FIELD_PARSERS:
+            if key not in _TRAIN_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             overrides[key] = _parse_field(key, value, f"{path}:{lineno}: ")
     return overrides
@@ -254,13 +263,9 @@ def _read_config_file(path) -> dict:
 
 def _resolve_train_config(args) -> TrainConfig:
     cfg = resolve_preset(args.preset) if args.preset else TrainConfig()
-    overrides: dict = {}
-    if args.config:
-        overrides.update(_read_config_file(args.config))
-    for field in _CONFIG_FIELD_PARSERS:
-        value = getattr(args, field, None)
-        if value is not None:
-            overrides[field] = _parse_field(field, value)
+    overrides = _read_config_file(args.config) if args.config else {}
+    overrides.update((key, getattr(args, key)) for key in _TRAIN_KEYS
+                     if getattr(args, key) is not None)
     cfg = dataclasses.replace(cfg, **overrides)
     if args.method == "ce":
         cfg = dataclasses.replace(cfg, warmup_epochs=cfg.total_epochs)
@@ -287,10 +292,10 @@ def cmd_train(args) -> int:
     if args.snapshot_every < 0:
         raise ValueError(f"--snapshot-every must be >= 0 (0 is off), "
                          f"got {args.snapshot_every}")
-    data_dir = _rooted(args.data)
-    out = _out_dir(args.out)
     cfg = _resolve_train_config(args)
+    data_dir = _rooted(args.data)
     splits, data_manifest = _load_splits(data_dir)
+    out = _out_dir(args.out)
 
     manifest = {
         "command": "train",
@@ -344,7 +349,7 @@ def cmd_train(args) -> int:
 def _confusion(model: Mlp, ds: LabeledDataset) -> list[list[int]]:
     preds = model.predict(ds.features).argmax(axis=1)
     c = ds.num_classes
-    mat = np.zeros((c, c), dtype=np.int64)
+    mat = np.zeros((c, c), np.int64)
     for t, p in zip(ds.true_labels, preds):
         mat[t, p] += 1
     return mat.tolist()
@@ -415,10 +420,10 @@ def _sweep_cell(args, value: float, seed: int, cell_dir: Path) -> dict:
     if args.axis == "meta_fraction":
         cell.meta = value
     elif args.axis == "noise_ratio":
-        kind, _ = _parse_noise(args.noise)
+        kind, _ = args.noise
         if kind == "none":
             raise ValueError("noise_ratio sweep needs --noise kind:ratio")
-        cell.noise = f"{kind}:{value}"
+        cell.noise = (kind, value)
     else:
         cell.beta = value
     cell.out = cell.data = str(cell_dir / "data")
@@ -432,9 +437,7 @@ def _sweep_cell(args, value: float, seed: int, cell_dir: Path) -> dict:
 def cmd_sweep(args) -> int:
     if args.axis not in _SWEEP_AXES:
         raise ValueError(f"--axis must be one of {_SWEEP_AXES}, got {args.axis!r}")
-    values = [float(v) for v in args.values.split(",") if v]
-    seeds = [int(s) for s in args.seeds.split(",") if s]
-    if not values or not seeds:
+    if not args.values or not args.seeds:
         raise ValueError("--values and --seeds must be non-empty")
     out = _out_dir(args.out)
 
@@ -445,10 +448,10 @@ def cmd_sweep(args) -> int:
             open(out / "summary.csv", "w", **line) as summary:
         runs.write("axis,value,seed,status,test_accuracy,label_recovery_rate\n")
         summary.write("axis,value,n_ok,accuracy_mean,accuracy_sd,recovery_mean,recovery_sd\n")
-        for value in values:
+        for value in args.values:
             key = f"{args.axis},{value:g}"
             accs, recs = [], []
-            for seed in seeds:
+            for seed in args.seeds:
                 cell_dir = out / "cells" / f"{args.axis}={value:g}" / f"seed{seed}"
                 try:
                     report = _sweep_cell(args, value, seed, cell_dir)
@@ -460,14 +463,14 @@ def cmd_sweep(args) -> int:
                 recs.append(report["label_recovery_rate"])
                 runs.write(f"{key},{seed},ok,{accs[-1]!r},{recs[-1]!r}\n")
             if accs:
-                a, r = np.array(accs, dtype=np.float64), np.array(recs, dtype=np.float64)
+                a, r = np.array(accs, np.float64), np.array(recs, np.float64)
                 summary.write(f"{key},{len(accs)},{float(a.mean())!r},{float(a.std())!r},"
                               f"{float(r.mean())!r},{float(r.std())!r}\n")
             else:
                 summary.write(f"{key},0,,,,\n")
             n_ok += len(accs)
 
-    print(f"sweep finished: {n_ok}/{len(values) * len(seeds)} runs ok "
+    print(f"sweep finished: {n_ok}/{len(args.values) * len(args.seeds)} runs ok "
           f"-> {out / 'summary.csv'}")
     return EXIT_OK
 
@@ -492,66 +495,64 @@ def _add_source_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--idx-labels", help="IDX label file")
     p.add_argument("--noise", default="none", metavar="KIND:RATIO",
                    help="uniform:R | feature_dependent:R | none")
-    p.add_argument("--meta", type=float, default=0.02,
-                   help="meta fraction (clean holdout)")
-    p.add_argument("--test", type=float, default=0.25, help="test fraction")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--meta", default="0.02", help="meta fraction (clean holdout)")
+    p.add_argument("--test", default="0.25", help="test fraction")
     p.add_argument("--probe-hidden",
                    default=",".join(map(str, ProbeConfig.hidden_sizes)),
                    help="probe hidden sizes for feature-dependent noise")
-    p.add_argument("--probe-epochs", type=int, default=ProbeConfig.epochs)
+    p.add_argument("--probe-epochs", default=str(ProbeConfig.epochs))
+
+
+# training flags spelled other than --<field>, or whose format needs a word
+_FLAG_NOTES = {
+    "lambda_schedule": ("--lambda-schedule", "epoch:lr pairs, e.g. 0:0.02,30:0.005"),
+    "k_init": ("--k", "label logit init scale"),
+    "hidden_sizes": ("--hidden", "hidden layer widths, e.g. 32,32"),
+}
 
 
 def _add_train_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", choices=("ce", "mslg"), default="mslg")
     p.add_argument("--preset", help=f"one of: {', '.join(preset_names())}")
     p.add_argument("--config", help="key=value config file")
-    # no type=: flag values go through `_CONFIG_FIELD_PARSERS`, as file values do
-    p.add_argument("--alpha")
-    p.add_argument("--beta")
-    p.add_argument("--lambda-schedule", dest="lambda_schedule",
-                   metavar="E:LR,E:LR", help="e.g. 0:0.02,30:0.005")
-    p.add_argument("--k", dest="k_init", help="label logit init scale")
-    p.add_argument("--batch-size", dest="batch_size")
-    p.add_argument("--momentum")
-    p.add_argument("--weight-decay", dest="weight_decay")
-    p.add_argument("--warmup-epochs", dest="warmup_epochs")
-    p.add_argument("--total-epochs", dest="total_epochs")
-    p.add_argument("--entropy-weight", dest="entropy_weight")
-    p.add_argument("--hidden", dest="hidden_sizes", metavar="H,H",
-                   help="hidden layer widths, e.g. 32,32")
+    for key in _TRAIN_KEYS:
+        if key != "seed":  # train's own --seed; sweep's --seeds
+            flag, text = _FLAG_NOTES.get(key, ("--" + key.replace("_", "-"), None))
+            p.add_argument(flag, dest=key, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="mslg",
+        prog="mslg", allow_abbrev=False,
         description="soft-label generation under label noise: desk-scale experiments")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", help="generate a dataset with splits and noise")
-    _add_source_args(p_gen)
-    p_gen.add_argument("--out", required=True)
-    p_gen.set_defaults(func=cmd_gen)
+    def add(name, func, help):
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(func=func)
+        return p
 
-    p_train = sub.add_parser("train", help="train the CE baseline or the label cleaner")
+    p_gen = add("gen", cmd_gen, "generate a dataset with splits and noise")
+    _add_source_args(p_gen)
+    p_gen.add_argument("--seed", default="0")
+    p_gen.add_argument("--out", required=True)
+
+    p_train = add("train", cmd_train, "train the CE baseline or the label cleaner")
     p_train.add_argument("--data", required=True, help="directory from `gen`")
     p_train.add_argument("--out", required=True)
-    p_train.add_argument("--seed", type=int)
-    p_train.add_argument("--snapshot-every", dest="snapshot_every", type=int,
-                         default=0, metavar="N",
+    p_train.add_argument("--seed")
+    p_train.add_argument("--snapshot-every", default="0", metavar="N",
                          help="write checkpoint+labels every N epochs")
     _add_train_config_args(p_train)
-    p_train.set_defaults(func=cmd_train)
 
-    p_eval = sub.add_parser("eval", help="report accuracy/recovery for a run")
+    p_eval = add("eval", cmd_eval, "report accuracy/recovery for a run")
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--labels", help="label snapshot (.slbl)")
     p_eval.add_argument("--out", help="write the JSON report here too")
-    p_eval.set_defaults(func=cmd_eval)
 
-    p_sweep = sub.add_parser("sweep", help="cross-product runs over one axis")
+    p_sweep = add("sweep", cmd_sweep, "cross-product runs over one axis")
     _add_source_args(p_sweep)
     _add_train_config_args(p_sweep)
     p_sweep.add_argument("--axis", required=True,
@@ -559,20 +560,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", required=True, metavar="V,V,...")
     p_sweep.add_argument("--seeds", required=True, metavar="S,S,...")
     p_sweep.add_argument("--out", required=True)
-    p_sweep.set_defaults(func=cmd_sweep)
 
-    p_export = sub.add_parser("export-labels", help="label snapshot -> CSV")
+    p_export = add("export-labels", cmd_export_labels, "label snapshot -> CSV")
     p_export.add_argument("--labels", required=True)
     p_export.add_argument("--out", required=True)
-    p_export.set_defaults(func=cmd_export_labels)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        _parse_values(args)
         return args.func(args)
     except (ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

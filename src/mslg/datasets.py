@@ -358,33 +358,54 @@ def save_dataset_csv(path, splits: dict[str, LabeledDataset]) -> None:
 
 
 def load_dataset_csv(path, num_classes: int | None = None) -> dict[str, LabeledDataset]:
-    """Splits keyed by their split column; a bad label names file and split."""
+    """Splits keyed by their split column. A malformed row names `path:line`;
+    a bad label names file and split."""
     rows_by_tag: dict[str, list] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
         if header[:1] != ["id"] or header[-3:] != ["true_label", "noisy_label", "split"]:
             raise ValueError(f"{path}: unexpected dataset CSV header {header!r}")
-        d = len(header) - 4
+        width = len(header)
         for row in reader:
-            tag = row[-1]
-            rows_by_tag.setdefault(tag, []).append(row)
-    if num_classes is None:
-        num_classes = 1 + max(
-            max(int(r[-3]), int(r[-2]))
-            for rows in rows_by_tag.values() for r in rows
-        )
-    out: dict[str, LabeledDataset] = {}
-    for tag, rows in rows_by_tag.items():
-        feats = np.array([[float(v) for v in r[1:1 + d]] for r in rows])
-        try:
-            out[tag] = LabeledDataset(
-                feats,
-                np.array([int(r[-3]) for r in rows]),
-                np.array([int(r[-2]) for r in rows]),
-                num_classes,
-                np.array([int(r[0]) for r in rows]),
+            if len(row) != width:
+                raise ValueError(f"{path}:{reader.line_num}: {len(row)} fields, "
+                                 f"header has {width}")
+            rows_by_tag.setdefault(row[-1], []).append(row)
+    try:
+        if num_classes is None:
+            num_classes = 1 + max(
+                max(int(r[-3]), int(r[-2]))
+                for rows in rows_by_tag.values() for r in rows
             )
+        columns = {tag: (np.array([[float(v) for v in r[1:-3]] for r in rows]),
+                         np.array([int(r[-3]) for r in rows]),
+                         np.array([int(r[-2]) for r in rows]),
+                         np.array([int(r[0]) for r in rows]))
+                   for tag, rows in rows_by_tag.items()}
+    except ValueError as exc:
+        raise ValueError(_bad_field(path) or f"{path}: {exc}") from None
+    out: dict[str, LabeledDataset] = {}
+    for tag, (feats, true, noisy, ids) in columns.items():
+        try:
+            out[tag] = LabeledDataset(feats, true, noisy, num_classes, ids)
         except ValueError as exc:
             raise ValueError(f"{path}: {tag!r} split: {exc}") from None
     return out
+
+
+def _bad_field(path) -> str | None:
+    """`path:line: column: error` for the first field of `path` that does not
+    parse (features as floats, the rest as ints), or None."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        for row in reader:
+            for j, value in enumerate(row[:-1]):
+                try:
+                    (float if 0 < j < len(row) - 3 else int)(value)
+                except ValueError as exc:
+                    return f"{path}:{reader.line_num}: {header[j]!r}: {exc}"
+    return None

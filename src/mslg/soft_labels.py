@@ -120,8 +120,8 @@ class SoftLabelStore:
         yhat = self.soft_labels()
         arg = yhat.argmax(axis=1)
         cols = ",".join(f"yhat_{j}" for j in range(self.num_classes))
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(f"sample_id,{cols},argmax\n")
+        with atomic_write(path) as fh:
+            fh.write(f"sample_id,{cols},argmax\n".encode("utf-8"))
             for i in range(self.n):
                 vals = ",".join(repr(float(v)) for v in yhat[i])
-                fh.write(f"{i},{vals},{int(arg[i])}\n")
+                fh.write(f"{i},{vals},{int(arg[i])}\n".encode("utf-8"))

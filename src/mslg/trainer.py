@@ -32,6 +32,7 @@ identically configured runs are bitwise reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -82,6 +83,12 @@ class TrainConfig:
     hidden_sizes: tuple[int, ...] = (32, 32)
 
     def validate(self) -> None:
+        # NaN fails every comparison below, so finiteness is checked first
+        values = [(f.name, getattr(self, f.name)) for f in fields(self)]
+        values += [("lambda_schedule", lr) for _, lr in self.lambda_schedule]
+        for name, value in values:
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.alpha <= 0 or self.beta < 0:
             raise ValueError(f"need alpha > 0 and beta >= 0, got {self.alpha}, {self.beta}")
         if self.batch_size < 1 or self.total_epochs < 0:
@@ -98,6 +105,8 @@ class TrainConfig:
             raise ValueError(f"lambda_schedule epochs must strictly increase: {starts}")
         if not (0 <= self.momentum < 1) or self.weight_decay < 0:
             raise ValueError("need momentum in [0,1) and weight_decay >= 0")
+        if any(h < 1 for h in self.hidden_sizes):
+            raise ValueError(f"hidden_sizes must all be >= 1, got {self.hidden_sizes}")
 
     def lr_at(self, epoch: int) -> float:
         lr = self.lambda_schedule[0][1]

@@ -1,4 +1,6 @@
-"""Shared assertions for gradient-oracle tests, and a failing-write fixture."""
+"""Shared assertions for gradient-oracle tests, and failing-write fixtures."""
+
+import contextlib
 
 import numpy as np
 
@@ -23,3 +25,27 @@ class FailingArray(np.ndarray):
 
     def astype(self, *args, **kwargs):
         raise OSError("no space left on device")
+
+
+class _FillingHandle:
+    """File handle that takes `after` writes, then half of the next one, and
+    then raises as a full disk would."""
+
+    def __init__(self, fh, after):
+        self.fh, self.left = fh, after
+
+    def write(self, data):
+        if not self.left:
+            self.fh.write(data[:len(data) // 2])
+            raise OSError("no space left on device")
+        self.left -= 1
+        return self.fh.write(data)
+
+
+def disk_fills_mid_write(atomic_write, after=0):
+    """`atomic_write` whose handle fails part-way through write `after + 1`."""
+    @contextlib.contextmanager
+    def failing(path):
+        with atomic_write(path) as fh:
+            yield _FillingHandle(fh, after)
+    return failing

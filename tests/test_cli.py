@@ -1,13 +1,18 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from mslg.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
+import mslg.cli
+from mslg.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, build_parser, main
 from mslg.datasets import gen_blobs, load_dataset_csv, split
 from mslg.model import Mlp
 from mslg.rng import Rng
 from mslg.soft_labels import SoftLabelStore
+from mslg.trainer import TrainConfig
+
+from helpers import disk_fills_mid_write
 
 
 def run_cli(*argv):
@@ -253,10 +258,106 @@ def test_eval_test_label_out_of_range_is_config_error(tmp_path, data_dir, capsys
     assert f"dataset.csv: 'test' split: noisy label {label} out of range [0, 3)" in err
 
 
-def test_bad_flag_value_is_config_error_naming_key(tmp_path, data_dir, capsys):
-    assert run_cli("train", "--data", data_dir, "--out", tmp_path / "run",
-                   *TRAIN_FAST, "--alpha", "abc") == EXIT_CONFIG
-    assert "bad value for 'alpha'" in capsys.readouterr().err
+# each command's required flags, before the bad value under test
+_BASE = {
+    "gen": lambda data_dir: ("gen",),
+    "train": lambda data_dir: ("train", "--data", data_dir, *TRAIN_FAST),
+    "sweep": lambda data_dir: ("sweep", "--axis", "beta", "--values", "1", "--seeds", "0",
+                               "--blobs", "n=150", *TRAIN_FAST),
+}
+
+
+_BAD_VALUES = [
+    # gen keys: --blobs/--spirals tokens, then flags
+    *[("gen", (flag, f"{key}=x"), f"{flag}: bad value for '{key}'")
+      for flag, key in [("--blobs", "n"), ("--blobs", "c"), ("--blobs", "d"),
+                        ("--blobs", "sep"), ("--spirals", "noise_sd")]],
+    ("gen", ("--spirals", "noise-sd=x"), "--spirals: bad value for 'noise_sd'"),
+    ("gen", ("--noise", "uniform:abc"), "bad value for 'noise'"),
+    ("gen", ("--noise", "gaussian:0.2"), "bad value for 'noise'"),
+    ("gen", ("--meta", "abc"), "bad value for 'meta'"),
+    ("gen", ("--test", "abc"), "bad value for 'test'"),
+    ("gen", ("--seed", "abc"), "bad value for 'seed'"),
+    ("gen", ("--probe-hidden", "x"), "bad value for 'probe_hidden'"),
+    ("gen", ("--probe-epochs", "1.5"), "bad value for 'probe_epochs'"),
+    # train: every TrainConfig flag, the run's own flags, and values that
+    # parse but fail validation
+    *[("train", (flag, "abc"), f"bad value for '{key}'")
+      for flag, key in [("--alpha", "alpha"), ("--beta", "beta"), ("--k", "k_init"),
+                        ("--lambda-schedule", "lambda_schedule"),
+                        ("--batch-size", "batch_size"), ("--momentum", "momentum"),
+                        ("--weight-decay", "weight_decay"),
+                        ("--warmup-epochs", "warmup_epochs"),
+                        ("--total-epochs", "total_epochs"),
+                        ("--entropy-weight", "entropy_weight"), ("--seed", "seed"),
+                        ("--hidden", "hidden_sizes"),
+                        ("--snapshot-every", "snapshot_every")]],
+    ("train", ("--lambda-schedule", "0"), "bad value for 'lambda_schedule'"),
+    ("train", ("--alpha", "nan"), "alpha must be finite"),
+    ("train", ("--momentum", "inf"), "momentum must be finite"),
+    ("train", ("--lambda-schedule", "0:nan"), "lambda_schedule must be finite"),
+    ("train", ("--hidden", "0"), "hidden_sizes must all be >= 1"),
+    # sweep: its own keys, and gen and train keys it passes to its cells
+    ("sweep", ("--values", "1,x"), "bad value for 'values'"),
+    ("sweep", ("--seeds", "0,x"), "bad value for 'seeds'"),
+    ("sweep", ("--blobs", "n=x"), "--blobs: bad value for 'n'"),
+    ("sweep", ("--noise", "uniform:x"), "bad value for 'noise'"),
+    ("sweep", ("--beta", "x"), "bad value for 'beta'"),
+]
+
+
+@pytest.mark.parametrize("command,bad,message", [
+    pytest.param(*case, id=f"{case[0]} {' '.join(case[1])}") for case in _BAD_VALUES])
+def test_bad_flag_value_is_config_error_naming_key(tmp_path, data_dir, capsys,
+                                                   command, bad, message):
+    # parsed before the command runs, so nothing is written, and a returned
+    # code rather than argparse's SystemExit
+    out = tmp_path / "out"
+    assert run_cli(*_BASE[command](data_dir), *bad, "--out", out) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--axis", "beta", "--values", "1", "--seeds", "0", "--blobs", "n=150",
+     "--seed", "1"),
+    ("train", "--data", "d", "--snap", "1"),
+])
+def test_removed_or_abbreviated_flag_is_rejected(tmp_path, capsys, argv):
+    # without allow_abbrev=False, sweep's --seed would mean --seeds
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--out", out)
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# a value of every TrainConfig field, other than its default
+_FIELD_VALUES = {
+    "alpha": "0.25", "beta": "12.5", "lambda_schedule": "0:0.5,7:0.25",
+    "k_init": "3.5", "batch_size": "16", "momentum": "0.5", "weight_decay": "0.001",
+    "warmup_epochs": "3", "total_epochs": "50", "entropy_weight": "0.25",
+    "seed": "9", "hidden_sizes": "8,4",
+}
+
+
+def _resolved(*argv):
+    args = build_parser().parse_args(["train", "--data", "d", "--out", "o", *map(str, argv)])
+    mslg.cli._parse_values(args)
+    return mslg.cli._resolve_train_config(args)
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(TrainConfig)])
+def test_train_flag_and_config_line_set_the_same_field(tmp_path, field):
+    flag = {"k_init": "--k", "hidden_sizes": "--hidden"}.get(
+        field, "--" + field.replace("_", "-"))
+    value = _FIELD_VALUES[field]
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{field} = {value}\n")
+    by_flag = _resolved(flag, value)
+    assert by_flag == _resolved("--config", cfg_file)
+    assert getattr(by_flag, field) != getattr(TrainConfig(), field)
 
 
 def test_bad_config_file_value_names_key_and_line(tmp_path, data_dir, capsys):
@@ -265,6 +366,35 @@ def test_bad_config_file_value_names_key_and_line(tmp_path, data_dir, capsys):
     assert run_cli("train", "--data", data_dir, "--out", tmp_path / "run",
                    *TRAIN_FAST, "--config", cfg_file) == EXIT_CONFIG
     assert f"{cfg_file}:2: bad value for 'alpha'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("empty", "dataset.csv: empty file"),
+    ("missing feature", "dataset.csv:4: 5 fields, header has 6"),
+    ("non-numeric", "dataset.csv:6: 'f1': could not convert string to float: 'x'"),
+])
+def test_train_malformed_dataset_is_config_error(tmp_path, data_dir, capsys, fault, message):
+    # file lines 4 and 6 are meta rows; a row short of one feature must not
+    # load with its true label read as feature f1
+    lines = (data_dir / "dataset.csv").read_text().splitlines()
+    if fault == "empty":
+        lines = []
+    elif fault == "missing feature":
+        cells = lines[3].split(",")
+        del cells[2]
+        lines[3] = ",".join(cells)
+    else:
+        cells = lines[5].split(",")
+        cells[2] = "x"
+        lines[5] = ",".join(cells)
+    bad = tmp_path / "data"
+    bad.mkdir()
+    (bad / "manifest.json").write_bytes((data_dir / "manifest.json").read_bytes())
+    (bad / "dataset.csv").write_text("".join(line + "\n" for line in lines))
+    out = tmp_path / "run"
+    assert run_cli("train", "--data", bad, "--out", out, *TRAIN_FAST) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_missing_data_is_io_error(tmp_path):
@@ -377,6 +507,18 @@ def test_eval_idempotent(tmp_path, data_dir):
     assert run_cli("eval", "--data", data_dir, "--checkpoint", ckpt, "--out", a) == EXIT_OK
     assert run_cli("eval", "--data", data_dir, "--checkpoint", ckpt, "--out", b) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_eval_failed_report_write_keeps_previous_report(tmp_path, data_dir, monkeypatch):
+    ckpt = _bayes_checkpoint(tmp_path, data_dir)
+    out = tmp_path / "reports" / "report.json"
+    assert run_cli("eval", "--data", data_dir, "--checkpoint", ckpt, "--out", out) == EXIT_OK
+    before = out.read_bytes()
+    monkeypatch.setattr(mslg.cli, "atomic_write", disk_fills_mid_write(mslg.cli.atomic_write))
+    Mlp((2, 3)).save(ckpt)  # a different report, which fails half written
+    assert run_cli("eval", "--data", data_dir, "--checkpoint", ckpt, "--out", out) == EXIT_IO
+    assert out.read_bytes() == before
+    assert [p.name for p in out.parent.iterdir()] == [out.name]
 
 
 def test_eval_dimension_mismatch_is_config_error(tmp_path, data_dir):

@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import mslg.soft_labels
 from mslg.rng import Rng
 from mslg.soft_labels import LabelSnapshotError, SoftLabelStore
 
-from helpers import FailingArray
+from helpers import FailingArray, disk_fills_mid_write
 
 
 def _store(noisy, c=3, k=10.0):
@@ -221,5 +222,17 @@ def test_snapshot_failed_write_keeps_previous_file(tmp_path):
     store.logits = store.logits.view(FailingArray)
     with pytest.raises(OSError, match="no space"):
         store.save(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_export_csv_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "labels.csv"
+    _store([0, 1, 2], c=3).export_csv(path)
+    before = path.read_bytes()
+    monkeypatch.setattr(mslg.soft_labels, "atomic_write",
+                        disk_fills_mid_write(mslg.soft_labels.atomic_write, after=2))
+    with pytest.raises(OSError, match="no space"):
+        _store([2, 1, 0], c=3).export_csv(path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == [path.name]

@@ -618,6 +618,22 @@ def test_config_validation():
     TrainConfig(warmup_epochs=5, total_epochs=5).validate()  # CE baseline
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["alpha", "beta", "k_init", "momentum",
+                                   "weight_decay", "entropy_weight", "lambda_schedule"])
+def test_config_rejects_non_finite_floats(field, bad):
+    value = ((0, 1e-2), (5, bad)) if field == "lambda_schedule" else bad
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        TrainConfig(**{field: value}).validate()
+
+
+@pytest.mark.parametrize("hidden", [(0,), (16, 0), (8, -2)])
+def test_config_rejects_hidden_widths_below_one(hidden):
+    with pytest.raises(ValueError, match="hidden_sizes"):
+        TrainConfig(hidden_sizes=hidden).validate()
+    TrainConfig(hidden_sizes=()).validate()  # no hidden layer: a linear model
+
+
 def test_lambda_schedule_lookup():
     cfg = TrainConfig(lambda_schedule=((0, 1e-2), (40, 1e-3), (80, 1e-4)))
     assert cfg.lr_at(0) == 1e-2
