@@ -3,7 +3,9 @@
 Subcommands: gen | train | eval | sweep | export-labels.
 
 Every run directory gets a manifest.json carrying the fully resolved
-configuration and seeds, sufficient to reproduce the run bit for bit.
+configuration and seeds, sufficient to reproduce the run bit for bit, and the
+sha256 of the train split it read; `eval` refuses a checkpoint that sits
+beside such a manifest when --data holds a different train split.
 Training-config resolution order: preset, then config file (key=value lines),
 then command-line flags; later wins.
 
@@ -100,15 +102,21 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
+def _one_of(*choices: str):
+    def parse(value: str) -> str:
+        if value not in choices:
+            raise ValueError(f"expected one of {' | '.join(choices)}, got {value!r}")
+        return value
+    return parse
+
+
 def _parse_noise(spec: str) -> tuple[str, float]:
     if spec in ("none", ""):
         return "none", 0.0
     if ":" not in spec:
         raise ValueError(f"--noise expects kind:ratio, got {spec!r}")
     kind, ratio = spec.split(":", 1)
-    if kind not in ("uniform", "feature_dependent"):
-        raise ValueError(f"unknown noise kind {kind!r}")
-    return kind, float(ratio)
+    return _one_of("uniform", "feature_dependent")(kind), float(ratio)
 
 
 def _parse_schedule(spec: str) -> tuple[tuple[int, float], ...]:
@@ -123,6 +131,8 @@ def _comma_list(item):
     return lambda spec: tuple(item(v) for v in spec.split(",") if v)
 
 
+_METHODS = ("ce", "mslg")
+_SWEEP_AXES = ("meta_fraction", "noise_ratio", "beta")
 _TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig))
 
 # every value's parser, by key: TrainConfig's fields (a scalar parses as the
@@ -134,7 +144,8 @@ _PARSERS = {
     "n": int, "c": int, "d": int, "sep": float, "noise_sd": float,
     "noise": _parse_noise, "meta": float, "test": float,
     "probe_hidden": _comma_list(int), "probe_epochs": int,
-    "snapshot_every": int, "values": _comma_list(float), "seeds": _comma_list(int),
+    "method": _one_of(*_METHODS), "snapshot_every": int,
+    "axis": _one_of(*_SWEEP_AXES), "values": _comma_list(float), "seeds": _comma_list(int),
 }
 
 # the keys --blobs/--spirals accept; `separation` is stored as `sep`
@@ -303,6 +314,7 @@ def cmd_train(args) -> int:
         "method": args.method,
         "preset": args.preset,
         "data": str(data_dir),
+        "train_sha256": splits["train"].fingerprint(),
         "config": dataclasses.asdict(cfg),
         "data_manifest": data_manifest,
     }
@@ -391,9 +403,24 @@ def build_eval_report(model: Mlp, store: SoftLabelStore | None,
     return report
 
 
+def _check_trained_on(train_ds: LabeledDataset, data_dir: Path, checkpoint: Path) -> None:
+    """When the checkpoint's directory holds its run manifest, the train split
+    must be the one the run trained on."""
+    manifest = checkpoint.parent / "manifest.json"
+    if not manifest.is_file():
+        return
+    recorded = json.loads(manifest.read_text(encoding="utf-8")).get("train_sha256")
+    actual = train_ds.fingerprint()
+    if recorded is not None and recorded != actual:
+        raise ValueError(f"{data_dir}: train split sha256 {actual} differs from "
+                         f"{recorded}, recorded in {manifest}")
+
+
 def _eval_report(data, checkpoint, labels) -> dict:
-    splits, _ = _load_splits(_rooted(data))
-    model = Mlp.load(_rooted(checkpoint))
+    data_dir, checkpoint = _rooted(data), _rooted(checkpoint)
+    splits, _ = _load_splits(data_dir)
+    _check_trained_on(splits["train"], data_dir, checkpoint)
+    model = Mlp.load(checkpoint)
     store = SoftLabelStore.load(_rooted(labels)) if labels else None
     return build_eval_report(model, store, splits)
 
@@ -407,9 +434,6 @@ def cmd_eval(args) -> int:
 
 
 # -- sweeps ------------------------------------------------------------------------
-
-
-_SWEEP_AXES = ("meta_fraction", "noise_ratio", "beta")
 
 
 def _sweep_cell(args, value: float, seed: int, cell_dir: Path) -> dict:
@@ -435,8 +459,6 @@ def _sweep_cell(args, value: float, seed: int, cell_dir: Path) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    if args.axis not in _SWEEP_AXES:
-        raise ValueError(f"--axis must be one of {_SWEEP_AXES}, got {args.axis!r}")
     if not args.values or not args.seeds:
         raise ValueError("--values and --seeds must be non-empty")
     out = _out_dir(args.out)
@@ -512,7 +534,7 @@ _FLAG_NOTES = {
 
 
 def _add_train_config_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", choices=("ce", "mslg"), default="mslg")
+    p.add_argument("--method", default="mslg", help=" | ".join(_METHODS))
     p.add_argument("--preset", help=f"one of: {', '.join(preset_names())}")
     p.add_argument("--config", help="key=value config file")
     for key in _TRAIN_KEYS:
@@ -555,8 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = add("sweep", cmd_sweep, "cross-product runs over one axis")
     _add_source_args(p_sweep)
     _add_train_config_args(p_sweep)
-    p_sweep.add_argument("--axis", required=True,
-                         help="meta_fraction | noise_ratio | beta")
+    p_sweep.add_argument("--axis", required=True, help=" | ".join(_SWEEP_AXES))
     p_sweep.add_argument("--values", required=True, metavar="V,V,...")
     p_sweep.add_argument("--seeds", required=True, metavar="S,S,...")
     p_sweep.add_argument("--out", required=True)

@@ -6,19 +6,25 @@ noise injectors; training code reads only `noisy_labels`. Splitting happens
 
 Noise injection uses exact-count flipping: exactly round(ratio * N) samples
 are corrupted, so small datasets carry the nominal noise rate rather than a
-Bernoulli approximation of it.
+Bernoulli approximation of it. Feature-dependent noise ranks samples by the
+margin of a probe classifier, trained on the same logit-space cross-entropy
+gradient as the trainer's warm-up.
+
+Loading a dataset CSV fails fast, naming `path:line`, on a malformed row, a
+field that is not a number or a feature that is not finite.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import softmax_backward
-from .losses import cce_loss
+from .losses import cce_logit_grad
 from .model import Mlp, SgdState, sgd_step
 from .rng import Rng
 
@@ -79,6 +85,14 @@ class LabeledDataset:
 
     def corrupted_mask(self) -> np.ndarray:
         return self.noisy_labels != self.true_labels
+
+    def fingerprint(self) -> str:
+        """sha256 hex digest of what training reads: the features (with their
+        shape) and the noisy labels, little-endian."""
+        digest = hashlib.sha256(np.array(self.features.shape, "<i8").tobytes())
+        digest.update(self.features.astype("<f8", copy=False).tobytes())
+        digest.update(self.noisy_labels.astype("<i8", copy=False).tobytes())
+        return digest.hexdigest()
 
 
 # -- generators -------------------------------------------------------------
@@ -248,6 +262,9 @@ class ProbeConfig:
 
 def _fit_probe(features: np.ndarray, labels: np.ndarray, num_classes: int,
                cfg: ProbeConfig, rng: Rng) -> Mlp:
+    """The probe, fit on `labels` (in range, as a `LabeledDataset` holds
+    them) by SGD on the exact cross-entropy gradient (f - onehot)/b of
+    `losses.cce_logit_grad`, the step the trainer's warm-up takes."""
     # keyed by the seed alone, not under the key of `rng`: the probe, and so
     # every feature-dependent dataset, depends on exactly these two streams
     model = Mlp((features.shape[1], *cfg.hidden_sizes, num_classes), Rng(rng.seed, 101))
@@ -259,12 +276,7 @@ def _fit_probe(features: np.ndarray, labels: np.ndarray, num_classes: int,
         for start in range(0, n, 32):
             idx = order[start:start + 32]
             probs, cache = model.forward(features[idx])
-            # the floored probability-space gradient pulled back through
-            # softmax, not the trainer's exact (f - onehot)/b: they differ
-            # where f_y < PROB_FLOOR, and the probe keeps this one so that
-            # generated datasets stay as they were
-            dz = softmax_backward(probs, cce_loss(probs, labels[idx]).grad_wrt_predictions)
-            sgd_step(model, model.backward(cache, dz), opt)
+            sgd_step(model, model.backward(cache, cce_logit_grad(probs, labels[idx])), opt)
     return model
 
 
@@ -358,8 +370,9 @@ def save_dataset_csv(path, splits: dict[str, LabeledDataset]) -> None:
 
 
 def load_dataset_csv(path, num_classes: int | None = None) -> dict[str, LabeledDataset]:
-    """Splits keyed by their split column. A malformed row names `path:line`;
-    a bad label names file and split."""
+    """Splits keyed by their split column. A malformed row, a field that is
+    not a number and a non-finite feature name `path:line`; a bad label names
+    file and split."""
     rows_by_tag: dict[str, list] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -385,6 +398,8 @@ def load_dataset_csv(path, num_classes: int | None = None) -> dict[str, LabeledD
                          np.array([int(r[-2]) for r in rows]),
                          np.array([int(r[0]) for r in rows]))
                    for tag, rows in rows_by_tag.items()}
+        if not all(np.isfinite(feats).all() for feats, *_ in columns.values()):
+            raise ValueError("a feature is not finite")
     except ValueError as exc:
         raise ValueError(_bad_field(path) or f"{path}: {exc}") from None
     out: dict[str, LabeledDataset] = {}
@@ -398,14 +413,17 @@ def load_dataset_csv(path, num_classes: int | None = None) -> dict[str, LabeledD
 
 def _bad_field(path) -> str | None:
     """`path:line: column: error` for the first field of `path` that does not
-    parse (features as floats, the rest as ints), or None."""
+    parse (features as finite floats, the rest as ints), or None."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         for row in reader:
             for j, value in enumerate(row[:-1]):
                 try:
-                    (float if 0 < j < len(row) - 3 else int)(value)
+                    if not 0 < j < len(row) - 3:
+                        int(value)
+                    elif not math.isfinite(float(value)):
+                        raise ValueError(f"not a finite number: {value!r}")
                 except ValueError as exc:
                     return f"{path}:{reader.line_num}: {header[j]!r}: {exc}"
     return None

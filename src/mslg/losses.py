@@ -1,15 +1,24 @@
-"""Scalar losses and their analytic gradients.
+"""Scalar losses, their analytic gradients, and the logit-space kernels
+that every cross-entropy or KL SGD step takes.
 
 Predictions and soft labels are (b, C) row-simplex matrices. Every scalar is
 a batch mean and the returned gradients carry the same 1/b factor, so a batch
 gradient step with learning rate lr moves by lr * mean-gradient.
 
-Gradients are taken with respect to the *probabilities*, and every input is
-checked to lie on the simplex. These functions are the reference form of
-each loss: they serve the per-epoch meta loss and the noise probe, and a
-caller that needs the gradient with respect to the logits pulls it back with
-`linalg.softmax_backward`. The training loop instead uses the logit-space
-kernels of `mslg.trainer`, which equal that pull-back and skip the checks.
+The public losses (`cce_loss`, `kl_loss_v2`, ...) take gradients with
+respect to the *probabilities* and check every input lies on the simplex.
+They are the reference form of each loss: they serve the per-epoch meta
+loss and the checks that the kernels equal their pull-back through
+`linalg.softmax_backward`.
+
+The kernels `cce_logit_loss` and `kl_logit_loss` return the gradient with
+respect to the pre-softmax output z, which `Mlp.backward` takes directly,
+and skip the checks; their callers (the training loop and the noise probe of
+`mslg.datasets`) check finiteness instead. The CE gradient (f - onehot)/b is
+defined once, in `cce_logit_grad`, which the probe calls alone because it
+never reads the scalar; it is exact for every f, where the public gradient
+floors 1/f_y.
+
 Probabilities are floored at PROB_FLOOR inside logs and divisions only;
 inputs are never modified.
 """
@@ -30,6 +39,9 @@ __all__ = [
     "cce_loss",
     "entropy_loss",
     "classification_objective",
+    "cce_logit_grad",
+    "cce_logit_loss",
+    "kl_logit_loss",
 ]
 
 PROB_FLOOR = 1e-12
@@ -136,3 +148,44 @@ def classification_objective(f, yhat, entropy_weight: float = 1.0) -> LossValue:
         kl.scalar + entropy_weight * ent.scalar,
         kl.grad_wrt_predictions + entropy_weight * ent.grad_wrt_predictions,
     )
+
+
+# -- logit-space kernels --------------------------------------------------------
+
+
+def cce_logit_grad(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """dL/dz = (f - onehot(y)) / b of the batch-mean cross entropy against
+    hard labels, for the pre-softmax output z with softmax f. Labels must
+    already be in range."""
+    b = probs.shape[0]
+    dz = probs.copy()
+    dz[np.arange(b), y] -= 1.0
+    dz /= b
+    return dz
+
+
+def cce_logit_loss(probs: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Cross entropy against hard labels, batch mean: (scalar, dL/dz), the
+    gradient of `cce_logit_grad`."""
+    picked = probs[np.arange(probs.shape[0]), y]
+    return float(-np.mean(np.log(np.maximum(picked, PROB_FLOOR)))), cce_logit_grad(probs, y)
+
+
+def kl_logit_loss(probs: np.ndarray, yhat: np.ndarray,
+                  entropy_weight: float = 0.0) -> tuple[float, np.ndarray]:
+    """KL(f||yhat) plus entropy_weight * entropy(f), batch mean: (scalar, dL/dz).
+
+    With r = log f - log yhat - entropy_weight * log f (logs floored at
+    PROB_FLOOR), scalar = sum(f * r) / b and dL/dz = f * (r - <f, r>) / b,
+    row-wise: the KL part f * (r_kl - <f, r_kl>) / b and the entropy part
+    -f * (log f - <f, log f>) / b in one pass.
+    """
+    logf = np.log(np.maximum(probs, PROB_FLOOR))
+    r = logf - np.log(np.maximum(yhat, PROB_FLOOR))
+    if entropy_weight != 0.0:
+        r -= entropy_weight * logf
+    fr = probs * r
+    b = probs.shape[0]
+    dz = probs * (r - fr.sum(axis=1, keepdims=True))
+    dz /= b
+    return float(fr.sum() / b), dz

@@ -19,11 +19,12 @@ in parameter space is the forward-mode tangent J_theta f . g_meta scaled by
 -1/b. The tangent is exact and reuses the activations of the one forward pass
 at theta, which also serves steps 1 and 3.
 
-The hot path works in logit space: its loss kernels return the gradient with
-respect to the model's pre-softmax output z, which `Mlp.backward` takes
-directly. They skip the simplex checks of the public losses in
-`mslg.losses`; the loop checks finiteness instead (the forward, the soft
-labels of each batch, and every gradient before it is applied).
+The hot path works in logit space: its loss kernels (`cce_logit_loss` and
+`kl_logit_loss` of `mslg.losses`) return the gradient with respect to the
+model's pre-softmax output z, which `Mlp.backward` takes directly. They skip
+the simplex checks of the public losses; the loop checks finiteness instead
+(the forward, the soft labels of each batch, and every gradient before it is
+applied).
 
 Everything is driven by the run seed: batch orders, meta batches, and weight
 init each draw from a stream Rng(seed, role, ...) keyed by the run seed, so
@@ -38,7 +39,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .datasets import LabeledDataset
-from .losses import PROB_FLOOR, cce_loss
+from .losses import cce_logit_loss, cce_loss, kl_logit_loss
 from .model import Mlp, NumericalError, SgdState, sgd_step
 from .rng import Rng
 from .soft_labels import SoftLabelStore
@@ -50,8 +51,6 @@ __all__ = [
     "accuracy",
     "recovery_rate",
     "epoch_order",
-    "cce_logit_loss",
-    "kl_logit_loss",
     "training_loss_grad",
     "meta_gradient_direction",
     "label_gradient_along",
@@ -154,41 +153,6 @@ def recovery_rate(store: SoftLabelStore, ds: LabeledDataset) -> float:
 def epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
     """Training-batch permutation for an epoch; a pure function of (seed, epoch)."""
     return Rng(seed, ROLE_TRAIN, epoch).permutation(n)
-
-
-def cce_logit_loss(probs: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Cross entropy against hard labels, batch mean: (scalar, dL/dz).
-
-    dL/dz = (f - onehot(y)) / b for the pre-softmax output z with softmax f.
-    Labels must already be in range.
-    """
-    b = probs.shape[0]
-    rows = np.arange(b)
-    scalar = float(-np.mean(np.log(np.maximum(probs[rows, y], PROB_FLOOR))))
-    dz = probs.copy()
-    dz[rows, y] -= 1.0
-    dz /= b
-    return scalar, dz
-
-
-def kl_logit_loss(probs: np.ndarray, yhat: np.ndarray,
-                  entropy_weight: float = 0.0) -> tuple[float, np.ndarray]:
-    """KL(f||yhat) plus entropy_weight * entropy(f), batch mean: (scalar, dL/dz).
-
-    With r = log f - log yhat - entropy_weight * log f (logs floored at
-    PROB_FLOOR), scalar = sum(f * r) / b and dL/dz = f * (r - <f, r>) / b,
-    row-wise: the KL part f * (r_kl - <f, r_kl>) / b and the entropy part
-    -f * (log f - <f, log f>) / b in one pass.
-    """
-    logf = np.log(np.maximum(probs, PROB_FLOOR))
-    r = logf - np.log(np.maximum(yhat, PROB_FLOOR))
-    if entropy_weight != 0.0:
-        r -= entropy_weight * logf
-    fr = probs * r
-    b = probs.shape[0]
-    dz = probs * (r - fr.sum(axis=1, keepdims=True))
-    dz /= b
-    return float(fr.sum() / b), dz
 
 
 def training_loss_grad(model: Mlp, cache: dict, yhat) -> np.ndarray:

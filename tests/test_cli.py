@@ -303,6 +303,10 @@ _BAD_VALUES = [
     ("sweep", ("--blobs", "n=x"), "--blobs: bad value for 'n'"),
     ("sweep", ("--noise", "uniform:x"), "bad value for 'noise'"),
     ("sweep", ("--beta", "x"), "bad value for 'beta'"),
+    # choices: parsed by key like every other value, not by argparse
+    ("train", ("--method", "sgd"), "bad value for 'method'"),
+    ("sweep", ("--method", "sgd"), "bad value for 'method'"),
+    ("sweep", ("--axis", "lr"), "bad value for 'axis'"),
 ]
 
 
@@ -372,6 +376,8 @@ def test_bad_config_file_value_names_key_and_line(tmp_path, data_dir, capsys):
     ("empty", "dataset.csv: empty file"),
     ("missing feature", "dataset.csv:4: 5 fields, header has 6"),
     ("non-numeric", "dataset.csv:6: 'f1': could not convert string to float: 'x'"),
+    ("nan feature", "dataset.csv:4: 'f0': not a finite number: 'nan'"),
+    ("inf feature", "dataset.csv:6: 'f1': not a finite number: '-inf'"),
 ])
 def test_train_malformed_dataset_is_config_error(tmp_path, data_dir, capsys, fault, message):
     # file lines 4 and 6 are meta rows; a row short of one feature must not
@@ -384,9 +390,11 @@ def test_train_malformed_dataset_is_config_error(tmp_path, data_dir, capsys, fau
         del cells[2]
         lines[3] = ",".join(cells)
     else:
-        cells = lines[5].split(",")
-        cells[2] = "x"
-        lines[5] = ",".join(cells)
+        row, col, value = {"non-numeric": (5, 2, "x"), "nan feature": (3, 1, "nan"),
+                           "inf feature": (5, 2, "-inf")}[fault]
+        cells = lines[row].split(",")
+        cells[col] = value
+        lines[row] = ",".join(cells)
     bad = tmp_path / "data"
     bad.mkdir()
     (bad / "manifest.json").write_bytes((data_dir / "manifest.json").read_bytes())
@@ -519,6 +527,35 @@ def test_eval_failed_report_write_keeps_previous_report(tmp_path, data_dir, monk
     assert run_cli("eval", "--data", data_dir, "--checkpoint", ckpt, "--out", out) == EXIT_IO
     assert out.read_bytes() == before
     assert [p.name for p in out.parent.iterdir()] == [out.name]
+
+
+def test_eval_checks_the_train_split_the_run_trained_on(tmp_path, capsys):
+    own, other, run = tmp_path / "seed1", tmp_path / "seed2", tmp_path / "run"
+    assert run_cli(*GEN_SMALL, "--seed", "1", "--out", own) == EXIT_OK
+    assert run_cli(*GEN_SMALL, "--seed", "2", "--out", other) == EXIT_OK
+    assert run_cli("train", "--data", own, "--out", run, *TRAIN_FAST) == EXIT_OK
+    recorded = json.loads((run / "manifest.json").read_text())["train_sha256"]
+    assert recorded == load_dataset_csv(own / "dataset.csv")["train"].fingerprint()
+
+    def evaluate(data, ckpt, out):
+        return run_cli("eval", "--data", data, "--checkpoint", ckpt,
+                       "--labels", run / "labels.slbl", "--out", out)
+
+    # other data of the same shapes: refused, naming both digests
+    capsys.readouterr()
+    assert evaluate(other, run / "model.ckpt", tmp_path / "other.json") == EXIT_CONFIG
+    actual = load_dataset_csv(other / "dataset.csv")["train"].fingerprint()
+    err = capsys.readouterr().err
+    assert actual != recorded and actual in err and recorded in err
+    assert not (tmp_path / "other.json").exists()
+    # its own data: the report the checkpoint gets with no manifest beside it
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    (bare / "model.ckpt").write_bytes((run / "model.ckpt").read_bytes())
+    assert evaluate(own, run / "model.ckpt", tmp_path / "checked.json") == EXIT_OK
+    assert evaluate(own, bare / "model.ckpt", tmp_path / "unchecked.json") == EXIT_OK
+    assert ((tmp_path / "checked.json").read_bytes()
+            == (tmp_path / "unchecked.json").read_bytes())
 
 
 def test_eval_dimension_mismatch_is_config_error(tmp_path, data_dir):

@@ -24,6 +24,8 @@ from mslg.datasets import (
     save_dataset_csv,
     split,
 )
+from mslg.losses import PROB_FLOOR, cce_logit_loss
+from mslg.model import Mlp, SgdState, sgd_step
 from mslg.rng import Rng
 
 PROBE = ProbeConfig(hidden_sizes=(16,), epochs=30)
@@ -270,6 +272,29 @@ def test_featdep_flips_lowest_margin_to_runner_up():
     assert margin[flipped].mean() < margin[~flipped].mean()
 
 
+def test_probe_steps_on_exact_logit_space_ce():
+    # features scaled so the untrained probe gives one sample of its first
+    # batch f_y ~ 7e-94, far below PROB_FLOOR: a floored gradient steps off
+    n, seed = 96, 5
+    ds = gen_blobs(n, 3, 2, 6.0, Rng(4))
+    x, y = ds.features * 20.0, ds.true_labels
+    cfg = ProbeConfig(hidden_sizes=(8,), epochs=3)
+    # the probe's streams and constants: init and batch orders keyed by the
+    # seed alone, batch 32, learning rate 0.1, momentum 0.9
+    ref = Mlp((2, 8, 3), Rng(seed, 101))
+    first = Rng(seed, 102).permutation(n)[:32]
+    assert (ref.predict(x[first])[np.arange(32), y[first]] < PROB_FLOOR).any()
+    opt, orders = SgdState(lr=0.1, momentum=0.9), Rng(seed, 102)
+    for _ in range(cfg.epochs):
+        order = orders.permutation(n)
+        for start in range(0, n, 32):
+            idx = order[start:start + 32]
+            probs, cache = ref.forward(x[idx])
+            sgd_step(ref, ref.backward(cache, cce_logit_loss(probs, y[idx])[1]), opt)
+    probe = _fit_probe(x, y, 3, cfg, Rng(seed))
+    assert probe.params.tobytes() == ref.params.tobytes()
+
+
 def test_featdep_refuses_chance_probe():
     # constant features and balanced classes: the probe cannot beat chance
     n, c = 120, 4
@@ -324,6 +349,22 @@ def test_dataset_csv_roundtrip(tmp_path):
         assert np.array_equal(got.true_labels, orig.true_labels)
         assert np.array_equal(got.noisy_labels, orig.noisy_labels)
         assert np.array_equal(got.ids, orig.ids)
+        assert got.fingerprint() == orig.fingerprint()
+
+
+def test_fingerprint_reads_features_and_noisy_labels_only():
+    ds = inject_uniform(gen_blobs(60, 3, 2, 6.0, Rng(34)), 0.3, Rng(35))
+    digest = ds.fingerprint()
+    assert len(digest) == 64
+    # true labels and ids are not what training reads
+    other = LabeledDataset(ds.features, np.zeros(60, np.int64), ds.noisy_labels, 3, ds.ids + 1)
+    assert other.fingerprint() == digest
+    flipped = ds.noisy_labels.copy()
+    flipped[0] = (flipped[0] + 1) % 3
+    assert LabeledDataset(ds.features, ds.true_labels, flipped, 3).fingerprint() != digest
+    moved = ds.features.copy()
+    moved[59, 1] = np.nextafter(moved[59, 1], np.inf)
+    assert LabeledDataset(moved, ds.true_labels, ds.noisy_labels, 3).fingerprint() != digest
 
 
 @settings(max_examples=40, deadline=None)
