@@ -11,7 +11,11 @@ then command-line flags; later wins.
 
 Each value (flag, --blobs/--spirals token or --config line) is parsed once, by
 its key in `_PARSERS`, before a command runs; a bad one is a configuration
-error naming the key. Flags must be spelled in full.
+error naming the key. --blobs/--spirals tokens and --config lines are
+key=value items read by one reader, `_parse_kv`, so an unknown or repeated key
+is an error in either, naming the flag or the file line. Flags must be
+spelled in full. Seeds are non-negative, and no two sweep cells may share a
+directory.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical abort
 (a non-finite loss or gradient; the rolling last_good checkpoint survives).
@@ -110,6 +114,13 @@ def _one_of(*choices: str):
     return parse
 
 
+def _non_negative_int(value: str) -> int:
+    number = int(value)
+    if number < 0:
+        raise ValueError(f"expected a non-negative integer, got {number}")
+    return number
+
+
 def _parse_noise(spec: str) -> tuple[str, float]:
     if spec in ("none", ""):
         return "none", 0.0
@@ -139,13 +150,15 @@ _TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig))
 # type of its default), then gen's --blobs/--spirals keys and flags, then
 # train's and sweep's own
 _PARSERS = {
-    **{f.name: {"lambda_schedule": _parse_schedule, "hidden_sizes": _comma_list(int)}
-       .get(f.name, type(f.default)) for f in dataclasses.fields(TrainConfig)},
+    **{f.name: {"lambda_schedule": _parse_schedule, "hidden_sizes": _comma_list(int),
+                "seed": _non_negative_int}.get(f.name, type(f.default))
+       for f in dataclasses.fields(TrainConfig)},
     "n": int, "c": int, "d": int, "sep": float, "noise_sd": float,
     "noise": _parse_noise, "meta": float, "test": float,
     "probe_hidden": _comma_list(int), "probe_epochs": int,
     "method": _one_of(*_METHODS), "snapshot_every": int,
-    "axis": _one_of(*_SWEEP_AXES), "values": _comma_list(float), "seeds": _comma_list(int),
+    "axis": _one_of(*_SWEEP_AXES), "values": _comma_list(float),
+    "seeds": _comma_list(_non_negative_int),
 }
 
 # the keys --blobs/--spirals accept; `separation` is stored as `sep`
@@ -162,22 +175,24 @@ def _parse_field(key: str, value: str, where: str = ""):
         raise ValueError(f"{where}bad value for {key!r}: {exc}") from None
 
 
-def _parse_kv(tokens: list[str], what: str, keys: tuple[str, ...]) -> dict:
-    """key=value tokens as {key: parsed value}; an alias is stored under its
-    key. A key given twice, directly or through an alias, is an error."""
+def _parse_kv(items, keys: tuple[str, ...]) -> dict:
+    """(where, "key=value") items as {key: parsed value}, with whitespace
+    around key and value dropped; an error names the item's `where`. An
+    alias is stored under its key; a key given twice, directly or through
+    an alias, is an error."""
     out = {}
-    for tok in tokens:
-        if "=" not in tok:
-            raise ValueError(f"{what}: expected key=value, got {tok!r}")
-        key, value = tok.split("=", 1)
+    for where, item in items:
+        if "=" not in item:
+            raise ValueError(f"{where}: expected key=value, got {item!r}")
+        key, value = (part.strip() for part in item.split("=", 1))
         key = key.replace("-", "_")
         if key not in keys:
-            raise ValueError(f"{what}: unknown key {key!r}; accepted: {' '.join(keys)}")
+            raise ValueError(f"{where}: unknown key {key!r}; accepted: {' '.join(keys)}")
         name = _ALIASES.get(key, key)
         if name in out:
             also = f" (as {key!r})" if key != name else ""
-            raise ValueError(f"{what}: key {name!r} given more than once{also}")
-        out[name] = _parse_field(name, value, f"{what}: ")
+            raise ValueError(f"{where}: key {name!r} given more than once{also}")
+        out[name] = _parse_field(name, value, f"{where}: ")
     return out
 
 
@@ -185,7 +200,8 @@ def _parse_values(args: argparse.Namespace) -> None:
     """Parse, in place, each value in `args` that has a parser."""
     for key, value in list(vars(args).items()):
         if value is not None and key in _SOURCE_KEYS:
-            setattr(args, key, _parse_kv(value, f"--{key}", _SOURCE_KEYS[key]))
+            setattr(args, key, _parse_kv(((f"--{key}", token) for token in value),
+                                         _SOURCE_KEYS[key]))
         elif value is not None and key in _PARSERS:
             setattr(args, key, _parse_field(key, value))
 
@@ -256,20 +272,11 @@ def cmd_gen(args) -> int:
 
 
 def _read_config_file(path) -> dict:
-    overrides = {}
+    """Its key=value lines, parsed as --blobs tokens are; `#` starts a comment."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            key = key.replace("-", "_")
-            if key not in _TRAIN_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            overrides[key] = _parse_field(key, value, f"{path}:{lineno}: ")
-    return overrides
+        lines = [(f"{path}:{lineno}", line) for lineno, raw in enumerate(fh, 1)
+                 if (line := raw.split("#", 1)[0].strip())]
+    return _parse_kv(lines, _TRAIN_KEYS)
 
 
 def _resolve_train_config(args) -> TrainConfig:
@@ -461,6 +468,11 @@ def _sweep_cell(args, value: float, seed: int, cell_dir: Path) -> dict:
 def cmd_sweep(args) -> int:
     if not args.values or not args.seeds:
         raise ValueError("--values and --seeds must be non-empty")
+    cells = [f"{args.axis}={value:g}" for value in args.values]
+    if len(set(cells)) < len(cells):
+        raise ValueError(f"--values must give distinct cells, got {' '.join(cells)}")
+    if len(set(args.seeds)) < len(args.seeds):
+        raise ValueError(f"--seeds must be distinct, got {','.join(map(str, args.seeds))}")
     out = _out_dir(args.out)
 
     n_ok = 0
@@ -470,11 +482,11 @@ def cmd_sweep(args) -> int:
             open(out / "summary.csv", "w", **line) as summary:
         runs.write("axis,value,seed,status,test_accuracy,label_recovery_rate\n")
         summary.write("axis,value,n_ok,accuracy_mean,accuracy_sd,recovery_mean,recovery_sd\n")
-        for value in args.values:
+        for value, cell in zip(args.values, cells):
             key = f"{args.axis},{value:g}"
             accs, recs = [], []
             for seed in args.seeds:
-                cell_dir = out / "cells" / f"{args.axis}={value:g}" / f"seed{seed}"
+                cell_dir = out / "cells" / cell / f"seed{seed}"
                 try:
                     report = _sweep_cell(args, value, seed, cell_dir)
                 except (ValueError, OSError, NumericalError) as exc:

@@ -10,16 +10,18 @@ Bernoulli approximation of it. Feature-dependent noise ranks samples by the
 margin of a probe classifier, trained on the same logit-space cross-entropy
 gradient as the trainer's warm-up.
 
-Loading a dataset CSV fails fast, naming `path:line`, on a malformed row, a
-field that is not a number or a feature that is not finite.
+A dataset CSV is read in one pass that converts each field once: ids and
+labels to int64, features to float64. Loading fails fast, naming `path:line`
+and the column, on a malformed row, a field that is not a number, an integer
+outside int64 or a feature that is not finite.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import math
 import struct
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -370,60 +372,64 @@ def save_dataset_csv(path, splits: dict[str, LabeledDataset]) -> None:
 
 
 def load_dataset_csv(path, num_classes: int | None = None) -> dict[str, LabeledDataset]:
-    """Splits keyed by their split column. A malformed row, a field that is
-    not a number and a non-finite feature name `path:line`; a bad label names
-    file and split."""
-    rows_by_tag: dict[str, list] = {}
+    """Splits keyed by their split column, read in one pass: ids and labels
+    as int64, features as finite float64. A malformed row, or a field that
+    is not a number of its column's type, names `path:line: 'column'`; a
+    label outside [0, num_classes) names file and split. `num_classes`
+    defaults to one more than the largest label."""
+    # per split: its rows' line numbers, and their parsed fields in one flat list
+    rows_by_tag: dict[str, tuple[list, list]] = defaultdict(lambda: ([], []))
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        if header[:1] != ["id"] or header[-3:] != ["true_label", "noisy_label", "split"]:
-            raise ValueError(f"{path}: unexpected dataset CSV header {header!r}")
-        width = len(header)
-        for row in reader:
-            if len(row) != width:
-                raise ValueError(f"{path}:{reader.line_num}: {len(row)} fields, "
-                                 f"header has {width}")
-            rows_by_tag.setdefault(row[-1], []).append(row)
-    try:
-        if num_classes is None:
-            num_classes = 1 + max(
-                max(int(r[-3]), int(r[-2]))
-                for rows in rows_by_tag.values() for r in rows
-            )
-        columns = {tag: (np.array([[float(v) for v in r[1:-3]] for r in rows]),
-                         np.array([int(r[-3]) for r in rows]),
-                         np.array([int(r[-2]) for r in rows]),
-                         np.array([int(r[0]) for r in rows]))
-                   for tag, rows in rows_by_tag.items()}
-        if not all(np.isfinite(feats).all() for feats, *_ in columns.values()):
-            raise ValueError("a feature is not finite")
-    except ValueError as exc:
-        raise ValueError(_bad_field(path) or f"{path}: {exc}") from None
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file")
+            if header[:1] != ["id"] or header[-3:] != ["true_label", "noisy_label", "split"]:
+                raise ValueError(f"{path}: unexpected dataset CSV header {header!r}")
+            width = len(header)
+            parsers = (int, *[float] * (width - 4), int, int)
+            for row in reader:
+                if len(row) != width:
+                    raise ValueError(f"{path}:{reader.line_num}: {len(row)} fields, "
+                                     f"header has {width}")
+                lines, values = rows_by_tag[row[-1]]
+                start = len(values)
+                try:
+                    for parse, text in zip(parsers, row):
+                        values.append(parse(text))
+                except ValueError as exc:
+                    column = header[len(values) - start]  # the first field not appended
+                    raise ValueError(f"{path}:{reader.line_num}: {column!r}: "
+                                     f"{exc}") from None
+                lines.append(reader.line_num)
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    step = width - 1
+    arrays = {}
+    for tag, (lines, values) in rows_by_tag.items():
+        columns = [values[j::step] for j in (0, step - 2, step - 1)]  # id, true_label, noisy_label
+        try:
+            ints = np.array(columns, np.int64)
+        except OverflowError:
+            j, i = next((j, i) for j, column in enumerate(columns)
+                        for i, v in enumerate(column) if not -2**63 <= v < 2**63)
+            raise ValueError(f"{path}:{lines[i]}: {header[(0, -3, -2)[j]]!r}: "
+                             f"out of the int64 range") from None
+        feats = np.array(values, np.float64).reshape(len(lines), step)[:, 1:-2]
+        bad = ~np.isfinite(feats)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ValueError(f"{path}:{lines[i]}: {header[1 + j]!r}: "
+                             f"not a finite number: {str(feats[i, j])!r}")
+        arrays[tag] = feats, ints
+    if num_classes is None:
+        num_classes = 1 + max((int(ints[1:].max()) for _, ints in arrays.values()),
+                              default=-1)
     out: dict[str, LabeledDataset] = {}
-    for tag, (feats, true, noisy, ids) in columns.items():
+    for tag, (feats, (ids, true, noisy)) in arrays.items():
         try:
             out[tag] = LabeledDataset(feats, true, noisy, num_classes, ids)
         except ValueError as exc:
             raise ValueError(f"{path}: {tag!r} split: {exc}") from None
     return out
-
-
-def _bad_field(path) -> str | None:
-    """`path:line: column: error` for the first field of `path` that does not
-    parse (features as finite floats, the rest as ints), or None."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        for row in reader:
-            for j, value in enumerate(row[:-1]):
-                try:
-                    if not 0 < j < len(row) - 3:
-                        int(value)
-                    elif not math.isfinite(float(value)):
-                        raise ValueError(f"not a finite number: {value!r}")
-                except ValueError as exc:
-                    return f"{path}:{reader.line_num}: {header[j]!r}: {exc}"
-    return None

@@ -102,6 +102,8 @@ class TrainConfig:
         starts = [e for e, _ in self.lambda_schedule]
         if starts != sorted(starts) or len(set(starts)) != len(starts):
             raise ValueError(f"lambda_schedule epochs must strictly increase: {starts}")
+        if any(lr < 0 for _, lr in self.lambda_schedule):
+            raise ValueError(f"lambda_schedule rates must be >= 0: {self.lambda_schedule}")
         if not (0 <= self.momentum < 1) or self.weight_decay < 0:
             raise ValueError("need momentum in [0,1) and weight_decay >= 0")
         if any(h < 1 for h in self.hidden_sizes):

@@ -278,6 +278,7 @@ _BAD_VALUES = [
     ("gen", ("--meta", "abc"), "bad value for 'meta'"),
     ("gen", ("--test", "abc"), "bad value for 'test'"),
     ("gen", ("--seed", "abc"), "bad value for 'seed'"),
+    ("gen", ("--seed", "-1"), "bad value for 'seed'"),
     ("gen", ("--probe-hidden", "x"), "bad value for 'probe_hidden'"),
     ("gen", ("--probe-epochs", "1.5"), "bad value for 'probe_epochs'"),
     # train: every TrainConfig flag, the run's own flags, and values that
@@ -297,9 +298,12 @@ _BAD_VALUES = [
     ("train", ("--momentum", "inf"), "momentum must be finite"),
     ("train", ("--lambda-schedule", "0:nan"), "lambda_schedule must be finite"),
     ("train", ("--hidden", "0"), "hidden_sizes must all be >= 1"),
+    ("train", ("--seed", "-1"), "bad value for 'seed'"),
+    ("train", ("--lambda-schedule", "0:-0.02"), "lambda_schedule rates must be >= 0"),
     # sweep: its own keys, and gen and train keys it passes to its cells
     ("sweep", ("--values", "1,x"), "bad value for 'values'"),
     ("sweep", ("--seeds", "0,x"), "bad value for 'seeds'"),
+    ("sweep", ("--seeds", "0,-1"), "bad value for 'seeds'"),
     ("sweep", ("--blobs", "n=x"), "--blobs: bad value for 'n'"),
     ("sweep", ("--noise", "uniform:x"), "bad value for 'noise'"),
     ("sweep", ("--beta", "x"), "bad value for 'beta'"),
@@ -372,12 +376,36 @@ def test_bad_config_file_value_names_key_and_line(tmp_path, data_dir, capsys):
     assert f"{cfg_file}:2: bad value for 'alpha'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,message", [
+    pytest.param("beta = 10\nbeta = 20\n", ":2: key 'beta' given more than once",
+                 id="repeated key"),
+    pytest.param("alpha = 0.5\n# seed\nseed = -1\n", ":3: bad value for 'seed'",
+                 id="negative seed"),
+    pytest.param("momentum 0.5\n", ":1: expected key=value, got 'momentum 0.5'",
+                 id="no equals sign"),
+    pytest.param("k = 2\n", ":1: unknown key 'k'", id="unknown key"),
+])
+def test_bad_config_file_line_is_config_error_naming_line(tmp_path, data_dir, capsys,
+                                                          text, message):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(text)
+    out = tmp_path / "run"
+    assert run_cli("train", "--data", data_dir, "--out", out,
+                   *TRAIN_FAST, "--config", cfg_file) == EXIT_CONFIG
+    assert f"{cfg_file}{message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fault,message", [
     ("empty", "dataset.csv: empty file"),
     ("missing feature", "dataset.csv:4: 5 fields, header has 6"),
     ("non-numeric", "dataset.csv:6: 'f1': could not convert string to float: 'x'"),
     ("nan feature", "dataset.csv:4: 'f0': not a finite number: 'nan'"),
     ("inf feature", "dataset.csv:6: 'f1': not a finite number: '-inf'"),
+    ("401-digit id", "dataset.csv:4: 'id': out of the int64 range"),
+    ("id 2**63", "dataset.csv:6: 'id': out of the int64 range"),
+    ("noisy label 2**63+1", "dataset.csv:4: 'noisy_label': out of the int64 range"),
+    ("oversized field", "dataset.csv:6: field larger than field limit"),
 ])
 def test_train_malformed_dataset_is_config_error(tmp_path, data_dir, capsys, fault, message):
     # file lines 4 and 6 are meta rows; a row short of one feature must not
@@ -391,7 +419,11 @@ def test_train_malformed_dataset_is_config_error(tmp_path, data_dir, capsys, fau
         lines[3] = ",".join(cells)
     else:
         row, col, value = {"non-numeric": (5, 2, "x"), "nan feature": (3, 1, "nan"),
-                           "inf feature": (5, 2, "-inf")}[fault]
+                           "inf feature": (5, 2, "-inf"),
+                           "401-digit id": (3, 0, str(10**400)),
+                           "id 2**63": (5, 0, str(2**63)),
+                           "noisy label 2**63+1": (3, -2, str(2**63 + 1)),
+                           "oversized field": (5, 1, "1" * 200_000)}[fault]
         cells = lines[row].split(",")
         cells[col] = value
         lines[row] = ",".join(cells)
@@ -637,6 +669,19 @@ def test_sweep_records_failures_and_continues(tmp_path):
     statuses = [row.split(",")[3] for row in rows]
     assert statuses[0] == "ok"
     assert statuses[1].startswith("error")
+
+
+@pytest.mark.parametrize("values,seeds,message", [
+    ("10,10.000001", "1", "--values must give distinct cells, got beta=10 beta=10"),
+    ("10,20", "1,2,1", "--seeds must be distinct, got 1,2,1"),
+])
+def test_sweep_cells_sharing_a_directory_are_config_error(tmp_path, capsys,
+                                                          values, seeds, message):
+    out = tmp_path / "sw"
+    assert run_cli("sweep", "--axis", "beta", "--values", values, "--seeds", seeds,
+                   "--blobs", "n=150", *TRAIN_FAST, "--out", out) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_bad_axis_is_config_error(tmp_path):

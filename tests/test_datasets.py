@@ -1,5 +1,6 @@
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -390,6 +391,36 @@ def test_dataset_csv_roundtrip_bitwise_property(data, d, c, tags):
         got = loaded[tag]
         for name in ("features", "true_labels", "noisy_labels", "ids"):
             assert getattr(got, name).tobytes() == getattr(orig, name).tobytes(), name
+
+
+# any text, an integer of any size, or a float that is not finite
+_FIELD_TEXT = st.one_of(
+    st.text(),
+    st.integers(-10**450, 10**450).map(str),
+    st.sampled_from(["nan", "-inf", "Infinity", "1e400", str(2**63), str(-2**63 - 1)]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), text=_FIELD_TEXT, num_classes=st.sampled_from([None, 3]))
+def test_dataset_csv_with_one_field_replaced_loads_or_names_the_file(data, text, num_classes):
+    ds = gen_blobs(9, 3, 2, 6.0, Rng(36))
+    train, meta, test = split(ds, 0.2, 0.3, Rng(37))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dataset.csv"
+        save_dataset_csv(path, {"train": train, "meta": meta, "test": test})
+        lines = path.read_text(encoding="utf-8").splitlines()
+        row = data.draw(st.integers(0, len(lines) - 1))
+        cells = lines[row].split(",")
+        cells[data.draw(st.integers(0, len(cells) - 1))] = text
+        lines[row] = ",".join(cells)
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                load_dataset_csv(path, num_classes)
+            except ValueError as exc:
+                assert str(exc).startswith(str(path)), exc
 
 
 def test_dataset_csv_rerun_identical_bytes(tmp_path):

@@ -615,6 +615,9 @@ def test_config_validation():
         TrainConfig(lambda_schedule=()).validate()
     with pytest.raises(ValueError):
         TrainConfig(lambda_schedule=((10, 0.1), (5, 0.01))).validate()
+    with pytest.raises(ValueError, match="rates must be >= 0"):
+        TrainConfig(lambda_schedule=((0, 0.1), (5, -0.02))).validate()
+    TrainConfig(lambda_schedule=((0, 0.0),)).validate()  # a zero rate stays legal
     TrainConfig(warmup_epochs=5, total_epochs=5).validate()  # CE baseline
 
 
