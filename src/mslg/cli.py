@@ -15,7 +15,9 @@ error naming the key. --blobs/--spirals tokens and --config lines are
 key=value items read by one reader, `_parse_kv`, so an unknown or repeated key
 is an error in either, naming the flag or the file line. Flags must be
 spelled in full. Seeds are non-negative, and no two sweep cells may share a
-directory.
+directory. `gen` generates its data, and `sweep` resolves every cell's
+training configuration, before creating --out. A manifest.json must hold a
+JSON object.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical abort
 (a non-finite loss or gradient; the rolling last_good checkpoint survives).
@@ -258,8 +260,8 @@ def _generate_dataset(args) -> tuple[dict[str, LabeledDataset], dict]:
 
 
 def cmd_gen(args) -> int:
-    out = _out_dir(args.out)
     splits, manifest = _generate_dataset(args)
+    out = _out_dir(args.out)
     save_dataset_csv(out / "dataset.csv", splits)
     _write_json(out / "manifest.json", manifest)
     print(f"wrote {out / 'dataset.csv'} "
@@ -291,14 +293,25 @@ def _resolve_train_config(args) -> TrainConfig:
     return cfg
 
 
+def _read_manifest(path: Path) -> dict:
+    """A manifest.json's JSON object; anything else is an error naming `path`."""
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"{path}: not a JSON manifest: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(manifest).__name__}")
+    return manifest
+
+
 def _load_splits(data_dir: Path) -> tuple[dict[str, LabeledDataset], dict]:
     manifest_path = data_dir / "manifest.json"
-    data_manifest = {}
-    num_classes = None
-    if manifest_path.exists():
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            data_manifest = json.load(fh)
-        num_classes = data_manifest.get("num_classes")
+    data_manifest = _read_manifest(manifest_path) if manifest_path.exists() else {}
+    # absent or null: inferred from the labels
+    num_classes = data_manifest.get("num_classes")
+    if num_classes is not None and (type(num_classes) is not int or num_classes < 1):
+        raise ValueError(f"{manifest_path}: num_classes must be an integer >= 1, "
+                         f"got {num_classes!r}")
     splits = load_dataset_csv(data_dir / "dataset.csv", num_classes)
     for tag in ("train", "meta", "test"):
         if tag not in splits:
@@ -416,7 +429,7 @@ def _check_trained_on(train_ds: LabeledDataset, data_dir: Path, checkpoint: Path
     manifest = checkpoint.parent / "manifest.json"
     if not manifest.is_file():
         return
-    recorded = json.loads(manifest.read_text(encoding="utf-8")).get("train_sha256")
+    recorded = _read_manifest(manifest).get("train_sha256")
     actual = train_ds.fingerprint()
     if recorded is not None and recorded != actual:
         raise ValueError(f"{data_dir}: train split sha256 {actual} differs from "
@@ -443,20 +456,21 @@ def cmd_eval(args) -> int:
 # -- sweeps ------------------------------------------------------------------------
 
 
-def _sweep_cell(args, value: float, seed: int, cell_dir: Path) -> dict:
-    """gen, train and eval of one cell, with the sweep's own flags but for the
-    seed and the swept value."""
+def _cell_args(args, value: float, seed: int) -> argparse.Namespace:
+    """The sweep's own flags, but for one cell's seed and swept value."""
     cell = argparse.Namespace(**vars(args))
     cell.seed, cell.snapshot_every = seed, 0
     if args.axis == "meta_fraction":
         cell.meta = value
     elif args.axis == "noise_ratio":
-        kind, _ = args.noise
-        if kind == "none":
-            raise ValueError("noise_ratio sweep needs --noise kind:ratio")
-        cell.noise = (kind, value)
+        cell.noise = (args.noise[0], value)
     else:
         cell.beta = value
+    return cell
+
+
+def _sweep_cell(cell: argparse.Namespace, cell_dir: Path) -> dict:
+    """gen, train and eval of one cell."""
     cell.out = cell.data = str(cell_dir / "data")
     cmd_gen(cell)
     cell.out = str(cell_dir / "run")
@@ -473,6 +487,12 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--values must give distinct cells, got {' '.join(cells)}")
     if len(set(args.seeds)) < len(args.seeds):
         raise ValueError(f"--seeds must be distinct, got {','.join(map(str, args.seeds))}")
+    if args.axis == "noise_ratio" and args.noise[0] == "none":
+        raise ValueError("noise_ratio sweep needs --noise kind:ratio")
+    # every cell's training configuration, checked before anything is written
+    for value in args.values:
+        for seed in args.seeds:
+            _resolve_train_config(_cell_args(args, value, seed))
     out = _out_dir(args.out)
 
     n_ok = 0
@@ -488,7 +508,7 @@ def cmd_sweep(args) -> int:
             for seed in args.seeds:
                 cell_dir = out / "cells" / cell / f"seed{seed}"
                 try:
-                    report = _sweep_cell(args, value, seed, cell_dir)
+                    report = _sweep_cell(_cell_args(args, value, seed), cell_dir)
                 except (ValueError, OSError, NumericalError) as exc:
                     status = f"error: {exc}".replace(",", ";")
                     runs.write(f"{key},{seed},{status},,\n")

@@ -13,7 +13,8 @@ gradient as the trainer's warm-up.
 A dataset CSV is read in one pass that converts each field once: ids and
 labels to int64, features to float64. Loading fails fast, naming `path:line`
 and the column, on a malformed row, a field that is not a number, an integer
-outside int64 or a feature that is not finite.
+outside int64 or a feature that is not finite, and naming `path:line` on a
+byte that is not UTF-8.
 """
 
 from __future__ import annotations
@@ -371,6 +372,19 @@ def save_dataset_csv(path, splits: dict[str, LabeledDataset]) -> None:
                          f"{int(ds.noisy_labels[i])},{tag}\n")
 
 
+def _first_non_utf8(path) -> str:
+    """`path:line: byte 0x..` for the first byte of `path` that is not UTF-8,
+    with lines counted as the CSV reader counts them."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        for lineno, line in enumerate(fh, 1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:  # an escaped byte
+                byte = ord(line[exc.start]) - 0xDC00
+                return f"{path}:{lineno}: byte 0x{byte:02x} is not UTF-8"
+    return f"{path}: not UTF-8"
+
+
 def load_dataset_csv(path, num_classes: int | None = None) -> dict[str, LabeledDataset]:
     """Splits keyed by their split column, read in one pass: ids and labels
     as int64, features as finite float64. A malformed row, or a field that
@@ -405,6 +419,10 @@ def load_dataset_csv(path, num_classes: int | None = None) -> dict[str, LabeledD
                 lines.append(reader.line_num)
         except csv.Error as exc:  # such as a field over csv.field_size_limit()
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            # the text layer decodes ahead of the reader, so line_num may be
+            # short of the line that holds the byte
+            raise ValueError(_first_non_utf8(path)) from None
     step = width - 1
     arrays = {}
     for tag, (lines, values) in rows_by_tag.items():

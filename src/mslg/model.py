@@ -213,13 +213,18 @@ class Mlp:
             raise CheckpointError(f"{path}: truncated checkpoint header")
         sizes = struct.unpack_from(f"<{n_sizes}I", blob, off)
         off += 4 * n_sizes
-        model = cls(sizes)
-        expected = model.num_params * 8
+        if n_sizes < 2 or 0 in sizes:
+            raise CheckpointError(f"{path}: layer sizes must be >= 2 positive ints, "
+                                  f"got {sizes}")
+        # checked before the model is built, so a corrupt header cannot
+        # allocate more than the file holds
+        expected = 8 * sum((n_in + 1) * n_out for n_in, n_out in zip(sizes, sizes[1:]))
         payload = blob[off:]
         if len(payload) != expected:
             raise CheckpointError(
                 f"{path}: expected {expected} parameter bytes, found {len(payload)}"
             )
+        model = cls(sizes)
         model.set_flat(np.frombuffer(payload, dtype="<f8"))
         return model
 

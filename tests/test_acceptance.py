@@ -6,7 +6,6 @@ criteria share their training runs through module-scoped fixtures, so the
 whole suite stays within a couple of minutes.
 """
 
-import struct
 import time
 
 import numpy as np
@@ -30,23 +29,23 @@ from mslg.losses import (
     kl_loss_v1,
     kl_loss_v2,
 )
-from mslg.model import Mlp, SgdState, sgd_step
+from mslg.model import Mlp
 from mslg.presets import resolve_preset
 from mslg.rng import Rng
-from mslg.soft_labels import SoftLabelStore
 from mslg.trainer import (
     TrainConfig,
     accuracy,
-    epoch_order,
     kl_logit_loss,
-    label_gradient_along,
-    meta_gradient_direction,
     metrics_csv_header,
     metrics_csv_row,
     recovery_rate,
     train,
-    training_loss_grad,
 )
+
+from helpers import (brute_force_logit_grad, fd_grad_presoftmax, fd_param_grad,
+                     frozen_soft_ce_run, grad_errors, grads_close, idx_images_bytes,
+                     idx_labels_bytes, kink_free_batch, label_logit_grad,
+                     tiny_bilevel_instance)
 
 SEEDS = (0, 1, 2)
 
@@ -60,9 +59,9 @@ def _report(num, description, ok, detail=""):
 # -- shared desk-scale runs -----------------------------------------------------------
 
 
-def _desk_data(seed, noise):
+def _desk_data(seed, noise, meta_fraction=0.02):
     ds = gen_blobs(2000, 4, 2, 6.0, Rng(seed))
-    tr, me, te = split(ds, 0.02, 0.25, Rng(seed * 7919 + 1))
+    tr, me, te = split(ds, meta_fraction, 0.25, Rng(seed * 7919 + 1))
     tr = inject_feature_dependent(
         tr, noise, ProbeConfig(hidden_sizes=(16,), epochs=30),
         Rng(seed * 104729 + 2))
@@ -107,11 +106,7 @@ def meta_sweep(desk_runs):
     for frac in (0.002, 0.005, 0.01, 0.05):
         accs = []
         for seed in SEEDS:
-            ds = gen_blobs(2000, 4, 2, 6.0, Rng(seed))
-            tr, me, te = split(ds, frac, 0.25, Rng(seed * 7919 + 1))
-            tr = inject_feature_dependent(
-                tr, 0.4, ProbeConfig(hidden_sizes=(16,), epochs=30),
-                Rng(seed * 104729 + 2))
+            tr, me, te = _desk_data(seed, 0.4, frac)
             model, _, _ = train(tr, me, _desk_cfg(seed), te)
             accs.append(accuracy(model, te))
         means[frac] = float(np.mean(accs))
@@ -126,38 +121,12 @@ def test_criterion_1_bilevel_oracle():
     t0 = time.perf_counter()
     worst = 0.0
     for seed in range(20):
-        model = Mlp((2, 4, 2), Rng(seed, 0))
-        x = Rng(seed, 1).normal(size=(4, 2))
-        noisy = Rng(seed, 2).integers(0, 2, size=4)
-        store = SoftLabelStore.init_from_noisy(noisy, 2, k=10.0)
-        store.logits += Rng(seed, 3).normal(size=store.logits.shape)
-        meta_x = Rng(seed, 4).normal(size=(4, 2))
-        meta_y = Rng(seed, 5).integers(0, 2, size=4)
+        model, x, store, meta_x, meta_y = tiny_bilevel_instance(seed)
         yhat = store.soft_labels(np.arange(4))
-
-        cache = model.forward(x)[1]
-        g_meta, _ = meta_gradient_direction(model, cache, yhat, meta_x, meta_y,
-                                            cfg.alpha)
-        analytic = label_gradient_along(model, cache, g_meta, cfg.alpha)
-
-        def meta_loss_for(logits):
-            yh = softmax(logits)
-            g = training_loss_grad(model, model.forward(x)[1], yh)
-            return cce_loss(model.perturbed(g, -cfg.alpha).predict(meta_x),
-                            meta_y).scalar
-
-        oracle = np.zeros_like(store.logits)
-        h = 1e-4
-        for i in range(4):
-            for j in range(2):
-                p = store.logits.copy()
-                p[i, j] += h
-                m = store.logits.copy()
-                m[i, j] -= h
-                oracle[i, j] = (meta_loss_for(p) - meta_loss_for(m)) / (2 * h)
-
-        err = np.abs(analytic - oracle)
-        tol = np.maximum(1e-3 * np.abs(oracle), 1e-8)
+        analytic = label_logit_grad(model, x, yhat, meta_x, meta_y, cfg.alpha)
+        oracle = brute_force_logit_grad(model, x, store.logits, meta_x, meta_y,
+                                        cfg.alpha)
+        err, tol = grad_errors(analytic, oracle, rel=1e-3)
         worst = max(worst, float((err / tol).max()))
         if not np.all(err <= tol):
             _report(1, "bilevel oracle within 1e-3 on 20 tiny instances", False,
@@ -171,22 +140,6 @@ def test_criterion_1_bilevel_oracle():
 # -- criterion 2: analytic-gradient suite -------------------------------------------------
 
 
-def _fd_presoftmax(scalar_fn, z, h=1e-6):
-    out = np.zeros_like(z)
-    for i in range(z.shape[0]):
-        for j in range(z.shape[1]):
-            p = z.copy()
-            p[i, j] += h
-            m = z.copy()
-            m[i, j] -= h
-            out[i, j] = (scalar_fn(softmax(p)) - scalar_fn(softmax(m))) / (2 * h)
-    return out
-
-
-def _within(analytic, fd, rel=1e-4, floor=1e-8):
-    return bool(np.all(np.abs(analytic - fd) <= np.maximum(rel * np.abs(fd), floor)))
-
-
 def test_criterion_2_analytic_gradient_suite():
     seed = 2024
     checks = {"kl_v1": 0, "kl_v2": 0, "cce": 0, "entropy": 0, "backprop": 0}
@@ -198,53 +151,26 @@ def test_criterion_2_analytic_gradient_suite():
         yhat = softmax(Rng(seed, 2, case).normal(size=(b, c)) * 2)
         y = Rng(seed, 3, case).integers(0, c, size=b)
 
-        lv = kl_loss_v1(f, yhat)
-        ok = _within(softmax_backward(f, lv.grad_wrt_predictions),
-                     _fd_presoftmax(lambda p: kl_loss_v1(p, yhat).scalar, z))
-        checks["kl_v1"] += ok
-
-        lv = kl_loss_v2(f, yhat)
-        ok = _within(softmax_backward(f, lv.grad_wrt_predictions),
-                     _fd_presoftmax(lambda p: kl_loss_v2(p, yhat).scalar, z))
-        checks["kl_v2"] += ok
-
-        lv = cce_loss(f, y)
-        ok = _within(softmax_backward(f, lv.grad_wrt_predictions),
-                     _fd_presoftmax(lambda p: cce_loss(p, y).scalar, z))
-        checks["cce"] += ok
-
-        lv = entropy_loss(f)
-        ok = _within(softmax_backward(f, lv.grad_wrt_predictions),
-                     _fd_presoftmax(lambda p: entropy_loss(p).scalar, z))
-        checks["entropy"] += ok
+        losses = {"kl_v1": lambda p: kl_loss_v1(p, yhat),
+                  "kl_v2": lambda p: kl_loss_v2(p, yhat),
+                  "cce": lambda p: cce_loss(p, y), "entropy": entropy_loss}
+        for name, loss in losses.items():
+            checks[name] += grads_close(
+                softmax_backward(f, loss(f).grad_wrt_predictions),
+                fd_grad_presoftmax(lambda p: loss(p).scalar, z))
 
     for case in range(100):
         model = Mlp((2, 4, 3), Rng(5000 + case, 0))
-        for attempt in range(50):
-            x = Rng(6000 + case, attempt).normal(size=(3, 2))
-            _, cache = model.forward(x)
-            if min(np.abs(zz).min() for zz in cache["pre"][:-1]) > 1e-3:
-                break
+        x = kink_free_batch(model, (6000 + case,), (3, 2))
         yhat = softmax(Rng(7000 + case).normal(size=(3, 3)))
         # the committed step's gradient: the trainer's logit-space kernel
         # through backprop, against differences of the public objective
         probs, cache = model.forward(x)
         analytic = model.backward(cache, kl_logit_loss(probs, yhat, 0.5)[1])
 
-        flat = model.params.copy()
-        fd = np.zeros_like(flat)
-        h = 1e-5
-        for k in range(flat.size):
-            p = flat.copy()
-            p[k] += h
-            model.set_flat(p)
-            up = classification_objective(model.predict(x), yhat, 0.5).scalar
-            p[k] -= 2 * h
-            model.set_flat(p)
-            down = classification_objective(model.predict(x), yhat, 0.5).scalar
-            fd[k] = (up - down) / (2 * h)
-        model.set_flat(flat)
-        checks["backprop"] += _within(analytic, fd)
+        fd = fd_param_grad(model, x,
+                           lambda p: classification_objective(p, yhat, 0.5).scalar)
+        checks["backprop"] += grads_close(analytic, fd)
 
     ok = all(v == 100 for v in checks.values())
     _report(2, "all loss gradients and backprop match FD (100 cases each)",
@@ -284,32 +210,10 @@ def test_criterion_3b_beta_zero_is_frozen_soft_ce():
     cfg.entropy_weight = 0.0
     model_a, store_a, hist_a = train(tr, me, cfg, te)
 
-    model_b = Mlp((tr.dim, *cfg.hidden_sizes, tr.num_classes), Rng(cfg.seed, 0))
-    store_b = SoftLabelStore.init_from_noisy(tr.noisy_labels, tr.num_classes,
-                                             cfg.k_init)
-    frozen = store_b.soft_labels()
-    opt = SgdState(lr=cfg.lr_at(0), momentum=cfg.momentum,
-                   weight_decay=cfg.weight_decay)
-    worst = 0.0
-    for epoch in range(cfg.total_epochs):
-        opt.lr = cfg.lr_at(epoch)
-        order = epoch_order(cfg.seed, epoch, tr.n)
-        loss_sum = 0.0
-        for start in range(0, tr.n, cfg.batch_size):
-            ids = order[start:start + cfg.batch_size]
-            probs, cache = model_b.forward(tr.features[ids])
-            loss, dz = kl_logit_loss(probs, frozen[ids])
-            sgd_step(model_b, model_b.backward(cache, dz), opt)
-            loss_sum += loss * ids.size
-        m = hist_a[epoch]
-        worst = max(
-            worst,
-            abs(m.train_loss - loss_sum / tr.n),
-            abs(m.meta_loss - cce_loss(model_b.predict(me.features),
-                                       me.noisy_labels).scalar),
-            abs(m.test_accuracy - accuracy(model_b, te)),
-            abs(m.label_recovery_rate - recovery_rate(store_b, tr)),
-        )
+    model_b, store_b, hist_b = frozen_soft_ce_run(tr, me, te, cfg)
+    worst = max(max(abs(m.train_loss - tl), abs(m.meta_loss - ml),
+                    abs(m.test_accuracy - ta), abs(m.label_recovery_rate - rec))
+                for m, (tl, ml, ta, rec) in zip(hist_a, hist_b))
     labels_frozen = np.array_equal(store_a.logits, store_b.logits)
     params_equal = np.array_equal(model_a.params, model_b.params)
     _report("3b", "beta=0, entropy=0 stage two equals frozen-soft-CE to 1e-12",
@@ -426,9 +330,8 @@ def test_criterion_8_gradient_growth_at_wrong_peak():
 
 
 def test_criterion_9_idx_fixtures(tmp_path):
-    imgs = struct.pack(">IIII", 0x00000803, 2, 2, 2) + bytes(
-        [0, 51, 102, 153, 204, 255, 10, 20])
-    lbls = struct.pack(">II", 0x00000801, 2) + bytes([1, 0])
+    imgs = idx_images_bytes([[[0, 51], [102, 153]], [[204, 255], [10, 20]]])
+    lbls = idx_labels_bytes([1, 0])
     ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
 
     ip.write_bytes(imgs)
@@ -439,14 +342,14 @@ def test_criterion_9_idx_fixtures(tmp_path):
                                    [[0, 51, 102, 153], [204, 255, 10, 20]])
                 and ds.true_labels.tolist() == [1, 0])
 
-    lp.write_bytes(struct.pack(">II", 0x00000803, 2) + bytes([1, 0]))
+    lp.write_bytes(idx_labels_bytes([1, 0], magic=0x00000803))
     try:
         load_idx_images(ip, lp)
         magic_ok = False
     except IdxBadMagicError:
         magic_ok = True
 
-    lp.write_bytes(struct.pack(">II", 0x00000801, 3) + bytes([1, 0, 1]))
+    lp.write_bytes(idx_labels_bytes([1, 0, 1]))
     try:
         load_idx_images(ip, lp)
         count_ok = False

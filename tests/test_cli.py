@@ -6,9 +6,8 @@ import pytest
 
 import mslg.cli
 from mslg.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, build_parser, main
-from mslg.datasets import gen_blobs, load_dataset_csv, split
+from mslg.datasets import load_dataset_csv, split
 from mslg.model import Mlp
-from mslg.rng import Rng
 from mslg.soft_labels import SoftLabelStore
 from mslg.trainer import TrainConfig
 
@@ -63,7 +62,9 @@ def test_gen_rerun_byte_identical(tmp_path):
 
 
 def test_gen_requires_source(tmp_path):
-    assert run_cli("gen", "--out", tmp_path / "x") == EXIT_CONFIG
+    out = tmp_path / "x"
+    assert run_cli("gen", "--out", out) == EXIT_CONFIG
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag,token,accepted", [
@@ -281,6 +282,11 @@ _BAD_VALUES = [
     ("gen", ("--seed", "-1"), "bad value for 'seed'"),
     ("gen", ("--probe-hidden", "x"), "bad value for 'probe_hidden'"),
     ("gen", ("--probe-epochs", "1.5"), "bad value for 'probe_epochs'"),
+    # values that parse but that generation rejects, before --out exists
+    ("gen", ("--blobs", "n=100", "c=2", "d=2", "--noise", "uniform:1.5"),
+     "noise ratio must be in [0, 1), got 1.5"),
+    ("gen", ("--blobs", "n=100", "--meta", "0.5", "--test", "0.5"),
+     "invalid fractions meta=0.5, test=0.5"),
     # train: every TrainConfig flag, the run's own flags, and values that
     # parse but fail validation
     *[("train", (flag, "abc"), f"bad value for '{key}'")
@@ -307,6 +313,12 @@ _BAD_VALUES = [
     ("sweep", ("--blobs", "n=x"), "--blobs: bad value for 'n'"),
     ("sweep", ("--noise", "uniform:x"), "bad value for 'noise'"),
     ("sweep", ("--beta", "x"), "bad value for 'beta'"),
+    # every cell's training config is resolved, swept beta included, before
+    # --out exists
+    ("sweep", ("--lambda-schedule", "0:-0.02"), "lambda_schedule rates must be >= 0"),
+    ("sweep", ("--values", "-1"), "need alpha > 0 and beta >= 0, got 0.5, -1.0"),
+    ("sweep", ("--axis", "noise_ratio", "--noise", "none"),
+     "noise_ratio sweep needs --noise kind:ratio"),
     # choices: parsed by key like every other value, not by argparse
     ("train", ("--method", "sgd"), "bad value for 'method'"),
     ("sweep", ("--method", "sgd"), "bad value for 'method'"),
@@ -406,6 +418,7 @@ def test_bad_config_file_line_is_config_error_naming_line(tmp_path, data_dir, ca
     ("id 2**63", "dataset.csv:6: 'id': out of the int64 range"),
     ("noisy label 2**63+1", "dataset.csv:4: 'noisy_label': out of the int64 range"),
     ("oversized field", "dataset.csv:6: field larger than field limit"),
+    ("non-UTF-8 byte", "dataset.csv:6: byte 0xff is not UTF-8"),
 ])
 def test_train_malformed_dataset_is_config_error(tmp_path, data_dir, capsys, fault, message):
     # file lines 4 and 6 are meta rows; a row short of one feature must not
@@ -423,17 +436,52 @@ def test_train_malformed_dataset_is_config_error(tmp_path, data_dir, capsys, fau
                            "401-digit id": (3, 0, str(10**400)),
                            "id 2**63": (5, 0, str(2**63)),
                            "noisy label 2**63+1": (3, -2, str(2**63 + 1)),
-                           "oversized field": (5, 1, "1" * 200_000)}[fault]
+                           "oversized field": (5, 1, "1" * 200_000),
+                           # written below as the raw byte 0xff
+                           "non-UTF-8 byte": (5, 1, "0.5\udcff")}[fault]
         cells = lines[row].split(",")
         cells[col] = value
         lines[row] = ",".join(cells)
     bad = tmp_path / "data"
     bad.mkdir()
     (bad / "manifest.json").write_bytes((data_dir / "manifest.json").read_bytes())
-    (bad / "dataset.csv").write_text("".join(line + "\n" for line in lines))
+    (bad / "dataset.csv").write_bytes(
+        "".join(line + "\n" for line in lines).encode("utf-8", "surrogateescape"))
     out = tmp_path / "run"
     assert run_cli("train", "--data", bad, "--out", out, *TRAIN_FAST) == EXIT_CONFIG
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,manifest,text,message", [
+    *[pytest.param("train", "data", f'{{"num_classes": {value}}}',
+                   f"num_classes must be an integer >= 1, got {shown}",
+                   id=f"num_classes {value}")
+      for value, shown in [('"3"', "'3'"), ("[3]", "[3]"), ("1e400", "inf"),
+                           ("3.5", "3.5"), ("true", "True"), ("0", "0")]],
+    *[pytest.param(command, manifest, text, message, id=f"{command} {manifest} {text}")
+      for command, manifest, text, message in [
+          ("train", "data", "[]", "expected a JSON object, got list"),
+          ("eval", "data", "[]", "expected a JSON object, got list"),
+          ("eval", "run", "[]", "expected a JSON object, got list"),
+          ("train", "data", '{"num_classes": 3', "not a JSON manifest"),
+          ("eval", "run", '{"train_sha256": ', "not a JSON manifest")]],
+])
+def test_bad_manifest_is_config_error_naming_it(tmp_path, data_dir, capsys,
+                                                command, manifest, text, message):
+    data, run, out = tmp_path / "data", tmp_path / "run", tmp_path / "out"
+    data.mkdir()
+    run.mkdir()
+    for name in ("dataset.csv", "manifest.json"):
+        (data / name).write_bytes((data_dir / name).read_bytes())
+    Mlp((2, 3)).save(run / "model.ckpt")
+    bad = (data if manifest == "data" else run) / "manifest.json"
+    bad.write_text(text)
+    argv = (("train", "--data", data, "--out", out, *TRAIN_FAST) if command == "train"
+            else ("eval", "--data", data, "--checkpoint", run / "model.ckpt",
+                  "--out", out / "report.json"))
+    assert run_cli(*argv) == EXIT_CONFIG
+    assert f"{bad}: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,4 +1,3 @@
-import struct
 import tempfile
 import warnings
 from pathlib import Path
@@ -28,6 +27,8 @@ from mslg.datasets import (
 from mslg.losses import PROB_FLOOR, cce_logit_loss
 from mslg.model import Mlp, SgdState, sgd_step
 from mslg.rng import Rng
+
+from helpers import idx_images_bytes, idx_labels_bytes
 
 PROBE = ProbeConfig(hidden_sizes=(16,), epochs=30)
 
@@ -91,29 +92,14 @@ def test_spirals_learnable_by_default_mlp():
 # -- IDX reader -------------------------------------------------------------------
 
 
-def _idx_images_bytes(images):
-    n = len(images)
-    rows = len(images[0])
-    cols = len(images[0][0])
-    blob = struct.pack(">IIII", 0x00000803, n, rows, cols)
-    for img in images:
-        for row in img:
-            blob += bytes(row)
-    return blob
-
-
-def _idx_labels_bytes(labels, magic=0x00000801):
-    return struct.pack(">II", magic, len(labels)) + bytes(labels)
-
-
 def test_idx_valid_pair_exact_features(tmp_path):
     # two 2x2 images, byte values chosen by hand
     images = [[[0, 51], [102, 153]], [[204, 255], [10, 20]]]
     labels = [1, 0]
     ip = tmp_path / "imgs.idx"
     lp = tmp_path / "lbls.idx"
-    ip.write_bytes(_idx_images_bytes(images))
-    lp.write_bytes(_idx_labels_bytes(labels))
+    ip.write_bytes(idx_images_bytes(images))
+    lp.write_bytes(idx_labels_bytes(labels))
     ds = load_idx_images(ip, lp)
     expect = np.array([[0, 51, 102, 153], [204, 255, 10, 20]]) / 255.0
     assert ds.features.shape == (2, 4)
@@ -126,9 +112,9 @@ def test_idx_valid_pair_exact_features(tmp_path):
 def test_idx_bad_magic_on_labels(tmp_path):
     ip = tmp_path / "imgs.idx"
     lp = tmp_path / "lbls.idx"
-    ip.write_bytes(_idx_images_bytes([[[0, 0], [0, 0]]]))
+    ip.write_bytes(idx_images_bytes([[[0, 0], [0, 0]]]))
     # labels file carrying the *images* magic
-    lp.write_bytes(_idx_labels_bytes([1], magic=0x00000803))
+    lp.write_bytes(idx_labels_bytes([1], magic=0x00000803))
     with pytest.raises(IdxBadMagicError, match="0x00000803"):
         load_idx_images(ip, lp)
 
@@ -136,8 +122,8 @@ def test_idx_bad_magic_on_labels(tmp_path):
 def test_idx_count_mismatch(tmp_path):
     ip = tmp_path / "imgs.idx"
     lp = tmp_path / "lbls.idx"
-    ip.write_bytes(_idx_images_bytes([[[0, 0], [0, 0]]] * 3))
-    lp.write_bytes(_idx_labels_bytes([0, 1]))
+    ip.write_bytes(idx_images_bytes([[[0, 0], [0, 0]]] * 3))
+    lp.write_bytes(idx_labels_bytes([0, 1]))
     with pytest.raises(IdxCountMismatchError, match="3 images but .* 2 labels"):
         load_idx_images(ip, lp)
 
@@ -145,9 +131,9 @@ def test_idx_count_mismatch(tmp_path):
 def test_idx_truncated_pixels(tmp_path):
     ip = tmp_path / "imgs.idx"
     lp = tmp_path / "lbls.idx"
-    blob = _idx_images_bytes([[[1, 2], [3, 4]], [[5, 6], [7, 8]]])
+    blob = idx_images_bytes([[[1, 2], [3, 4]], [[5, 6], [7, 8]]])
     ip.write_bytes(blob[:-3])
-    lp.write_bytes(_idx_labels_bytes([0, 1]))
+    lp.write_bytes(idx_labels_bytes([0, 1]))
     with pytest.raises(IdxTruncatedError, match="pixel bytes"):
         load_idx_images(ip, lp)
 
@@ -156,7 +142,7 @@ def test_idx_truncated_header(tmp_path):
     ip = tmp_path / "imgs.idx"
     lp = tmp_path / "lbls.idx"
     ip.write_bytes(b"\x00\x00\x08")
-    lp.write_bytes(_idx_labels_bytes([0]))
+    lp.write_bytes(idx_labels_bytes([0]))
     with pytest.raises(IdxTruncatedError, match="header"):
         load_idx_images(ip, lp)
 

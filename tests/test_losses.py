@@ -13,24 +13,11 @@ from mslg.losses import (
 )
 from mslg.rng import Rng
 
-from helpers import assert_grads_close as _assert_grad_matches
+from helpers import assert_grads_close as _assert_grad_matches, fd_grad_presoftmax
 
 
 def _random_simplex(rng, b, c, scale=2.0):
     return softmax(rng.normal(size=(b, c)) * scale)
-
-
-def _fd_grad_presoftmax(scalar_of_probs, z, h=1e-6):
-    """Central differences of scalar(softmax(z)) over the logits z."""
-    out = np.zeros_like(z)
-    for i in range(z.shape[0]):
-        for j in range(z.shape[1]):
-            p = z.copy()
-            p[i, j] += h
-            m = z.copy()
-            m[i, j] -= h
-            out[i, j] = (scalar_of_probs(softmax(p)) - scalar_of_probs(softmax(m))) / (2 * h)
-    return out
 
 
 # -- kl_loss_v2 ------------------------------------------------------------------
@@ -59,7 +46,7 @@ def test_kl_v2_prediction_gradient_matches_fd():
         f = softmax(z)
         lv = kl_loss_v2(f, yhat)
         analytic_z = softmax_backward(f, lv.grad_wrt_predictions)
-        fd_z = _fd_grad_presoftmax(lambda p: kl_loss_v2(p, yhat).scalar, z)
+        fd_z = fd_grad_presoftmax(lambda p: kl_loss_v2(p, yhat).scalar, z)
         _assert_grad_matches(analytic_z, fd_z)
 
 
@@ -97,7 +84,7 @@ def test_kl_v1_prediction_gradient_matches_fd():
         f = softmax(z)
         lv = kl_loss_v1(f, yhat)
         analytic_z = softmax_backward(f, lv.grad_wrt_predictions)
-        fd_z = _fd_grad_presoftmax(lambda p: kl_loss_v1(p, yhat).scalar, z)
+        fd_z = fd_grad_presoftmax(lambda p: kl_loss_v1(p, yhat).scalar, z)
         _assert_grad_matches(analytic_z, fd_z)
 
 
@@ -145,7 +132,7 @@ def test_cce_gradient_matches_fd():
         f = softmax(z)
         lv = cce_loss(f, y)
         analytic_z = softmax_backward(f, lv.grad_wrt_predictions)
-        fd_z = _fd_grad_presoftmax(lambda p: cce_loss(p, y).scalar, z)
+        fd_z = fd_grad_presoftmax(lambda p: cce_loss(p, y).scalar, z)
         _assert_grad_matches(analytic_z, fd_z)
         # classic closed form through the softmax: (f - onehot)/b
         onehot = np.zeros_like(f)
@@ -183,7 +170,7 @@ def test_entropy_gradient_matches_fd():
         f = softmax(z)
         lv = entropy_loss(f)
         analytic_z = softmax_backward(f, lv.grad_wrt_predictions)
-        fd_z = _fd_grad_presoftmax(lambda p: entropy_loss(p).scalar, z)
+        fd_z = fd_grad_presoftmax(lambda p: entropy_loss(p).scalar, z)
         _assert_grad_matches(analytic_z, fd_z)
 
 

@@ -1,3 +1,4 @@
+import struct
 import tempfile
 from pathlib import Path
 
@@ -15,10 +16,11 @@ from mslg.losses import (
     kl_loss_v1,
     kl_loss_v2,
 )
-from mslg.model import CheckpointError, Mlp, NumericalError, SgdState, sgd_step
+from mslg.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointError, Mlp,
+                        NumericalError, SgdState, sgd_step)
 from mslg.rng import Rng
 
-from helpers import FailingArray, assert_grads_close
+from helpers import FailingArray, assert_grads_close, fd_param_grad, kink_free_batch
 
 
 def _tiny_net(seed=0, sizes=(2, 4, 2)):
@@ -132,33 +134,6 @@ def test_backward_stale_cache_rejected():
         model.backward(cache, np.ones_like(probs))
 
 
-def _inputs_clear_of_relu_kinks(model, seed, trial, d, n=4, margin=1e-3):
-    """Draw a batch whose hidden pre-activations all sit away from zero, so
-    central differences do not straddle a ReLU kink."""
-    for attempt in range(50):
-        x = Rng(seed, 100 + trial, attempt).normal(size=(n, d))
-        _, cache = model.forward(x)
-        if min(np.abs(z).min() for z in cache["pre"][:-1]) > margin:
-            return x
-    raise AssertionError("could not find a kink-free batch")
-
-
-def _fd_param_grad(model, x, scalar_of_probs, h=1e-5):
-    flat = model.params.copy()
-    out = np.zeros_like(flat)
-    for k in range(flat.size):
-        p = flat.copy()
-        p[k] += h
-        model.set_flat(p)
-        up = scalar_of_probs(model.predict(x))
-        p[k] -= 2 * h
-        model.set_flat(p)
-        down = scalar_of_probs(model.predict(x))
-        out[k] = (up - down) / (2 * h)
-    model.set_flat(flat)
-    return out
-
-
 _LOSS_SEEDS = {"kl_v2": 31, "kl_v1": 37, "cce": 41, "entropy": 43, "objective": 47}
 
 
@@ -169,26 +144,21 @@ def test_backprop_matches_finite_differences(loss_name):
         sizes = (3, 5, 4) if trial % 2 == 0 else (2, 4, 4, 3)
         model = Mlp(sizes, Rng(seed, trial))
         c = sizes[-1]
-        x = _inputs_clear_of_relu_kinks(model, seed, trial, sizes[0])
+        x = kink_free_batch(model, (seed, 100 + trial), (4, sizes[0]))
         yhat = np.exp(Rng(seed, 200 + trial).normal(size=(4, c)))
         yhat /= yhat.sum(axis=1, keepdims=True)
         y_hard = Rng(seed, 300 + trial).integers(0, c, size=4)
 
-        if loss_name == "kl_v2":
-            fn = lambda f: kl_loss_v2(f, yhat)
-        elif loss_name == "kl_v1":
-            fn = lambda f: kl_loss_v1(f, yhat)
-        elif loss_name == "cce":
-            fn = lambda f: cce_loss(f, y_hard)
-        elif loss_name == "entropy":
-            fn = lambda f: entropy_loss(f)
-        else:
-            fn = lambda f: classification_objective(f, yhat, entropy_weight=0.7)
+        fn = {"kl_v2": lambda f: kl_loss_v2(f, yhat),
+              "kl_v1": lambda f: kl_loss_v1(f, yhat),
+              "cce": lambda f: cce_loss(f, y_hard), "entropy": entropy_loss,
+              "objective": lambda f: classification_objective(f, yhat, entropy_weight=0.7),
+              }[loss_name]
 
         probs, cache = model.forward(x)
         dz = softmax_backward(probs, fn(probs).grad_wrt_predictions)
         analytic = model.backward(cache, dz)
-        fd = _fd_param_grad(model, x, lambda f: fn(f).scalar)
+        fd = fd_param_grad(model, x, lambda f: fn(f).scalar)
         assert_grads_close(analytic, fd)
 
 
@@ -343,7 +313,7 @@ def test_tangent_matches_central_difference(sizes):
     eps = 1e-7
     for trial in range(3):
         model = _tiny_net(60 + trial, sizes)
-        x = _inputs_clear_of_relu_kinks(model, 61, trial, sizes[0], margin=1e-5)
+        x = kink_free_batch(model, (61, 100 + trial), (4, sizes[0]), margin=1e-5)
         direction = Rng(62, trial).normal(size=model.num_params)
         direction /= np.linalg.norm(direction)
         _, cache = model.forward(x)
@@ -444,6 +414,22 @@ def test_checkpoint_truncated(tmp_path):
     path.write_bytes(blob[:-16])
     with pytest.raises(CheckpointError):
         Mlp.load(path)
+
+
+@pytest.mark.parametrize("sizes,message", [
+    ((100000, 100000, 100000), "expected 160001600000 parameter bytes, found 64"),
+    ((2, 0), "layer sizes must be >= 2 positive ints, got (2, 0)"),
+    ((2,), "layer sizes must be >= 2 positive ints, got (2,)"),
+], ids=["oversized", "zero", "one"])
+def test_checkpoint_header_is_checked_before_the_model_is_built(tmp_path, sizes,
+                                                                message):
+    # 64 parameter bytes; the oversized header would need 149 GiB
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(sizes))
+                     + struct.pack(f"<{len(sizes)}I", *sizes) + bytes(64))
+    with pytest.raises(CheckpointError) as exc:
+        Mlp.load(path)
+    assert str(exc.value) == f"{path}: {message}"
 
 
 def test_checkpoint_failed_write_keeps_previous_file(tmp_path):

@@ -21,7 +21,7 @@ from mslg.datasets import (
 )
 from mslg.linalg import softmax, softmax_backward
 from mslg.losses import PROB_FLOOR, cce_loss, classification_objective, kl_loss_v2
-from mslg.model import Mlp, NumericalError, SgdState, sgd_step
+from mslg.model import Mlp, NumericalError, SgdState
 from mslg.rng import Rng
 from mslg.soft_labels import SoftLabelStore
 from mslg.trainer import (
@@ -44,53 +44,11 @@ from mslg.trainer import (
     warmup_epoch,
 )
 
-
-# -- shared tiny bilevel instances -------------------------------------------------
-
-
-def _tiny_instance(seed, b=4, meta_b=4, c=2, d=2, hidden=4):
-    model = Mlp((d, hidden, c), Rng(seed, 0))
-    x = Rng(seed, 1).normal(size=(b, d))
-    noisy = Rng(seed, 2).integers(0, c, size=b)
-    store = SoftLabelStore.init_from_noisy(noisy, c, k=10.0)
-    # move the logits off the one-hot ray so the test point is generic
-    store.logits += Rng(seed, 3).normal(size=store.logits.shape)
-    meta_x = Rng(seed, 4).normal(size=(meta_b, d))
-    meta_y = Rng(seed, 5).integers(0, c, size=meta_b)
-    return model, x, store, meta_x, meta_y
+from helpers import (assert_grads_close, brute_force_logit_grad, frozen_soft_ce_run,
+                     label_logit_grad, meta_loss_after_virtual, tiny_bilevel_instance)
 
 
-def _meta_loss_after_virtual(model, x, logits, meta_x, meta_y, alpha):
-    """Independent evaluation of the meta objective as a function of the
-    label logits: softmax them, take the virtual step, read the meta loss."""
-    yhat = softmax(logits)
-    g = training_loss_grad(model, model.forward(x)[1], yhat)
-    theta_hat = model.perturbed(g, -alpha)
-    return cce_loss(theta_hat.predict(meta_x), meta_y).scalar
-
-
-def _label_grad(model, x, yhat, meta_x, meta_y, alpha):
-    """Meta-loss gradient w.r.t. the batch's label logits, composed the way
-    mslg_epoch composes it."""
-    cache = model.forward(x)[1]
-    g_meta, _ = meta_gradient_direction(model, cache, yhat, meta_x, meta_y, alpha)
-    return label_gradient_along(model, cache, g_meta, alpha)
-
-
-def _brute_force_logit_grad(model, x, logits, meta_x, meta_y, alpha, h=1e-4):
-    """Central differences of the bilevel meta loss over every label logit."""
-    out = np.zeros_like(logits)
-    for i in range(logits.shape[0]):
-        for j in range(logits.shape[1]):
-            p = logits.copy()
-            p[i, j] += h
-            m = logits.copy()
-            m[i, j] -= h
-            out[i, j] = (
-                _meta_loss_after_virtual(model, x, p, meta_x, meta_y, alpha)
-                - _meta_loss_after_virtual(model, x, m, meta_x, meta_y, alpha)
-            ) / (2 * h)
-    return out
+# -- bilevel oracle ----------------------------------------------------------------
 
 
 def test_bilevel_oracle_twenty_seeds():
@@ -98,14 +56,12 @@ def test_bilevel_oracle_twenty_seeds():
     # differentiation of the full virtual-step pipeline
     cfg = TrainConfig(alpha=0.5)
     for seed in range(20):
-        model, x, store, meta_x, meta_y = _tiny_instance(seed)
+        model, x, store, meta_x, meta_y = tiny_bilevel_instance(seed)
         yhat = store.soft_labels(np.arange(store.n))
-        analytic = _label_grad(model, x, yhat, meta_x, meta_y, cfg.alpha)
-        oracle = _brute_force_logit_grad(model, x, store.logits.copy(),
-                                         meta_x, meta_y, cfg.alpha)
-        err = np.abs(analytic - oracle)
-        tol = np.maximum(1e-3 * np.abs(oracle), 1e-8)
-        assert np.all(err <= tol), f"seed {seed}: worst excess {(err - tol).max():.3e}"
+        analytic = label_logit_grad(model, x, yhat, meta_x, meta_y, cfg.alpha)
+        oracle = brute_force_logit_grad(model, x, store.logits.copy(),
+                                        meta_x, meta_y, cfg.alpha)
+        assert_grads_close(analytic, oracle, rel=1e-3)
 
 
 # -- logit-space loss kernels -------------------------------------------------------
@@ -163,7 +119,7 @@ def test_cce_logit_kernel_is_the_pulled_back_public_loss(seed, b, c, scale, peak
 
 
 def test_virtual_step_zero_alpha_identity():
-    model, x, store, *_ = _tiny_instance(30)
+    model, x, store, *_ = tiny_bilevel_instance(30)
     yhat = store.soft_labels(np.arange(store.n))
     g = training_loss_grad(model, model.forward(x)[1], yhat)
     stepped = model.perturbed(g, -0.0)
@@ -172,7 +128,7 @@ def test_virtual_step_zero_alpha_identity():
 
 
 def test_virtual_step_exact_gradient_offset():
-    model, x, store, *_ = _tiny_instance(31)
+    model, x, store, *_ = tiny_bilevel_instance(31)
     yhat = store.soft_labels(np.arange(store.n))
     alpha = 0.7
     g = training_loss_grad(model, model.forward(x)[1], yhat)
@@ -184,7 +140,7 @@ def test_virtual_step_exact_gradient_offset():
 
 
 def test_virtual_step_descends_training_loss_for_small_alpha():
-    model, x, store, *_ = _tiny_instance(32)
+    model, x, store, *_ = tiny_bilevel_instance(32)
     yhat = store.soft_labels(np.arange(store.n))
     before = kl_loss_v2(model.predict(x), yhat).scalar
     g = training_loss_grad(model, model.forward(x)[1], yhat)
@@ -196,7 +152,7 @@ def test_virtual_step_descends_training_loss_for_small_alpha():
 
 
 def test_zero_meta_direction_gives_zero_gradient():
-    model, x, store, *_ = _tiny_instance(34)
+    model, x, store, *_ = tiny_bilevel_instance(34)
     yhat = store.soft_labels(np.arange(store.n))
     out = label_gradient_along(model, model.forward(x)[1],
                                np.zeros(model.num_params), alpha=0.5)
@@ -225,7 +181,7 @@ def test_flat_meta_loss_gives_zero_gradient():
 def test_doubling_alpha_doubles_gradient_at_fixed_base():
     # hold the meta direction fixed: the returned gradient is then exactly
     # linear in alpha
-    model, x, store, meta_x, meta_y = _tiny_instance(35)
+    model, x, store, meta_x, meta_y = tiny_bilevel_instance(35)
     yhat = store.soft_labels(np.arange(store.n))
     cache = model.forward(x)[1]
     g_meta, _ = meta_gradient_direction(model, cache, yhat, meta_x, meta_y, 0.5)
@@ -240,7 +196,7 @@ def test_logit_label_update_equals_the_probability_space_pull_back():
     # zero, so it reduces to alpha / b * t wherever the floor does not bind.
     alpha, compared = 0.5, 0
     for seed in range(20):
-        model, x, store, meta_x, meta_y = _tiny_instance(seed, b=8, c=4, hidden=6)
+        model, x, store, meta_x, meta_y = tiny_bilevel_instance(seed, b=8, c=4, hidden=6)
         store.logits *= 1.0 + seed  # sharper labels, down to ~1e-30
         yhat = store.soft_labels(np.arange(store.n))
         cache = model.forward(x)[1]
@@ -320,10 +276,10 @@ def test_alignment_positive_for_matching_sample():
 def test_label_update_raises_alignment_or_lowers_meta_loss():
     cfg = TrainConfig(alpha=0.5)
     for seed in (0, 1, 2):
-        model, x, store, meta_x, meta_y = _tiny_instance(seed)
+        model, x, store, meta_x, meta_y = tiny_bilevel_instance(seed)
         ids = np.arange(store.n)
         logits0 = store.logits.copy()
-        lm_before = _meta_loss_after_virtual(model, x, logits0, meta_x, meta_y,
+        lm_before = meta_loss_after_virtual(model, x, logits0, meta_x, meta_y,
                                              cfg.alpha)
         g_meta0, g_train0 = meta_gradient_direction(model,
                                                     model.forward(x)[1],
@@ -336,9 +292,9 @@ def test_label_update_raises_alignment_or_lowers_meta_loss():
         for _ in range(10):
             trial = SoftLabelStore(logits0.copy(), k=10.0)
             yhat = trial.soft_labels(ids)
-            grad = _label_grad(model, x, yhat, meta_x, meta_y, cfg.alpha)
+            grad = label_logit_grad(model, x, yhat, meta_x, meta_y, cfg.alpha)
             trial.apply_label_gradient(ids, grad, beta)
-            lm_after = _meta_loss_after_virtual(model, x, trial.logits, meta_x,
+            lm_after = meta_loss_after_virtual(model, x, trial.logits, meta_x,
                                                 meta_y, cfg.alpha)
             g_meta1, g_train1 = meta_gradient_direction(
                 model, model.forward(x)[1], trial.soft_labels(ids), meta_x,
@@ -354,19 +310,19 @@ def test_label_update_raises_alignment_or_lowers_meta_loss():
 def test_single_label_update_descends_meta_loss_with_halving():
     cfg = TrainConfig(alpha=0.5)
     for seed in (3, 4, 5, 6):
-        model, x, store, meta_x, meta_y = _tiny_instance(seed)
+        model, x, store, meta_x, meta_y = tiny_bilevel_instance(seed)
         ids = np.arange(store.n)
         logits0 = store.logits.copy()
-        before = _meta_loss_after_virtual(model, x, logits0, meta_x, meta_y,
+        before = meta_loss_after_virtual(model, x, logits0, meta_x, meta_y,
                                           cfg.alpha)
         beta = 4.0
         descended = False
         for _ in range(10):
             trial = SoftLabelStore(logits0.copy(), k=10.0)
             yhat = trial.soft_labels(ids)
-            grad = _label_grad(model, x, yhat, meta_x, meta_y, cfg.alpha)
+            grad = label_logit_grad(model, x, yhat, meta_x, meta_y, cfg.alpha)
             trial.apply_label_gradient(ids, grad, beta)
-            after = _meta_loss_after_virtual(model, x, trial.logits, meta_x,
+            after = meta_loss_after_virtual(model, x, trial.logits, meta_x,
                                              meta_y, cfg.alpha)
             if after <= before + 1e-15:
                 descended = True
@@ -439,27 +395,7 @@ def test_beta_zero_entropy_zero_equals_frozen_soft_ce():
     model_a, store_a, hist_a = train(train_ds, meta_ds, cfg, test_ds)
 
     # independent reference: soft cross-entropy on the frozen initial labels
-    model_b = Mlp((2, *cfg.hidden_sizes, 3), Rng(cfg.seed, 0))
-    store_b = SoftLabelStore.init_from_noisy(train_ds.noisy_labels, 3, cfg.k_init)
-    frozen = store_b.soft_labels()
-    opt = SgdState(lr=cfg.lr_at(0), momentum=cfg.momentum,
-                   weight_decay=cfg.weight_decay)
-    hist_b = []
-    for epoch in range(cfg.total_epochs):
-        opt.lr = cfg.lr_at(epoch)
-        order = epoch_order(cfg.seed, epoch, train_ds.n)
-        loss_sum = 0.0
-        for start in range(0, train_ds.n, cfg.batch_size):
-            ids = order[start:start + cfg.batch_size]
-            probs, cache = model_b.forward(train_ds.features[ids])
-            loss, dz = kl_logit_loss(probs, frozen[ids])
-            sgd_step(model_b, model_b.backward(cache, dz), opt)
-            loss_sum += loss * ids.size
-        meta_loss = cce_loss(model_b.predict(meta_ds.features),
-                             meta_ds.noisy_labels).scalar
-        hist_b.append((loss_sum / train_ds.n, meta_loss,
-                       accuracy(model_b, test_ds),
-                       recovery_rate(store_b, train_ds)))
+    model_b, store_b, hist_b = frozen_soft_ce_run(train_ds, meta_ds, test_ds, cfg)
 
     assert np.array_equal(store_a.logits, store_b.logits)  # labels never moved
     assert np.array_equal(model_a.params, model_b.params)
