@@ -10,14 +10,14 @@ Training-config resolution order: preset, then config file (key=value lines),
 then command-line flags; later wins.
 
 Each value (flag, --blobs/--spirals token or --config line) is parsed once, by
-its key in `_PARSERS`, before a command runs; a bad one is a configuration
-error naming the key. --blobs/--spirals tokens and --config lines are
-key=value items read by one reader, `_parse_kv`, so an unknown or repeated key
-is an error in either, naming the flag or the file line. Flags must be
-spelled in full. Seeds are non-negative, and no two sweep cells may share a
-directory. `gen` generates its data, and `sweep` resolves every cell's
-training configuration, before creating --out. A manifest.json must hold a
-JSON object.
+its key in `_PARSERS`, before a command runs; a bad one, such as a float that
+is not finite, is a configuration error naming the key. --blobs/--spirals
+tokens and --config lines are key=value items read by one reader,
+`_parse_kv`, so an unknown or repeated key is an error in either, naming the
+flag or the file line. Flags must be spelled in full. Seeds are
+non-negative, and no two sweep cells may share a directory. `gen` generates
+its data, and `sweep` resolves every cell's training configuration, before
+creating --out. A manifest.json must hold a JSON object.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical abort
 (a non-finite loss or gradient; the rolling last_good checkpoint survives).
@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -44,7 +45,6 @@ from . import __version__
 from .atomic import atomic_write
 from .datasets import (
     LabeledDataset,
-    ProbeConfig,
     gen_blobs,
     gen_spirals,
     inject_feature_dependent,
@@ -72,7 +72,7 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
-# stream keys under the gen seed: Rng(seed, _GEN_*)
+# stream keys under the gen seed: Rng(seed, _GEN_*); the noise probe keys its own
 _GEN_DATA = 10
 _GEN_SPLIT = 11
 _GEN_NOISE = 12
@@ -123,13 +123,20 @@ def _non_negative_int(value: str) -> int:
     return number
 
 
+def _finite_float(value: str) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {number}")
+    return number
+
+
 def _parse_noise(spec: str) -> tuple[str, float]:
     if spec in ("none", ""):
         return "none", 0.0
     if ":" not in spec:
         raise ValueError(f"--noise expects kind:ratio, got {spec!r}")
     kind, ratio = spec.split(":", 1)
-    return _one_of("uniform", "feature_dependent")(kind), float(ratio)
+    return _one_of("uniform", "feature_dependent")(kind), _finite_float(ratio)
 
 
 def _parse_schedule(spec: str) -> tuple[tuple[int, float], ...]:
@@ -155,11 +162,10 @@ _PARSERS = {
     **{f.name: {"lambda_schedule": _parse_schedule, "hidden_sizes": _comma_list(int),
                 "seed": _non_negative_int}.get(f.name, type(f.default))
        for f in dataclasses.fields(TrainConfig)},
-    "n": int, "c": int, "d": int, "sep": float, "noise_sd": float,
-    "noise": _parse_noise, "meta": float, "test": float,
-    "probe_hidden": _comma_list(int), "probe_epochs": int,
+    "n": int, "c": int, "d": int, "sep": _finite_float, "noise_sd": _finite_float,
+    "noise": _parse_noise, "meta": _finite_float, "test": _finite_float,
     "method": _one_of(*_METHODS), "snapshot_every": int,
-    "axis": _one_of(*_SWEEP_AXES), "values": _comma_list(float),
+    "axis": _one_of(*_SWEEP_AXES), "values": _comma_list(_finite_float),
     "seeds": _comma_list(_non_negative_int),
 }
 
@@ -239,9 +245,7 @@ def _generate_dataset(args) -> tuple[dict[str, LabeledDataset], dict]:
     if kind == "uniform":
         train_ds = inject_uniform(train_ds, ratio, Rng(seed, _GEN_NOISE))
     elif kind == "feature_dependent":
-        probe = ProbeConfig(hidden_sizes=args.probe_hidden, epochs=args.probe_epochs)
-        train_ds = inject_feature_dependent(train_ds, ratio, probe,
-                                            Rng(seed, _GEN_NOISE))
+        train_ds = inject_feature_dependent(train_ds, ratio, seed)
 
     manifest = {
         "command": "gen",
@@ -551,10 +555,6 @@ def _add_source_args(p: argparse.ArgumentParser) -> None:
                    help="uniform:R | feature_dependent:R | none")
     p.add_argument("--meta", default="0.02", help="meta fraction (clean holdout)")
     p.add_argument("--test", default="0.25", help="test fraction")
-    p.add_argument("--probe-hidden",
-                   default=",".join(map(str, ProbeConfig.hidden_sizes)),
-                   help="probe hidden sizes for feature-dependent noise")
-    p.add_argument("--probe-epochs", default=str(ProbeConfig.epochs))
 
 
 # training flags spelled other than --<field>, or whose format needs a word

@@ -7,8 +7,10 @@ noise injectors; training code reads only `noisy_labels`. Splitting happens
 Noise injection uses exact-count flipping: exactly round(ratio * N) samples
 are corrupted, so small datasets carry the nominal noise rate rather than a
 Bernoulli approximation of it. Feature-dependent noise ranks samples by the
-margin of a probe classifier, trained on the same logit-space cross-entropy
-gradient as the trainer's warm-up.
+margin of a noise probe, trained on the same logit-space cross-entropy
+gradient as the trainer's warm-up. The probe is fixed (its module constants)
+and keyed by the seed alone, so the seed, the noise ratio and the clean data
+determine the noisy labels.
 
 A dataset CSV is read in one pass that converts each field once: ids and
 labels to int64, features to float64. Loading fails fast, naming `path:line`
@@ -33,7 +35,6 @@ from .rng import Rng
 
 __all__ = [
     "LabeledDataset",
-    "ProbeConfig",
     "IdxFormatError",
     "IdxBadMagicError",
     "IdxCountMismatchError",
@@ -201,7 +202,8 @@ def load_idx_images(images_path, labels_path) -> LabeledDataset:
 
     Images: magic 0x00000803, then u32 count, rows, cols, then raw pixels.
     Labels: magic 0x00000801, then u32 count, then raw labels.
-    Pixels are scaled to [0, 1] and flattened to (N, rows*cols).
+    Pixels are scaled to [0, 1] and flattened to (N, rows*cols). A count,
+    rows or cols of 0 is an `IdxFormatError` naming the images file.
     """
     with open(images_path, "rb") as fh:
         img_blob = fh.read()
@@ -211,6 +213,8 @@ def load_idx_images(images_path, labels_path) -> LabeledDataset:
     (n_img, rows, cols), img_off = _read_idx_header(
         img_blob, images_path, IDX_IMAGES_MAGIC, 3)
     (n_lbl,), lbl_off = _read_idx_header(lbl_blob, labels_path, IDX_LABELS_MAGIC, 1)
+    if 0 in (n_img, rows, cols):
+        raise IdxFormatError(f"{images_path}: no pixels: {n_img} images of {rows}x{cols}")
     if n_img != n_lbl:
         raise IdxCountMismatchError(
             f"{images_path} holds {n_img} images but {labels_path} holds {n_lbl} labels"
@@ -228,7 +232,7 @@ def load_idx_images(images_path, labels_path) -> LabeledDataset:
     feats = pixels.astype(np.float64).reshape(n_img, rows * cols) / 255.0
     labels = np.frombuffer(lbl_blob, dtype=np.uint8, count=n_lbl, offset=lbl_off)
     labels = labels.astype(np.int64)
-    num_classes = int(labels.max()) + 1 if n_lbl else 0
+    num_classes = int(labels.max()) + 1
     return LabeledDataset(feats, labels, labels.copy(), num_classes)
 
 
@@ -254,51 +258,44 @@ def inject_uniform(ds: LabeledDataset, ratio: float, rng: Rng) -> LabeledDataset
                           ds.num_classes, ds.ids.copy())
 
 
-@dataclass
-class ProbeConfig:
-    """Probe classifier used to rank samples by decision-boundary distance:
-    an MLP of these hidden widths, fit for `epochs` passes of SGD (batch 32,
-    learning rate 0.1, momentum 0.9) on the clean labels."""
-    hidden_sizes: tuple[int, ...] = (16,)
-    epochs: int = 30
+# the noise probe: its hidden widths and epochs, and its SGD's batch, rate, momentum
+PROBE_HIDDEN, PROBE_EPOCHS = (16,), 30
+PROBE_BATCH, PROBE_LR, PROBE_MOMENTUM = 32, 0.1, 0.9
 
 
 def _fit_probe(features: np.ndarray, labels: np.ndarray, num_classes: int,
-               cfg: ProbeConfig, rng: Rng) -> Mlp:
-    """The probe, fit on `labels` (in range, as a `LabeledDataset` holds
-    them) by SGD on the exact cross-entropy gradient (f - onehot)/b of
-    `losses.cce_logit_grad`, the step the trainer's warm-up takes."""
-    # keyed by the seed alone, not under the key of `rng`: the probe, and so
-    # every feature-dependent dataset, depends on exactly these two streams
-    model = Mlp((features.shape[1], *cfg.hidden_sizes, num_classes), Rng(rng.seed, 101))
-    opt = SgdState(lr=0.1, momentum=0.9)
+               seed: int) -> Mlp:
+    """The noise probe, fit on `labels` (in range, as a `LabeledDataset`
+    holds them) by SGD on the exact cross-entropy gradient (f - onehot)/b of
+    `losses.cce_logit_grad`, the step the trainer's warm-up takes. Its init
+    and batch orders are the streams `Rng(seed, 101)` and `Rng(seed, 102)`."""
+    model = Mlp((features.shape[1], *PROBE_HIDDEN, num_classes), Rng(seed, 101))
+    opt = SgdState(lr=PROBE_LR, momentum=PROBE_MOMENTUM)
     n = features.shape[0]
-    shuffle_rng = Rng(rng.seed, 102)
-    for _ in range(cfg.epochs):
+    shuffle_rng = Rng(seed, 102)
+    for _ in range(PROBE_EPOCHS):
         order = shuffle_rng.permutation(n)
-        for start in range(0, n, 32):
-            idx = order[start:start + 32]
+        for start in range(0, n, PROBE_BATCH):
+            idx = order[start:start + PROBE_BATCH]
             probs, cache = model.forward(features[idx])
             sgd_step(model, model.backward(cache, cce_logit_grad(probs, labels[idx])), opt)
     return model
 
 
 def inject_feature_dependent(ds: LabeledDataset, ratio: float,
-                             probe_cfg: ProbeConfig | None,
-                             rng: Rng) -> LabeledDataset:
+                             seed: int) -> LabeledDataset:
     """Corrupt the samples nearest the decision boundary.
 
-    A probe classifier is fit on the clean labels; samples are ranked by
-    margin (top-1 minus top-2 probability) and the lowest-margin ones are
-    flipped to the probe's runner-up class. Samples whose runner-up happens
-    to equal the true label are passed over so every flip really corrupts,
-    keeping the realized noise rate exact.
+    The noise probe (`_fit_probe`, keyed by `seed`) is fit on the clean
+    labels; samples are ranked by margin (top-1 minus top-2 probability) and
+    the lowest-margin ones are flipped to the probe's runner-up class.
+    Samples whose runner-up happens to equal the true label are passed over
+    so every flip really corrupts, keeping the realized noise rate exact.
     """
-    probe_cfg = probe_cfg or ProbeConfig()
     k = _flip_count(ratio, ds.n)
     noisy = ds.true_labels.copy()
     if k > 0:
-        probe = _fit_probe(ds.features, ds.true_labels, ds.num_classes, probe_cfg, rng)
+        probe = _fit_probe(ds.features, ds.true_labels, ds.num_classes, seed)
         probs = probe.predict(ds.features)
         ranked = np.argsort(probs, axis=1, kind="stable")
         top1 = ranked[:, -1]
@@ -330,8 +327,8 @@ def split(ds: LabeledDataset, meta_fraction: float, test_fraction: float,
           rng: Rng) -> tuple[LabeledDataset, LabeledDataset, LabeledDataset]:
     """Disjoint (train, meta, test) with clean labels on meta and test.
 
-    Sizes are round(fraction * N). Call this on the *clean* dataset and inject
-    noise into the returned train split only.
+    Sizes are round(fraction * N), and each must be at least 1. Call this on
+    the *clean* dataset and inject noise into the returned train split only.
     """
     if meta_fraction < 0 or test_fraction < 0 or meta_fraction + test_fraction >= 1:
         raise ValueError(
@@ -340,6 +337,10 @@ def split(ds: LabeledDataset, meta_fraction: float, test_fraction: float,
     n = ds.n
     m = int(round(meta_fraction * n))
     t = int(round(test_fraction * n))
+    for tag, size in (("train", n - m - t), ("meta", m), ("test", t)):
+        if size < 1:
+            raise ValueError(f"the {tag} split of {n} samples would be empty "
+                             f"(meta {meta_fraction}, test {test_fraction})")
     perm = rng.permutation(n)
     parts = {"meta": perm[:m], "test": perm[m:m + t], "train": perm[m + t:]}
     out = []

@@ -19,8 +19,7 @@ class Rng:
     """PCG64 stream addressed by (seed, *key). Same address, same stream."""
 
     def __init__(self, seed: int, *key: int):
-        self.seed = int(seed)
-        ss = np.random.SeedSequence(self.seed, spawn_key=tuple(int(k) for k in key))
+        ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(k) for k in key))
         self._gen = np.random.Generator(np.random.PCG64(ss))
 
     def uniform(self, size=None):

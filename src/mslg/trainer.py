@@ -91,7 +91,8 @@ class TrainConfig:
         if self.alpha <= 0 or self.beta < 0:
             raise ValueError(f"need alpha > 0 and beta >= 0, got {self.alpha}, {self.beta}")
         if self.batch_size < 1 or self.total_epochs < 0:
-            raise ValueError("batch_size and total_epochs must be positive")
+            raise ValueError(f"need batch_size >= 1 and total_epochs >= 0, "
+                             f"got {self.batch_size}, {self.total_epochs}")
         # warmup == total is the plain cross-entropy baseline
         if not (0 <= self.warmup_epochs <= self.total_epochs):
             raise ValueError(

@@ -15,7 +15,6 @@ from mslg.datasets import (
     IdxBadMagicError,
     IdxCountMismatchError,
     IdxTruncatedError,
-    ProbeConfig,
     gen_blobs,
     inject_feature_dependent,
     load_idx_images,
@@ -62,9 +61,7 @@ def _report(num, description, ok, detail=""):
 def _desk_data(seed, noise, meta_fraction=0.02):
     ds = gen_blobs(2000, 4, 2, 6.0, Rng(seed))
     tr, me, te = split(ds, meta_fraction, 0.25, Rng(seed * 7919 + 1))
-    tr = inject_feature_dependent(
-        tr, noise, ProbeConfig(hidden_sizes=(16,), epochs=30),
-        Rng(seed * 104729 + 2))
+    tr = inject_feature_dependent(tr, noise, seed * 104729 + 2)
     return tr, me, te
 
 

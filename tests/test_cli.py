@@ -1,5 +1,7 @@
+import argparse
 import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from mslg.model import Mlp
 from mslg.soft_labels import SoftLabelStore
 from mslg.trainer import TrainConfig
 
-from helpers import disk_fills_mid_write
+from helpers import disk_fills_mid_write, idx_images_bytes, idx_labels_bytes
 
 
 def run_cli(*argv):
@@ -95,6 +97,68 @@ def test_gen_separation_is_an_alias_of_sep(tmp_path, capsys):
     assert run_cli("gen", "--blobs", "n=100", "separation=5", "--out", out) == EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["source"]["separation"] == 5.0
+
+
+@pytest.mark.parametrize("n,rows,cols", [(0, 2, 2), (40, 0, 2), (40, 2, 0)])
+def test_gen_idx_without_pixels_is_config_error(tmp_path, capsys, n, rows, cols):
+    # with no pixel per image there are no features for train and eval to read
+    images, labels, out = tmp_path / "i.idx", tmp_path / "l.idx", tmp_path / "data"
+    images.write_bytes(struct.pack(">IIII", 0x00000803, n, rows, cols)
+                       + bytes(n * rows * cols))
+    labels.write_bytes(idx_labels_bytes([c % 2 for c in range(n)]))
+    assert run_cli("gen", "--idx-images", images, "--idx-labels", labels,
+                   "--out", out) == EXIT_CONFIG
+    assert f"{images}: no pixels: {n} images of {rows}x{cols}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# a value of every gen option but --out, and of every --blobs/--spirals key,
+# other than its default; the IDX files are written beside the run
+_GEN_VALUES = {
+    "--blobs": {"n": "90", "c": "3", "d": "3", "sep": "4", "separation": "4"},
+    "--spirals": {"n": "90", "c": "2", "noise_sd": "0.1"},
+    "--idx-images": "other_images.idx", "--idx-labels": "other_labels.idx",
+    "--noise": "feature_dependent:0.2", "--meta": "0.1", "--test": "0.3", "--seed": "4",
+}
+
+
+def _subcommands():
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _gen_options():
+    return [a.option_strings[-1] for a in _subcommands()["gen"]._actions
+            if a.option_strings and a.dest not in ("help", "out")]
+
+
+@pytest.mark.parametrize("option", _gen_options())
+def test_every_gen_option_changes_the_manifest(tmp_path, option):
+    # so a data manifest determines its data: an option that it does not
+    # record would give two datasets one manifest
+    for prefix in ("", "other_"):
+        (tmp_path / f"{prefix}images.idx").write_bytes(
+            idx_images_bytes([[[0, 200], [30, 90]]] * 40))
+        (tmp_path / f"{prefix}labels.idx").write_bytes(idx_labels_bytes([0, 1] * 20))
+
+    def manifest(*argv):
+        assert run_cli("gen", *argv, "--out", tmp_path / "out") == EXIT_OK
+        return (tmp_path / "out" / "manifest.json").read_bytes()
+
+    if option in ("--blobs", "--spirals"):
+        assert set(_GEN_VALUES[option]) == set(mslg.cli._SOURCE_KEYS[option[2:]])
+        base = manifest(option, "n=120")  # n in every run keeps them small
+        for key, value in _GEN_VALUES[option].items():
+            tokens = {"n": "120", key: value}
+            assert manifest(option, *(f"{k}={v}" for k, v in tokens.items())) != base, key
+    elif option.startswith("--idx"):
+        base = ["--idx-images", tmp_path / "images.idx", "--idx-labels", tmp_path / "labels.idx"]
+        changed = base.copy()
+        changed[changed.index(option) + 1] = tmp_path / _GEN_VALUES[option]
+        assert manifest(*changed) != manifest(*base)
+    else:
+        base = manifest("--blobs", "n=120")
+        assert manifest("--blobs", "n=120", option, _GEN_VALUES[option]) != base
 
 
 def test_output_root_env(tmp_path, monkeypatch):
@@ -280,13 +344,24 @@ _BAD_VALUES = [
     ("gen", ("--test", "abc"), "bad value for 'test'"),
     ("gen", ("--seed", "abc"), "bad value for 'seed'"),
     ("gen", ("--seed", "-1"), "bad value for 'seed'"),
-    ("gen", ("--probe-hidden", "x"), "bad value for 'probe_hidden'"),
-    ("gen", ("--probe-epochs", "1.5"), "bad value for 'probe_epochs'"),
+    # float values must be finite, or a manifest would hold NaN, which is not JSON
+    ("gen", ("--blobs", "sep=nan"), "--blobs: bad value for 'sep': expected a finite number"),
+    ("gen", ("--spirals", "noise_sd=inf"), "--spirals: bad value for 'noise_sd'"),
+    ("gen", ("--noise", "uniform:nan"), "bad value for 'noise'"),
+    ("gen", ("--meta", "nan"), "bad value for 'meta': expected a finite number, got nan"),
+    ("gen", ("--test", "inf"), "bad value for 'test'"),
     # values that parse but that generation rejects, before --out exists
     ("gen", ("--blobs", "n=100", "c=2", "d=2", "--noise", "uniform:1.5"),
      "noise ratio must be in [0, 1), got 1.5"),
     ("gen", ("--blobs", "n=100", "--meta", "0.5", "--test", "0.5"),
      "invalid fractions meta=0.5, test=0.5"),
+    # a split that train and eval would find missing
+    ("gen", ("--blobs", "n=200", "c=3", "--meta", "0.001"),
+     "the meta split of 200 samples would be empty (meta 0.001, test 0.25)"),
+    ("gen", ("--blobs", "n=200", "c=3", "--test", "0"),
+     "the test split of 200 samples would be empty"),
+    ("gen", ("--blobs", "n=2", "c=2", "--meta", "0.4", "--test", "0.5"),
+     "the train split of 2 samples would be empty"),
     # train: every TrainConfig flag, the run's own flags, and values that
     # parse but fail validation
     *[("train", (flag, "abc"), f"bad value for '{key}'")
@@ -306,8 +381,13 @@ _BAD_VALUES = [
     ("train", ("--hidden", "0"), "hidden_sizes must all be >= 1"),
     ("train", ("--seed", "-1"), "bad value for 'seed'"),
     ("train", ("--lambda-schedule", "0:-0.02"), "lambda_schedule rates must be >= 0"),
+    ("train", ("--batch-size", "0"), "need batch_size >= 1 and total_epochs >= 0, got 0, 6"),
+    ("train", ("--total-epochs", "-1"),
+     "need batch_size >= 1 and total_epochs >= 0, got 32, -1"),
     # sweep: its own keys, and gen and train keys it passes to its cells
     ("sweep", ("--values", "1,x"), "bad value for 'values'"),
+    ("sweep", ("--axis", "meta_fraction", "--values", "nan"),
+     "bad value for 'values': expected a finite number, got nan"),
     ("sweep", ("--seeds", "0,x"), "bad value for 'seeds'"),
     ("sweep", ("--seeds", "0,-1"), "bad value for 'seeds'"),
     ("sweep", ("--blobs", "n=x"), "--blobs: bad value for 'n'"),
@@ -342,6 +422,11 @@ def test_bad_flag_value_is_config_error_naming_key(tmp_path, data_dir, capsys,
     ("sweep", "--axis", "beta", "--values", "1", "--seeds", "0", "--blobs", "n=150",
      "--seed", "1"),
     ("train", "--data", "d", "--snap", "1"),
+    # the noise probe is fixed; its old flags are gone
+    pytest.param(("gen", "--blobs", "n=300", "--noise", "feature_dependent:0.3",
+                  "--probe-hidden", "4"), id="gen --probe-hidden"),
+    pytest.param(("gen", "--blobs", "n=300", "--noise", "feature_dependent:0.3",
+                  "--probe-epochs", "2"), id="gen --probe-epochs"),
 ])
 def test_removed_or_abbreviated_flag_is_rejected(tmp_path, capsys, argv):
     # without allow_abbrev=False, sweep's --seed would mean --seeds
@@ -351,6 +436,28 @@ def test_removed_or_abbreviated_flag_is_rejected(tmp_path, capsys, argv):
     assert exc.value.code == EXIT_CONFIG
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not out.exists()
+
+
+# dests that stay strings: paths, and a preset's name
+_STRING_DESTS = {"out", "data", "checkpoint", "labels", "config", "preset",
+                 "idx_images", "idx_labels"}
+
+
+def test_every_cli_option_is_routed():
+    # each value is parsed by its key, is a source's key=value tokens or
+    # stays a string; and each parser serves a flag, a source key or a
+    # config line
+    dests = set()
+    for name, sub in _subcommands().items():
+        for action in sub._actions:
+            if action.dest != "help":
+                assert (action.dest in mslg.cli._PARSERS or action.dest in mslg.cli._SOURCE_KEYS
+                        or action.dest in _STRING_DESTS), f"{name} {action.option_strings}"
+                dests.add(action.dest)
+    source_keys = {mslg.cli._ALIASES.get(key, key)
+                   for keys in mslg.cli._SOURCE_KEYS.values() for key in keys}
+    unreachable = set(mslg.cli._PARSERS) - dests - source_keys - set(mslg.cli._TRAIN_KEYS)
+    assert not unreachable
 
 
 # a value of every TrainConfig field, other than its default

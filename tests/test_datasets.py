@@ -1,3 +1,4 @@
+import struct
 import tempfile
 import warnings
 from pathlib import Path
@@ -11,9 +12,9 @@ from hypothesis.extra import numpy as hnp
 from mslg.datasets import (
     IdxBadMagicError,
     IdxCountMismatchError,
+    IdxFormatError,
     IdxTruncatedError,
     LabeledDataset,
-    ProbeConfig,
     _fit_probe,
     gen_blobs,
     gen_spirals,
@@ -30,13 +31,26 @@ from mslg.rng import Rng
 
 from helpers import idx_images_bytes, idx_labels_bytes
 
-PROBE = ProbeConfig(hidden_sizes=(16,), epochs=30)
-
 
 def _probe_accuracy(ds, seed=0):
-    probe = _fit_probe(ds.features, ds.true_labels, ds.num_classes, PROBE, Rng(seed))
+    probe = _fit_probe(ds.features, ds.true_labels, ds.num_classes, seed)
     preds = probe.predict(ds.features).argmax(axis=1)
     return float(np.mean(preds == ds.true_labels))
+
+
+def _sgd_fit(x, y, sizes, epochs, seed):
+    """An MLP of `sizes` fit for `epochs` as the probe is fit: init and batch
+    orders from the streams Rng(seed, 101) and Rng(seed, 102), batch 32,
+    learning rate 0.1, momentum 0.9, on `cce_logit_loss`'s gradient."""
+    model = Mlp(sizes, Rng(seed, 101))
+    opt, orders = SgdState(lr=0.1, momentum=0.9), Rng(seed, 102)
+    for _ in range(epochs):
+        order = orders.permutation(len(y))
+        for start in range(0, len(y), 32):
+            idx = order[start:start + 32]
+            probs, cache = model.forward(x[idx])
+            sgd_step(model, model.backward(cache, cce_logit_loss(probs, y[idx])[1]), opt)
+    return model
 
 
 # -- generators -----------------------------------------------------------------
@@ -83,9 +97,8 @@ def test_spirals_degenerate_one_per_class():
 
 def test_spirals_learnable_by_default_mlp():
     ds = gen_spirals(600, 3, 0.03, Rng(5))
-    cfg = ProbeConfig(hidden_sizes=(32, 32), epochs=200)
-    probe = _fit_probe(ds.features, ds.true_labels, 3, cfg, Rng(6))
-    acc = float(np.mean(probe.predict(ds.features).argmax(axis=1) == ds.true_labels))
+    model = _sgd_fit(ds.features, ds.true_labels, (2, 32, 32, 3), 200, 6)
+    acc = float(np.mean(model.predict(ds.features).argmax(axis=1) == ds.true_labels))
     assert acc >= 0.9
 
 
@@ -116,6 +129,16 @@ def test_idx_bad_magic_on_labels(tmp_path):
     # labels file carrying the *images* magic
     lp.write_bytes(idx_labels_bytes([1], magic=0x00000803))
     with pytest.raises(IdxBadMagicError, match="0x00000803"):
+        load_idx_images(ip, lp)
+
+
+@pytest.mark.parametrize("n,rows,cols", [(0, 2, 2), (3, 0, 2), (3, 2, 0)])
+def test_idx_without_pixels_names_images_file(tmp_path, n, rows, cols):
+    ip = tmp_path / "imgs.idx"
+    lp = tmp_path / "lbls.idx"
+    ip.write_bytes(struct.pack(">IIII", 0x00000803, n, rows, cols))
+    lp.write_bytes(idx_labels_bytes([0] * n))
+    with pytest.raises(IdxFormatError, match=f"imgs.idx: no pixels: {n} images"):
         load_idx_images(ip, lp)
 
 
@@ -220,13 +243,13 @@ def test_uniform_invalid_ratio():
 
 def test_featdep_zero_ratio_identity():
     ds = gen_blobs(120, 3, 2, 6.0, Rng(16))
-    out = inject_feature_dependent(ds, 0.0, PROBE, Rng(17))
+    out = inject_feature_dependent(ds, 0.0, 17)
     assert np.array_equal(out.noisy_labels, out.true_labels)
 
 
 def test_featdep_exact_count_and_true_labels_kept():
     ds = gen_blobs(500, 4, 2, 6.0, Rng(18))
-    out = inject_feature_dependent(ds, 0.3, PROBE, Rng(19))
+    out = inject_feature_dependent(ds, 0.3, 19)
     assert int(np.sum(out.noisy_labels != out.true_labels)) == 150
     assert np.array_equal(out.true_labels, ds.true_labels)
 
@@ -236,17 +259,17 @@ def test_featdep_exact_count_and_true_labels_kept():
        seed=st.integers(0, 2**32 - 1))
 def test_featdep_exact_count_property(n, c, ratio, seed):
     ds = gen_blobs(n, c, 2, 8.0, Rng(seed))
-    out = inject_feature_dependent(ds, ratio, PROBE, Rng(seed, 1))
+    out = inject_feature_dependent(ds, ratio, seed)
     assert np.array_equal(out.true_labels, ds.true_labels)
     assert int(out.corrupted_mask().sum()) == round(ratio * n)
 
 
 def test_featdep_flips_lowest_margin_to_runner_up():
     ds = gen_blobs(500, 4, 2, 6.0, Rng(20))
-    out = inject_feature_dependent(ds, 0.3, PROBE, Rng(21))
+    out = inject_feature_dependent(ds, 0.3, 21)
 
-    # recompute what the injector saw: same probe config and stream
-    probe = _fit_probe(ds.features, ds.true_labels, 4, PROBE, Rng(21))
+    # recompute what the injector saw: the probe of the same seed
+    probe = _fit_probe(ds.features, ds.true_labels, 4, 21)
     probs = probe.predict(ds.features)
     ranked = np.argsort(probs, axis=1, kind="stable")
     top1, runner = ranked[:, -1], ranked[:, -2]
@@ -261,24 +284,15 @@ def test_featdep_flips_lowest_margin_to_runner_up():
 
 def test_probe_steps_on_exact_logit_space_ce():
     # features scaled so the untrained probe gives one sample of its first
-    # batch f_y ~ 7e-94, far below PROB_FLOOR: a floored gradient steps off
+    # batch f_y ~ 2e-78, far below PROB_FLOOR: a floored gradient steps off
     n, seed = 96, 5
     ds = gen_blobs(n, 3, 2, 6.0, Rng(4))
     x, y = ds.features * 20.0, ds.true_labels
-    cfg = ProbeConfig(hidden_sizes=(8,), epochs=3)
-    # the probe's streams and constants: init and batch orders keyed by the
-    # seed alone, batch 32, learning rate 0.1, momentum 0.9
-    ref = Mlp((2, 8, 3), Rng(seed, 101))
     first = Rng(seed, 102).permutation(n)[:32]
-    assert (ref.predict(x[first])[np.arange(32), y[first]] < PROB_FLOOR).any()
-    opt, orders = SgdState(lr=0.1, momentum=0.9), Rng(seed, 102)
-    for _ in range(cfg.epochs):
-        order = orders.permutation(n)
-        for start in range(0, n, 32):
-            idx = order[start:start + 32]
-            probs, cache = ref.forward(x[idx])
-            sgd_step(ref, ref.backward(cache, cce_logit_loss(probs, y[idx])[1]), opt)
-    probe = _fit_probe(x, y, 3, cfg, Rng(seed))
+    untrained = Mlp((2, 16, 3), Rng(seed, 101))
+    assert (untrained.predict(x[first])[np.arange(32), y[first]] < PROB_FLOOR).any()
+    ref = _sgd_fit(x, y, (2, 16, 3), 30, seed)
+    probe = _fit_probe(x, y, 3, seed)
     assert probe.params.tobytes() == ref.params.tobytes()
 
 
@@ -288,7 +302,7 @@ def test_featdep_refuses_chance_probe():
     labels = np.tile(np.arange(c), n // c)
     ds = LabeledDataset(np.zeros((n, 3)), labels, labels.copy(), c)
     with pytest.raises(ValueError, match="chance"):
-        inject_feature_dependent(ds, 0.2, PROBE, Rng(22))
+        inject_feature_dependent(ds, 0.2, 22)
 
 
 # -- split ---------------------------------------------------------------------------
@@ -317,6 +331,8 @@ def test_split_invalid_fractions():
         split(ds, 0.6, 0.5, Rng(0))
     with pytest.raises(ValueError):
         split(ds, -0.1, 0.2, Rng(0))
+    with pytest.raises(ValueError, match="the meta split of 30 samples would be empty"):
+        split(ds, 0.01, 0.2, Rng(0))
 
 
 # -- CSV interchange --------------------------------------------------------------------

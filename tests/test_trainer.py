@@ -14,7 +14,6 @@ import mslg.trainer
 
 from mslg.datasets import (
     LabeledDataset,
-    ProbeConfig,
     gen_blobs,
     inject_feature_dependent,
     split,
@@ -338,9 +337,7 @@ def _blob_setting(seed=0, n=300, noise=0.0, separation=8.0, c=3):
     ds = gen_blobs(n, c, 2, separation, Rng(seed))
     train_ds, meta_ds, test_ds = split(ds, 0.1, 0.2, Rng(seed + 1))
     if noise > 0:
-        train_ds = inject_feature_dependent(
-            train_ds, noise, ProbeConfig(hidden_sizes=(16,), epochs=30),
-            Rng(seed + 2))
+        train_ds = inject_feature_dependent(train_ds, noise, seed + 2)
     return train_ds, meta_ds, test_ds
 
 
