@@ -25,7 +25,7 @@ from .losses import (
     kl_loss_v1,
     kl_loss_v2,
 )
-from .model import Mlp, NumericalError, SgdState, sgd_step
+from .model import Mlp, NumericalError, SgdState, sgd_pass, sgd_step
 from .presets import PRESETS, resolve_preset
 from .rng import Rng
 from .soft_labels import SoftLabelStore
@@ -49,7 +49,7 @@ __all__ = [
     "softmax", "softmax_backward",
     "LossValue", "cce_loss", "classification_objective", "entropy_loss",
     "kl_loss_v1", "kl_loss_v2",
-    "Mlp", "NumericalError", "SgdState", "sgd_step",
+    "Mlp", "NumericalError", "SgdState", "sgd_pass", "sgd_step",
     "PRESETS", "resolve_preset", "Rng", "SoftLabelStore",
     "EpochMetrics", "TrainConfig", "accuracy",
     "label_gradient_along", "meta_gradient_direction",

@@ -16,8 +16,9 @@ tokens and --config lines are key=value items read by one reader,
 `_parse_kv`, so an unknown or repeated key is an error in either, naming the
 flag or the file line. Flags must be spelled in full. Seeds are
 non-negative, and no two sweep cells may share a directory. `gen` generates
-its data, and `sweep` resolves every cell's training configuration, before
-creating --out. A manifest.json must hold a JSON object.
+its data, and `sweep` resolves every cell's training configuration and split
+sizes, before creating --out; `train`'s --out may not be its --data. A
+manifest.json must hold a JSON object.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical abort
 (a non-finite loss or gradient; the rolling last_good checkpoint survives).
@@ -53,6 +54,7 @@ from .datasets import (
     load_idx_images,
     save_dataset_csv,
     split,
+    split_sizes,
 )
 from .model import Mlp, NumericalError
 from .presets import preset_names, resolve_preset
@@ -164,7 +166,7 @@ _PARSERS = {
        for f in dataclasses.fields(TrainConfig)},
     "n": int, "c": int, "d": int, "sep": _finite_float, "noise_sd": _finite_float,
     "noise": _parse_noise, "meta": _finite_float, "test": _finite_float,
-    "method": _one_of(*_METHODS), "snapshot_every": int,
+    "method": _one_of(*_METHODS), "snapshot_every": _non_negative_int,
     "axis": _one_of(*_SWEEP_AXES), "values": _comma_list(_finite_float),
     "seeds": _comma_list(_non_negative_int),
 }
@@ -217,7 +219,8 @@ def _parse_values(args: argparse.Namespace) -> None:
 # -- dataset generation ------------------------------------------------------------
 
 
-def _generate_dataset(args) -> tuple[dict[str, LabeledDataset], dict]:
+def _source(args) -> tuple[LabeledDataset, dict]:
+    """The clean dataset of --blobs, --spirals or --idx-*, and its manifest entry."""
     seed = args.seed
     if args.blobs:
         kv = args.blobs
@@ -238,7 +241,12 @@ def _generate_dataset(args) -> tuple[dict[str, LabeledDataset], dict]:
                   "labels": str(args.idx_labels)}
     else:
         raise ValueError("choose a source: --blobs, --spirals, or --idx-images")
+    return ds, source
 
+
+def _generate_dataset(args) -> tuple[dict[str, LabeledDataset], dict]:
+    seed = args.seed
+    ds, source = _source(args)
     train_ds, meta_ds, test_ds = split(ds, args.meta, args.test, Rng(seed, _GEN_SPLIT))
 
     kind, ratio = args.noise
@@ -324,11 +332,11 @@ def _load_splits(data_dir: Path) -> tuple[dict[str, LabeledDataset], dict]:
 
 
 def cmd_train(args) -> int:
-    if args.snapshot_every < 0:
-        raise ValueError(f"--snapshot-every must be >= 0 (0 is off), "
-                         f"got {args.snapshot_every}")
     cfg = _resolve_train_config(args)
     data_dir = _rooted(args.data)
+    if _rooted(args.out).resolve() == data_dir.resolve():
+        raise ValueError(f"--out {_rooted(args.out)} is the --data directory {data_dir}: "
+                         f"the run's manifest.json would replace the data's")
     splits, data_manifest = _load_splits(data_dir)
     out = _out_dir(args.out)
 
@@ -395,10 +403,6 @@ def build_eval_report(model: Mlp, store: SoftLabelStore | None,
                       splits: dict[str, LabeledDataset]) -> dict:
     test_ds = splits["test"]
     train_ds = splits["train"]
-    if test_ds.dim != model.layer_sizes[0]:
-        raise ValueError(
-            f"checkpoint expects {model.layer_sizes[0]} features, "
-            f"dataset has {test_ds.dim}")
     if test_ds.num_classes != model.layer_sizes[-1]:
         raise ValueError(
             f"checkpoint has {model.layer_sizes[-1]} classes, "
@@ -493,10 +497,14 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--seeds must be distinct, got {','.join(map(str, args.seeds))}")
     if args.axis == "noise_ratio" and args.noise[0] == "none":
         raise ValueError("noise_ratio sweep needs --noise kind:ratio")
-    # every cell's training configuration, checked before anything is written
+    # every cell's split sizes and training configuration, checked before
+    # anything is written; the sample count is the source's, before any noise
+    n = _source(_cell_args(args, args.values[0], args.seeds[0]))[0].n
     for value in args.values:
         for seed in args.seeds:
-            _resolve_train_config(_cell_args(args, value, seed))
+            cell = _cell_args(args, value, seed)
+            split_sizes(n, cell.meta, cell.test)
+            _resolve_train_config(cell)
     out = _out_dir(args.out)
 
     n_ok = 0

@@ -7,10 +7,10 @@ noise injectors; training code reads only `noisy_labels`. Splitting happens
 Noise injection uses exact-count flipping: exactly round(ratio * N) samples
 are corrupted, so small datasets carry the nominal noise rate rather than a
 Bernoulli approximation of it. Feature-dependent noise ranks samples by the
-margin of a noise probe, trained on the same logit-space cross-entropy
-gradient as the trainer's warm-up. The probe is fixed (its module constants)
-and keyed by the seed alone, so the seed, the noise ratio and the clean data
-determine the noisy labels.
+margin of a noise probe, trained through `model.sgd_pass`, the trainer's SGD
+loop, on the warm-up's logit-space cross-entropy gradient. The probe is fixed
+(its module constants) and keyed by the seed alone, so the seed, the noise
+ratio and the clean data determine the noisy labels.
 
 A dataset CSV is read in one pass that converts each field once: ids and
 labels to int64, features to float64. Loading fails fast, naming `path:line`
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import cce_logit_grad
-from .model import Mlp, SgdState, sgd_step
+from .model import Mlp, SgdState, sgd_pass
 from .rng import Rng
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
     "inject_uniform",
     "inject_feature_dependent",
     "split",
+    "split_sizes",
     "save_dataset_csv",
     "load_dataset_csv",
 ]
@@ -265,20 +266,15 @@ PROBE_BATCH, PROBE_LR, PROBE_MOMENTUM = 32, 0.1, 0.9
 
 def _fit_probe(features: np.ndarray, labels: np.ndarray, num_classes: int,
                seed: int) -> Mlp:
-    """The noise probe, fit on `labels` (in range, as a `LabeledDataset`
-    holds them) by SGD on the exact cross-entropy gradient (f - onehot)/b of
-    `losses.cce_logit_grad`, the step the trainer's warm-up takes. Its init
-    and batch orders are the streams `Rng(seed, 101)` and `Rng(seed, 102)`."""
+    """The noise probe, fit on `labels` (in range) by `sgd_pass` on the warm-up's
+    exact CE gradient, `losses.cce_logit_grad` alone: it never reads its loss. Its
+    init and batch orders are the streams `Rng(seed, 101)` and `Rng(seed, 102)`."""
     model = Mlp((features.shape[1], *PROBE_HIDDEN, num_classes), Rng(seed, 101))
     opt = SgdState(lr=PROBE_LR, momentum=PROBE_MOMENTUM)
-    n = features.shape[0]
     shuffle_rng = Rng(seed, 102)
     for _ in range(PROBE_EPOCHS):
-        order = shuffle_rng.permutation(n)
-        for start in range(0, n, PROBE_BATCH):
-            idx = order[start:start + PROBE_BATCH]
-            probs, cache = model.forward(features[idx])
-            sgd_step(model, model.backward(cache, cce_logit_grad(probs, labels[idx])), opt)
+        sgd_pass(model, opt, features, shuffle_rng.permutation(features.shape[0]),
+                 PROBE_BATCH, lambda ids, probs, _: (0.0, cce_logit_grad(probs, labels[ids])))
     return model
 
 
@@ -323,24 +319,31 @@ def inject_feature_dependent(ds: LabeledDataset, ratio: float,
 # -- splitting ----------------------------------------------------------------
 
 
-def split(ds: LabeledDataset, meta_fraction: float, test_fraction: float,
-          rng: Rng) -> tuple[LabeledDataset, LabeledDataset, LabeledDataset]:
-    """Disjoint (train, meta, test) with clean labels on meta and test.
-
-    Sizes are round(fraction * N), and each must be at least 1. Call this on
-    the *clean* dataset and inject noise into the returned train split only.
-    """
+def split_sizes(n: int, meta_fraction: float,
+                test_fraction: float) -> tuple[int, int, int]:
+    """The (train, meta, test) sizes that `split` gives n samples: meta and
+    test are round(fraction * n), train the rest, and each must be at least 1."""
     if meta_fraction < 0 or test_fraction < 0 or meta_fraction + test_fraction >= 1:
         raise ValueError(
             f"invalid fractions meta={meta_fraction}, test={test_fraction}"
         )
-    n = ds.n
     m = int(round(meta_fraction * n))
     t = int(round(test_fraction * n))
     for tag, size in (("train", n - m - t), ("meta", m), ("test", t)):
         if size < 1:
             raise ValueError(f"the {tag} split of {n} samples would be empty "
                              f"(meta {meta_fraction}, test {test_fraction})")
+    return n - m - t, m, t
+
+
+def split(ds: LabeledDataset, meta_fraction: float, test_fraction: float,
+          rng: Rng) -> tuple[LabeledDataset, LabeledDataset, LabeledDataset]:
+    """Disjoint (train, meta, test) with clean labels on meta and test, of
+    `split_sizes`. Call this on the *clean* dataset and inject noise into the
+    returned train split only.
+    """
+    n = ds.n
+    _, m, t = split_sizes(n, meta_fraction, test_fraction)
     perm = rng.permutation(n)
     parts = {"meta": perm[:m], "test": perm[m:m + t], "train": perm[m + t:]}
     out = []

@@ -30,6 +30,7 @@ __all__ = [
     "Mlp",
     "SgdState",
     "sgd_step",
+    "sgd_pass",
 ]
 
 CHECKPOINT_MAGIC = b"MLPC"
@@ -258,3 +259,17 @@ def sgd_step(model: Mlp, grad: np.ndarray, opt: SgdState) -> None:
     opt.velocity += grad + opt.weight_decay * model.params
     model.params -= opt.lr * opt.velocity
     model._version += 1
+
+
+def sgd_pass(model: Mlp, opt: SgdState, x, order, batch_size: int, batch_loss) -> float:
+    """One SGD pass over the rows `order` of `x`, in batches: a forward, then
+    `batch_loss(ids, probs, cache)` -> (batch-mean loss, dL/dz), then one
+    `sgd_step` each. Returns the sample-weighted mean of the batch losses."""
+    loss_sum = 0.0
+    for start in range(0, order.size, batch_size):
+        ids = order[start:start + batch_size]
+        probs, cache = model.forward(x[ids])
+        loss, dz = batch_loss(ids, probs, cache)
+        sgd_step(model, model.backward(cache, dz), opt)
+        loss_sum += loss * ids.size
+    return loss_sum / order.size

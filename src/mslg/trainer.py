@@ -11,6 +11,12 @@ alternates, per batch:
   3. a committed optimizer step on KL(f||yhat_new) + entropy, with rate
      lambda from the schedule.
 
+Both stages step through `model.sgd_pass`, the one SGD loop: per batch of
+the epoch's order it runs the forward, asks the stage's batch loss for the
+loss and its gradient with respect to the logits, and commits one
+`sgd_step`. The warm-up's batch loss is cross-entropy on the noisy labels;
+stage two's does steps 1 and 2 and returns the loss of step 3.
+
 The label gradient in step 2 is the mixed second derivative of the training
 loss contracted with the meta gradient. It is computed without any second
 backward pass: the gradient of the training loss with respect to the label
@@ -40,7 +46,7 @@ import numpy as np
 
 from .datasets import LabeledDataset
 from .losses import cce_logit_loss, cce_loss, kl_logit_loss
-from .model import Mlp, NumericalError, SgdState, sgd_step
+from .model import Mlp, NumericalError, SgdState, sgd_pass
 from .rng import Rng
 from .soft_labels import SoftLabelStore
 
@@ -234,14 +240,10 @@ def warmup_epoch(model: Mlp, train_ds: LabeledDataset, store: SoftLabelStore,
     """One pass of plain cross-entropy SGD on the noisy hard labels."""
     opt.lr = cfg.lr_at(epoch)
     order = epoch_order(cfg.seed, epoch, train_ds.n)
-    loss_sum = 0.0
-    for start in range(0, train_ds.n, cfg.batch_size):
-        ids = order[start:start + cfg.batch_size]
-        probs, cache = model.forward(train_ds.features[ids])
-        loss, dz = cce_logit_loss(probs, train_ds.noisy_labels[ids])
-        sgd_step(model, model.backward(cache, dz), opt)
-        loss_sum += loss * ids.size
-    return _epoch_metrics(epoch, loss_sum / train_ds.n, 0.0, model, store,
+    noisy = train_ds.noisy_labels
+    train_loss = sgd_pass(model, opt, train_ds.features, order, cfg.batch_size,
+                          lambda ids, probs, _: cce_logit_loss(probs, noisy[ids]))
+    return _epoch_metrics(epoch, train_loss, 0.0, model, store,
                           train_ds, meta_ds, test_ds, opt.lr)
 
 
@@ -253,31 +255,30 @@ def mslg_epoch(model: Mlp, train_ds: LabeledDataset, store: SoftLabelStore,
     meta gradient, then take a committed step on the corrected labels."""
     opt.lr = cfg.lr_at(epoch)
     order = epoch_order(cfg.seed, epoch, train_ds.n)
-    meta_rows = _meta_batches(meta_ds.n, cfg.seed, epoch,
-                              -(-train_ds.n // cfg.batch_size), cfg.batch_size)
-    loss_sum = 0.0
+    batches = -(-train_ds.n // cfg.batch_size)
+    meta_rows = iter(_meta_batches(meta_ds.n, cfg.seed, epoch, batches, cfg.batch_size))
     align_sum = 0.0
-    for start, m_idx in zip(range(0, train_ds.n, cfg.batch_size), meta_rows):
-        ids = order[start:start + cfg.batch_size]
+
+    # theta only moves at the committed step, so the pass's one forward serves
+    # the look-ahead gradient, the label tangent and the committed step
+    def batch_loss(ids, probs, cache):
+        nonlocal align_sum
         yhat = store.soft_labels(ids)
         if not np.all(np.isfinite(yhat)):
             raise NumericalError("non-finite soft label in the training batch")
-        # theta only moves at the committed step, so one forward serves the
-        # look-ahead gradient, the label tangent and the committed step
-        probs, cache = model.forward(train_ds.features[ids])
+        m_idx = next(meta_rows)
         g_meta, g_train = meta_gradient_direction(
             model, cache, yhat, meta_ds.features[m_idx],
             meta_ds.noisy_labels[m_idx], cfg.alpha)
         store.apply_label_gradient(
             ids, label_gradient_along(model, cache, g_meta, cfg.alpha), cfg.beta)
-        loss, dz = kl_logit_loss(probs, store.soft_labels(ids), cfg.entropy_weight)
-        sgd_step(model, model.backward(cache, dz), opt)
-        loss_sum += loss * ids.size
         # mean over (meta sample, train sample) gradient dot products collapses
         # to the dot of the two batch-mean gradients by bilinearity
         align_sum += float(g_meta @ g_train)
-    return _epoch_metrics(epoch, loss_sum / train_ds.n,
-                          align_sum / max(len(meta_rows), 1), model, store,
+        return kl_logit_loss(probs, store.soft_labels(ids), cfg.entropy_weight)
+
+    train_loss = sgd_pass(model, opt, train_ds.features, order, cfg.batch_size, batch_loss)
+    return _epoch_metrics(epoch, train_loss, align_sum / batches, model, store,
                           train_ds, meta_ds, test_ds, opt.lr)
 
 
@@ -293,6 +294,8 @@ def train(train_ds: LabeledDataset, meta_ds: LabeledDataset, cfg: TrainConfig,
     cfg.validate()
     if meta_ds is train_ds:
         raise ValueError("meta set must be disjoint from the training set")
+    if train_ds.n == 0:
+        raise ValueError("training set is empty")
     if meta_ds.n == 0:
         raise ValueError("meta set is empty")
     if (meta_ds.dim, meta_ds.num_classes) != (train_ds.dim, train_ds.num_classes):

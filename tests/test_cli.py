@@ -380,6 +380,7 @@ _BAD_VALUES = [
     ("train", ("--lambda-schedule", "0:nan"), "lambda_schedule must be finite"),
     ("train", ("--hidden", "0"), "hidden_sizes must all be >= 1"),
     ("train", ("--seed", "-1"), "bad value for 'seed'"),
+    ("train", ("--snapshot-every", "-1"), "bad value for 'snapshot_every'"),
     ("train", ("--lambda-schedule", "0:-0.02"), "lambda_schedule rates must be >= 0"),
     ("train", ("--batch-size", "0"), "need batch_size >= 1 and total_epochs >= 0, got 0, 6"),
     ("train", ("--total-epochs", "-1"),
@@ -399,6 +400,15 @@ _BAD_VALUES = [
     ("sweep", ("--values", "-1"), "need alpha > 0 and beta >= 0, got 0.5, -1.0"),
     ("sweep", ("--axis", "noise_ratio", "--noise", "none"),
      "noise_ratio sweep needs --noise kind:ratio"),
+    # every swept value's split sizes, from the source's sample count, as gen
+    # checks them
+    ("sweep", ("--meta", "0.001"),
+     "the meta split of 150 samples would be empty (meta 0.001, test 0.25)"),
+    ("sweep", ("--test", "0"), "the test split of 150 samples would be empty"),
+    ("sweep", ("--axis", "meta_fraction", "--values", "0.1,0.001"),
+     "the meta split of 150 samples would be empty (meta 0.001, test 0.25)"),
+    ("sweep", ("--axis", "meta_fraction", "--values", "0.1,0.697", "--test", "0.3"),
+     "the train split of 150 samples would be empty (meta 0.697, test 0.3)"),
     # choices: parsed by key like every other value, not by argparse
     ("train", ("--method", "sgd"), "bad value for 'method'"),
     ("sweep", ("--method", "sgd"), "bad value for 'method'"),
@@ -635,13 +645,20 @@ def test_train_snapshot_cadence(tmp_path, data_dir):
     assert snaps == ["epoch_0001.ckpt", "epoch_0003.ckpt", "epoch_0005.ckpt"]
 
 
-def test_train_negative_snapshot_every_is_config_error(tmp_path, data_dir, capsys):
-    out = tmp_path / "run"
-    assert run_cli("train", "--data", data_dir, "--out", out, "--method", "ce",
-                   *TRAIN_FAST, "--snapshot-every", "-1") == EXIT_CONFIG
-    assert "--snapshot-every" in capsys.readouterr().err
-    assert not (out / "last_good.ckpt").exists()
-    assert not (out / "checkpoints").exists()
+@pytest.mark.parametrize("spelling", ["same", "through a sibling"])
+def test_train_out_that_is_the_data_dir_is_config_error(tmp_path, data_dir, capsys,
+                                                        spelling):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("dataset.csv", "manifest.json"):
+        (data / name).write_bytes((data_dir / name).read_bytes())
+    before = {p.name: p.read_bytes() for p in data.iterdir()}
+    out = data if spelling == "same" else tmp_path / "other" / ".." / "data"
+    assert run_cli("train", "--data", data, "--out", out, "--method", "ce",
+                   *TRAIN_FAST) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"--out {out} is the --data directory {data}" in err
+    assert {p.name: p.read_bytes() for p in data.iterdir()} == before
 
 
 # -- eval ----------------------------------------------------------------------------
@@ -745,14 +762,16 @@ def test_eval_checks_the_train_split_the_run_trained_on(tmp_path, capsys):
             == (tmp_path / "unchecked.json").read_bytes())
 
 
-def test_eval_dimension_mismatch_is_config_error(tmp_path, data_dir):
+def test_eval_dimension_mismatch_is_config_error(tmp_path, data_dir, capsys):
     model = Mlp((5, 3))
     ckpt = tmp_path / "bad.ckpt"
     model.save(ckpt)
     assert run_cli("eval", "--data", data_dir, "--checkpoint", ckpt) == EXIT_CONFIG
+    assert "input has 2 features, model expects 5" in capsys.readouterr().err
     model = Mlp((2, 7))
     model.save(ckpt)
     assert run_cli("eval", "--data", data_dir, "--checkpoint", ckpt) == EXIT_CONFIG
+    assert "checkpoint has 7 classes, dataset has 3" in capsys.readouterr().err
 
 
 def test_eval_flags_after_training_catch_noise(tmp_path, data_dir):

@@ -1,3 +1,4 @@
+import ast
 import struct
 import tempfile
 from pathlib import Path
@@ -8,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import mslg.model
 from mslg.linalg import softmax_backward
 from mslg.losses import (
+    cce_logit_grad,
     cce_loss,
     classification_objective,
     entropy_loss,
@@ -17,7 +20,7 @@ from mslg.losses import (
     kl_loss_v2,
 )
 from mslg.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointError, Mlp,
-                        NumericalError, SgdState, sgd_step)
+                        NumericalError, SgdState, sgd_pass, sgd_step)
 from mslg.rng import Rng
 
 from helpers import FailingArray, assert_grads_close, fd_param_grad, kink_free_batch
@@ -245,6 +248,61 @@ def test_sgd_bitwise_reproducible():
         return model.params
 
     assert np.array_equal(run(), run())
+
+
+# -- sgd_pass ----------------------------------------------------------------------
+
+
+def test_sgd_pass_steps_each_batch_of_order_in_turn():
+    # n=5, batch 2: batches order[0:2], order[2:4], order[4:5]
+    x = Rng(21).normal(size=(5, 2))
+    y = np.array([0, 1, 1, 0, 1])
+    order = np.array([3, 0, 4, 1, 2])
+    losses = [0.3, 0.7, 1.1]
+    seen = []
+
+    def batch_loss(ids, probs, cache):
+        seen.append(ids.tolist())
+        return losses[len(seen) - 1], cce_logit_grad(probs, y[ids])
+
+    model = _tiny_net(22)
+    opt = SgdState(lr=0.1, momentum=0.9, weight_decay=1e-4)
+    mean = sgd_pass(model, opt, x, order, 2, batch_loss)
+    assert seen == [[3, 0], [4, 1], [2]]
+    assert mean == (2 * losses[0] + 2 * losses[1] + losses[2]) / 5
+
+    reference = _tiny_net(22)
+    ref_opt = SgdState(lr=0.1, momentum=0.9, weight_decay=1e-4)
+    for ids in seen:
+        probs, cache = reference.forward(x[ids])
+        sgd_step(reference, reference.backward(cache, cce_logit_grad(probs, y[ids])), ref_opt)
+    assert np.array_equal(model.params, reference.params)
+    assert np.array_equal(opt.velocity, ref_opt.velocity)
+
+
+def _sgd_step_uses():
+    """(module, innermost enclosing function) of every use of the name
+    `sgd_step` in the package's code, its definition and imports aside."""
+    uses = []
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            name = getattr(child, "id", None) or getattr(child, "attr", None)
+            if isinstance(child, (ast.Name, ast.Attribute)) and name == "sgd_step":
+                uses.append((module, where))
+            inner = getattr(child, "name", "<lambda>") if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)) else where
+            visit(child, module, inner)
+
+    for path in sorted(Path(mslg.model.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    return uses
+
+
+def test_sgd_step_is_used_only_inside_sgd_pass():
+    # every training loop steps through sgd_pass; a method supplies its batch
+    # loss and does not copy the loop
+    assert _sgd_step_uses() == [("model", "sgd_pass")]
 
 
 # -- perturb / flatten ---------------------------------------------------------------

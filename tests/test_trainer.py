@@ -640,6 +640,13 @@ def test_train_rejects_empty_meta_set_without_hanging():
     assert "meta set is empty" in proc.stdout
 
 
+def test_train_rejects_empty_training_set():
+    train_ds, meta_ds, _ = _blob_setting()
+    empty = LabeledDataset(np.zeros((0, 2)), np.zeros(0), np.zeros(0), 3)
+    with pytest.raises(ValueError, match="training set is empty"):
+        train(empty, meta_ds, _warm_cfg())
+
+
 def test_metrics_csv_format():
     m = EpochMetrics(3, 0.5, 0.25, 0.875, 0.125, -0.001, 0.01)
     header = metrics_csv_header()
