@@ -17,8 +17,10 @@ tokens and --config lines are key=value items read by one reader,
 flag or the file line. Flags must be spelled in full. Seeds are
 non-negative, and no two sweep cells may share a directory. `gen` generates
 its data, and `sweep` resolves every cell's training configuration and split
-sizes, before creating --out; `train`'s --out may not be its --data. A
-manifest.json must hold a JSON object.
+sizes, before creating --out; `train`'s --out may not be its --data, and
+`eval`'s and `export-labels`' --out may not be the dataset.csv or
+manifest.json of a directory that holds a dataset.csv. A manifest.json must
+hold a JSON object.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical abort
 (a non-finite loss or gradient; the rolling last_good checkpoint survives).
@@ -100,8 +102,15 @@ def _out_dir(path_str: str | Path) -> Path:
 
 
 def _out_file(path_str: str | Path) -> Path:
-    """An --out file, in the directory `_out_dir` resolves for its parent."""
+    """An --out file, in the directory `_out_dir` resolves for its parent. The
+    dataset.csv or manifest.json of a directory that holds a dataset.csv (a
+    `gen` data directory) is an error, raised before anything is written."""
     path = Path(path_str)
+    target = _rooted(path).resolve()
+    data_file = target.name in ("dataset.csv", "manifest.json")
+    if data_file and (target.parent / "dataset.csv").is_file():
+        raise ValueError(f"--out {_rooted(path)} would replace {target.name} of the data "
+                         f"directory {target.parent}")
     return _out_dir(path.parent) / path.name
 
 

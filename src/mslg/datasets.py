@@ -12,11 +12,14 @@ loop, on the warm-up's logit-space cross-entropy gradient. The probe is fixed
 (its module constants) and keyed by the seed alone, so the seed, the noise
 ratio and the clean data determine the noisy labels.
 
-A dataset CSV is read in one pass that converts each field once: ids and
-labels to int64, features to float64. Loading fails fast, naming `path:line`
-and the column, on a malformed row, a field that is not a number, an integer
-outside int64 or a feature that is not finite, and naming `path:line` on a
-byte that is not UTF-8.
+A dataset CSV is read in one pass. On the success path it converts each
+field once: ids and labels to int64, features straight into one packed
+float64 buffer per split, so no float object outlives its row. A row that
+fails is parsed again, in column order, to name its first bad field. Loading
+fails fast, naming `path:line` and the column, on a malformed row, a field
+that is not a number, an integer outside int64 or a feature that is not
+finite, and naming `path:line` on a byte that is not UTF-8. It is written
+row by row, each feature as its shortest round-trip `repr`.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import struct
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -370,10 +374,11 @@ def save_dataset_csv(path, splits: dict[str, LabeledDataset]) -> None:
         fh.write(f"id,{cols},true_label,noisy_label,split\n")
         for tag in sorted(splits):
             ds = splits[tag]
-            for i in range(ds.n):
-                feats = ",".join(repr(float(v)) for v in ds.features[i])
-                fh.write(f"{int(ds.ids[i])},{feats},{int(ds.true_labels[i])},"
-                         f"{int(ds.noisy_labels[i])},{tag}\n")
+            # one row's floats at a time: a whole-matrix tolist() would hold them all
+            for row_id, row, true, noisy in zip(ds.ids.tolist(), ds.features,
+                                                ds.true_labels.tolist(),
+                                                ds.noisy_labels.tolist()):
+                fh.write(f"{row_id},{','.join(map(repr, row.tolist()))},{true},{noisy},{tag}\n")
 
 
 def _first_non_utf8(path) -> str:
@@ -395,8 +400,10 @@ def load_dataset_csv(path, num_classes: int | None = None) -> dict[str, LabeledD
     is not a number of its column's type, names `path:line: 'column'`; a
     label outside [0, num_classes) names file and split. `num_classes`
     defaults to one more than the largest label."""
-    # per split: its rows' line numbers, and their parsed fields in one flat list
-    rows_by_tag: dict[str, tuple[list, list]] = defaultdict(lambda: ([], []))
+    # per split: its rows' line numbers, each row's (id, true_label,
+    # noisy_label), and its features packed as they are read
+    rows_by_tag: dict[str, tuple[list, list, array]] = defaultdict(
+        lambda: ([], [], array("d")))
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -411,15 +418,19 @@ def load_dataset_csv(path, num_classes: int | None = None) -> dict[str, LabeledD
                 if len(row) != width:
                     raise ValueError(f"{path}:{reader.line_num}: {len(row)} fields, "
                                      f"header has {width}")
-                lines, values = rows_by_tag[row[-1]]
-                start = len(values)
+                lines, ints, feats = rows_by_tag[row[-1]]
                 try:
-                    for parse, text in zip(parsers, row):
-                        values.append(parse(text))
-                except ValueError as exc:
-                    column = header[len(values) - start]  # the first field not appended
-                    raise ValueError(f"{path}:{reader.line_num}: {column!r}: "
-                                     f"{exc}") from None
+                    ints += int(row[0]), int(row[-3]), int(row[-2])
+                    feats.extend(map(float, row[1:-3]))
+                except ValueError:
+                    # parse the row again, in column order, to name its first bad field
+                    for column, parse, text in zip(header, parsers, row):
+                        try:
+                            parse(text)
+                        except ValueError as exc:
+                            raise ValueError(f"{path}:{reader.line_num}: {column!r}: "
+                                             f"{exc}") from None
+                    raise
                 lines.append(reader.line_num)
         except csv.Error as exc:  # such as a field over csv.field_size_limit()
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
@@ -427,26 +438,25 @@ def load_dataset_csv(path, num_classes: int | None = None) -> dict[str, LabeledD
             # the text layer decodes ahead of the reader, so line_num may be
             # short of the line that holds the byte
             raise ValueError(_first_non_utf8(path)) from None
-    step = width - 1
     arrays = {}
-    for tag, (lines, values) in rows_by_tag.items():
-        columns = [values[j::step] for j in (0, step - 2, step - 1)]  # id, true_label, noisy_label
+    for tag, (lines, ints, feats) in rows_by_tag.items():
+        n = len(lines)
         try:
-            ints = np.array(columns, np.int64)
+            columns = np.array(ints, np.int64).reshape(n, 3).T  # id, true_label, noisy_label
         except OverflowError:
-            j, i = next((j, i) for j, column in enumerate(columns)
-                        for i, v in enumerate(column) if not -2**63 <= v < 2**63)
+            j, i = next((j, i) for j in range(3) for i in range(n)
+                        if not -2**63 <= ints[3 * i + j] < 2**63)
             raise ValueError(f"{path}:{lines[i]}: {header[(0, -3, -2)[j]]!r}: "
                              f"out of the int64 range") from None
-        feats = np.array(values, np.float64).reshape(len(lines), step)[:, 1:-2]
-        bad = ~np.isfinite(feats)
+        x = np.frombuffer(feats, np.float64).reshape(n, width - 4)
+        bad = ~np.isfinite(x)
         if bad.any():
             i, j = np.argwhere(bad)[0]
             raise ValueError(f"{path}:{lines[i]}: {header[1 + j]!r}: "
-                             f"not a finite number: {str(feats[i, j])!r}")
-        arrays[tag] = feats, ints
+                             f"not a finite number: {str(x[i, j])!r}")
+        arrays[tag] = x, columns
     if num_classes is None:
-        num_classes = 1 + max((int(ints[1:].max()) for _, ints in arrays.values()),
+        num_classes = 1 + max((int(cols[1:].max()) for _, cols in arrays.values()),
                               default=-1)
     out: dict[str, LabeledDataset] = {}
     for tag, (feats, (ids, true, noisy)) in arrays.items():

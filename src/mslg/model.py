@@ -6,6 +6,12 @@ loss code differentiates through the softmax itself; a gradient with respect
 to the probabilities is pulled back with `linalg.softmax_backward` first.
 `tangent` returns the directional derivative of the probabilities.
 
+A forward's cache holds each layer's input (`acts`: the batch, then each
+hidden layer's ReLU output, computed in place over its pre-activation) and
+the probabilities, and nothing else. `backward` and `tangent` take the ReLU
+mask of hidden layer i as `acts[i + 1] > 0`, which equals the pre-activation's
+`> 0` for every float, NaN and -0.0 included.
+
 The parameters live in one contiguous float64 vector `params`; `weights[i]`
 and `biases[i]` are reshaped views into it. Its order, shared by gradients,
 the optimizer state and checkpoints: all weight matrices in layer order, each
@@ -125,20 +131,16 @@ class Mlp:
             raise ValueError(
                 f"input has {x.shape[1]} features, model expects {self.layer_sizes[0]}"
             )
-        acts = [x]          # post-activation inputs to each layer
-        pre = []            # pre-activation outputs of each layer
-        h = x
+        acts = [x]  # each layer's input
         for i in range(self.num_layers):
-            z = h @ self.weights[i] + self.biases[i]
-            pre.append(z)
-            h = np.maximum(z, 0.0) if i < self.num_layers - 1 else z
+            z = acts[-1] @ self.weights[i]
+            z += self.biases[i]
             if i < self.num_layers - 1:
-                acts.append(h)
-        probs = softmax(pre[-1])
+                acts.append(np.maximum(z, 0.0, out=z))
+        probs = softmax(z)
         if not np.all(np.isfinite(probs)):
             raise NumericalError("forward produced non-finite probabilities")
-        cache = {"model": self, "version": self._version, "acts": acts,
-                 "pre": pre, "probs": probs}
+        cache = {"model": self, "version": self._version, "acts": acts, "probs": probs}
         return probs, cache
 
     def predict(self, x) -> np.ndarray:
@@ -164,7 +166,7 @@ class Mlp:
             dz.sum(axis=0, out=dbs[i])
             if i > 0:
                 da = dz @ self.weights[i].T
-                dz = da * (cache["pre"][i - 1] > 0.0)
+                dz = da * (cache["acts"][i] > 0.0)
         return grad
 
     def tangent(self, cache: dict, direction: np.ndarray) -> np.ndarray:
@@ -176,10 +178,10 @@ class Mlp:
         """
         self._check_cache(cache, "tangent")
         dws, dbs = self.views(self._direction(direction))
-        acts, pre = cache["acts"], cache["pre"]
+        acts = cache["acts"]
         dz = acts[0] @ dws[0] + dbs[0]
         for i in range(1, self.num_layers):
-            dz = (dz * (pre[i - 1] > 0.0)) @ self.weights[i] + acts[i] @ dws[i] + dbs[i]
+            dz = (dz * (acts[i] > 0.0)) @ self.weights[i] + acts[i] @ dws[i] + dbs[i]
         # the softmax Jacobian is symmetric, so its JVP is its VJP
         return softmax_backward(cache["probs"], dz)
 

@@ -118,10 +118,9 @@ class SoftLabelStore:
     def export_csv(self, path) -> None:
         """CSV: sample_id, yhat_0..yhat_{C-1}, argmax."""
         yhat = self.soft_labels()
-        arg = yhat.argmax(axis=1)
         cols = ",".join(f"yhat_{j}" for j in range(self.num_classes))
         with atomic_write(path) as fh:
             fh.write(f"sample_id,{cols},argmax\n".encode("utf-8"))
-            for i in range(self.n):
-                vals = ",".join(repr(float(v)) for v in yhat[i])
-                fh.write(f"{i},{vals},{int(arg[i])}\n".encode("utf-8"))
+            for i, (row, arg) in enumerate(zip(yhat, yhat.argmax(axis=1).tolist())):
+                vals = ",".join(map(repr, row.tolist()))
+                fh.write(f"{i},{vals},{arg}\n".encode("utf-8"))

@@ -93,8 +93,10 @@ def kink_free_batch(model, key, shape, margin=1e-3):
     differences do not straddle a ReLU kink."""
     for attempt in range(50):
         x = Rng(*key, attempt).normal(size=shape)
-        _, cache = model.forward(x)
-        if min(np.abs(z).min() for z in cache["pre"][:-1]) > margin:
+        acts = model.forward(x)[1]["acts"]
+        # each hidden layer's pre-activation, by the forward's own arithmetic
+        pre = [a @ w + b for a, w, b in zip(acts[:-1], model.weights, model.biases)]
+        if min(np.abs(z).min() for z in pre) > margin:
             return x
     raise AssertionError("could not find a kink-free batch")
 

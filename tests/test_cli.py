@@ -681,6 +681,33 @@ def _bayes_checkpoint(tmp_path, ds_dir):
     return path
 
 
+@pytest.mark.parametrize("command,target", [("eval", "manifest.json"),
+                                            ("export-labels", "dataset.csv"),
+                                            ("eval", "dataset.csv"),
+                                            ("export-labels", "manifest.json")])
+def test_out_may_not_replace_a_file_of_a_data_dir(tmp_path, data_dir, capsys, command, target):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("dataset.csv", "manifest.json"):
+        (data / name).write_bytes((data_dir / name).read_bytes())
+    before = {p.name: p.read_bytes() for p in data.iterdir()}
+    ckpt, snap = tmp_path / "model.ckpt", tmp_path / "labels.slbl"
+    Mlp((2, 3)).save(ckpt)
+    train = load_dataset_csv(data / "dataset.csv", 3)["train"]
+    SoftLabelStore.init_from_noisy(train.noisy_labels, 3, 10.0).save(snap)
+    reads = (("eval", "--data", data, "--checkpoint", ckpt, "--labels", snap) if command == "eval"
+             else ("export-labels", "--labels", snap))
+    out = data / target
+    assert run_cli(*reads, "--out", out) == EXIT_CONFIG
+    assert (f"--out {out} would replace {target} of the data directory {data.resolve()}"
+            in capsys.readouterr().err)
+    assert {p.name: p.read_bytes() for p in data.iterdir()} == before
+    # any other file, in the data directory or not, is written as before
+    for other in (tmp_path / "out" / target, data / "report.json"):
+        assert run_cli(*reads, "--out", other) == EXIT_OK
+        assert other.is_file()
+
+
 def test_eval_perfect_model_accuracy_one(tmp_path):
     data = tmp_path / "data"
     assert run_cli("gen", "--blobs", "n=400", "c=4", "d=2", "sep=12",

@@ -1,5 +1,6 @@
 import struct
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -425,6 +426,41 @@ def test_dataset_csv_with_one_field_replaced_loads_or_names_the_file(data, text,
                 load_dataset_csv(path, num_classes)
             except ValueError as exc:
                 assert str(exc).startswith(str(path)), exc
+
+
+def test_dataset_csv_load_peak_memory_is_near_the_feature_bytes(tmp_path):
+    # features are packed as they are read; a Python float per field, held
+    # until the file ends, would take the peak past 6x the feature bytes
+    ds = gen_blobs(2000, 4, 32, 6.0, Rng(38))
+    path = tmp_path / "dataset.csv"
+    save_dataset_csv(path, {"train": ds})
+    tracemalloc.start()
+    try:
+        loaded = load_dataset_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded["train"].features.tobytes() == ds.features.tobytes()
+    assert peak <= 2.5 * ds.features.nbytes, peak / ds.features.nbytes
+
+
+@pytest.mark.parametrize("cells,message", [
+    ({0: "x", 1: "y"}, "'id': invalid literal for int() with base 10: 'x'"),
+    ({2: "y", 3: "z"}, "'f1': could not convert string to float: 'y'"),
+    ({3: "z"}, "'true_label': invalid literal for int() with base 10: 'z'"),
+], ids=["bad id and feature", "bad feature and true_label", "bad true_label"])
+def test_dataset_csv_names_the_first_bad_field_in_column_order(tmp_path, cells, message):
+    path = tmp_path / "dataset.csv"
+    save_dataset_csv(path, {"train": gen_blobs(6, 3, 2, 6.0, Rng(39))})
+    lines = path.read_text(encoding="utf-8").splitlines()
+    row = lines[4].split(",")  # id,f0,f1,true_label,noisy_label,split
+    for col, text in cells.items():
+        row[col] = text
+    lines[4] = ",".join(row)
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_dataset_csv(path)
+    assert str(err.value) == f"{path}:5: {message}"
 
 
 def test_dataset_csv_rerun_identical_bytes(tmp_path):

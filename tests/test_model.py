@@ -1,6 +1,7 @@
 import ast
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import mslg.model
-from mslg.linalg import softmax_backward
+from mslg.linalg import softmax, softmax_backward
 from mslg.losses import (
     cce_logit_grad,
     cce_loss,
@@ -106,6 +107,73 @@ def test_init_is_seed_deterministic():
     a = _tiny_net(9, (3, 6, 2)).params
     b = _tiny_net(9, (3, 6, 2)).params
     assert np.array_equal(a, b)
+
+
+def test_forward_cache_holds_only_activations_and_probs():
+    probs, cache = _tiny_net(14, (3, 5, 4, 2)).forward(Rng(15).normal(size=(6, 3)))
+    assert set(cache) == {"model", "version", "acts", "probs"}
+    assert [a.shape for a in cache["acts"]] == [(6, 3), (6, 5), (6, 4)]
+    assert cache["probs"] is probs
+
+
+def test_forward_peak_memory_is_about_two_hidden_activations():
+    # the cache keeps each hidden layer's output once; a second copy of its
+    # pre-activation would take the peak to about 4 such arrays
+    model = Mlp((64, 256, 256, 10), Rng(16, 0))
+    x = Rng(17).normal(size=(1600, 64))
+    model.forward(x)
+    tracemalloc.start()
+    try:
+        model.forward(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 1600 * 256 * 8, peak
+
+
+def _pre_activation_reference(model, x, dz, direction):
+    """(backward, tangent) with each ReLU mask taken from the hidden layer's
+    recomputed pre-activation, as the cache's old `pre` list gave it."""
+    acts, pre = [x], []
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        pre.append(acts[-1] @ w + b)
+        acts.append(np.maximum(pre[-1], 0.0))
+    probs = softmax(acts[-1] @ model.weights[-1] + model.biases[-1])
+    grad = np.empty(model.num_params)
+    dws, dbs = model.views(grad)
+    for i in range(model.num_layers - 1, -1, -1):
+        np.matmul(acts[i].T, dz, out=dws[i])
+        dz.sum(axis=0, out=dbs[i])
+        if i > 0:
+            dz = (dz @ model.weights[i].T) * (pre[i - 1] > 0.0)
+    tws, tbs = model.views(direction)
+    t = acts[0] @ tws[0] + tbs[0]
+    for i in range(1, model.num_layers):
+        t = (t * (pre[i - 1] > 0.0)) @ model.weights[i] + acts[i] @ tws[i] + tbs[i]
+    return grad, softmax_backward(probs, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), sizes=st.lists(st.integers(1, 6), min_size=3, max_size=5),
+       b=st.integers(1, 6), seed=st.integers(0, 2**16))
+def test_backward_and_tangent_masks_equal_pre_activation_masks(data, sizes, b, seed):
+    # zero rows of x, dead units (zero weight column and bias) and zero
+    # biases give hidden pre-activations of exactly +-0.0
+    model = _tiny_net(seed, tuple(sizes))
+    for w, bias in zip(model.weights[:-1], model.biases[:-1]):
+        bias[...] = Rng(seed, 1).normal(size=bias.shape)
+        bias[data.draw(hnp.arrays(bool, bias.shape))] = 0.0
+        dead = data.draw(hnp.arrays(bool, bias.shape))
+        w[:, dead] = 0.0
+        bias[dead] = 0.0
+    x = Rng(seed, 2).normal(size=(b, sizes[0]))
+    x[data.draw(hnp.arrays(bool, b))] = data.draw(st.sampled_from([0.0, -0.0]))
+    dz = Rng(seed, 3).normal(size=(b, sizes[-1]))
+    direction = Rng(seed, 4).normal(size=model.num_params)
+    _, cache = model.forward(x)
+    grad, tangent = _pre_activation_reference(model, x, dz.copy(), direction)
+    assert model.backward(cache, dz).tobytes() == grad.tobytes()
+    assert model.tangent(cache, direction).tobytes() == tangent.tobytes()
 
 
 # -- backward ---------------------------------------------------------------------
