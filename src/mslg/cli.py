@@ -17,10 +17,14 @@ tokens and --config lines are key=value items read by one reader,
 flag or the file line. Flags must be spelled in full. Seeds are
 non-negative, and no two sweep cells may share a directory. `gen` generates
 its data, and `sweep` resolves every cell's training configuration and split
-sizes, before creating --out; `train`'s --out may not be its --data, and
-`eval`'s and `export-labels`' --out may not be the dataset.csv or
-manifest.json of a directory that holds a dataset.csv. A manifest.json must
-hold a JSON object.
+sizes, before creating --out. A manifest.json must hold a JSON object.
+
+No command replaces a dataset.csv or manifest.json that another command
+wrote. `gen` owns a directory that holds a dataset.csv or whose manifest
+records "command": "gen", and `train` one whose manifest records "train".
+`gen` and `train` refuse an --out that the other owns, and `eval` and
+`export-labels` refuse an --out that is the dataset.csv or manifest.json of
+a directory either owns; each refusal comes before anything is written.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical abort
 (a non-finite loss or gradient; the rolling last_good checkpoint survives).
@@ -101,16 +105,35 @@ def _out_dir(path_str: str | Path) -> Path:
     return path
 
 
+# the files a `gen` or `train` directory holds that no other command may replace
+_OWNED_FILES = ("dataset.csv", "manifest.json")
+_DIR_KIND = {"gen": "data", "train": "run"}
+
+
+def _owner(directory: Path) -> str | None:
+    """The command whose output `directory` holds: `gen` when it holds a
+    dataset.csv, else the command its manifest.json records, if any."""
+    if (directory / "dataset.csv").is_file():
+        return "gen"
+    manifest = directory / "manifest.json"
+    return _read_manifest(manifest).get("command") if manifest.is_file() else None
+
+
+def _refuse_owned(path_str: str | Path, target: Path, owners: tuple[str, ...]) -> None:
+    """An error, raised before anything is written, when --out `path_str`
+    would replace `target`, the dataset.csv or manifest.json of a directory
+    that one of `owners` wrote."""
+    if target.name in _OWNED_FILES and (owner := _owner(target.parent)) in owners:
+        raise ValueError(f"--out {_rooted(path_str)} would replace {target.name} of the "
+                         f"{_DIR_KIND[owner]} directory {target.parent}")
+
+
 def _out_file(path_str: str | Path) -> Path:
     """An --out file, in the directory `_out_dir` resolves for its parent. The
-    dataset.csv or manifest.json of a directory that holds a dataset.csv (a
-    `gen` data directory) is an error, raised before anything is written."""
+    dataset.csv or manifest.json of a `gen` or `train` directory is an error,
+    raised before anything is written."""
+    _refuse_owned(path_str, _rooted(path_str).resolve(), ("gen", "train"))
     path = Path(path_str)
-    target = _rooted(path).resolve()
-    data_file = target.name in ("dataset.csv", "manifest.json")
-    if data_file and (target.parent / "dataset.csv").is_file():
-        raise ValueError(f"--out {_rooted(path)} would replace {target.name} of the data "
-                         f"directory {target.parent}")
     return _out_dir(path.parent) / path.name
 
 
@@ -282,6 +305,7 @@ def _generate_dataset(args) -> tuple[dict[str, LabeledDataset], dict]:
 
 def cmd_gen(args) -> int:
     splits, manifest = _generate_dataset(args)
+    _refuse_owned(args.out, _rooted(args.out).resolve() / "manifest.json", ("train",))
     out = _out_dir(args.out)
     save_dataset_csv(out / "dataset.csv", splits)
     _write_json(out / "manifest.json", manifest)
@@ -343,9 +367,7 @@ def _load_splits(data_dir: Path) -> tuple[dict[str, LabeledDataset], dict]:
 def cmd_train(args) -> int:
     cfg = _resolve_train_config(args)
     data_dir = _rooted(args.data)
-    if _rooted(args.out).resolve() == data_dir.resolve():
-        raise ValueError(f"--out {_rooted(args.out)} is the --data directory {data_dir}: "
-                         f"the run's manifest.json would replace the data's")
+    _refuse_owned(args.out, _rooted(args.out).resolve() / "manifest.json", ("gen",))
     splits, data_manifest = _load_splits(data_dir)
     out = _out_dir(args.out)
 

@@ -19,13 +19,15 @@ fails is parsed again, in column order, to name its first bad field. Loading
 fails fast, naming `path:line` and the column, on a malformed row, a field
 that is not a number, an integer outside int64 or a feature that is not
 finite, and naming `path:line` on a byte that is not UTF-8. It is written
-row by row, each feature as its shortest round-trip `repr`.
+row by row, each feature as its shortest round-trip `repr`, through
+`atomic_write`, so a crash mid-write leaves the previous file whole.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import struct
 from array import array
 from collections import defaultdict
@@ -33,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_write
 from .losses import cce_logit_grad
 from .model import Mlp, SgdState, sgd_pass
 from .rng import Rng
@@ -369,7 +372,7 @@ def save_dataset_csv(path, splits: dict[str, LabeledDataset]) -> None:
     if len(dims) != 1:
         raise ValueError(f"splits disagree on feature dimension: {sorted(dims)}")
     d = dims.pop()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as raw, io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
         cols = ",".join(f"f{j}" for j in range(d))
         fh.write(f"id,{cols},true_label,noisy_label,split\n")
         for tag in sorted(splits):

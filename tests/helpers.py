@@ -196,6 +196,9 @@ class _FillingHandle:
     def __init__(self, fh, after):
         self.fh, self.left = fh, after
 
+    def __getattr__(self, name):  # the rest of the file API, for text wrappers
+        return getattr(self.fh, name)
+
     def write(self, data):
         if not self.left:
             self.fh.write(data[:len(data) // 2])

@@ -1,14 +1,19 @@
 import argparse
 import dataclasses
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mslg.cli
-from mslg.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, build_parser, main
-from mslg.datasets import load_dataset_csv, split
+from mslg.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, build_eval_report,
+                      build_parser, main)
+from mslg.datasets import LabeledDataset, load_dataset_csv, split
 from mslg.model import Mlp
 from mslg.soft_labels import SoftLabelStore
 from mslg.trainer import TrainConfig
@@ -253,20 +258,27 @@ def test_train_same_seed_byte_identical_metrics(tmp_path, data_dir):
 
 
 def test_train_preset_resolution_paper_values(tmp_path, data_dir):
+    # run almost nothing: the flags win over the defaults and over a preset
+    short = ("--total-epochs", "2", "--warmup-epochs", "1", "--batch-size", "64",
+             "--lambda-schedule", "0:0.01", "--hidden", "8")
     out = tmp_path / "run"
-    # resolve the preset but run almost nothing: flags win over the preset
     assert run_cli("train", "--data", data_dir, "--out", out, "--method", "mslg",
-                   "--preset", "cifar10-featdep", "--total-epochs", "2",
-                   "--warmup-epochs", "1", "--batch-size", "64",
-                   "--lambda-schedule", "0:0.01", "--hidden", "8") == EXIT_OK
+                   *short) == EXIT_OK
     cfg = json.loads((out / "manifest.json").read_text())["config"]
+    # with no --preset, the paper's CIFAR-10 values
     assert cfg["alpha"] == 0.5
     assert cfg["beta"] == 4000.0
     assert cfg["k_init"] == 10.0
     assert cfg["momentum"] == 0.9
     assert cfg["weight_decay"] == 1e-4
-    # the flag overrides won
     assert cfg["total_epochs"] == 2 and cfg["warmup_epochs"] == 1
+    desk = tmp_path / "desk"
+    assert run_cli("train", "--data", data_dir, "--out", desk, "--method", "mslg",
+                   "--preset", "blobs-desk", *short) == EXIT_OK
+    cfg = json.loads((desk / "manifest.json").read_text())["config"]
+    assert cfg["beta"] == 50.0 and cfg["k_init"] == 2.0 and cfg["weight_decay"] == 5e-3
+    assert cfg["total_epochs"] == 2 and cfg["warmup_epochs"] == 1
+    assert cfg["lambda_schedule"] == [[0, 0.01]] and cfg["hidden_sizes"] == [8]
 
 
 def test_train_config_file_between_preset_and_flags(tmp_path, data_dir):
@@ -657,8 +669,73 @@ def test_train_out_that_is_the_data_dir_is_config_error(tmp_path, data_dir, caps
     assert run_cli("train", "--data", data, "--out", out, "--method", "ce",
                    *TRAIN_FAST) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert f"--out {out} is the --data directory {data}" in err
+    assert f"--out {out} would replace manifest.json of the data directory {data}" in err
     assert {p.name: p.read_bytes() for p in data.iterdir()} == before
+
+
+def test_train_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # 18,180 parameters: enough for OpenBLAS to split a 1-D dot across threads
+    data = tmp_path / "data"
+    assert run_cli("gen", "--blobs", "n=600", "c=4", "d=8", "sep=6", "--noise", "uniform:0.3",
+                   "--meta", "0.1", "--test", "0.2", "--seed", "3", "--out", data) == EXIT_OK
+    src = str(Path(mslg.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        run = tmp_path / f"threads{threads}"
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-m", "mslg.cli", "train", "--data", str(data),
+                               "--out", str(run), "--preset", "blobs-smoke",
+                               "--hidden", "128,128", "--seed", "3"],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(run)
+    for name in ("metrics.csv", "model.ckpt", "labels.slbl"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir() if p.is_file()}
+
+
+@pytest.fixture
+def run_dir(tmp_path, data_dir):
+    run = tmp_path / "run"
+    assert run_cli("train", "--data", data_dir, "--out", run, *TRAIN_FAST) == EXIT_OK
+    return run
+
+
+def test_train_out_that_is_another_data_dir_is_config_error(tmp_path, data_dir, capsys):
+    other = tmp_path / "other"
+    assert run_cli(*GEN_SMALL, "--seed", "2", "--out", other) == EXIT_OK
+    before = _files(other)
+    assert run_cli("train", "--data", data_dir, "--out", other, *TRAIN_FAST) == EXIT_CONFIG
+    assert (f"--out {other} would replace manifest.json of the data directory {other}"
+            in capsys.readouterr().err)
+    assert _files(other) == before
+
+
+def test_gen_out_that_is_a_run_dir_is_config_error(run_dir, data_dir, capsys):
+    before = _files(run_dir)
+    assert run_cli(*GEN_SMALL, "--out", run_dir) == EXIT_CONFIG
+    assert (f"--out {run_dir} would replace manifest.json of the run directory {run_dir}"
+            in capsys.readouterr().err)
+    assert _files(run_dir) == before
+    # each command may still write over its own directory
+    assert run_cli("train", "--data", data_dir, "--out", run_dir, *TRAIN_FAST) == EXIT_OK
+    assert _files(run_dir) == before
+
+
+@pytest.mark.parametrize("command", ["eval", "export-labels"])
+def test_out_may_not_replace_the_manifest_of_a_run_dir(run_dir, data_dir, capsys, command):
+    before = _files(run_dir)
+    reads = (("eval", "--data", data_dir, "--checkpoint", run_dir / "model.ckpt")
+             if command == "eval" else ("export-labels",))
+    out = run_dir / "manifest.json"
+    assert run_cli(*reads, "--labels", run_dir / "labels.slbl", "--out", out) == EXIT_CONFIG
+    assert (f"--out {out} would replace manifest.json of the run directory {run_dir}"
+            in capsys.readouterr().err)
+    assert _files(run_dir) == before
 
 
 # -- eval ----------------------------------------------------------------------------
@@ -813,6 +890,21 @@ def test_eval_flags_after_training_catch_noise(tmp_path, data_dir):
     assert report["label_recovery_rate"] > 0.0
     assert report["noise_flagged"] > 0
     assert report["noise_flag_recall"] > 0.0
+
+
+def test_eval_noise_flag_precision_and_recall_match_hand_counts():
+    # rows 0 and 1 are corrupted; the learned labels flag rows 0, 2 and 3:
+    # 1 hit of 3 flags, and 1 of 2 corrupted rows found
+    true = np.array([0, 1, 2, 0, 1, 2])
+    noisy = np.array([1, 2, 2, 0, 1, 2])
+    learned = np.array([0, 2, 0, 1, 1, 2])
+    train_ds = LabeledDataset(np.zeros((6, 2)), true, noisy, 3)
+    test_ds = LabeledDataset(np.zeros((3, 2)), np.arange(3), np.arange(3), 3)
+    store = SoftLabelStore.init_from_noisy(learned, 3)
+    report = build_eval_report(Mlp((2, 3)), store, {"train": train_ds, "test": test_ds})
+    assert report["n_corrupted"] == 2 and report["noise_flagged"] == 3
+    assert report["noise_flag_precision"] == pytest.approx(1 / 3, rel=1e-15)
+    assert report["noise_flag_recall"] == pytest.approx(1 / 2, rel=1e-15)
 
 
 # -- sweep ----------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import mslg.datasets
 from mslg.datasets import (
     IdxBadMagicError,
     IdxCountMismatchError,
@@ -31,7 +32,7 @@ from mslg.losses import PROB_FLOOR, cce_logit_loss
 from mslg.model import Mlp, SgdState, sgd_step
 from mslg.rng import Rng
 
-from helpers import idx_images_bytes, idx_labels_bytes
+from helpers import disk_fills_mid_write, idx_images_bytes, idx_labels_bytes
 
 
 def _probe_accuracy(ds, seed=0):
@@ -472,3 +473,16 @@ def test_dataset_csv_rerun_identical_bytes(tmp_path):
         return path.read_bytes()
 
     assert render(tmp_path / "a.csv") == render(tmp_path / "b.csv")
+
+
+def test_dataset_csv_failed_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "dataset.csv"
+    save_dataset_csv(path, {"train": gen_blobs(20, 3, 2, 6.0, Rng(34))})
+    before = path.read_bytes()
+    # the disk fills in the second of several chunks, at no row boundary in particular
+    monkeypatch.setattr(mslg.datasets, "atomic_write",
+                        disk_fills_mid_write(mslg.datasets.atomic_write, after=1))
+    with pytest.raises(OSError, match="no space left"):
+        save_dataset_csv(path, {"train": gen_blobs(1000, 3, 2, 6.0, Rng(35))})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["dataset.csv"]

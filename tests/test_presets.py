@@ -1,35 +1,32 @@
+import itertools
+
 import pytest
 
 from mslg.presets import PRESETS, preset_names, resolve_preset
-
-
-def test_uniform_presets_beta_ladder():
-    assert resolve_preset("cifar10-uniform-20").beta == 4000.0
-    assert resolve_preset("cifar10-uniform-40").beta == 4000.0
-    assert resolve_preset("cifar10-uniform-60").beta == 2000.0
-    assert resolve_preset("cifar10-uniform-80").beta == 400.0
-
-
-def test_featdep_presets_constant_beta():
-    for ratio in (20, 40, 60, 80):
-        cfg = resolve_preset(f"cifar10-featdep-{ratio}")
-        assert cfg.beta == 4000.0
-    assert resolve_preset("cifar10-featdep").beta == 4000.0
+from mslg.trainer import TrainConfig
 
 
 def test_cifar10_shared_hyperparameters():
-    for name in preset_names():
-        if not name.startswith("cifar10"):
-            continue
-        cfg = resolve_preset(name)
-        assert cfg.alpha == 0.5
-        assert cfg.k_init == 10.0
-        assert cfg.momentum == 0.9
-        assert cfg.weight_decay == 1e-4
-        assert cfg.batch_size == 128
-        assert cfg.lambda_schedule == ((0, 1e-2), (40, 1e-3), (80, 1e-4))
-        assert cfg.warmup_epochs == 44
-        assert cfg.total_epochs == 120
+    # TrainConfig's defaults are the paper's CIFAR-10 values (beta for up to
+    # 40% uniform noise and for feature-dependent noise)
+    cfg = TrainConfig()
+    assert cfg.alpha == 0.5
+    assert cfg.beta == 4000.0
+    assert cfg.k_init == 10.0
+    assert cfg.momentum == 0.9
+    assert cfg.weight_decay == 1e-4
+    assert cfg.batch_size == 128
+    assert cfg.lambda_schedule == ((0, 1e-2), (40, 1e-3), (80, 1e-4))
+    assert cfg.warmup_epochs == 44
+    assert cfg.total_epochs == 120
+
+
+def test_every_preset_differs_from_the_defaults_and_the_others():
+    # a preset equal to TrainConfig() or to another preset is a name for nothing
+    configs = {"TrainConfig()": TrainConfig(),
+               **{name: resolve_preset(name) for name in preset_names()}}
+    for (a, cfg_a), (b, cfg_b) in itertools.combinations(configs.items(), 2):
+        assert cfg_a != cfg_b, f"{a} equals {b}"
 
 
 def test_desk_preset_keeps_warmup_fraction():

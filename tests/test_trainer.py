@@ -272,6 +272,29 @@ def test_alignment_positive_for_matching_sample():
     assert _alignment(model, x, yhat_j, meta_x, meta_y) > 0.0
 
 
+def test_mean_grad_alignment_is_the_mean_over_the_epochs_batches(monkeypatch):
+    # 210 training rows in batches of 32: 7 batches, the last one short
+    train_ds, meta_ds, test_ds = _blob_setting(seed=4, noise=0.3)
+    cfg = _warm_cfg(warmup_epochs=0, total_epochs=1)
+    pairs = []
+
+    def recording(*args):
+        g_meta, g_train = meta_gradient_direction(*args)
+        pairs.append((g_meta.copy(), g_train.copy()))
+        return g_meta, g_train
+
+    monkeypatch.setattr(mslg.trainer, "meta_gradient_direction", recording)
+    model = Mlp((2, *cfg.hidden_sizes, 3), Rng(cfg.seed, 0))
+    store = SoftLabelStore.init_from_noisy(train_ds.noisy_labels, 3, cfg.k_init)
+    opt = SgdState(lr=cfg.lr_at(0), momentum=cfg.momentum,
+                   weight_decay=cfg.weight_decay)
+    metrics = mslg_epoch(model, train_ds, store, opt, cfg, 0, meta_ds, test_ds)
+    assert len(pairs) == 7 and train_ds.n == 210
+    expected = float(np.mean([np.sum(g_meta * g_train) for g_meta, g_train in pairs]))
+    assert expected != 0.0
+    assert metrics.mean_grad_alignment == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 def test_label_update_raises_alignment_or_lowers_meta_loss():
     cfg = TrainConfig(alpha=0.5)
     for seed in (0, 1, 2):
