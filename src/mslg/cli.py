@@ -19,12 +19,13 @@ non-negative, and no two sweep cells may share a directory. `gen` generates
 its data, and `sweep` resolves every cell's training configuration and split
 sizes, before creating --out. A manifest.json must hold a JSON object.
 
-No command replaces a dataset.csv or manifest.json that another command
-wrote. `gen` owns a directory that holds a dataset.csv or whose manifest
-records "command": "gen", and `train` one whose manifest records "train".
-`gen` and `train` refuse an --out that the other owns, and `eval` and
-`export-labels` refuse an --out that is the dataset.csv or manifest.json of
-a directory either owns; each refusal comes before anything is written.
+Each command writes only into a directory that it owns or that no command
+owns. `gen` owns one that holds a dataset.csv or whose manifest records
+"command": "gen", and `train` one whose manifest records "train"; `sweep`,
+`eval` and `export-labels` own none. An --out file may not be one of the
+command's own inputs. Each refusal comes before anything is written. `train`
+writes every file, snapshots included, beside its manifest, and a rerun first
+removes the previous run's model, labels and snapshots.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical abort
 (a non-finite loss or gradient; the rolling last_good checkpoint survives).
@@ -98,18 +99,6 @@ def _rooted(path_str: str | Path) -> Path:
     return path
 
 
-def _out_dir(path_str: str | Path) -> Path:
-    """An --out directory, resolved by `_rooted`; created."""
-    path = _rooted(path_str)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-# the files a `gen` or `train` directory holds that no other command may replace
-_OWNED_FILES = ("dataset.csv", "manifest.json")
-_DIR_KIND = {"gen": "data", "train": "run"}
-
-
 def _owner(directory: Path) -> str | None:
     """The command whose output `directory` holds: `gen` when it holds a
     dataset.csv, else the command its manifest.json records, if any."""
@@ -119,22 +108,27 @@ def _owner(directory: Path) -> str | None:
     return _read_manifest(manifest).get("command") if manifest.is_file() else None
 
 
-def _refuse_owned(path_str: str | Path, target: Path, owners: tuple[str, ...]) -> None:
-    """An error, raised before anything is written, when --out `path_str`
-    would replace `target`, the dataset.csv or manifest.json of a directory
-    that one of `owners` wrote."""
-    if target.name in _OWNED_FILES and (owner := _owner(target.parent)) in owners:
-        raise ValueError(f"--out {_rooted(path_str)} would replace {target.name} of the "
-                         f"{_DIR_KIND[owner]} directory {target.parent}")
+def _out_dir(path_str: str | Path, command: str | None = None) -> Path:
+    """An --out directory, resolved by `_rooted`; created. One that a command
+    other than `command` owns is an error, raised before anything is written."""
+    path = _rooted(path_str)
+    owner = _owner(path.resolve())
+    if owner is not None and owner != command:
+        raise ValueError(f"--out: {path.resolve()} holds the output of `{owner}`; "
+                         f"only `{owner}` writes there")
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
-def _out_file(path_str: str | Path) -> Path:
-    """An --out file, in the directory `_out_dir` resolves for its parent. The
-    dataset.csv or manifest.json of a `gen` or `train` directory is an error,
-    raised before anything is written."""
-    _refuse_owned(path_str, _rooted(path_str).resolve(), ("gen", "train"))
-    path = Path(path_str)
-    return _out_dir(path.parent) / path.name
+def _out_file(path_str: str | Path, *inputs) -> Path:
+    """An --out file, in a directory that `_out_dir` resolves and no command
+    owns. One of the command's own `inputs` is an error, raised before
+    anything is written."""
+    path = _rooted(path_str)
+    directory = _out_dir(path.parent)  # an input's directory exists: nothing is made
+    if any(path.resolve() == _rooted(i).resolve() for i in inputs if i):
+        raise ValueError(f"--out {path} is also an input of this command")
+    return directory / path.name
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -203,10 +197,8 @@ _PARSERS = {
     "seeds": _comma_list(_non_negative_int),
 }
 
-# the keys --blobs/--spirals accept; `separation` is stored as `sep`
-_SOURCE_KEYS = {"blobs": ("n", "c", "d", "sep", "separation"),
-                "spirals": ("n", "c", "noise_sd")}
-_ALIASES = {"separation": "sep"}
+# the keys --blobs/--spirals accept
+_SOURCE_KEYS = {"blobs": ("n", "c", "d", "sep"), "spirals": ("n", "c", "noise_sd")}
 
 
 def _parse_field(key: str, value: str, where: str = ""):
@@ -219,9 +211,8 @@ def _parse_field(key: str, value: str, where: str = ""):
 
 def _parse_kv(items, keys: tuple[str, ...]) -> dict:
     """(where, "key=value") items as {key: parsed value}, with whitespace
-    around key and value dropped; an error names the item's `where`. An
-    alias is stored under its key; a key given twice, directly or through
-    an alias, is an error."""
+    around key and value dropped; an error names the item's `where`. A key
+    given twice is an error."""
     out = {}
     for where, item in items:
         if "=" not in item:
@@ -230,11 +221,9 @@ def _parse_kv(items, keys: tuple[str, ...]) -> dict:
         key = key.replace("-", "_")
         if key not in keys:
             raise ValueError(f"{where}: unknown key {key!r}; accepted: {' '.join(keys)}")
-        name = _ALIASES.get(key, key)
-        if name in out:
-            also = f" (as {key!r})" if key != name else ""
-            raise ValueError(f"{where}: key {name!r} given more than once{also}")
-        out[name] = _parse_field(name, value, f"{where}: ")
+        if key in out:
+            raise ValueError(f"{where}: key {key!r} given more than once")
+        out[key] = _parse_field(key, value, f"{where}: ")
     return out
 
 
@@ -305,8 +294,7 @@ def _generate_dataset(args) -> tuple[dict[str, LabeledDataset], dict]:
 
 def cmd_gen(args) -> int:
     splits, manifest = _generate_dataset(args)
-    _refuse_owned(args.out, _rooted(args.out).resolve() / "manifest.json", ("train",))
-    out = _out_dir(args.out)
+    out = _out_dir(args.out, "gen")
     save_dataset_csv(out / "dataset.csv", splits)
     _write_json(out / "manifest.json", manifest)
     print(f"wrote {out / 'dataset.csv'} "
@@ -364,12 +352,19 @@ def _load_splits(data_dir: Path) -> tuple[dict[str, LabeledDataset], dict]:
     return splits, data_manifest
 
 
+# what `train` writes beside its manifest.json and metrics.csv
+_RUN_FILES = ("model.ckpt", "labels.slbl", "labels.csv", "last_good.*",
+              "epoch_*.ckpt", "epoch_*.slbl")
+
+
 def cmd_train(args) -> int:
     cfg = _resolve_train_config(args)
     data_dir = _rooted(args.data)
-    _refuse_owned(args.out, _rooted(args.out).resolve() / "manifest.json", ("gen",))
     splits, data_manifest = _load_splits(data_dir)
-    out = _out_dir(args.out)
+    out = _out_dir(args.out, "train")
+    for pattern in _RUN_FILES:  # a previous run's, so none outlives its manifest
+        for stale in out.glob(pattern):
+            stale.unlink()
 
     manifest = {
         "command": "train",
@@ -387,17 +382,14 @@ def cmd_train(args) -> int:
     with open(metrics_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(metrics_csv_header())
 
-    snapshot_dir = out / "checkpoints"
-
     def on_epoch(epoch, model, store, metrics):
         with open(metrics_path, "a", encoding="utf-8", newline="") as fh:
             fh.write(metrics_csv_row(metrics))
         model.save(out / "last_good.ckpt")
         store.save(out / "last_good.slbl")
         if args.snapshot_every and (epoch + 1) % args.snapshot_every == 0:
-            snapshot_dir.mkdir(exist_ok=True)
-            model.save(snapshot_dir / f"epoch_{epoch:04d}.ckpt")
-            store.save(snapshot_dir / f"epoch_{epoch:04d}.slbl")
+            model.save(out / f"epoch_{epoch:04d}.ckpt")
+            store.save(out / f"epoch_{epoch:04d}.slbl")
 
     try:
         model, store, history = train(splits["train"], splits["meta"], cfg,
@@ -488,7 +480,7 @@ def cmd_eval(args) -> int:
     report = _eval_report(args.data, args.checkpoint, args.labels)
     print(json.dumps(report, indent=2, sort_keys=True))
     if args.out:
-        _write_json(_out_file(args.out), report)
+        _write_json(_out_file(args.out, args.checkpoint, args.labels), report)
     return EXIT_OK
 
 
@@ -536,7 +528,7 @@ def cmd_sweep(args) -> int:
             cell = _cell_args(args, value, seed)
             split_sizes(n, cell.meta, cell.test)
             _resolve_train_config(cell)
-    out = _out_dir(args.out)
+    out = _out_dir(args.out, "sweep")
 
     n_ok = 0
     # line-buffered: each row is on disk as soon as its cell (or value) ends
@@ -574,7 +566,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_export_labels(args) -> int:
     store = SoftLabelStore.load(_rooted(args.labels))
-    out_path = _out_file(args.out)
+    out_path = _out_file(args.out, args.labels)
     store.export_csv(out_path)
     print(f"wrote {out_path} ({store.n} rows, {store.num_classes} classes)")
     return EXIT_OK

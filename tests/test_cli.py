@@ -75,7 +75,8 @@ def test_gen_requires_source(tmp_path):
 
 
 @pytest.mark.parametrize("flag,token,accepted", [
-    ("--blobs", "classes=10", "n c d sep separation"),
+    ("--blobs", "classes=10", "n c d sep"),
+    ("--blobs", "separation=5", "n c d sep"),
     ("--spirals", "d=9", "n c noise_sd"),
 ])
 def test_gen_unknown_source_key_is_config_error(tmp_path, capsys, flag, token, accepted):
@@ -91,17 +92,6 @@ def test_gen_repeated_source_key_is_config_error(tmp_path, capsys):
     assert run_cli("gen", "--blobs", "n=300", "c=3", "n=200", "--out", out) == EXIT_CONFIG
     assert "key 'n' given more than once" in capsys.readouterr().err
     assert not (out / "dataset.csv").exists()
-
-
-def test_gen_separation_is_an_alias_of_sep(tmp_path, capsys):
-    out = tmp_path / "data"
-    assert run_cli("gen", "--blobs", "n=100", "sep=6", "separation=1",
-                   "--out", out) == EXIT_CONFIG
-    assert "key 'sep' given more than once (as 'separation')" in capsys.readouterr().err
-    assert not (out / "dataset.csv").exists()
-    assert run_cli("gen", "--blobs", "n=100", "separation=5", "--out", out) == EXIT_OK
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["source"]["separation"] == 5.0
 
 
 @pytest.mark.parametrize("n,rows,cols", [(0, 2, 2), (40, 0, 2), (40, 2, 0)])
@@ -120,7 +110,7 @@ def test_gen_idx_without_pixels_is_config_error(tmp_path, capsys, n, rows, cols)
 # a value of every gen option but --out, and of every --blobs/--spirals key,
 # other than its default; the IDX files are written beside the run
 _GEN_VALUES = {
-    "--blobs": {"n": "90", "c": "3", "d": "3", "sep": "4", "separation": "4"},
+    "--blobs": {"n": "90", "c": "3", "d": "3", "sep": "4"},
     "--spirals": {"n": "90", "c": "2", "noise_sd": "0.1"},
     "--idx-images": "other_images.idx", "--idx-labels": "other_labels.idx",
     "--noise": "feature_dependent:0.2", "--meta": "0.1", "--test": "0.3", "--seed": "4",
@@ -191,11 +181,11 @@ def test_output_root_env(tmp_path, monkeypatch):
     manifest = json.loads((root / "run" / "manifest.json").read_text())
     assert manifest["data"] == str(data)
     assert run_cli("eval", "--data", "nested/data", "--checkpoint", "run/model.ckpt",
-                   "--labels", "run/labels.slbl", "--out", "run/report.json") == EXIT_OK
-    assert "label_recovery_rate" in json.loads((root / "run" / "report.json").read_text())
+                   "--labels", "run/labels.slbl", "--out", "reports/run.json") == EXIT_OK
+    assert "label_recovery_rate" in json.loads((root / "reports" / "run.json").read_text())
     assert run_cli("export-labels", "--labels", "run/labels.slbl",
-                   "--out", "run/labels2.csv") == EXIT_OK
-    assert ((root / "run" / "labels2.csv").read_bytes()
+                   "--out", "labels2.csv") == EXIT_OK
+    assert ((root / "labels2.csv").read_bytes()
             == (root / "run" / "labels.csv").read_bytes())
     assert not (tmp_path / "run").exists()
 
@@ -221,6 +211,16 @@ def data_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("data") / "d"
     assert run_cli(*GEN_SMALL, "--out", out) == EXIT_OK
     return out
+
+
+def _model_and_labels(directory, data):
+    """An untrained 2-3 model.ckpt and the initial labels.slbl of `data`'s
+    train split, written in `directory`."""
+    ckpt, snap = directory / "model.ckpt", directory / "labels.slbl"
+    Mlp((2, 3)).save(ckpt)
+    train = load_dataset_csv(data / "dataset.csv", 3)["train"]
+    SoftLabelStore.init_from_noisy(train.noisy_labels, 3, 10.0).save(snap)
+    return ckpt, snap
 
 
 def test_train_writes_all_artifacts(tmp_path, data_dir):
@@ -476,8 +476,7 @@ def test_every_cli_option_is_routed():
                 assert (action.dest in mslg.cli._PARSERS or action.dest in mslg.cli._SOURCE_KEYS
                         or action.dest in _STRING_DESTS), f"{name} {action.option_strings}"
                 dests.add(action.dest)
-    source_keys = {mslg.cli._ALIASES.get(key, key)
-                   for keys in mslg.cli._SOURCE_KEYS.values() for key in keys}
+    source_keys = {key for keys in mslg.cli._SOURCE_KEYS.values() for key in keys}
     unreachable = set(mslg.cli._PARSERS) - dests - source_keys - set(mslg.cli._TRAIN_KEYS)
     assert not unreachable
 
@@ -614,6 +613,23 @@ def test_bad_manifest_is_config_error_naming_it(tmp_path, data_dir, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["gen", "train", "eval", "export-labels"])
+def test_out_dir_with_a_bad_manifest_is_config_error_naming_it(tmp_path, data_dir, capsys,
+                                                               command):
+    out, (ckpt, snap) = tmp_path / "out", _model_and_labels(tmp_path, data_dir)
+    out.mkdir()
+    (out / "manifest.json").write_text("[]")
+    argv = {"gen": (*GEN_SMALL, "--out", out),
+            "train": ("train", "--data", data_dir, "--out", out, *TRAIN_FAST),
+            "eval": ("eval", "--data", data_dir, "--checkpoint", ckpt,
+                     "--out", out / "report.json"),
+            "export-labels": ("export-labels", "--labels", snap, "--out", out / "labels.csv")}
+    assert run_cli(*argv[command]) == EXIT_CONFIG
+    assert (f"{out / 'manifest.json'}: expected a JSON object, got list"
+            in capsys.readouterr().err)
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+
 def test_train_missing_data_is_io_error(tmp_path):
     assert run_cli("train", "--data", tmp_path / "nope", "--out", tmp_path / "x",
                    "--method", "ce", *TRAIN_FAST) == EXIT_IO
@@ -630,6 +646,22 @@ def test_train_numerical_abort_keeps_last_good(tmp_path, data_dir):
     assert (out / "last_good.ckpt").exists()
     assert not (out / "model.ckpt").exists()
     Mlp.load(out / "last_good.ckpt")  # still a readable checkpoint
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_rerun_leaves_nothing_of_the_previous_run(tmp_path, data_dir):
+    out = tmp_path / "run"
+    assert run_cli("train", "--data", data_dir, "--out", out, "--method", "ce",
+                   "--preset", "blobs-smoke", "--snapshot-every", "3") == EXIT_OK
+    assert run_cli("train", "--data", data_dir, "--out", out, "--method", "ce",
+                   "--preset", "blobs-smoke", "--hidden", "16",
+                   "--total-epochs", "6", "--warmup-epochs", "6",
+                   "--lambda-schedule", "0:1e12") == EXIT_NUMERIC
+    for name in ("model.ckpt", "labels.slbl", "labels.csv"):
+        assert not (out / name).exists(), name
+    assert not list(out.glob("epoch_*"))
+    assert json.loads((out / "manifest.json").read_text())["config"]["hidden_sizes"] == [16]
+    assert Mlp.load(out / "last_good.ckpt").layer_sizes == (2, 16, 3)
 
 
 def test_train_smoke_run_under_ten_seconds(tmp_path):
@@ -653,7 +685,7 @@ def test_train_snapshot_cadence(tmp_path, data_dir):
     out = tmp_path / "run"
     assert run_cli("train", "--data", data_dir, "--out", out, "--method", "ce",
                    *TRAIN_FAST, "--snapshot-every", "2") == EXIT_OK
-    snaps = sorted(p.name for p in (out / "checkpoints").glob("*.ckpt"))
+    snaps = sorted(p.name for p in out.glob("epoch_*.ckpt"))
     assert snaps == ["epoch_0001.ckpt", "epoch_0003.ckpt", "epoch_0005.ckpt"]
 
 
@@ -669,7 +701,7 @@ def test_train_out_that_is_the_data_dir_is_config_error(tmp_path, data_dir, caps
     assert run_cli("train", "--data", data, "--out", out, "--method", "ce",
                    *TRAIN_FAST) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert f"--out {out} would replace manifest.json of the data directory {data}" in err
+    assert f"--out: {data} holds the output of `gen`; only `gen` writes there" in err
     assert {p.name: p.read_bytes() for p in data.iterdir()} == before
 
 
@@ -710,7 +742,7 @@ def test_train_out_that_is_another_data_dir_is_config_error(tmp_path, data_dir, 
     assert run_cli(*GEN_SMALL, "--seed", "2", "--out", other) == EXIT_OK
     before = _files(other)
     assert run_cli("train", "--data", data_dir, "--out", other, *TRAIN_FAST) == EXIT_CONFIG
-    assert (f"--out {other} would replace manifest.json of the data directory {other}"
+    assert (f"--out: {other} holds the output of `gen`; only `gen` writes there"
             in capsys.readouterr().err)
     assert _files(other) == before
 
@@ -718,7 +750,7 @@ def test_train_out_that_is_another_data_dir_is_config_error(tmp_path, data_dir, 
 def test_gen_out_that_is_a_run_dir_is_config_error(run_dir, data_dir, capsys):
     before = _files(run_dir)
     assert run_cli(*GEN_SMALL, "--out", run_dir) == EXIT_CONFIG
-    assert (f"--out {run_dir} would replace manifest.json of the run directory {run_dir}"
+    assert (f"--out: {run_dir} holds the output of `train`; only `train` writes there"
             in capsys.readouterr().err)
     assert _files(run_dir) == before
     # each command may still write over its own directory
@@ -726,16 +758,50 @@ def test_gen_out_that_is_a_run_dir_is_config_error(run_dir, data_dir, capsys):
     assert _files(run_dir) == before
 
 
-@pytest.mark.parametrize("command", ["eval", "export-labels"])
-def test_out_may_not_replace_the_manifest_of_a_run_dir(run_dir, data_dir, capsys, command):
+def _refused_in_run_dir(run_dir, data_dir, capsys, command, target):
     before = _files(run_dir)
     reads = (("eval", "--data", data_dir, "--checkpoint", run_dir / "model.ckpt")
              if command == "eval" else ("export-labels",))
-    out = run_dir / "manifest.json"
-    assert run_cli(*reads, "--labels", run_dir / "labels.slbl", "--out", out) == EXIT_CONFIG
-    assert (f"--out {out} would replace manifest.json of the run directory {run_dir}"
+    assert run_cli(*reads, "--labels", run_dir / "labels.slbl",
+                   "--out", run_dir / target) == EXIT_CONFIG
+    assert (f"--out: {run_dir} holds the output of `train`; only `train` writes there"
             in capsys.readouterr().err)
     assert _files(run_dir) == before
+
+
+@pytest.mark.parametrize("command", ["eval", "export-labels"])
+def test_out_may_not_replace_the_manifest_of_a_run_dir(run_dir, data_dir, capsys, command):
+    _refused_in_run_dir(run_dir, data_dir, capsys, command, "manifest.json")
+
+
+@pytest.mark.parametrize("command,target", [("eval", "model.ckpt"),
+                                            ("export-labels", "last_good.slbl")])
+def test_out_may_not_write_into_a_run_dir(run_dir, data_dir, capsys, command, target):
+    _refused_in_run_dir(run_dir, data_dir, capsys, command, target)
+
+
+def test_sweep_out_that_is_a_run_dir_is_config_error(run_dir, capsys):
+    before = sorted(run_dir.rglob("*"))
+    files = _files(run_dir)
+    assert run_cli("sweep", "--axis", "beta", "--values", "40", "--seeds", "0",
+                   "--blobs", "n=150", "c=3", "--noise", "uniform:0.2", "--meta", "0.06",
+                   *TRAIN_FAST, "--out", run_dir) == EXIT_CONFIG
+    assert (f"--out: {run_dir} holds the output of `train`; only `train` writes there"
+            in capsys.readouterr().err)
+    assert sorted(run_dir.rglob("*")) == before and _files(run_dir) == files
+
+
+@pytest.mark.parametrize("command,flag", [("eval", "--checkpoint"), ("eval", "--labels"),
+                                          ("export-labels", "--labels")])
+def test_out_that_is_an_input_is_config_error(tmp_path, data_dir, capsys, command, flag):
+    ckpt, snap = _model_and_labels(tmp_path, data_dir)
+    before = _files(tmp_path)
+    reads = (("eval", "--data", data_dir, "--checkpoint", ckpt, "--labels", snap)
+             if command == "eval" else ("export-labels", "--labels", snap))
+    out = ckpt if flag == "--checkpoint" else snap
+    assert run_cli(*reads, "--out", out) == EXIT_CONFIG
+    assert f"--out {out} is also an input of this command" in capsys.readouterr().err
+    assert _files(tmp_path) == before
 
 
 # -- eval ----------------------------------------------------------------------------
@@ -768,21 +834,20 @@ def test_out_may_not_replace_a_file_of_a_data_dir(tmp_path, data_dir, capsys, co
     for name in ("dataset.csv", "manifest.json"):
         (data / name).write_bytes((data_dir / name).read_bytes())
     before = {p.name: p.read_bytes() for p in data.iterdir()}
-    ckpt, snap = tmp_path / "model.ckpt", tmp_path / "labels.slbl"
-    Mlp((2, 3)).save(ckpt)
-    train = load_dataset_csv(data / "dataset.csv", 3)["train"]
-    SoftLabelStore.init_from_noisy(train.noisy_labels, 3, 10.0).save(snap)
+    ckpt, snap = _model_and_labels(tmp_path, data)
     reads = (("eval", "--data", data, "--checkpoint", ckpt, "--labels", snap) if command == "eval"
              else ("export-labels", "--labels", snap))
     out = data / target
     assert run_cli(*reads, "--out", out) == EXIT_CONFIG
-    assert (f"--out {out} would replace {target} of the data directory {data.resolve()}"
+    assert (f"--out: {data.resolve()} holds the output of `gen`; only `gen` writes there"
             in capsys.readouterr().err)
+    # nor any other file of the data directory
+    assert run_cli(*reads, "--out", data / "report.json") == EXIT_CONFIG
     assert {p.name: p.read_bytes() for p in data.iterdir()} == before
-    # any other file, in the data directory or not, is written as before
-    for other in (tmp_path / "out" / target, data / "report.json"):
-        assert run_cli(*reads, "--out", other) == EXIT_OK
-        assert other.is_file()
+    # outside it, a file of that name is written as before
+    other = tmp_path / "out" / target
+    assert run_cli(*reads, "--out", other) == EXIT_OK
+    assert other.is_file()
 
 
 def test_eval_perfect_model_accuracy_one(tmp_path):
@@ -864,6 +929,22 @@ def test_eval_checks_the_train_split_the_run_trained_on(tmp_path, capsys):
     assert evaluate(own, bare / "model.ckpt", tmp_path / "unchecked.json") == EXIT_OK
     assert ((tmp_path / "checked.json").read_bytes()
             == (tmp_path / "unchecked.json").read_bytes())
+
+
+def test_eval_checks_the_train_split_of_a_snapshot(tmp_path, capsys):
+    own, other, run = tmp_path / "seed1", tmp_path / "seed2", tmp_path / "run"
+    assert run_cli(*GEN_SMALL, "--seed", "1", "--out", own) == EXIT_OK
+    assert run_cli(*GEN_SMALL, "--seed", "2", "--out", other) == EXIT_OK
+    assert run_cli("train", "--data", own, "--out", run, *TRAIN_FAST,
+                   "--snapshot-every", "2") == EXIT_OK
+    recorded = json.loads((run / "manifest.json").read_text())["train_sha256"]
+    actual = load_dataset_csv(other / "dataset.csv")["train"].fingerprint()
+    snapshot = ("--checkpoint", run / "epoch_0001.ckpt", "--labels", run / "epoch_0001.slbl")
+    assert run_cli("eval", "--data", own, *snapshot) == EXIT_OK
+    capsys.readouterr()
+    assert run_cli("eval", "--data", other, *snapshot) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert actual != recorded and actual in err and recorded in err
 
 
 def test_eval_dimension_mismatch_is_config_error(tmp_path, data_dir, capsys):

@@ -21,12 +21,10 @@ workloads default to all of `harness.WORKLOADS`.
 
 import argparse
 import hashlib
-import os
 import sys
 from pathlib import Path
 
-PINNED_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+from harness_loader import load_harness
 
 
 def parse_args(argv):
@@ -44,18 +42,8 @@ def parse_args(argv):
 
 def main(argv) -> int:
     args = parse_args(argv)
-    src = args.src.resolve()
-    if not (src / "mslg" / "__init__.py").is_file():
-        sys.exit(f"{args.src}: no mslg package")
-    for var in PINNED_THREADS:
-        os.environ[var] = "1"
-    sys.path[:0] = [str(src), str(BENCHMARKS)]
-    import harness  # numpy loads here, after the pinning
-
+    harness = load_harness(args.src, args.workloads or ())
     workloads = args.workloads or sorted(harness.WORKLOADS)
-    unknown = [w for w in workloads if w not in harness.WORKLOADS]
-    if unknown:
-        sys.exit(f"unknown workload {unknown[0]!r}; known: {' '.join(sorted(harness.WORKLOADS))}")
     work = args.work.resolve()
     listing, failed = [], False
     for name in workloads:

@@ -20,8 +20,8 @@ import shutil
 import sys
 from pathlib import Path
 
-PINNED_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+from harness_loader import load_harness
+
 RUN_COMMAND = "import sys; from mslg.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -60,21 +60,11 @@ def run_child(argv: list[str], env: dict) -> tuple[float, int]:
 
 def main(argv) -> int:
     args = parse_args(argv)
-    src = args.src.resolve()
-    if not (src / "mslg" / "__init__.py").is_file():
-        sys.exit(f"{args.src}: no mslg package")
-    for var in PINNED_THREADS:  # for this process and, through its environment, each child
-        os.environ[var] = "1"
-    sys.path[:0] = [str(src), str(BENCHMARKS)]
-    import harness  # numpy loads here, after the pinning
-
-    if args.workload not in harness.WORKLOADS:
-        sys.exit(f"unknown workload {args.workload!r}; "
-                 f"known: {' '.join(sorted(harness.WORKLOADS))}")
+    harness = load_harness(args.src, [args.workload])  # its pinning reaches each child
     work = args.work.resolve()
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir(parents=True)
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    env = {**os.environ, "PYTHONPATH": str(args.src.resolve())}
     for command, cli_argv in plan(harness.WORKLOADS[args.workload], args.seed, work):
         peak_mb, code = run_child(cli_argv, env)
         print(f"{command:5s}  peak_rss_mb {peak_mb:8.2f}  exit {code}", flush=True)
