@@ -6,24 +6,23 @@ Every run directory gets a manifest.json carrying the fully resolved
 configuration and seeds, sufficient to reproduce the run bit for bit, and the
 sha256 of the train split it read; `eval` refuses a checkpoint that sits
 beside such a manifest when --data holds a different train split.
-Training-config resolution order: preset, then config file (key=value lines),
-then command-line flags; later wins.
+Training-config resolution order: preset, then command-line flags; later wins.
 
-Each value (flag, --blobs/--spirals token or --config line) is parsed once, by
-its key in `_PARSERS`, before a command runs; a bad one, such as a float that
-is not finite, is a configuration error naming the key. --blobs/--spirals
-tokens and --config lines are key=value items read by one reader,
-`_parse_kv`, so an unknown or repeated key is an error in either, naming the
-flag or the file line. Flags must be spelled in full. Seeds are
-non-negative, and no two sweep cells may share a directory. `gen` generates
-its data, and `sweep` resolves every cell's training configuration and split
-sizes, before creating --out. A manifest.json must hold a JSON object.
+Each value (flag or --blobs/--spirals token) is parsed once, by its key in
+`_PARSERS`, before a command runs; a bad one, such as a float that is not
+finite, is a configuration error naming the key. --blobs/--spirals tokens are
+key=value items, so an unknown or repeated key is an error naming the flag.
+Flags must be spelled in full. Seeds are non-negative, and no two sweep cells
+may share a directory. `gen` generates its data, and `sweep` resolves every
+cell's training configuration and split sizes, before creating --out. A
+manifest.json must hold a JSON object.
 
 Each command writes only into a directory that it owns or that no command
 owns. `gen` owns one that holds a dataset.csv or whose manifest records
 "command": "gen", and `train` one whose manifest records "train"; `sweep`,
 `eval` and `export-labels` own none. An --out file may not be one of the
-command's own inputs. Each refusal comes before anything is written. `train`
+command's own inputs. Each refusal comes before anything is written, and
+`eval` and `export-labels` check --out before they read anything. `train`
 writes every file, snapshots included, beside its manifest, and a rerun first
 removes the previous run's model, labels and snapshots.
 
@@ -33,8 +32,8 @@ Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical abort
 If MSLG_OUTPUT_ROOT is set, every relative --out path (a directory for gen,
 train and sweep, a file for eval and export-labels) is created under it, and
 every relative --data, --checkpoint and --labels path is read from under it,
-so relative paths chain from one command to the next. --config and --idx-*
-name the user's own files and stay relative to the working directory.
+so relative paths chain from one command to the next. --idx-* name the
+user's own files and stay relative to the working directory.
 """
 
 from __future__ import annotations
@@ -108,27 +107,32 @@ def _owner(directory: Path) -> str | None:
     return _read_manifest(manifest).get("command") if manifest.is_file() else None
 
 
-def _out_dir(path_str: str | Path, command: str | None = None) -> Path:
-    """An --out directory, resolved by `_rooted`; created. One that a command
-    other than `command` owns is an error, raised before anything is written."""
-    path = _rooted(path_str)
-    owner = _owner(path.resolve())
+def _check_owner(directory: Path, command: str | None) -> None:
+    """An error when a command other than `command` owns `directory`."""
+    owner = _owner(directory.resolve())
     if owner is not None and owner != command:
-        raise ValueError(f"--out: {path.resolve()} holds the output of `{owner}`; "
+        raise ValueError(f"--out: {directory.resolve()} holds the output of `{owner}`; "
                          f"only `{owner}` writes there")
+
+
+def _out_dir(path_str: str | Path, command: str) -> Path:
+    """An --out directory, resolved by `_rooted` and checked by
+    `_check_owner` before anything is written; created."""
+    path = _rooted(path_str)
+    _check_owner(path, command)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
 def _out_file(path_str: str | Path, *inputs) -> Path:
-    """An --out file, in a directory that `_out_dir` resolves and no command
-    owns. One of the command's own `inputs` is an error, raised before
-    anything is written."""
+    """An --out file, resolved by `_rooted`, in a directory that no command
+    owns and that the write creates. One of the command's own `inputs` is an
+    error. Both checks come before anything is read or written."""
     path = _rooted(path_str)
-    directory = _out_dir(path.parent)  # an input's directory exists: nothing is made
+    _check_owner(path.parent, None)
     if any(path.resolve() == _rooted(i).resolve() for i in inputs if i):
         raise ValueError(f"--out {path} is also an input of this command")
-    return directory / path.name
+    return path
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -209,21 +213,19 @@ def _parse_field(key: str, value: str, where: str = ""):
         raise ValueError(f"{where}bad value for {key!r}: {exc}") from None
 
 
-def _parse_kv(items, keys: tuple[str, ...]) -> dict:
-    """(where, "key=value") items as {key: parsed value}, with whitespace
-    around key and value dropped; an error names the item's `where`. A key
-    given twice is an error."""
-    out = {}
-    for where, item in items:
-        if "=" not in item:
-            raise ValueError(f"{where}: expected key=value, got {item!r}")
-        key, value = (part.strip() for part in item.split("=", 1))
-        key = key.replace("-", "_")
+def _parse_kv(source: str, tokens) -> dict:
+    """--blobs or --spirals "key=value" tokens as {key: parsed value}; an
+    error names the flag. A key given twice is an error."""
+    flag, keys, out = f"--{source}", _SOURCE_KEYS[source], {}
+    for token in tokens:
+        if "=" not in token:
+            raise ValueError(f"{flag}: expected key=value, got {token!r}")
+        key, value = token.split("=", 1)
         if key not in keys:
-            raise ValueError(f"{where}: unknown key {key!r}; accepted: {' '.join(keys)}")
+            raise ValueError(f"{flag}: unknown key {key!r}; accepted: {' '.join(keys)}")
         if key in out:
-            raise ValueError(f"{where}: key {key!r} given more than once")
-        out[key] = _parse_field(key, value, f"{where}: ")
+            raise ValueError(f"{flag}: key {key!r} given more than once")
+        out[key] = _parse_field(key, value, f"{flag}: ")
     return out
 
 
@@ -231,8 +233,7 @@ def _parse_values(args: argparse.Namespace) -> None:
     """Parse, in place, each value in `args` that has a parser."""
     for key, value in list(vars(args).items()):
         if value is not None and key in _SOURCE_KEYS:
-            setattr(args, key, _parse_kv(((f"--{key}", token) for token in value),
-                                         _SOURCE_KEYS[key]))
+            setattr(args, key, _parse_kv(key, value))
         elif value is not None and key in _PARSERS:
             setattr(args, key, _parse_field(key, value))
 
@@ -306,20 +307,10 @@ def cmd_gen(args) -> int:
 # -- training ---------------------------------------------------------------------
 
 
-def _read_config_file(path) -> dict:
-    """Its key=value lines, parsed as --blobs tokens are; `#` starts a comment."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(f"{path}:{lineno}", line) for lineno, raw in enumerate(fh, 1)
-                 if (line := raw.split("#", 1)[0].strip())]
-    return _parse_kv(lines, _TRAIN_KEYS)
-
-
 def _resolve_train_config(args) -> TrainConfig:
     cfg = resolve_preset(args.preset) if args.preset else TrainConfig()
-    overrides = _read_config_file(args.config) if args.config else {}
-    overrides.update((key, getattr(args, key)) for key in _TRAIN_KEYS
-                     if getattr(args, key) is not None)
-    cfg = dataclasses.replace(cfg, **overrides)
+    cfg = dataclasses.replace(cfg, **{key: getattr(args, key) for key in _TRAIN_KEYS
+                                      if getattr(args, key) is not None})
     if args.method == "ce":
         cfg = dataclasses.replace(cfg, warmup_epochs=cfg.total_epochs)
     cfg.validate()
@@ -378,26 +369,25 @@ def cmd_train(args) -> int:
     }
     _write_json(out / "manifest.json", manifest)
 
-    metrics_path = out / "metrics.csv"
-    with open(metrics_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(metrics_csv_header())
-
     def on_epoch(epoch, model, store, metrics):
-        with open(metrics_path, "a", encoding="utf-8", newline="") as fh:
-            fh.write(metrics_csv_row(metrics))
+        metrics_csv.write(metrics_csv_row(metrics))
         model.save(out / "last_good.ckpt")
         store.save(out / "last_good.slbl")
         if args.snapshot_every and (epoch + 1) % args.snapshot_every == 0:
             model.save(out / f"epoch_{epoch:04d}.ckpt")
             store.save(out / f"epoch_{epoch:04d}.slbl")
 
-    try:
-        model, store, history = train(splits["train"], splits["meta"], cfg,
-                                      splits["test"], epoch_callback=on_epoch)
-    except NumericalError:
-        print(f"numerical abort; last good checkpoint kept in {out}",
-              file=sys.stderr)
-        raise
+    # one line-buffered handle: each row reaches the OS as its epoch ends
+    with open(out / "metrics.csv", "w", encoding="utf-8", newline="",
+              buffering=1) as metrics_csv:
+        metrics_csv.write(metrics_csv_header())
+        try:
+            model, store, history = train(splits["train"], splits["meta"], cfg,
+                                          splits["test"], epoch_callback=on_epoch)
+        except NumericalError:
+            print(f"numerical abort; last good checkpoint kept in {out}",
+                  file=sys.stderr)
+            raise
 
     model.save(out / "model.ckpt")
     store.save(out / "labels.slbl")
@@ -416,10 +406,7 @@ def cmd_train(args) -> int:
 def _confusion(model: Mlp, ds: LabeledDataset) -> list[list[int]]:
     preds = model.predict(ds.features).argmax(axis=1)
     c = ds.num_classes
-    mat = np.zeros((c, c), np.int64)
-    for t, p in zip(ds.true_labels, preds):
-        mat[t, p] += 1
-    return mat.tolist()
+    return np.bincount(ds.true_labels * c + preds, minlength=c * c).reshape(c, c).tolist()
 
 
 def build_eval_report(model: Mlp, store: SoftLabelStore | None,
@@ -477,10 +464,12 @@ def _eval_report(data, checkpoint, labels) -> dict:
 
 
 def cmd_eval(args) -> int:
+    out = _out_file(args.out, args.checkpoint, args.labels) if args.out else None
     report = _eval_report(args.data, args.checkpoint, args.labels)
     print(json.dumps(report, indent=2, sort_keys=True))
-    if args.out:
-        _write_json(_out_file(args.out, args.checkpoint, args.labels), report)
+    if out:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        _write_json(out, report)
     return EXIT_OK
 
 
@@ -565,8 +554,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_export_labels(args) -> int:
-    store = SoftLabelStore.load(_rooted(args.labels))
     out_path = _out_file(args.out, args.labels)
+    store = SoftLabelStore.load(_rooted(args.labels))
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     store.export_csv(out_path)
     print(f"wrote {out_path} ({store.n} rows, {store.num_classes} classes)")
     return EXIT_OK
@@ -579,7 +569,7 @@ def _add_source_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--blobs", nargs="+", metavar="K=V",
                    help="gaussian clusters: n= c= d= sep=")
     p.add_argument("--spirals", nargs="+", metavar="K=V",
-                   help="interleaved spirals: n= c= noise-sd=")
+                   help="interleaved spirals: n= c= noise_sd=")
     p.add_argument("--idx-images", help="IDX image file")
     p.add_argument("--idx-labels", help="IDX label file")
     p.add_argument("--noise", default="none", metavar="KIND:RATIO",
@@ -599,7 +589,6 @@ _FLAG_NOTES = {
 def _add_train_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", default="mslg", help=" | ".join(_METHODS))
     p.add_argument("--preset", help=f"one of: {', '.join(preset_names())}")
-    p.add_argument("--config", help="key=value config file")
     for key in _TRAIN_KEYS:
         if key != "seed":  # train's own --seed; sweep's --seeds
             flag, text = _FLAG_NOTES.get(key, ("--" + key.replace("_", "-"), None))

@@ -15,6 +15,7 @@ from mslg.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, build_eval_re
                       build_parser, main)
 from mslg.datasets import LabeledDataset, load_dataset_csv, split
 from mslg.model import Mlp
+from mslg.rng import Rng
 from mslg.soft_labels import SoftLabelStore
 from mslg.trainer import TrainConfig
 
@@ -78,6 +79,7 @@ def test_gen_requires_source(tmp_path):
     ("--blobs", "classes=10", "n c d sep"),
     ("--blobs", "separation=5", "n c d sep"),
     ("--spirals", "d=9", "n c noise_sd"),
+    ("--spirals", "noise-sd=0.1", "n c noise_sd"),
 ])
 def test_gen_unknown_source_key_is_config_error(tmp_path, capsys, flag, token, accepted):
     out = tmp_path / "data"
@@ -281,19 +283,6 @@ def test_train_preset_resolution_paper_values(tmp_path, data_dir):
     assert cfg["lambda_schedule"] == [[0, 0.01]] and cfg["hidden_sizes"] == [8]
 
 
-def test_train_config_file_between_preset_and_flags(tmp_path, data_dir):
-    cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("beta = 123.0\nentropy-weight = 0.5  # comment\n")
-    out = tmp_path / "run"
-    assert run_cli("train", "--data", data_dir, "--out", out, "--method", "mslg",
-                   "--preset", "blobs-smoke", "--config", cfg_file,
-                   "--entropy-weight", "0.75", "--total-epochs", "2",
-                   "--warmup-epochs", "1", "--hidden", "8") == EXIT_OK
-    cfg = json.loads((out / "manifest.json").read_text())["config"]
-    assert cfg["beta"] == 123.0        # file beat the preset
-    assert cfg["entropy_weight"] == 0.75  # flag beat the file
-
-
 def test_train_invalid_config_exit_code(tmp_path, data_dir):
     assert run_cli("train", "--data", data_dir, "--out", tmp_path / "x",
                    "--method", "mslg", "--warmup-epochs", "9",
@@ -349,7 +338,8 @@ _BAD_VALUES = [
     *[("gen", (flag, f"{key}=x"), f"{flag}: bad value for '{key}'")
       for flag, key in [("--blobs", "n"), ("--blobs", "c"), ("--blobs", "d"),
                         ("--blobs", "sep"), ("--spirals", "noise_sd")]],
-    ("gen", ("--spirals", "noise-sd=x"), "--spirals: bad value for 'noise_sd'"),
+    ("gen", ("--blobs", "n300"), "--blobs: expected key=value, got 'n300'"),
+    ("gen", ("--noise", "uniform"), "bad value for 'noise': --noise expects kind:ratio"),
     ("gen", ("--noise", "uniform:abc"), "bad value for 'noise'"),
     ("gen", ("--noise", "gaussian:0.2"), "bad value for 'noise'"),
     ("gen", ("--meta", "abc"), "bad value for 'meta'"),
@@ -374,6 +364,7 @@ _BAD_VALUES = [
      "the test split of 200 samples would be empty"),
     ("gen", ("--blobs", "n=2", "c=2", "--meta", "0.4", "--test", "0.5"),
      "the train split of 2 samples would be empty"),
+    ("gen", ("--idx-images", "images.idx"), "--idx-images requires --idx-labels"),
     # train: every TrainConfig flag, the run's own flags, and values that
     # parse but fail validation
     *[("train", (flag, "abc"), f"bad value for '{key}'")
@@ -403,6 +394,7 @@ _BAD_VALUES = [
      "bad value for 'values': expected a finite number, got nan"),
     ("sweep", ("--seeds", "0,x"), "bad value for 'seeds'"),
     ("sweep", ("--seeds", "0,-1"), "bad value for 'seeds'"),
+    ("sweep", ("--values", ","), "--values and --seeds must be non-empty"),
     ("sweep", ("--blobs", "n=x"), "--blobs: bad value for 'n'"),
     ("sweep", ("--noise", "uniform:x"), "bad value for 'noise'"),
     ("sweep", ("--beta", "x"), "bad value for 'beta'"),
@@ -449,6 +441,10 @@ def test_bad_flag_value_is_config_error_naming_key(tmp_path, data_dir, capsys,
                   "--probe-hidden", "4"), id="gen --probe-hidden"),
     pytest.param(("gen", "--blobs", "n=300", "--noise", "feature_dependent:0.3",
                   "--probe-epochs", "2"), id="gen --probe-epochs"),
+    # training values come from a preset and flags only
+    pytest.param(("train", "--data", "d", "--config", "x.cfg"), id="train --config"),
+    pytest.param(("sweep", "--axis", "beta", "--values", "1", "--seeds", "0",
+                  "--blobs", "n=150", "--config", "x.cfg"), id="sweep --config"),
 ])
 def test_removed_or_abbreviated_flag_is_rejected(tmp_path, capsys, argv):
     # without allow_abbrev=False, sweep's --seed would mean --seeds
@@ -461,14 +457,13 @@ def test_removed_or_abbreviated_flag_is_rejected(tmp_path, capsys, argv):
 
 
 # dests that stay strings: paths, and a preset's name
-_STRING_DESTS = {"out", "data", "checkpoint", "labels", "config", "preset",
+_STRING_DESTS = {"out", "data", "checkpoint", "labels", "preset",
                  "idx_images", "idx_labels"}
 
 
 def test_every_cli_option_is_routed():
     # each value is parsed by its key, is a source's key=value tokens or
-    # stays a string; and each parser serves a flag, a source key or a
-    # config line
+    # stays a string; and each parser serves a flag or a source key
     dests = set()
     for name, sub in _subcommands().items():
         for action in sub._actions:
@@ -477,7 +472,7 @@ def test_every_cli_option_is_routed():
                         or action.dest in _STRING_DESTS), f"{name} {action.option_strings}"
                 dests.add(action.dest)
     source_keys = {key for keys in mslg.cli._SOURCE_KEYS.values() for key in keys}
-    unreachable = set(mslg.cli._PARSERS) - dests - source_keys - set(mslg.cli._TRAIN_KEYS)
+    unreachable = set(mslg.cli._PARSERS) - dests - source_keys
     assert not unreachable
 
 
@@ -497,43 +492,14 @@ def _resolved(*argv):
 
 
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(TrainConfig)])
-def test_train_flag_and_config_line_set_the_same_field(tmp_path, field):
+def test_train_flag_sets_its_field(field):
     flag = {"k_init": "--k", "hidden_sizes": "--hidden"}.get(
         field, "--" + field.replace("_", "-"))
-    value = _FIELD_VALUES[field]
-    cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text(f"{field} = {value}\n")
-    by_flag = _resolved(flag, value)
-    assert by_flag == _resolved("--config", cfg_file)
-    assert getattr(by_flag, field) != getattr(TrainConfig(), field)
-
-
-def test_bad_config_file_value_names_key_and_line(tmp_path, data_dir, capsys):
-    cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("beta = 10\nalpha=abc\n")
-    assert run_cli("train", "--data", data_dir, "--out", tmp_path / "run",
-                   *TRAIN_FAST, "--config", cfg_file) == EXIT_CONFIG
-    assert f"{cfg_file}:2: bad value for 'alpha'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("text,message", [
-    pytest.param("beta = 10\nbeta = 20\n", ":2: key 'beta' given more than once",
-                 id="repeated key"),
-    pytest.param("alpha = 0.5\n# seed\nseed = -1\n", ":3: bad value for 'seed'",
-                 id="negative seed"),
-    pytest.param("momentum 0.5\n", ":1: expected key=value, got 'momentum 0.5'",
-                 id="no equals sign"),
-    pytest.param("k = 2\n", ":1: unknown key 'k'", id="unknown key"),
-])
-def test_bad_config_file_line_is_config_error_naming_line(tmp_path, data_dir, capsys,
-                                                          text, message):
-    cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text(text)
-    out = tmp_path / "run"
-    assert run_cli("train", "--data", data_dir, "--out", out,
-                   *TRAIN_FAST, "--config", cfg_file) == EXIT_CONFIG
-    assert f"{cfg_file}{message}" in capsys.readouterr().err
-    assert not out.exists()
+    value = mslg.cli._PARSERS[field](_FIELD_VALUES[field])
+    by_flag = _resolved(flag, _FIELD_VALUES[field])
+    assert getattr(by_flag, field) == value != getattr(TrainConfig(), field)
+    # and no other field
+    assert dataclasses.replace(by_flag, **{field: getattr(TrainConfig(), field)}) == TrainConfig()
 
 
 @pytest.mark.parametrize("fault,message", [
@@ -547,6 +513,7 @@ def test_bad_config_file_line_is_config_error_naming_line(tmp_path, data_dir, ca
     ("noisy label 2**63+1", "dataset.csv:4: 'noisy_label': out of the int64 range"),
     ("oversized field", "dataset.csv:6: field larger than field limit"),
     ("non-UTF-8 byte", "dataset.csv:6: byte 0xff is not UTF-8"),
+    ("no test split", "dataset.csv has no 'test' split"),
 ])
 def test_train_malformed_dataset_is_config_error(tmp_path, data_dir, capsys, fault, message):
     # file lines 4 and 6 are meta rows; a row short of one feature must not
@@ -554,6 +521,8 @@ def test_train_malformed_dataset_is_config_error(tmp_path, data_dir, capsys, fau
     lines = (data_dir / "dataset.csv").read_text().splitlines()
     if fault == "empty":
         lines = []
+    elif fault == "no test split":
+        lines = [line for line in lines if not line.endswith(",test")]
     elif fault == "missing feature":
         cells = lines[3].split(",")
         del cells[2]
@@ -804,6 +773,29 @@ def test_out_that_is_an_input_is_config_error(tmp_path, data_dir, capsys, comman
     assert _files(tmp_path) == before
 
 
+@pytest.mark.parametrize("target", ["run dir", "data dir", "input"])
+def test_eval_refused_out_prints_no_report(tmp_path, run_dir, data_dir, capsys, target):
+    # --out is checked before anything is read, so no report reaches stdout
+    ckpt, snap = _model_and_labels(tmp_path, data_dir)
+    out = {"run dir": run_dir / "report.json", "data dir": data_dir / "report.json",
+           "input": snap}[target]
+    capsys.readouterr()
+    assert run_cli("eval", "--data", data_dir, "--checkpoint", ckpt, "--labels", snap,
+                   "--out", out) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "config error: --out" in captured.err
+    assert captured.out == ""
+
+
+def test_eval_that_fails_makes_no_out_directory(tmp_path, data_dir, capsys):
+    ckpt = tmp_path / "m.ckpt"
+    Mlp((2, 7)).save(ckpt)
+    out = tmp_path / "new" / "r.json"
+    assert run_cli("eval", "--data", data_dir, "--checkpoint", ckpt, "--out", out) == EXIT_CONFIG
+    assert "checkpoint has 7 classes, dataset has 3" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 # -- eval ----------------------------------------------------------------------------
 
 
@@ -959,6 +951,20 @@ def test_eval_dimension_mismatch_is_config_error(tmp_path, data_dir, capsys):
     assert "checkpoint has 7 classes, dataset has 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra_rows,classes", [(1, 3), (0, 4)], ids=["rows", "classes"])
+def test_eval_label_snapshot_of_another_shape_is_config_error(tmp_path, data_dir, capsys,
+                                                              extra_rows, classes):
+    n_train = load_dataset_csv(data_dir / "dataset.csv", 3)["train"].n
+    ckpt, snap = tmp_path / "m.ckpt", tmp_path / "labels.slbl"
+    Mlp((2, 3)).save(ckpt)
+    n = n_train + extra_rows
+    SoftLabelStore.init_from_noisy(np.zeros(n, np.int64), classes).save(snap)
+    assert run_cli("eval", "--data", data_dir, "--checkpoint", ckpt,
+                   "--labels", snap) == EXIT_CONFIG
+    assert (f"label snapshot shape ({n}, {classes}) does not match train split "
+            f"({n_train}, 3)" in capsys.readouterr().err)
+
+
 def test_eval_flags_after_training_catch_noise(tmp_path, data_dir):
     run = tmp_path / "run"
     assert run_cli("train", "--data", data_dir, "--out", run, "--method", "mslg",
@@ -986,6 +992,21 @@ def test_eval_noise_flag_precision_and_recall_match_hand_counts():
     assert report["n_corrupted"] == 2 and report["noise_flagged"] == 3
     assert report["noise_flag_precision"] == pytest.approx(1 / 3, rel=1e-15)
     assert report["noise_flag_recall"] == pytest.approx(1 / 2, rel=1e-15)
+
+
+def test_eval_confusion_matrix_equals_a_loop_over_the_rows():
+    # row: true class, column: predicted class
+    rng = np.random.default_rng(5)
+    true = rng.integers(0, 10, 1600)
+    ds = LabeledDataset(rng.normal(size=(1600, 64)), true, true, 10)
+    model = Mlp((64, 32, 10), Rng(5))
+    preds = model.predict(ds.features).argmax(axis=1)
+    assert len(set(preds.tolist())) == 10  # every column is reached
+    loop = np.zeros((10, 10), np.int64)
+    for t, p in zip(true, preds):
+        loop[t, p] += 1
+    report = build_eval_report(model, None, {"train": ds, "test": ds})
+    assert report["confusion_matrix"] == loop.tolist()
 
 
 # -- sweep ----------------------------------------------------------------------------

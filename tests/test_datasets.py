@@ -78,6 +78,18 @@ def test_blobs_wide_separation_separable():
     assert _probe_accuracy(ds) > 0.99
 
 
+def test_blobs_in_one_dimension_sit_evenly_spaced_on_the_line():
+    # class c's centre is c * sep; at sep 100 a unit-variance draw never
+    # strays halfway to the next centre
+    sep = 100.0
+    ds = gen_blobs(600, 3, 1, sep, Rng(4))
+    assert ds.features.shape == (600, 1)
+    assert np.array_equal(np.rint(ds.features[:, 0] / sep), ds.true_labels)
+    for c in range(3):
+        mean = ds.features[ds.true_labels == c, 0].mean()
+        assert mean == pytest.approx(c * sep, abs=0.3)
+
+
 def test_blobs_argument_validation():
     with pytest.raises(ValueError):
         gen_blobs(3, 4, 2, 1.0, Rng(0))

@@ -2,11 +2,12 @@
 
     python3 tools/peak_rss.py --src src --workload wide-mslg --seed 1 --work /tmp/peaks
 
-Runs the workload's `gen`, `train` and `eval` from `benchmarks/harness.py`
-(the same flags and paths that one harness iteration uses) in
-`--work`, which it empties first, each command in its own child process that
-imports `mslg` from `--src`, with the BLAS and OpenMP pools pinned to one
-thread. It prints one line per command: its name, the peak resident set size
+Records the `mslg` argv of each command of one iteration by running
+`harness.run_iteration` with `mslg.cli.main` replaced by a recorder, so the
+flags and paths are the harness's own. Then it runs those commands in
+`--work`, which it empties first, each in its own child process that imports
+`mslg` from `--src`, with the BLAS and OpenMP pools pinned to one thread.
+It prints one line per command: its name, the peak resident set size
 of its process in MB (`ru_maxrss` from `os.wait4`) and its exit code, and
 stops at the first command that fails, exiting 1.
 
@@ -37,16 +38,22 @@ def parse_args(argv):
     return p.parse_args(argv)
 
 
-def plan(wl, seed: int, work: Path) -> list[tuple[str, list[str]]]:
-    """(command, argv) of one iteration, as `harness.run_iteration` runs it."""
-    data, run = work / "data", work / "run"
-    return [
-        ("gen", ["gen", *wl.gen, "--seed", str(seed), "--out", str(data)]),
-        ("train", ["train", "--data", str(data), "--out", str(run), "--seed", str(seed),
-                   *wl.train]),
-        ("eval", ["eval", "--data", str(data), "--checkpoint", str(run / "model.ckpt"),
-                  "--labels", str(run / "labels.slbl"), "--out", str(work / "report.json")]),
-    ]
+def plan(harness, wl, seed: int, work: Path) -> list[list[str]]:
+    """The argv of each command of one iteration, as `harness.run_iteration`
+    passes it to `mslg.cli.main`, recorded with a stand-in that runs nothing."""
+    recorded = []
+
+    def record(argv):
+        recorded.append(list(argv))
+        return 0
+
+    main = harness.cli.main
+    harness.cli.main = record
+    try:
+        harness.run_iteration(wl, seed, work)
+    finally:
+        harness.cli.main = main
+    return recorded
 
 
 def run_child(argv: list[str], env: dict) -> tuple[float, int]:
@@ -62,12 +69,13 @@ def main(argv) -> int:
     args = parse_args(argv)
     harness = load_harness(args.src, [args.workload])  # its pinning reaches each child
     work = args.work.resolve()
+    commands = plan(harness, harness.WORKLOADS[args.workload], args.seed, work)
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir(parents=True)
     env = {**os.environ, "PYTHONPATH": str(args.src.resolve())}
-    for command, cli_argv in plan(harness.WORKLOADS[args.workload], args.seed, work):
+    for cli_argv in commands:
         peak_mb, code = run_child(cli_argv, env)
-        print(f"{command:5s}  peak_rss_mb {peak_mb:8.2f}  exit {code}", flush=True)
+        print(f"{cli_argv[0]:5s}  peak_rss_mb {peak_mb:8.2f}  exit {code}", flush=True)
         if code != 0:
             return 1
     return 0
