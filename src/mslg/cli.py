@@ -4,8 +4,9 @@ Subcommands: gen | train | eval | sweep | export-labels.
 
 Every run directory gets a manifest.json carrying the fully resolved
 configuration and seeds, sufficient to reproduce the run bit for bit, and the
-sha256 of the train split it read; `eval` refuses a checkpoint that sits
-beside such a manifest when --data holds a different train split.
+sha256 of the train split it read; `eval` refuses a checkpoint or a label
+snapshot that sits beside such a manifest when --data holds a different train
+split. Every path is used as given, relative to the working directory.
 Training-config resolution order: preset, then command-line flags; later wins.
 
 Each value (flag or --blobs/--spirals token) is parsed once, by its key in
@@ -28,12 +29,6 @@ removes the previous run's model, labels and snapshots.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical abort
 (a non-finite loss or gradient; the rolling last_good checkpoint survives).
-
-If MSLG_OUTPUT_ROOT is set, every relative --out path (a directory for gen,
-train and sweep, a file for eval and export-labels) is created under it, and
-every relative --data, --checkpoint and --labels path is read from under it,
-so relative paths chain from one command to the next. --idx-* name the
-user's own files and stay relative to the working directory.
 """
 
 from __future__ import annotations
@@ -42,7 +37,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -68,7 +62,6 @@ from .rng import Rng
 from .soft_labels import SoftLabelStore
 from .trainer import (
     TrainConfig,
-    accuracy,
     metrics_csv_header,
     metrics_csv_row,
     recovery_rate,
@@ -84,18 +77,6 @@ EXIT_NUMERIC = 4
 _GEN_DATA = 10
 _GEN_SPLIT = 11
 _GEN_NOISE = 12
-
-
-def _rooted(path_str: str | Path) -> Path:
-    """An artifact path, under MSLG_OUTPUT_ROOT when relative.
-
-    The root is made absolute, so a resolved path resolves to itself (sweep
-    cells pass theirs to gen, train and eval)."""
-    path = Path(path_str)
-    root = os.environ.get("MSLG_OUTPUT_ROOT")
-    if root and not path.is_absolute():
-        path = Path(root).absolute() / path
-    return path
 
 
 def _owner(directory: Path) -> str | None:
@@ -116,21 +97,21 @@ def _check_owner(directory: Path, command: str | None) -> None:
 
 
 def _out_dir(path_str: str | Path, command: str) -> Path:
-    """An --out directory, resolved by `_rooted` and checked by
-    `_check_owner` before anything is written; created."""
-    path = _rooted(path_str)
+    """An --out directory, checked by `_check_owner` before anything is
+    written; created."""
+    path = Path(path_str)
     _check_owner(path, command)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
 def _out_file(path_str: str | Path, *inputs) -> Path:
-    """An --out file, resolved by `_rooted`, in a directory that no command
-    owns and that the write creates. One of the command's own `inputs` is an
-    error. Both checks come before anything is read or written."""
-    path = _rooted(path_str)
+    """An --out file in a directory that no command owns and that the write
+    creates. One of the command's own `inputs` is an error. Both checks come
+    before anything is read or written."""
+    path = Path(path_str)
     _check_owner(path.parent, None)
-    if any(path.resolve() == _rooted(i).resolve() for i in inputs if i):
+    if any(path.resolve() == Path(i).resolve() for i in inputs if i):
         raise ValueError(f"--out {path} is also an input of this command")
     return path
 
@@ -344,13 +325,12 @@ def _load_splits(data_dir: Path) -> tuple[dict[str, LabeledDataset], dict]:
 
 
 # what `train` writes beside its manifest.json and metrics.csv
-_RUN_FILES = ("model.ckpt", "labels.slbl", "labels.csv", "last_good.*",
-              "epoch_*.ckpt", "epoch_*.slbl")
+_RUN_FILES = ("model.ckpt", "labels.slbl", "last_good.*", "epoch_*.ckpt", "epoch_*.slbl")
 
 
 def cmd_train(args) -> int:
     cfg = _resolve_train_config(args)
-    data_dir = _rooted(args.data)
+    data_dir = Path(args.data)
     splits, data_manifest = _load_splits(data_dir)
     out = _out_dir(args.out, "train")
     for pattern in _RUN_FILES:  # a previous run's, so none outlives its manifest
@@ -391,7 +371,6 @@ def cmd_train(args) -> int:
 
     model.save(out / "model.ckpt")
     store.save(out / "labels.slbl")
-    store.export_csv(out / "labels.csv")
     last = history[-1] if history else None
     if last is not None:
         print(f"done: {len(history)} epochs, test accuracy "
@@ -403,10 +382,10 @@ def cmd_train(args) -> int:
 # -- evaluation --------------------------------------------------------------------
 
 
-def _confusion(model: Mlp, ds: LabeledDataset) -> list[list[int]]:
+def _confusion(model: Mlp, ds: LabeledDataset) -> np.ndarray:
     preds = model.predict(ds.features).argmax(axis=1)
     c = ds.num_classes
-    return np.bincount(ds.true_labels * c + preds, minlength=c * c).reshape(c, c).tolist()
+    return np.bincount(ds.true_labels * c + preds, minlength=c * c).reshape(c, c)
 
 
 def build_eval_report(model: Mlp, store: SoftLabelStore | None,
@@ -417,9 +396,10 @@ def build_eval_report(model: Mlp, store: SoftLabelStore | None,
         raise ValueError(
             f"checkpoint has {model.layer_sizes[-1]} classes, "
             f"dataset has {test_ds.num_classes}")
+    confusion = _confusion(model, test_ds)
     report = {
-        "test_accuracy": accuracy(model, test_ds),
-        "confusion_matrix": _confusion(model, test_ds),
+        "test_accuracy": int(np.trace(confusion)) / test_ds.n,
+        "confusion_matrix": confusion.tolist(),
         "n_test": test_ds.n,
         "n_train": train_ds.n,
         "n_corrupted": int(train_ds.corrupted_mask().sum()),
@@ -441,25 +421,23 @@ def build_eval_report(model: Mlp, store: SoftLabelStore | None,
     return report
 
 
-def _check_trained_on(train_ds: LabeledDataset, data_dir: Path, checkpoint: Path) -> None:
-    """When the checkpoint's directory holds its run manifest, the train split
-    must be the one the run trained on."""
-    manifest = checkpoint.parent / "manifest.json"
-    if not manifest.is_file():
-        return
-    recorded = _read_manifest(manifest).get("train_sha256")
+def _check_trained_on(train_ds: LabeledDataset, data_dir: Path, *artifacts) -> None:
+    """When the directory of the checkpoint or of the label snapshot holds its
+    run manifest, the train split must be the one that run trained on."""
     actual = train_ds.fingerprint()
-    if recorded is not None and recorded != actual:
-        raise ValueError(f"{data_dir}: train split sha256 {actual} differs from "
-                         f"{recorded}, recorded in {manifest}")
+    for manifest in dict.fromkeys(Path(a).parent / "manifest.json" for a in artifacts if a):
+        recorded = _read_manifest(manifest).get("train_sha256") if manifest.is_file() else None
+        if recorded is not None and recorded != actual:
+            raise ValueError(f"{data_dir}: train split sha256 {actual} differs from "
+                             f"{recorded}, recorded in {manifest}")
 
 
 def _eval_report(data, checkpoint, labels) -> dict:
-    data_dir, checkpoint = _rooted(data), _rooted(checkpoint)
+    data_dir = Path(data)
     splits, _ = _load_splits(data_dir)
-    _check_trained_on(splits["train"], data_dir, checkpoint)
+    _check_trained_on(splits["train"], data_dir, checkpoint, labels)
     model = Mlp.load(checkpoint)
-    store = SoftLabelStore.load(_rooted(labels)) if labels else None
+    store = SoftLabelStore.load(labels) if labels else None
     return build_eval_report(model, store, splits)
 
 
@@ -555,7 +533,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_export_labels(args) -> int:
     out_path = _out_file(args.out, args.labels)
-    store = SoftLabelStore.load(_rooted(args.labels))
+    store = SoftLabelStore.load(args.labels)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     store.export_csv(out_path)
     print(f"wrote {out_path} ({store.n} rows, {store.num_classes} classes)")

@@ -98,6 +98,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.alpha <= 0 or self.beta < 0:
             raise ValueError(f"need alpha > 0 and beta >= 0, got {self.alpha}, {self.beta}")
+        if self.k_init <= 0:  # the initial label's argmax is the noisy label only for k > 0
+            raise ValueError(f"need k_init > 0, got {self.k_init}")
         if self.batch_size < 1 or self.total_epochs < 0:
             raise ValueError(f"need batch_size >= 1 and total_epochs >= 0, "
                              f"got {self.batch_size}, {self.total_epochs}")

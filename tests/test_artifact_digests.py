@@ -10,7 +10,7 @@ SRC = Path(mslg.__file__).resolve().parent.parent
 
 # every file one gen -> train -> eval iteration writes, relative to its directory
 ARTIFACTS = {"data/dataset.csv", "data/manifest.json", "run/manifest.json",
-             "run/metrics.csv", "run/model.ckpt", "run/labels.slbl", "run/labels.csv",
+             "run/metrics.csv", "run/model.ckpt", "run/labels.slbl",
              "run/last_good.ckpt", "run/last_good.slbl", "report.json"}
 
 

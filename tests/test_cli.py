@@ -159,50 +159,38 @@ def test_every_gen_option_changes_the_manifest(tmp_path, option):
 
 
 def test_output_root_env(tmp_path, monkeypatch):
-    root = tmp_path / "root"
+    # an MSLG_OUTPUT_ROOT left in the environment moves nothing: every path
+    # is used as given, relative to the working directory
+    root, work = tmp_path / "root", tmp_path / "work"
+    work.mkdir()
     monkeypatch.setenv("MSLG_OUTPUT_ROOT", str(root))
-    monkeypatch.chdir(tmp_path)
+    monkeypatch.chdir(work)
     assert run_cli(*GEN_SMALL, "--out", "nested/data") == EXIT_OK
-    data = root / "nested" / "data"
-    assert (data / "dataset.csv").exists()
-
-    splits = load_dataset_csv(data / "dataset.csv", 3)
-    ckpt, snap = tmp_path / "m.ckpt", tmp_path / "m.slbl"
-    Mlp((2, 3)).save(ckpt)
-    SoftLabelStore.init_from_noisy(splits["train"].noisy_labels, 3, 10.0).save(snap)
-    assert run_cli("eval", "--data", data, "--checkpoint", ckpt,
-                   "--out", "reports/r.json") == EXIT_OK
-    assert json.loads((root / "reports" / "r.json").read_text())["n_test"] == 48
-    assert run_cli("export-labels", "--labels", snap, "--out", "labels.csv") == EXIT_OK
-    assert (root / "labels.csv").exists()
-    assert not (tmp_path / "reports").exists() and not (tmp_path / "labels.csv").exists()
-
-    # input paths resolve under the root too, so relative paths chain
-    assert run_cli("train", "--data", "nested/data", "--out", "run", "--method", "mslg",
-                   *TRAIN_FAST) == EXIT_OK
-    manifest = json.loads((root / "run" / "manifest.json").read_text())
-    assert manifest["data"] == str(data)
+    assert run_cli("train", "--data", "nested/data", "--out", "run", *TRAIN_FAST) == EXIT_OK
     assert run_cli("eval", "--data", "nested/data", "--checkpoint", "run/model.ckpt",
-                   "--labels", "run/labels.slbl", "--out", "reports/run.json") == EXIT_OK
-    assert "label_recovery_rate" in json.loads((root / "reports" / "run.json").read_text())
+                   "--labels", "run/labels.slbl", "--out", "reports/r.json") == EXIT_OK
     assert run_cli("export-labels", "--labels", "run/labels.slbl",
-                   "--out", "labels2.csv") == EXIT_OK
-    assert ((root / "labels2.csv").read_bytes()
-            == (root / "run" / "labels.csv").read_bytes())
-    assert not (tmp_path / "run").exists()
+                   "--out", "labels.csv") == EXIT_OK
+    for name in ("nested/data/dataset.csv", "run/model.ckpt", "run/labels.slbl",
+                 "reports/r.json", "labels.csv"):
+        assert (work / name).is_file(), name
+    assert not root.exists()
+    assert json.loads((work / "run" / "manifest.json").read_text())["data"] == "nested/data"
+    assert "label_recovery_rate" in json.loads((work / "reports" / "r.json").read_text())
 
 
 def test_sweep_under_relative_output_root(tmp_path, monkeypatch):
-    # the cells' paths are already under the root and must not get it twice
+    # a relative MSLG_OUTPUT_ROOT moves nothing either: the sweep and its
+    # cells write under the working directory
     monkeypatch.setenv("MSLG_OUTPUT_ROOT", "outs")
     monkeypatch.chdir(tmp_path)
     assert run_cli("sweep", "--axis", "beta", "--values", "40", "--seeds", "0",
                    "--blobs", "n=150", "c=3", "d=2", "sep=6", "--noise", "uniform:0.2",
                    "--meta", "0.06", "--test", "0.2", *TRAIN_FAST,
                    "--total-epochs", "2", "--out", "sw") == EXIT_OK
-    rows = (tmp_path / "outs" / "sw" / "runs.csv").read_text().splitlines()
+    rows = (tmp_path / "sw" / "runs.csv").read_text().splitlines()
     assert rows[1].split(",")[3] == "ok"
-    assert not (tmp_path / "outs" / "outs").exists()
+    assert not (tmp_path / "outs").exists()
 
 
 # -- train ----------------------------------------------------------------------------
@@ -229,9 +217,11 @@ def test_train_writes_all_artifacts(tmp_path, data_dir):
     out = tmp_path / "run"
     assert run_cli("train", "--data", data_dir, "--out", out,
                    "--method", "mslg", *TRAIN_FAST) == EXIT_OK
-    for name in ("metrics.csv", "model.ckpt", "labels.slbl", "labels.csv",
+    for name in ("metrics.csv", "model.ckpt", "labels.slbl",
                  "manifest.json", "last_good.ckpt", "last_good.slbl"):
         assert (out / name).exists(), name
+    # a snapshot's CSV is `export-labels` output
+    assert not (out / "labels.csv").exists()
     lines = (out / "metrics.csv").read_text().strip().splitlines()
     assert lines[0].startswith("epoch,train_loss,meta_loss")
     assert len(lines) == 7  # header + 6 epochs
@@ -382,6 +372,9 @@ _BAD_VALUES = [
     ("train", ("--momentum", "inf"), "momentum must be finite"),
     ("train", ("--lambda-schedule", "0:nan"), "lambda_schedule must be finite"),
     ("train", ("--hidden", "0"), "hidden_sizes must all be >= 1"),
+    # the initial soft label's argmax is the noisy label only for k > 0
+    ("train", ("--k", "0"), "need k_init > 0, got 0.0"),
+    ("train", ("--k", "-5"), "need k_init > 0, got -5.0"),
     ("train", ("--seed", "-1"), "bad value for 'seed'"),
     ("train", ("--snapshot-every", "-1"), "bad value for 'snapshot_every'"),
     ("train", ("--lambda-schedule", "0:-0.02"), "lambda_schedule rates must be >= 0"),
@@ -937,6 +930,23 @@ def test_eval_checks_the_train_split_of_a_snapshot(tmp_path, capsys):
     assert run_cli("eval", "--data", other, *snapshot) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert actual != recorded and actual in err and recorded in err
+
+
+def test_eval_checks_the_train_split_of_the_label_snapshots_run(tmp_path, data_dir, capsys):
+    # the checkpoint's directory has no manifest; the snapshot's records
+    # another train split
+    ckpt, _ = _model_and_labels(tmp_path, data_dir)
+    other = tmp_path / "other"
+    other.mkdir()
+    _, snap = _model_and_labels(other, data_dir)
+    (other / "manifest.json").write_text(json.dumps({"command": "train",
+                                                     "train_sha256": "0" * 64}))
+    out = tmp_path / "report.json"
+    assert run_cli("eval", "--data", data_dir, "--checkpoint", ckpt,
+                   "--labels", snap, "--out", out) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"differs from {'0' * 64}, recorded in {other / 'manifest.json'}" in err
+    assert not out.exists()
 
 
 def test_eval_dimension_mismatch_is_config_error(tmp_path, data_dir, capsys):
