@@ -41,6 +41,9 @@ __all__ = [
 
 CHECKPOINT_MAGIC = b"MLPC"
 CHECKPOINT_VERSION = 1
+# rows per forward in `Mlp.predict`: an evaluation of a whole split holds one
+# block's hidden activations at a time, however many rows the split has
+PREDICT_ROWS = 256
 
 
 class NumericalError(ArithmeticError):
@@ -144,7 +147,12 @@ class Mlp:
         return probs, cache
 
     def predict(self, x) -> np.ndarray:
-        return self.forward(x)[0]
+        """Probabilities of a (n, D) input of any size: `forward` over
+        consecutive blocks of at most PREDICT_ROWS rows, concatenated. A 0-row
+        input still runs one forward, so its shape is checked."""
+        x = as_matrix(x, "x_batch")
+        starts = range(0, max(x.shape[0], 1), PREDICT_ROWS)
+        return np.concatenate([self.forward(x[i:i + PREDICT_ROWS])[0] for i in starts])
 
     def backward(self, cache: dict, dL_dz) -> np.ndarray:
         """Gradient of the scalar loss whose gradient with respect to the

@@ -111,6 +111,8 @@ class TrainConfig:
         if not self.lambda_schedule:
             raise ValueError("lambda_schedule must have at least one entry")
         starts = [e for e, _ in self.lambda_schedule]
+        if starts[0] != 0:  # else no rate would hold before the first start
+            raise ValueError(f"lambda_schedule must start at epoch 0, got {starts[0]}")
         if starts != sorted(starts) or len(set(starts)) != len(starts):
             raise ValueError(f"lambda_schedule epochs must strictly increase: {starts}")
         if any(lr < 0 for _, lr in self.lambda_schedule):
@@ -121,11 +123,7 @@ class TrainConfig:
             raise ValueError(f"hidden_sizes must all be >= 1, got {self.hidden_sizes}")
 
     def lr_at(self, epoch: int) -> float:
-        lr = self.lambda_schedule[0][1]
-        for start, value in self.lambda_schedule:
-            if epoch >= start:
-                lr = value
-        return lr
+        return [lr for start, lr in self.lambda_schedule if start <= epoch][-1]
 
 
 @dataclass

@@ -11,14 +11,19 @@ defined once; every caller passes its own inputs, step and tolerance:
 - soft cross-entropy on the frozen initial labels (`frozen_soft_ce_run`),
   which stage two equals at beta = 0 and entropy weight 0;
 - IDX fixture files (`idx_images_bytes`, `idx_labels_bytes`);
+- a split of the wide benchmark's test shape (`wide_eval_split`), the
+  traced peak of a call (`traced_peak`) and the bound on scoring it
+  (`WIDE_EVAL_PEAK`);
 and failing-write fixtures.
 """
 
 import contextlib
 import struct
+import tracemalloc
 
 import numpy as np
 
+from mslg.datasets import LabeledDataset
 from mslg.linalg import softmax
 from mslg.losses import cce_loss
 from mslg.model import Mlp, SgdState, sgd_step
@@ -214,3 +219,29 @@ def disk_fills_mid_write(atomic_write, after=0):
         with atomic_write(path) as fh:
             yield _FillingHandle(fh, after)
     return failing
+
+
+# scoring a 1,600-row split through 64-256-256-10 in 256-row blocks: one
+# block's two hidden layers (with the slack of test_model's forward bound),
+# plus the split's probabilities twice (the blocks and their concatenation).
+# One whole-split forward holds 2 x 1600 x 256 floats, 6.6 MB.
+WIDE_EVAL_PEAK = 2.5 * 256 * 256 * 8 + 2 * 1600 * 10 * 8
+
+
+def wide_eval_split():
+    """(64-256-256-10 model, 1,600-row split): the wide benchmark's model and
+    test split shapes."""
+    labels = np.arange(1600) % 10
+    split = LabeledDataset(Rng(17).normal(size=(1600, 64)), labels, labels, 10)
+    return Mlp((64, 256, 256, 10), Rng(16, 0)), split
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees during `fn()`, after one untraced call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

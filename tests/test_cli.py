@@ -19,7 +19,8 @@ from mslg.rng import Rng
 from mslg.soft_labels import SoftLabelStore
 from mslg.trainer import TrainConfig
 
-from helpers import disk_fills_mid_write, idx_images_bytes, idx_labels_bytes
+from helpers import (WIDE_EVAL_PEAK, disk_fills_mid_write, idx_images_bytes, idx_labels_bytes,
+                     traced_peak, wide_eval_split)
 
 
 def run_cli(*argv):
@@ -378,6 +379,7 @@ _BAD_VALUES = [
     ("train", ("--seed", "-1"), "bad value for 'seed'"),
     ("train", ("--snapshot-every", "-1"), "bad value for 'snapshot_every'"),
     ("train", ("--lambda-schedule", "0:-0.02"), "lambda_schedule rates must be >= 0"),
+    ("train", ("--lambda-schedule", "10:0.1"), "lambda_schedule must start at epoch 0, got 10"),
     ("train", ("--batch-size", "0"), "need batch_size >= 1 and total_epochs >= 0, got 0, 6"),
     ("train", ("--total-epochs", "-1"),
      "need batch_size >= 1 and total_epochs >= 0, got 32, -1"),
@@ -394,6 +396,7 @@ _BAD_VALUES = [
     # every cell's training config is resolved, swept beta included, before
     # --out exists
     ("sweep", ("--lambda-schedule", "0:-0.02"), "lambda_schedule rates must be >= 0"),
+    ("sweep", ("--lambda-schedule", "10:0.1"), "lambda_schedule must start at epoch 0, got 10"),
     ("sweep", ("--values", "-1"), "need alpha > 0 and beta >= 0, got 0.5, -1.0"),
     ("sweep", ("--axis", "noise_ratio", "--noise", "none"),
      "noise_ratio sweep needs --noise kind:ratio"),
@@ -1017,6 +1020,13 @@ def test_eval_confusion_matrix_equals_a_loop_over_the_rows():
         loop[t, p] += 1
     report = build_eval_report(model, None, {"train": ds, "test": ds})
     assert report["confusion_matrix"] == loop.tolist()
+
+
+def test_eval_report_of_a_wide_split_holds_one_block_of_activations():
+    # the confusion matrix scores the test split in 256-row blocks
+    model, split = wide_eval_split()
+    peak = traced_peak(lambda: build_eval_report(model, None, {"train": split, "test": split}))
+    assert peak <= WIDE_EVAL_PEAK, peak
 
 
 # -- sweep ----------------------------------------------------------------------------

@@ -20,11 +20,12 @@ from mslg.losses import (
     kl_loss_v1,
     kl_loss_v2,
 )
-from mslg.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointError, Mlp,
-                        NumericalError, SgdState, sgd_pass, sgd_step)
+from mslg.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, PREDICT_ROWS, CheckpointError,
+                        Mlp, NumericalError, SgdState, sgd_pass, sgd_step)
 from mslg.rng import Rng
 
-from helpers import FailingArray, assert_grads_close, fd_param_grad, kink_free_batch
+from helpers import (FailingArray, assert_grads_close, fd_param_grad, kink_free_batch,
+                     wide_eval_split)
 
 
 def _tiny_net(seed=0, sizes=(2, 4, 2)):
@@ -95,6 +96,36 @@ def test_forward_shape_mismatch():
     model = _tiny_net(0)
     with pytest.raises(ValueError, match="features"):
         model.predict(np.ones((3, 5)))
+
+
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 1600])
+def test_predict_is_forward_over_blocks_of_predict_rows(n, monkeypatch):
+    model = _tiny_net(18, (3, 5, 4))
+    x = Rng(19).normal(size=(n, 3))
+    starts = range(0, n, PREDICT_ROWS) or [0]  # a 0-row input is one empty block
+    expect = np.concatenate([model.forward(x[i:i + PREDICT_ROWS])[0] for i in starts])
+    rows = []
+    forward = Mlp.forward
+    monkeypatch.setattr(Mlp, "forward", lambda self, b: rows.append(len(b)) or forward(self, b))
+    probs = model.predict(x)
+    assert probs.shape == (n, 4) and np.array_equal(probs, expect)
+    assert rows == [len(x[i:i + PREDICT_ROWS]) for i in starts]
+
+
+def test_predict_on_a_wide_split_agrees_with_one_whole_forward():
+    # blocks may take another BLAS path than the whole split, so only the
+    # last bits may differ
+    model, split = wide_eval_split()
+    whole = model.forward(split.features)[0]
+    probs = model.predict(split.features)
+    assert np.array_equal(probs.argmax(axis=1), whole.argmax(axis=1))
+    np.testing.assert_allclose(probs, whole, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n", [0, 300])
+def test_predict_checks_features_at_any_row_count(n):
+    with pytest.raises(ValueError, match="input has 5 features, model expects 2"):
+        _tiny_net(0).predict(np.ones((n, 5)))
 
 
 def test_param_count():

@@ -43,8 +43,9 @@ from mslg.trainer import (
     warmup_epoch,
 )
 
-from helpers import (assert_grads_close, brute_force_logit_grad, frozen_soft_ce_run,
-                     label_logit_grad, meta_loss_after_virtual, tiny_bilevel_instance)
+from helpers import (WIDE_EVAL_PEAK, assert_grads_close, brute_force_logit_grad,
+                     frozen_soft_ce_run, label_logit_grad, meta_loss_after_virtual,
+                     tiny_bilevel_instance, traced_peak, wide_eval_split)
 
 
 # -- bilevel oracle ----------------------------------------------------------------
@@ -386,6 +387,13 @@ def test_warmup_zero_lr_leaves_parameters():
     assert 0.0 <= metrics.test_accuracy <= 1.0
 
 
+def test_accuracy_of_a_wide_split_holds_one_block_of_activations():
+    # the per-epoch test accuracy scores the split in 256-row blocks
+    model, split = wide_eval_split()
+    peak = traced_peak(lambda: accuracy(model, split))
+    assert peak <= WIDE_EVAL_PEAK, peak
+
+
 def test_warmup_reaches_train_accuracy_on_clean_blobs():
     train_ds, meta_ds, test_ds = _blob_setting(noise=0.0)
     cfg = _warm_cfg()
@@ -569,8 +577,12 @@ def test_config_validation():
         TrainConfig(warmup_epochs=10, total_epochs=5).validate()
     with pytest.raises(ValueError):
         TrainConfig(lambda_schedule=()).validate()
-    with pytest.raises(ValueError):
-        TrainConfig(lambda_schedule=((10, 0.1), (5, 0.01))).validate()
+    with pytest.raises(ValueError, match="strictly increase"):
+        TrainConfig(lambda_schedule=((0, 0.1), (10, 0.1), (5, 0.01))).validate()
+    # no rate holds before the first start, so the schedule begins at epoch 0
+    for start in (10, -5):
+        with pytest.raises(ValueError, match=f"must start at epoch 0, got {start}"):
+            TrainConfig(lambda_schedule=((start, 0.1), (20, 0.01))).validate()
     with pytest.raises(ValueError, match="rates must be >= 0"):
         TrainConfig(lambda_schedule=((0, 0.1), (5, -0.02))).validate()
     TrainConfig(lambda_schedule=((0, 0.0),)).validate()  # a zero rate stays legal

@@ -12,7 +12,14 @@ of its process in MB (`ru_maxrss` from `os.wait4`) and its exit code, and
 stops at the first command that fails, exiting 1.
 
 The benchmark's `peak_rss_mb` is the peak of one process that runs every
-command of every iteration; this tool says which command sets it.
+command of every iteration and, after each command, hashes its artifacts,
+reading each file whole. The last line, `iteration`, is that number for one
+iteration: one child loads the harness as above and runs one checked
+iteration (`harness.GENS_PER_ITERATION` x gen, then train and eval, through
+`harness.Runner`, which calls `harness.run_iteration`) in `--work`/iteration;
+the tool exits 1 if an operation failed. On wide-mslg that line is above
+every command's: the hash of the 10 MB `dataset.csv`, not a command, sets
+the peak.
 """
 
 import argparse
@@ -23,7 +30,9 @@ from pathlib import Path
 
 from harness_loader import load_harness
 
+TOOLS = Path(__file__).resolve().parent
 RUN_COMMAND = "import sys; from mslg.cli import main; sys.exit(main(sys.argv[1:]))"
+ITERATION_COMMAND = "import sys, peak_rss; sys.exit(peak_rss.check_iteration(*sys.argv[1:]))"
 
 
 def parse_args(argv):
@@ -56,10 +65,18 @@ def plan(harness, wl, seed: int, work: Path) -> list[list[str]]:
     return recorded
 
 
-def run_child(argv: list[str], env: dict) -> tuple[float, int]:
-    """(peak RSS in MB, exit code) of `mslg argv` in a child process whose
-    stdout is discarded."""
-    pid = os.posix_spawn(sys.executable, [sys.executable, "-c", RUN_COMMAND, *argv], env,
+def check_iteration(src: str, workload: str, seed: str, work: str) -> int:
+    """Run in the `iteration` child: one checked benchmark iteration; 0 when
+    every operation passed."""
+    harness = load_harness(Path(src), [workload])
+    runner = harness.Runner(harness.WORKLOADS[workload], int(seed), Path(work))
+    return 0 if runner.iterate(harness.GENS_PER_ITERATION).ok else 1
+
+
+def run_child(command: str, argv: list[str], env: dict) -> tuple[float, int]:
+    """(peak RSS in MB, exit code) of `python -c command argv` in a child
+    process whose stdout is discarded."""
+    pid = os.posix_spawn(sys.executable, [sys.executable, "-c", command, *argv], env,
                          file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
     _, status, usage = os.wait4(pid, 0)
     return usage.ru_maxrss / 1024.0, os.waitstatus_to_exitcode(status)
@@ -72,10 +89,13 @@ def main(argv) -> int:
     commands = plan(harness, harness.WORKLOADS[args.workload], args.seed, work)
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir(parents=True)
-    env = {**os.environ, "PYTHONPATH": str(args.src.resolve())}
-    for cli_argv in commands:
-        peak_mb, code = run_child(cli_argv, env)
-        print(f"{cli_argv[0]:5s}  peak_rss_mb {peak_mb:8.2f}  exit {code}", flush=True)
+    src = str(args.src.resolve())
+    runs = [(cli_argv[0], RUN_COMMAND, cli_argv, src) for cli_argv in commands]
+    runs.append(("iteration", ITERATION_COMMAND,
+                 [src, args.workload, str(args.seed), str(work / "iteration")], str(TOOLS)))
+    for name, command, argv, path in runs:
+        peak_mb, code = run_child(command, argv, {**os.environ, "PYTHONPATH": path})
+        print(f"{name:5s}  peak_rss_mb {peak_mb:8.2f}  exit {code}", flush=True)
         if code != 0:
             return 1
     return 0
