@@ -10,7 +10,6 @@ Synthetic noise injectors and a CLI for desk-scale experiments are included.
 from .datasets import (
     LabeledDataset,
     gen_blobs,
-    gen_spirals,
     inject_feature_dependent,
     inject_uniform,
     load_idx_images,
@@ -44,7 +43,7 @@ from .trainer import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "LabeledDataset", "gen_blobs", "gen_spirals",
+    "LabeledDataset", "gen_blobs",
     "inject_feature_dependent", "inject_uniform", "load_idx_images", "split",
     "softmax", "softmax_backward",
     "LossValue", "cce_loss", "classification_objective", "entropy_loss",

@@ -9,10 +9,11 @@ snapshot that sits beside such a manifest when --data holds a different train
 split. Every path is used as given, relative to the working directory.
 Training-config resolution order: preset, then command-line flags; later wins.
 
-Each value (flag or --blobs/--spirals token) is parsed once, by its key in
-`_PARSERS`, before a command runs; a bad one, such as a float that is not
-finite, is a configuration error naming the key. --blobs/--spirals tokens are
-key=value items, so an unknown or repeated key is an error naming the flag.
+Each value (flag or --blobs token) is parsed once, by its key in `_PARSERS`,
+before a command runs; a bad one, such as a float that is not finite or an
+empty item in a non-empty comma list, is a configuration error naming the key.
+--blobs tokens are key=value items, so an unknown or repeated key is an error
+naming the flag. Data comes from one source, --blobs or the --idx-* pair.
 Flags must be spelled in full. Seeds are non-negative, and no two sweep cells
 may share a directory. `gen` generates its data, and `sweep` resolves every
 cell's training configuration and split sizes, before creating --out. A
@@ -47,7 +48,6 @@ from .atomic import atomic_write
 from .datasets import (
     LabeledDataset,
     gen_blobs,
-    gen_spirals,
     inject_feature_dependent,
     inject_uniform,
     load_dataset_csv,
@@ -161,7 +161,7 @@ def _parse_schedule(spec: str) -> tuple[tuple[int, float], ...]:
 
 
 def _comma_list(item):
-    return lambda spec: tuple(item(v) for v in spec.split(",") if v)
+    return lambda spec: tuple(item(v) for v in spec.split(",")) if spec else ()
 
 
 _METHODS = ("ce", "mslg")
@@ -169,21 +169,21 @@ _SWEEP_AXES = ("meta_fraction", "noise_ratio", "beta")
 _TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig))
 
 # every value's parser, by key: TrainConfig's fields (a scalar parses as the
-# type of its default), then gen's --blobs/--spirals keys and flags, then
+# type of its default), then gen's --blobs keys and flags, then
 # train's and sweep's own
 _PARSERS = {
     **{f.name: {"lambda_schedule": _parse_schedule, "hidden_sizes": _comma_list(int),
                 "seed": _non_negative_int}.get(f.name, type(f.default))
        for f in dataclasses.fields(TrainConfig)},
-    "n": int, "c": int, "d": int, "sep": _finite_float, "noise_sd": _finite_float,
+    "n": int, "c": int, "d": int, "sep": _finite_float,
     "noise": _parse_noise, "meta": _finite_float, "test": _finite_float,
     "method": _one_of(*_METHODS), "snapshot_every": _non_negative_int,
     "axis": _one_of(*_SWEEP_AXES), "values": _comma_list(_finite_float),
     "seeds": _comma_list(_non_negative_int),
 }
 
-# the keys --blobs/--spirals accept
-_SOURCE_KEYS = {"blobs": ("n", "c", "d", "sep"), "spirals": ("n", "c", "noise_sd")}
+# the keys --blobs accepts
+_BLOBS_KEYS = ("n", "c", "d", "sep")
 
 
 def _parse_field(key: str, value: str, where: str = ""):
@@ -194,27 +194,27 @@ def _parse_field(key: str, value: str, where: str = ""):
         raise ValueError(f"{where}bad value for {key!r}: {exc}") from None
 
 
-def _parse_kv(source: str, tokens) -> dict:
-    """--blobs or --spirals "key=value" tokens as {key: parsed value}; an
-    error names the flag. A key given twice is an error."""
-    flag, keys, out = f"--{source}", _SOURCE_KEYS[source], {}
+def _parse_blobs(tokens) -> dict:
+    """--blobs "key=value" tokens as {key: parsed value}; an error names the
+    flag. A key given twice is an error."""
+    out = {}
     for token in tokens:
         if "=" not in token:
-            raise ValueError(f"{flag}: expected key=value, got {token!r}")
+            raise ValueError(f"--blobs: expected key=value, got {token!r}")
         key, value = token.split("=", 1)
-        if key not in keys:
-            raise ValueError(f"{flag}: unknown key {key!r}; accepted: {' '.join(keys)}")
+        if key not in _BLOBS_KEYS:
+            raise ValueError(f"--blobs: unknown key {key!r}; accepted: {' '.join(_BLOBS_KEYS)}")
         if key in out:
-            raise ValueError(f"{flag}: key {key!r} given more than once")
-        out[key] = _parse_field(key, value, f"{flag}: ")
+            raise ValueError(f"--blobs: key {key!r} given more than once")
+        out[key] = _parse_field(key, value, "--blobs: ")
     return out
 
 
 def _parse_values(args: argparse.Namespace) -> None:
     """Parse, in place, each value in `args` that has a parser."""
     for key, value in list(vars(args).items()):
-        if value is not None and key in _SOURCE_KEYS:
-            setattr(args, key, _parse_kv(key, value))
+        if value is not None and key == "blobs":
+            setattr(args, key, _parse_blobs(value))
         elif value is not None and key in _PARSERS:
             setattr(args, key, _parse_field(key, value))
 
@@ -223,7 +223,9 @@ def _parse_values(args: argparse.Namespace) -> None:
 
 
 def _source(args) -> tuple[LabeledDataset, dict]:
-    """The clean dataset of --blobs, --spirals or --idx-*, and its manifest entry."""
+    """The clean dataset of --blobs or --idx-*, and its manifest entry."""
+    if args.blobs and (args.idx_images or args.idx_labels):
+        raise ValueError("two sources: --blobs and --idx-images/--idx-labels; choose one")
     seed = args.seed
     if args.blobs:
         kv = args.blobs
@@ -231,19 +233,14 @@ def _source(args) -> tuple[LabeledDataset, dict]:
         sep = kv.get("sep", 6.0)
         ds = gen_blobs(n, c, d, sep, Rng(seed, _GEN_DATA))
         source = {"generator": "blobs", "n": n, "c": c, "d": d, "separation": sep}
-    elif args.spirals:
-        kv = args.spirals
-        n, c, sd = kv.get("n", 600), kv.get("c", 3), kv.get("noise_sd", 0.03)
-        ds = gen_spirals(n, c, sd, Rng(seed, _GEN_DATA))
-        source = {"generator": "spirals", "n": n, "c": c, "noise_sd": sd}
-    elif args.idx_images:
-        if not args.idx_labels:
-            raise ValueError("--idx-images requires --idx-labels")
+    elif args.idx_images or args.idx_labels:
+        if not (args.idx_images and args.idx_labels):
+            raise ValueError("--idx-images requires --idx-labels, and vice versa")
         ds = load_idx_images(args.idx_images, args.idx_labels)
         source = {"generator": "idx", "images": str(args.idx_images),
                   "labels": str(args.idx_labels)}
     else:
-        raise ValueError("choose a source: --blobs, --spirals, or --idx-images")
+        raise ValueError("choose a source: --blobs or --idx-images")
     return ds, source
 
 
@@ -546,8 +543,6 @@ def cmd_export_labels(args) -> int:
 def _add_source_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--blobs", nargs="+", metavar="K=V",
                    help="gaussian clusters: n= c= d= sep=")
-    p.add_argument("--spirals", nargs="+", metavar="K=V",
-                   help="interleaved spirals: n= c= noise_sd=")
     p.add_argument("--idx-images", help="IDX image file")
     p.add_argument("--idx-labels", help="IDX label file")
     p.add_argument("--noise", default="none", metavar="KIND:RATIO",

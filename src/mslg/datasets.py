@@ -47,7 +47,6 @@ __all__ = [
     "IdxCountMismatchError",
     "IdxTruncatedError",
     "gen_blobs",
-    "gen_spirals",
     "load_idx_images",
     "inject_uniform",
     "inject_feature_dependent",
@@ -140,34 +139,6 @@ def gen_blobs(n: int, num_classes: int, dim: int, separation: float,
         centers[:, 1] = radius * np.sin(angles)
     labels = _balanced_labels(n, num_classes)
     feats = centers[labels] + rng.normal(size=(n, dim))
-    order = rng.permutation(n)
-    return LabeledDataset(feats[order], labels[order], labels[order].copy(),
-                          num_classes)
-
-
-def gen_spirals(n: int, num_classes: int, noise_sd: float, rng: Rng) -> LabeledDataset:
-    """Interleaved 2-D spirals, one arm per class.
-
-    Arm c, point k of m: t = k/(m-1) (t = 0 when m == 1), radius
-    r = 0.15 + 0.85 t, angle phi = 2 pi c / C + 3 pi t, plus isotropic
-    Gaussian jitter of scale noise_sd.
-    """
-    if num_classes < 2:
-        raise ValueError("gen_spirals needs at least 2 classes")
-    if n < num_classes:
-        raise ValueError(f"need n >= num_classes, got n={n}, C={num_classes}")
-    labels = _balanced_labels(n, num_classes)
-    feats = np.zeros((n, 2))
-    pos = 0
-    for c in range(num_classes):
-        m = int(np.sum(labels == c))
-        t = np.arange(m) / (m - 1) if m > 1 else np.zeros(1)
-        r = 0.15 + 0.85 * t
-        phi = 2.0 * np.pi * c / num_classes + 3.0 * np.pi * t
-        feats[pos:pos + m, 0] = r * np.cos(phi)
-        feats[pos:pos + m, 1] = r * np.sin(phi)
-        pos += m
-    feats += noise_sd * rng.normal(size=(n, 2))
     order = rng.permutation(n)
     return LabeledDataset(feats[order], labels[order], labels[order].copy(),
                           num_classes)

@@ -79,8 +79,6 @@ def test_gen_requires_source(tmp_path):
 @pytest.mark.parametrize("flag,token,accepted", [
     ("--blobs", "classes=10", "n c d sep"),
     ("--blobs", "separation=5", "n c d sep"),
-    ("--spirals", "d=9", "n c noise_sd"),
-    ("--spirals", "noise-sd=0.1", "n c noise_sd"),
 ])
 def test_gen_unknown_source_key_is_config_error(tmp_path, capsys, flag, token, accepted):
     out = tmp_path / "data"
@@ -110,11 +108,33 @@ def test_gen_idx_without_pixels_is_config_error(tmp_path, capsys, n, rows, cols)
     assert not out.exists()
 
 
-# a value of every gen option but --out, and of every --blobs/--spirals key,
+@pytest.mark.parametrize("sources,message", [
+    pytest.param(("--blobs", "n=150", "--idx-labels", "l.idx"),
+                 "two sources: --blobs and --idx-images", id="blobs+idx-labels"),
+    pytest.param(("--blobs", "n=150", "--idx-images", "i.idx", "--idx-labels", "l.idx"),
+                 "two sources: --blobs and --idx-images/--idx-labels; choose one",
+                 id="blobs+idx-pair"),
+    pytest.param(("--idx-labels", "l.idx"), "--idx-images requires --idx-labels, and vice versa",
+                 id="idx-labels-alone"),
+])
+@pytest.mark.parametrize("command", [
+    ("gen",),
+    ("sweep", "--axis", "beta", "--values", "50", "--seeds", "0", *TRAIN_FAST),
+], ids=["gen", "sweep"])
+def test_source_flags_give_one_source(tmp_path, capsys, command, sources, message):
+    # a second source is not dropped without a word, leaving a manifest that
+    # records only the one used; half an IDX pair names the other half
+    out = tmp_path / "out"
+    argv = [*command, *(str(tmp_path / a) if a.endswith(".idx") else a for a in sources)]
+    assert run_cli(*argv, "--out", out) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+# a value of every gen option but --out, and of every --blobs key,
 # other than its default; the IDX files are written beside the run
 _GEN_VALUES = {
     "--blobs": {"n": "90", "c": "3", "d": "3", "sep": "4"},
-    "--spirals": {"n": "90", "c": "2", "noise_sd": "0.1"},
     "--idx-images": "other_images.idx", "--idx-labels": "other_labels.idx",
     "--noise": "feature_dependent:0.2", "--meta": "0.1", "--test": "0.3", "--seed": "4",
 }
@@ -143,8 +163,8 @@ def test_every_gen_option_changes_the_manifest(tmp_path, option):
         assert run_cli("gen", *argv, "--out", tmp_path / "out") == EXIT_OK
         return (tmp_path / "out" / "manifest.json").read_bytes()
 
-    if option in ("--blobs", "--spirals"):
-        assert set(_GEN_VALUES[option]) == set(mslg.cli._SOURCE_KEYS[option[2:]])
+    if option == "--blobs":
+        assert set(_GEN_VALUES[option]) == set(mslg.cli._BLOBS_KEYS)
         base = manifest(option, "n=120")  # n in every run keeps them small
         for key, value in _GEN_VALUES[option].items():
             tokens = {"n": "120", key: value}
@@ -325,10 +345,9 @@ _BASE = {
 
 
 _BAD_VALUES = [
-    # gen keys: --blobs/--spirals tokens, then flags
-    *[("gen", (flag, f"{key}=x"), f"{flag}: bad value for '{key}'")
-      for flag, key in [("--blobs", "n"), ("--blobs", "c"), ("--blobs", "d"),
-                        ("--blobs", "sep"), ("--spirals", "noise_sd")]],
+    # gen keys: --blobs tokens, then flags
+    *[("gen", ("--blobs", f"{key}=x"), f"--blobs: bad value for '{key}'")
+      for key in ("n", "c", "d", "sep")],
     ("gen", ("--blobs", "n300"), "--blobs: expected key=value, got 'n300'"),
     ("gen", ("--noise", "uniform"), "bad value for 'noise': --noise expects kind:ratio"),
     ("gen", ("--noise", "uniform:abc"), "bad value for 'noise'"),
@@ -339,7 +358,6 @@ _BAD_VALUES = [
     ("gen", ("--seed", "-1"), "bad value for 'seed'"),
     # float values must be finite, or a manifest would hold NaN, which is not JSON
     ("gen", ("--blobs", "sep=nan"), "--blobs: bad value for 'sep': expected a finite number"),
-    ("gen", ("--spirals", "noise_sd=inf"), "--spirals: bad value for 'noise_sd'"),
     ("gen", ("--noise", "uniform:nan"), "bad value for 'noise'"),
     ("gen", ("--meta", "nan"), "bad value for 'meta': expected a finite number, got nan"),
     ("gen", ("--test", "inf"), "bad value for 'test'"),
@@ -373,6 +391,10 @@ _BAD_VALUES = [
     ("train", ("--momentum", "inf"), "momentum must be finite"),
     ("train", ("--lambda-schedule", "0:nan"), "lambda_schedule must be finite"),
     ("train", ("--hidden", "0"), "hidden_sizes must all be >= 1"),
+    # an empty item is not skipped: "8,,8" is not a 2-layer model, "," not a
+    # linear one (that is --hidden "")
+    ("train", ("--hidden", "8,,8"), "bad value for 'hidden_sizes'"),
+    ("train", ("--hidden", ","), "bad value for 'hidden_sizes'"),
     # the initial soft label's argmax is the noisy label only for k > 0
     ("train", ("--k", "0"), "need k_init > 0, got 0.0"),
     ("train", ("--k", "-5"), "need k_init > 0, got -5.0"),
@@ -389,7 +411,10 @@ _BAD_VALUES = [
      "bad value for 'values': expected a finite number, got nan"),
     ("sweep", ("--seeds", "0,x"), "bad value for 'seeds'"),
     ("sweep", ("--seeds", "0,-1"), "bad value for 'seeds'"),
-    ("sweep", ("--values", ","), "--values and --seeds must be non-empty"),
+    ("sweep", ("--values", ","), "bad value for 'values'"),
+    ("sweep", ("--values", "1,,2"), "bad value for 'values'"),
+    ("sweep", ("--seeds", "0,"), "bad value for 'seeds'"),
+    ("sweep", ("--seeds", ""), "--values and --seeds must be non-empty"),
     ("sweep", ("--blobs", "n=x"), "--blobs: bad value for 'n'"),
     ("sweep", ("--noise", "uniform:x"), "bad value for 'noise'"),
     ("sweep", ("--beta", "x"), "bad value for 'beta'"),
@@ -464,11 +489,10 @@ def test_every_cli_option_is_routed():
     for name, sub in _subcommands().items():
         for action in sub._actions:
             if action.dest != "help":
-                assert (action.dest in mslg.cli._PARSERS or action.dest in mslg.cli._SOURCE_KEYS
+                assert (action.dest in mslg.cli._PARSERS or action.dest == "blobs"
                         or action.dest in _STRING_DESTS), f"{name} {action.option_strings}"
                 dests.add(action.dest)
-    source_keys = {key for keys in mslg.cli._SOURCE_KEYS.values() for key in keys}
-    unreachable = set(mslg.cli._PARSERS) - dests - source_keys
+    unreachable = set(mslg.cli._PARSERS) - dests - set(mslg.cli._BLOBS_KEYS)
     assert not unreachable
 
 

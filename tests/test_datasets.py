@@ -19,7 +19,6 @@ from mslg.datasets import (
     LabeledDataset,
     _fit_probe,
     gen_blobs,
-    gen_spirals,
     inject_feature_dependent,
     inject_uniform,
     load_dataset_csv,
@@ -95,26 +94,6 @@ def test_blobs_argument_validation():
         gen_blobs(3, 4, 2, 1.0, Rng(0))
     with pytest.raises(ValueError):
         gen_blobs(10, 1, 2, 1.0, Rng(0))
-
-
-def test_spirals_deterministic():
-    a = gen_spirals(90, 3, 0.02, Rng(3))
-    b = gen_spirals(90, 3, 0.02, Rng(3))
-    assert np.array_equal(a.features, b.features)
-    assert a.dim == 2
-
-
-def test_spirals_degenerate_one_per_class():
-    ds = gen_spirals(3, 3, 0.0, Rng(4))
-    assert ds.n == 3
-    assert sorted(ds.true_labels.tolist()) == [0, 1, 2]
-
-
-def test_spirals_learnable_by_default_mlp():
-    ds = gen_spirals(600, 3, 0.03, Rng(5))
-    model = _sgd_fit(ds.features, ds.true_labels, (2, 32, 32, 3), 200, 6)
-    acc = float(np.mean(model.predict(ds.features).argmax(axis=1) == ds.true_labels))
-    assert acc >= 0.9
 
 
 # -- IDX reader -------------------------------------------------------------------

@@ -17,9 +17,9 @@ reading each file whole. The last line, `iteration`, is that number for one
 iteration: one child loads the harness as above and runs one checked
 iteration (`harness.GENS_PER_ITERATION` x gen, then train and eval, through
 `harness.Runner`, which calls `harness.run_iteration`) in `--work`/iteration;
-the tool exits 1 if an operation failed. On wide-mslg that line is above
-every command's: the hash of the 10 MB `dataset.csv`, not a command, sets
-the peak.
+the tool exits 1 if an operation failed. On wide-mslg that line is 2.5-3 MB
+above every command's. Hashing in chunks moves it by only 0.1-0.3 MB, so the
+whole-file hash is not what sets it; the cause is not yet known.
 """
 
 import argparse
