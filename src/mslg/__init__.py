@@ -16,14 +16,6 @@ from .datasets import (
     split,
 )
 from .linalg import softmax, softmax_backward
-from .losses import (
-    LossValue,
-    cce_loss,
-    classification_objective,
-    entropy_loss,
-    kl_loss_v1,
-    kl_loss_v2,
-)
 from .model import Mlp, NumericalError, SgdState, sgd_pass, sgd_step
 from .presets import PRESETS, resolve_preset
 from .rng import Rng
@@ -46,8 +38,6 @@ __all__ = [
     "LabeledDataset", "gen_blobs",
     "inject_feature_dependent", "inject_uniform", "load_idx_images", "split",
     "softmax", "softmax_backward",
-    "LossValue", "cce_loss", "classification_objective", "entropy_loss",
-    "kl_loss_v1", "kl_loss_v2",
     "Mlp", "NumericalError", "SgdState", "sgd_pass", "sgd_step",
     "PRESETS", "resolve_preset", "Rng", "SoftLabelStore",
     "EpochMetrics", "TrainConfig", "accuracy",

@@ -25,8 +25,8 @@ owns. `gen` owns one that holds a dataset.csv or whose manifest records
 `eval` and `export-labels` own none. An --out file may not be one of the
 command's own inputs. Each refusal comes before anything is written, and
 `eval` and `export-labels` check --out before they read anything. `train`
-writes every file, snapshots included, beside its manifest, and a rerun first
-removes the previous run's model, labels and snapshots.
+writes every file beside its manifest, and a rerun first removes the previous
+run's model, labels and last_good pair, with any temp file a killed write left.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical abort
 (a non-finite loss or gradient; the rolling last_good checkpoint survives).
@@ -177,9 +177,8 @@ _PARSERS = {
        for f in dataclasses.fields(TrainConfig)},
     "n": int, "c": int, "d": int, "sep": _finite_float,
     "noise": _parse_noise, "meta": _finite_float, "test": _finite_float,
-    "method": _one_of(*_METHODS), "snapshot_every": _non_negative_int,
-    "axis": _one_of(*_SWEEP_AXES), "values": _comma_list(_finite_float),
-    "seeds": _comma_list(_non_negative_int),
+    "method": _one_of(*_METHODS), "axis": _one_of(*_SWEEP_AXES),
+    "values": _comma_list(_finite_float), "seeds": _comma_list(_non_negative_int),
 }
 
 # the keys --blobs accepts
@@ -321,8 +320,9 @@ def _load_splits(data_dir: Path) -> tuple[dict[str, LabeledDataset], dict]:
     return splits, data_manifest
 
 
-# what `train` writes beside its manifest.json and metrics.csv
-_RUN_FILES = ("model.ckpt", "labels.slbl", "last_good.*", "epoch_*.ckpt", "epoch_*.slbl")
+# what `train` writes beside its manifest.json and metrics.csv, with the
+# `.tmp` files of a write that was killed
+_RUN_FILES = ("model.ckpt*", "labels.slbl*", "last_good.*")
 
 
 def cmd_train(args) -> int:
@@ -350,9 +350,6 @@ def cmd_train(args) -> int:
         metrics_csv.write(metrics_csv_row(metrics))
         model.save(out / "last_good.ckpt")
         store.save(out / "last_good.slbl")
-        if args.snapshot_every and (epoch + 1) % args.snapshot_every == 0:
-            model.save(out / f"epoch_{epoch:04d}.ckpt")
-            store.save(out / f"epoch_{epoch:04d}.slbl")
 
     # one line-buffered handle: each row reaches the OS as its epoch ends
     with open(out / "metrics.csv", "w", encoding="utf-8", newline="",
@@ -454,7 +451,7 @@ def cmd_eval(args) -> int:
 def _cell_args(args, value: float, seed: int) -> argparse.Namespace:
     """The sweep's own flags, but for one cell's seed and swept value."""
     cell = argparse.Namespace(**vars(args))
-    cell.seed, cell.snapshot_every = seed, 0
+    cell.seed = seed
     if args.axis == "meta_fraction":
         cell.meta = value
     elif args.axis == "noise_ratio":
@@ -589,8 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--data", required=True, help="directory from `gen`")
     p_train.add_argument("--out", required=True)
     p_train.add_argument("--seed")
-    p_train.add_argument("--snapshot-every", default="0", metavar="N",
-                         help="write checkpoint+labels every N epochs")
     _add_train_config_args(p_train)
 
     p_eval = add("eval", cmd_eval, "report accuracy/recovery for a run")

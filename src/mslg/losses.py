@@ -5,19 +5,19 @@ Predictions and soft labels are (b, C) row-simplex matrices. Every scalar is
 a batch mean and the returned gradients carry the same 1/b factor, so a batch
 gradient step with learning rate lr moves by lr * mean-gradient.
 
-The public losses (`cce_loss`, `kl_loss_v2`, ...) take gradients with
+The reference losses (`cce_loss`, `kl_loss_v2`, ...) take gradients with
 respect to the *probabilities* and check every input lies on the simplex.
-They are the reference form of each loss: they serve the per-epoch meta
-loss and the checks that the kernels equal their pull-back through
-`linalg.softmax_backward`.
+They serve the per-epoch meta loss and the checks that the kernels equal
+their pull-back through `linalg.softmax_backward`; the package does not
+export them, so they are imported from `mslg.losses`.
 
 The kernels `cce_logit_loss` and `kl_logit_loss` return the gradient with
 respect to the pre-softmax output z, which `Mlp.backward` takes directly,
 and skip the checks; their callers (the training loop and the noise probe of
 `mslg.datasets`) check finiteness instead. The CE gradient (f - onehot)/b is
 defined once, in `cce_logit_grad`, which the probe calls alone because it
-never reads the scalar; it is exact for every f, where the public gradient
-floors 1/f_y.
+never reads the scalar; it is exact for every f, where the reference
+gradient floors 1/f_y.
 
 Probabilities are floored at PROB_FLOOR inside logs and divisions only;
 inputs are never modified.

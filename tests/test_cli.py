@@ -234,15 +234,17 @@ def _model_and_labels(directory, data):
     return ckpt, snap
 
 
+# every file of a finished `train` run directory
+_RUN_DIR = {"manifest.json", "metrics.csv", "model.ckpt", "labels.slbl",
+            "last_good.ckpt", "last_good.slbl"}
+
+
 def test_train_writes_all_artifacts(tmp_path, data_dir):
     out = tmp_path / "run"
     assert run_cli("train", "--data", data_dir, "--out", out,
                    "--method", "mslg", *TRAIN_FAST) == EXIT_OK
-    for name in ("metrics.csv", "model.ckpt", "labels.slbl",
-                 "manifest.json", "last_good.ckpt", "last_good.slbl"):
-        assert (out / name).exists(), name
     # a snapshot's CSV is `export-labels` output
-    assert not (out / "labels.csv").exists()
+    assert {p.name for p in out.iterdir()} == _RUN_DIR
     lines = (out / "metrics.csv").read_text().strip().splitlines()
     assert lines[0].startswith("epoch,train_loss,meta_loss")
     assert len(lines) == 7  # header + 6 epochs
@@ -384,8 +386,7 @@ _BAD_VALUES = [
                         ("--warmup-epochs", "warmup_epochs"),
                         ("--total-epochs", "total_epochs"),
                         ("--entropy-weight", "entropy_weight"), ("--seed", "seed"),
-                        ("--hidden", "hidden_sizes"),
-                        ("--snapshot-every", "snapshot_every")]],
+                        ("--hidden", "hidden_sizes")]],
     ("train", ("--lambda-schedule", "0"), "bad value for 'lambda_schedule'"),
     ("train", ("--alpha", "nan"), "alpha must be finite"),
     ("train", ("--momentum", "inf"), "momentum must be finite"),
@@ -399,7 +400,6 @@ _BAD_VALUES = [
     ("train", ("--k", "0"), "need k_init > 0, got 0.0"),
     ("train", ("--k", "-5"), "need k_init > 0, got -5.0"),
     ("train", ("--seed", "-1"), "bad value for 'seed'"),
-    ("train", ("--snapshot-every", "-1"), "bad value for 'snapshot_every'"),
     ("train", ("--lambda-schedule", "0:-0.02"), "lambda_schedule rates must be >= 0"),
     ("train", ("--lambda-schedule", "10:0.1"), "lambda_schedule must start at epoch 0, got 10"),
     ("train", ("--batch-size", "0"), "need batch_size >= 1 and total_epochs >= 0, got 0, 6"),
@@ -456,7 +456,7 @@ def test_bad_flag_value_is_config_error_naming_key(tmp_path, data_dir, capsys,
 @pytest.mark.parametrize("argv", [
     ("sweep", "--axis", "beta", "--values", "1", "--seeds", "0", "--blobs", "n=150",
      "--seed", "1"),
-    ("train", "--data", "d", "--snap", "1"),
+    ("train", "--data", "d", "--warmup", "1"),
     # the noise probe is fixed; its old flags are gone
     pytest.param(("gen", "--blobs", "n=300", "--noise", "feature_dependent:0.3",
                   "--probe-hidden", "4"), id="gen --probe-hidden"),
@@ -466,6 +466,9 @@ def test_bad_flag_value_is_config_error_naming_key(tmp_path, data_dir, capsys,
     pytest.param(("train", "--data", "d", "--config", "x.cfg"), id="train --config"),
     pytest.param(("sweep", "--axis", "beta", "--values", "1", "--seeds", "0",
                   "--blobs", "n=150", "--config", "x.cfg"), id="sweep --config"),
+    # a run directory holds one fixed set of files; there are no epoch snapshots
+    pytest.param(("train", "--data", "d", "--snapshot-every", "2"),
+                 id="train --snapshot-every"),
 ])
 def test_removed_or_abbreviated_flag_is_rejected(tmp_path, capsys, argv):
     # without allow_abbrev=False, sweep's --seed would mean --seeds
@@ -641,14 +644,16 @@ def test_train_numerical_abort_keeps_last_good(tmp_path, data_dir):
 def test_train_rerun_leaves_nothing_of_the_previous_run(tmp_path, data_dir):
     out = tmp_path / "run"
     assert run_cli("train", "--data", data_dir, "--out", out, "--method", "ce",
-                   "--preset", "blobs-smoke", "--snapshot-every", "3") == EXIT_OK
+                   "--preset", "blobs-smoke") == EXIT_OK
+    assert {p.name for p in out.iterdir()} == _RUN_DIR
+    # what a run killed mid-write leaves: atomic_write's temp files
+    for name in ("model.ckpt.tmp", "labels.slbl.tmp", "last_good.slbl.tmp"):
+        (out / name).write_bytes(b"partial")
     assert run_cli("train", "--data", data_dir, "--out", out, "--method", "ce",
                    "--preset", "blobs-smoke", "--hidden", "16",
                    "--total-epochs", "6", "--warmup-epochs", "6",
                    "--lambda-schedule", "0:1e12") == EXIT_NUMERIC
-    for name in ("model.ckpt", "labels.slbl", "labels.csv"):
-        assert not (out / name).exists(), name
-    assert not list(out.glob("epoch_*"))
+    assert {p.name for p in out.iterdir()} == _RUN_DIR - {"model.ckpt", "labels.slbl"}
     assert json.loads((out / "manifest.json").read_text())["config"]["hidden_sizes"] == [16]
     assert Mlp.load(out / "last_good.ckpt").layer_sizes == (2, 16, 3)
 
@@ -668,14 +673,6 @@ def test_train_smoke_run_under_ten_seconds(tmp_path):
     assert elapsed < 10.0
     for name in ("metrics.csv", "model.ckpt", "labels.slbl"):
         assert (out / name).exists(), name
-
-
-def test_train_snapshot_cadence(tmp_path, data_dir):
-    out = tmp_path / "run"
-    assert run_cli("train", "--data", data_dir, "--out", out, "--method", "ce",
-                   *TRAIN_FAST, "--snapshot-every", "2") == EXIT_OK
-    snaps = sorted(p.name for p in out.glob("epoch_*.ckpt"))
-    assert snaps == ["epoch_0001.ckpt", "epoch_0003.ckpt", "epoch_0005.ckpt"]
 
 
 @pytest.mark.parametrize("spelling", ["same", "through a sibling"])
@@ -944,14 +941,14 @@ def test_eval_checks_the_train_split_the_run_trained_on(tmp_path, capsys):
 
 
 def test_eval_checks_the_train_split_of_a_snapshot(tmp_path, capsys):
+    # the rolling last_good pair sits beside the run's manifest too
     own, other, run = tmp_path / "seed1", tmp_path / "seed2", tmp_path / "run"
     assert run_cli(*GEN_SMALL, "--seed", "1", "--out", own) == EXIT_OK
     assert run_cli(*GEN_SMALL, "--seed", "2", "--out", other) == EXIT_OK
-    assert run_cli("train", "--data", own, "--out", run, *TRAIN_FAST,
-                   "--snapshot-every", "2") == EXIT_OK
+    assert run_cli("train", "--data", own, "--out", run, *TRAIN_FAST) == EXIT_OK
     recorded = json.loads((run / "manifest.json").read_text())["train_sha256"]
     actual = load_dataset_csv(other / "dataset.csv")["train"].fingerprint()
-    snapshot = ("--checkpoint", run / "epoch_0001.ckpt", "--labels", run / "epoch_0001.slbl")
+    snapshot = ("--checkpoint", run / "last_good.ckpt", "--labels", run / "last_good.slbl")
     assert run_cli("eval", "--data", own, *snapshot) == EXIT_OK
     capsys.readouterr()
     assert run_cli("eval", "--data", other, *snapshot) == EXIT_CONFIG

@@ -155,6 +155,16 @@ def test_idx_truncated_pixels(tmp_path):
         load_idx_images(ip, lp)
 
 
+def test_idx_truncated_labels(tmp_path):
+    ip = tmp_path / "imgs.idx"
+    lp = tmp_path / "lbls.idx"
+    ip.write_bytes(idx_images_bytes([[[1, 2], [3, 4]], [[5, 6], [7, 8]]]))
+    lp.write_bytes(idx_labels_bytes([0, 1])[:-1])
+    with pytest.raises(IdxTruncatedError) as exc:
+        load_idx_images(ip, lp)
+    assert str(exc.value) == f"{lp}: expected 2 label bytes, found 1"
+
+
 def test_idx_truncated_header(tmp_path):
     ip = tmp_path / "imgs.idx"
     lp = tmp_path / "lbls.idx"

@@ -573,17 +573,26 @@ def test_checkpoint_truncated(tmp_path):
         Mlp.load(path)
 
 
-@pytest.mark.parametrize("sizes,message", [
-    ((100000, 100000, 100000), "expected 160001600000 parameter bytes, found 64"),
-    ((2, 0), "layer sizes must be >= 2 positive ints, got (2, 0)"),
-    ((2,), "layer sizes must be >= 2 positive ints, got (2,)"),
-], ids=["oversized", "zero", "one"])
-def test_checkpoint_header_is_checked_before_the_model_is_built(tmp_path, sizes,
-                                                                message):
+def _checkpoint_header(*sizes, version=CHECKPOINT_VERSION, n_sizes=None):
+    """The u32 fields after the magic; `n_sizes` may claim other than len(sizes)."""
+    return (struct.pack("<II", version, len(sizes) if n_sizes is None else n_sizes)
+            + struct.pack(f"<{len(sizes)}I", *sizes))
+
+
+@pytest.mark.parametrize("header,message", [
+    (_checkpoint_header(100000, 100000, 100000),
+     "expected 160001600000 parameter bytes, found 64"),
+    (_checkpoint_header(2, 0), "layer sizes must be >= 2 positive ints, got (2, 0)"),
+    (_checkpoint_header(2), "layer sizes must be >= 2 positive ints, got (2,)"),
+    (_checkpoint_header(2, 3, version=CHECKPOINT_VERSION + 1),
+     f"unsupported checkpoint version {CHECKPOINT_VERSION + 1}"),
+    # 17 sizes claimed, 16 in the 64 bytes that follow
+    (_checkpoint_header(n_sizes=17), "truncated checkpoint header"),
+], ids=["oversized", "zero", "one", "version", "truncated-header"])
+def test_checkpoint_header_is_checked_before_the_model_is_built(tmp_path, header, message):
     # 64 parameter bytes; the oversized header would need 149 GiB
     path = tmp_path / "bad.ckpt"
-    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(sizes))
-                     + struct.pack(f"<{len(sizes)}I", *sizes) + bytes(64))
+    path.write_bytes(CHECKPOINT_MAGIC + header + bytes(64))
     with pytest.raises(CheckpointError) as exc:
         Mlp.load(path)
     assert str(exc.value) == f"{path}: {message}"

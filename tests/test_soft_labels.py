@@ -11,7 +11,8 @@ from hypothesis.extra import numpy as hnp
 
 import mslg.soft_labels
 from mslg.rng import Rng
-from mslg.soft_labels import LabelSnapshotError, SoftLabelStore
+from mslg.soft_labels import (SNAPSHOT_MAGIC, SNAPSHOT_VERSION, LabelSnapshotError,
+                               SoftLabelStore)
 
 from helpers import FailingArray, disk_fills_mid_write
 
@@ -196,6 +197,11 @@ def test_snapshot_corrupt_header(tmp_path):
     path.write_bytes(b"SL")
     with pytest.raises(LabelSnapshotError, match="header"):
         SoftLabelStore.load(path)
+    path.write_bytes(SNAPSHOT_MAGIC + struct.pack("<IQId", SNAPSHOT_VERSION + 1, 1, 2, 1.0)
+                     + bytes(16))
+    with pytest.raises(LabelSnapshotError) as exc:
+        SoftLabelStore.load(path)
+    assert str(exc.value) == f"{path}: unsupported snapshot version {SNAPSHOT_VERSION + 1}"
 
 
 def test_csv_export_argmax_matches_noisy(tmp_path):

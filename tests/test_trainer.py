@@ -227,6 +227,35 @@ def test_nonfinite_label_logit_aborts_mslg_batch_before_parameters_move(bad):
     assert opt.velocity is None
 
 
+# per MSLG batch, backward runs for g_train, then g_meta, then the committed
+# step; each case makes one quantity NaN at its first call
+@pytest.mark.parametrize("method,call,message", [
+    ("backward", 1, "meta gradient: non-finite training gradient"),
+    ("backward", 2, "meta gradient: non-finite meta gradient"),
+    ("tangent", 1, "label gradient: non-finite tangent"),
+], ids=["training-gradient", "meta-gradient", "tangent"])
+def test_nonfinite_gradient_aborts_mslg_batch_before_labels_move(monkeypatch, method,
+                                                                   call, message):
+    train_ds, meta_ds, test_ds = _blob_setting(seed=6)
+    cfg = _warm_cfg(warmup_epochs=0, total_epochs=1)
+    model = Mlp((2, *cfg.hidden_sizes, 3), Rng(cfg.seed, 0))
+    store = SoftLabelStore.init_from_noisy(train_ds.noisy_labels, 3, cfg.k_init)
+    before = store.logits.copy()
+    original, calls = getattr(Mlp, method), [0]
+
+    def poisoned(self, *args):
+        calls[0] += 1
+        out = original(self, *args)
+        return np.full_like(out, np.nan) if calls[0] == call else out
+    monkeypatch.setattr(Mlp, method, poisoned)
+    opt = SgdState(lr=cfg.lr_at(0), momentum=cfg.momentum,
+                   weight_decay=cfg.weight_decay)
+    with pytest.raises(NumericalError) as exc:
+        mslg_epoch(model, train_ds, store, opt, cfg, 0, meta_ds, test_ds)
+    assert str(exc.value) == message
+    assert np.array_equal(store.logits, before)
+
+
 # -- gradient alignment ---------------------------------------------------------------
 
 
