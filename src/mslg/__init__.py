@@ -17,7 +17,7 @@ from .datasets import (
 )
 from .linalg import softmax, softmax_backward
 from .model import Mlp, NumericalError, SgdState, sgd_pass, sgd_step
-from .presets import PRESETS, resolve_preset
+from .presets import PRESETS
 from .rng import Rng
 from .soft_labels import SoftLabelStore
 from .trainer import (
@@ -39,7 +39,7 @@ __all__ = [
     "inject_feature_dependent", "inject_uniform", "load_idx_images", "split",
     "softmax", "softmax_backward",
     "Mlp", "NumericalError", "SgdState", "sgd_pass", "sgd_step",
-    "PRESETS", "resolve_preset", "Rng", "SoftLabelStore",
+    "PRESETS", "Rng", "SoftLabelStore",
     "EpochMetrics", "TrainConfig", "accuracy",
     "label_gradient_along", "meta_gradient_direction",
     "mslg_epoch", "recovery_rate", "train", "warmup_epoch",

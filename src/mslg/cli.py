@@ -15,9 +15,9 @@ empty item in a non-empty comma list, is a configuration error naming the key.
 --blobs tokens are key=value items, so an unknown or repeated key is an error
 naming the flag. Data comes from one source, --blobs or the --idx-* pair.
 Flags must be spelled in full. Seeds are non-negative, and no two sweep cells
-may share a directory. `gen` generates its data, and `sweep` resolves every
-cell's training configuration and split sizes, before creating --out. A
-manifest.json must hold a JSON object.
+may share a directory. `gen` generates its data, and `sweep` checks every
+cell's training configuration, split sizes and noise ratio, before creating
+--out. A manifest.json must hold a JSON object.
 
 Each command writes only into a directory that it owns or that no command
 owns. `gen` owns one that holds a dataset.csv or whose manifest records
@@ -47,6 +47,7 @@ from . import __version__
 from .atomic import atomic_write
 from .datasets import (
     LabeledDataset,
+    flip_count,
     gen_blobs,
     inject_feature_dependent,
     inject_uniform,
@@ -57,8 +58,8 @@ from .datasets import (
     split_sizes,
 )
 from .model import Mlp, NumericalError
-from .presets import preset_names, resolve_preset
-from .rng import Rng
+from .presets import PRESETS
+from .rng import GEN_DATA, GEN_NOISE, GEN_SPLIT, Rng
 from .soft_labels import SoftLabelStore
 from .trainer import (
     TrainConfig,
@@ -72,11 +73,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
-
-# stream keys under the gen seed: Rng(seed, _GEN_*); the noise probe keys its own
-_GEN_DATA = 10
-_GEN_SPLIT = 11
-_GEN_NOISE = 12
 
 
 def _owner(directory: Path) -> str | None:
@@ -106,10 +102,12 @@ def _out_dir(path_str: str | Path, command: str) -> Path:
 
 
 def _out_file(path_str: str | Path, *inputs) -> Path:
-    """An --out file in a directory that no command owns and that the write
-    creates. One of the command's own `inputs` is an error. Both checks come
-    before anything is read or written."""
+    """An --out file, not a directory, in a directory that no command owns and
+    that the write creates. One of the command's own `inputs` is an error. The
+    checks come before anything is read or written."""
     path = Path(path_str)
+    if path.is_dir():
+        raise ValueError(f"--out {path} is a directory; expected a file path")
     _check_owner(path.parent, None)
     if any(path.resolve() == Path(i).resolve() for i in inputs if i):
         raise ValueError(f"--out {path} is also an input of this command")
@@ -178,6 +176,7 @@ _PARSERS = {
     "n": int, "c": int, "d": int, "sep": _finite_float,
     "noise": _parse_noise, "meta": _finite_float, "test": _finite_float,
     "method": _one_of(*_METHODS), "axis": _one_of(*_SWEEP_AXES),
+    "preset": _one_of(*sorted(PRESETS)),
     "values": _comma_list(_finite_float), "seeds": _comma_list(_non_negative_int),
 }
 
@@ -225,12 +224,11 @@ def _source(args) -> tuple[LabeledDataset, dict]:
     """The clean dataset of --blobs or --idx-*, and its manifest entry."""
     if args.blobs and (args.idx_images or args.idx_labels):
         raise ValueError("two sources: --blobs and --idx-images/--idx-labels; choose one")
-    seed = args.seed
     if args.blobs:
         kv = args.blobs
         n, c, d = kv.get("n", 2000), kv.get("c", 4), kv.get("d", 2)
         sep = kv.get("sep", 6.0)
-        ds = gen_blobs(n, c, d, sep, Rng(seed, _GEN_DATA))
+        ds = gen_blobs(n, c, d, sep, Rng(args.seed, GEN_DATA))
         source = {"generator": "blobs", "n": n, "c": c, "d": d, "separation": sep}
     elif args.idx_images or args.idx_labels:
         if not (args.idx_images and args.idx_labels):
@@ -246,11 +244,11 @@ def _source(args) -> tuple[LabeledDataset, dict]:
 def _generate_dataset(args) -> tuple[dict[str, LabeledDataset], dict]:
     seed = args.seed
     ds, source = _source(args)
-    train_ds, meta_ds, test_ds = split(ds, args.meta, args.test, Rng(seed, _GEN_SPLIT))
+    train_ds, meta_ds, test_ds = split(ds, args.meta, args.test, Rng(seed, GEN_SPLIT))
 
     kind, ratio = args.noise
     if kind == "uniform":
-        train_ds = inject_uniform(train_ds, ratio, Rng(seed, _GEN_NOISE))
+        train_ds = inject_uniform(train_ds, ratio, Rng(seed, GEN_NOISE))
     elif kind == "feature_dependent":
         train_ds = inject_feature_dependent(train_ds, ratio, seed)
 
@@ -285,13 +283,11 @@ def cmd_gen(args) -> int:
 
 
 def _resolve_train_config(args) -> TrainConfig:
-    cfg = resolve_preset(args.preset) if args.preset else TrainConfig()
-    cfg = dataclasses.replace(cfg, **{key: getattr(args, key) for key in _TRAIN_KEYS
-                                      if getattr(args, key) is not None})
+    base = PRESETS[args.preset] if args.preset else TrainConfig()
+    flags = {key: getattr(args, key) for key in _TRAIN_KEYS if getattr(args, key) is not None}
     if args.method == "ce":
-        cfg = dataclasses.replace(cfg, warmup_epochs=cfg.total_epochs)
-    cfg.validate()
-    return cfg
+        flags["warmup_epochs"] = flags.get("total_epochs", base.total_epochs)
+    return dataclasses.replace(base, **flags)
 
 
 def _read_manifest(path: Path) -> dict:
@@ -481,14 +477,13 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--seeds must be distinct, got {','.join(map(str, args.seeds))}")
     if args.axis == "noise_ratio" and args.noise[0] == "none":
         raise ValueError("noise_ratio sweep needs --noise kind:ratio")
-    # every cell's split sizes and training configuration, checked before
-    # anything is written; the sample count is the source's, before any noise
+    # each value's split sizes (of the source's n), noise ratio and training
+    # config, checked before anything is written; the seed changes none of them
     n = _source(_cell_args(args, args.values[0], args.seeds[0]))[0].n
     for value in args.values:
-        for seed in args.seeds:
-            cell = _cell_args(args, value, seed)
-            split_sizes(n, cell.meta, cell.test)
-            _resolve_train_config(cell)
+        cell = _cell_args(args, value, args.seeds[0])
+        flip_count(cell.noise[1], split_sizes(n, cell.meta, cell.test)[0])
+        _resolve_train_config(cell)
     out = _out_dir(args.out, "sweep")
 
     n_ok = 0
@@ -558,7 +553,7 @@ _FLAG_NOTES = {
 
 def _add_train_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", default="mslg", help=" | ".join(_METHODS))
-    p.add_argument("--preset", help=f"one of: {', '.join(preset_names())}")
+    p.add_argument("--preset", help=" | ".join(sorted(PRESETS)))
     for key in _TRAIN_KEYS:
         if key != "seed":  # train's own --seed; sweep's --seeds
             flag, text = _FLAG_NOTES.get(key, ("--" + key.replace("_", "-"), None))

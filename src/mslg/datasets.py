@@ -38,7 +38,7 @@ import numpy as np
 from .atomic import atomic_write
 from .losses import cce_logit_grad
 from .model import Mlp, SgdState, sgd_pass
-from .rng import Rng
+from .rng import PROBE_INIT, PROBE_ORDER, Rng
 
 __all__ = [
     "LabeledDataset",
@@ -48,6 +48,7 @@ __all__ = [
     "IdxTruncatedError",
     "gen_blobs",
     "load_idx_images",
+    "flip_count",
     "inject_uniform",
     "inject_feature_dependent",
     "split",
@@ -218,7 +219,8 @@ def load_idx_images(images_path, labels_path) -> LabeledDataset:
 # -- noise injectors ----------------------------------------------------------
 
 
-def _flip_count(ratio: float, n: int) -> int:
+def flip_count(ratio: float, n: int) -> int:
+    """The labels that `ratio` flips among n; a ratio outside [0, 1) is an error."""
     if not (0.0 <= ratio < 1.0):
         raise ValueError(f"noise ratio must be in [0, 1), got {ratio}")
     return int(round(ratio * n))
@@ -227,7 +229,7 @@ def _flip_count(ratio: float, n: int) -> int:
 def inject_uniform(ds: LabeledDataset, ratio: float, rng: Rng) -> LabeledDataset:
     """Flip exactly round(ratio*N) labels, chosen without replacement, each to
     a uniformly random class other than the true one."""
-    k = _flip_count(ratio, ds.n)
+    k = flip_count(ratio, ds.n)
     noisy = ds.true_labels.copy()
     if k > 0:
         chosen = rng.choice(ds.n, size=k, replace=False)
@@ -246,10 +248,10 @@ def _fit_probe(features: np.ndarray, labels: np.ndarray, num_classes: int,
                seed: int) -> Mlp:
     """The noise probe, fit on `labels` (in range) by `sgd_pass` on the warm-up's
     exact CE gradient, `losses.cce_logit_grad` alone: it never reads its loss. Its
-    init and batch orders are the streams `Rng(seed, 101)` and `Rng(seed, 102)`."""
-    model = Mlp((features.shape[1], *PROBE_HIDDEN, num_classes), Rng(seed, 101))
+    init and batch orders are the streams `Rng(seed, PROBE_INIT/PROBE_ORDER)`."""
+    model = Mlp((features.shape[1], *PROBE_HIDDEN, num_classes), Rng(seed, PROBE_INIT))
     opt = SgdState(lr=PROBE_LR, momentum=PROBE_MOMENTUM)
-    shuffle_rng = Rng(seed, 102)
+    shuffle_rng = Rng(seed, PROBE_ORDER)
     for _ in range(PROBE_EPOCHS):
         sgd_pass(model, opt, features, shuffle_rng.permutation(features.shape[0]),
                  PROBE_BATCH, lambda ids, probs, _: (0.0, cce_logit_grad(probs, labels[ids])))
@@ -266,7 +268,7 @@ def inject_feature_dependent(ds: LabeledDataset, ratio: float,
     Samples whose runner-up happens to equal the true label are passed over
     so every flip really corrupts, keeping the realized noise rate exact.
     """
-    k = _flip_count(ratio, ds.n)
+    k = flip_count(ratio, ds.n)
     noisy = ds.true_labels.copy()
     if k > 0:
         probe = _fit_probe(ds.features, ds.true_labels, ds.num_classes, seed)

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 from .trainer import TrainConfig
 
-__all__ = ["PRESETS", "resolve_preset", "preset_names"]
+__all__ = ["PRESETS"]
 
 # 80 epochs with the paper's ~37% warm-up fraction, alpha, momentum and the
 # default (32, 32) hidden layers. beta, K, weight decay and the entropy weight
@@ -34,17 +34,3 @@ PRESETS: dict[str, TrainConfig] = {
     "blobs-smoke": replace(_BLOBS_DESK, total_epochs=10, warmup_epochs=4,
                            lambda_schedule=((0, 2e-2), (4, 5e-3), (8, 1e-3))),
 }
-
-
-def preset_names() -> list[str]:
-    return sorted(PRESETS)
-
-
-def resolve_preset(name: str) -> TrainConfig:
-    """A fresh TrainConfig copy for the named preset."""
-    try:
-        return replace(PRESETS[name])
-    except KeyError:
-        raise ValueError(
-            f"unknown preset {name!r}; choose from {', '.join(preset_names())}"
-        ) from None

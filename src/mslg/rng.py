@@ -14,6 +14,16 @@ import numpy as np
 
 __all__ = ["Rng"]
 
+# the first key of every stream drawn; gen and train may share a seed, so all differ
+ROLE_INIT = 0      # train: weight init
+ROLE_TRAIN = 1     # train: batch order, Rng(seed, ROLE_TRAIN, epoch)
+ROLE_META = 2      # train: meta batches, Rng(seed, ROLE_META, epoch, wrap)
+GEN_DATA = 10      # gen: the blobs
+GEN_SPLIT = 11     # gen: the train/meta/test split
+GEN_NOISE = 12     # gen: uniform noise
+PROBE_INIT = 101   # gen: the feature-dependent noise probe's init
+PROBE_ORDER = 102  # gen: the noise probe's batch orders
+
 
 class Rng:
     """PCG64 stream addressed by (seed, *key). Same address, same stream."""

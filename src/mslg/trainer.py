@@ -28,13 +28,12 @@ at theta, which also serves steps 1 and 3.
 The hot path works in logit space: its loss kernels (`cce_logit_loss` and
 `kl_logit_loss` of `mslg.losses`) return the gradient with respect to the
 model's pre-softmax output z, which `Mlp.backward` takes directly. They skip
-the simplex checks of the public losses; the loop checks finiteness instead
+the simplex checks of the reference losses; the loop checks finiteness instead
 (the forward, the soft labels of each batch, and every gradient before it is
 applied).
 
-Everything is driven by the run seed: batch orders, meta batches, and weight
-init each draw from a stream Rng(seed, role, ...) keyed by the run seed, so
-identically configured runs are bitwise reproducible.
+Batch orders, meta batches and weight init each draw from a stream
+Rng(seed, ROLE_*, ...) of the run seed, so equal configs give equal bits.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ import numpy as np
 from .datasets import LabeledDataset
 from .losses import cce_logit_loss, cce_loss, kl_logit_loss
 from .model import Mlp, NumericalError, SgdState, sgd_pass
-from .rng import Rng
+from .rng import ROLE_INIT, ROLE_META, ROLE_TRAIN, Rng
 from .soft_labels import SoftLabelStore
 
 __all__ = [
@@ -67,13 +66,10 @@ __all__ = [
     "metrics_csv_row",
 ]
 
-ROLE_INIT = 0
-ROLE_TRAIN = 1
-ROLE_META = 2
 
-
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Checked when built, by a call or by `dataclasses.replace`: one that exists is valid."""
     # the defaults are the paper's CIFAR-10 hyperparameters; it lowers beta to
     # 2000 at 60% uniform noise and to 400 at 80%
     alpha: float = 0.5            # look-ahead step learning rate
@@ -89,7 +85,7 @@ class TrainConfig:
     seed: int = 0
     hidden_sizes: tuple[int, ...] = (32, 32)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # NaN fails every comparison below, so finiteness is checked first
         values = [(f.name, getattr(self, f.name)) for f in fields(self)]
         values += [("lambda_schedule", lr) for _, lr in self.lambda_schedule]
@@ -294,7 +290,6 @@ def train(train_ds: LabeledDataset, meta_ds: LabeledDataset, cfg: TrainConfig,
     the label store is created but never updated. test_ds only feeds metrics.
     epoch_callback(epoch, model, store, metrics) runs after every epoch.
     """
-    cfg.validate()
     if meta_ds is train_ds:
         raise ValueError("meta set must be disjoint from the training set")
     if train_ds.n == 0:

@@ -6,6 +6,7 @@ criteria share their training runs through module-scoped fixtures, so the
 whole suite stays within a couple of minutes.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -29,7 +30,7 @@ from mslg.losses import (
     kl_loss_v2,
 )
 from mslg.model import Mlp
-from mslg.presets import resolve_preset
+from mslg.presets import PRESETS
 from mslg.rng import Rng
 from mslg.trainer import (
     TrainConfig,
@@ -66,10 +67,9 @@ def _desk_data(seed, noise, meta_fraction=0.02):
 
 
 def _desk_cfg(seed, method="mslg"):
-    cfg = resolve_preset("blobs-desk")
-    cfg.seed = seed
+    cfg = dataclasses.replace(PRESETS["blobs-desk"], seed=seed)
     if method == "ce":
-        cfg.warmup_epochs = cfg.total_epochs
+        cfg = dataclasses.replace(cfg, warmup_epochs=cfg.total_epochs)
     return cfg
 
 
@@ -179,9 +179,8 @@ def test_criterion_2_analytic_gradient_suite():
 
 def test_criterion_3a_warmup_equals_ce_baseline():
     tr, me, te = _desk_data(0, 0.4)
-    cfg = _desk_cfg(0, "mslg")
-    cfg.total_epochs = 12
-    cfg.warmup_epochs = 12  # mslg config collapsed onto pure warm-up
+    # mslg config collapsed onto pure warm-up
+    cfg = dataclasses.replace(_desk_cfg(0, "mslg"), total_epochs=12, warmup_epochs=12)
     model_a, _, hist_a = train(tr, me, cfg, te)
     model_b, _, hist_b = train(tr, me, _ce_cfg_12(), te)
     csv_a = metrics_csv_header() + "".join(metrics_csv_row(m) for m in hist_a)
@@ -192,19 +191,13 @@ def test_criterion_3a_warmup_equals_ce_baseline():
 
 
 def _ce_cfg_12():
-    cfg = _desk_cfg(0, "ce")
-    cfg.total_epochs = 12
-    cfg.warmup_epochs = 12
-    return cfg
+    return dataclasses.replace(_desk_cfg(0, "ce"), total_epochs=12, warmup_epochs=12)
 
 
 def test_criterion_3b_beta_zero_is_frozen_soft_ce():
     tr, me, te = _desk_data(1, 0.4)
-    cfg = _desk_cfg(1)
-    cfg.warmup_epochs = 0
-    cfg.total_epochs = 6
-    cfg.beta = 0.0
-    cfg.entropy_weight = 0.0
+    cfg = dataclasses.replace(_desk_cfg(1), warmup_epochs=0, total_epochs=6, beta=0.0,
+                              entropy_weight=0.0)
     model_a, store_a, hist_a = train(tr, me, cfg, te)
 
     model_b, store_b, hist_b = frozen_soft_ce_run(tr, me, te, cfg)
@@ -230,9 +223,7 @@ def test_criterion_4_simplex_and_determinism(desk_runs):
             sums_ok &= bool(np.abs(sums - 1.0).max() <= 1e-9)
 
     tr, me, te = _desk_data(0, 0.4)
-    cfg = _desk_cfg(0)
-    cfg.total_epochs = 40
-    cfg.warmup_epochs = 15
+    cfg = dataclasses.replace(_desk_cfg(0), total_epochs=40, warmup_epochs=15)
     _, _, h1 = train(tr, me, cfg, te)
     _, _, h2 = train(tr, me, cfg, te)
     csv1 = (metrics_csv_header() + "".join(metrics_csv_row(m) for m in h1)).encode()

@@ -296,6 +296,15 @@ def test_train_preset_resolution_paper_values(tmp_path, data_dir):
     assert cfg["lambda_schedule"] == [[0, 0.01]] and cfg["hidden_sizes"] == [8]
 
 
+def test_train_ce_sets_warmup_to_the_total_given(tmp_path, data_dir):
+    # the preset's warm-up (30) exceeds --total-epochs; ce replaces both at once
+    out = tmp_path / "run"
+    assert run_cli("train", "--data", data_dir, "--out", out, "--preset", "blobs-desk",
+                   "--method", "ce", "--total-epochs", "3") == EXIT_OK
+    cfg = json.loads((out / "manifest.json").read_text())["config"]
+    assert cfg["total_epochs"] == 3 and cfg["warmup_epochs"] == 3
+
+
 def test_train_invalid_config_exit_code(tmp_path, data_dir):
     assert run_cli("train", "--data", data_dir, "--out", tmp_path / "x",
                    "--method", "mslg", "--warmup-epochs", "9",
@@ -434,10 +443,19 @@ _BAD_VALUES = [
      "the meta split of 150 samples would be empty (meta 0.001, test 0.25)"),
     ("sweep", ("--axis", "meta_fraction", "--values", "0.1,0.697", "--test", "0.3"),
      "the train split of 150 samples would be empty (meta 0.697, test 0.3)"),
+    # and every swept value's noise ratio, as gen checks it
+    ("sweep", ("--blobs", "n=150", "c=3", "--noise", "uniform:1.5"),
+     "noise ratio must be in [0, 1), got 1.5"),
+    ("sweep", ("--axis", "noise_ratio", "--noise", "uniform:0.2", "--values", "0.2,1.5"),
+     "noise ratio must be in [0, 1), got 1.5"),
     # choices: parsed by key like every other value, not by argparse
     ("train", ("--method", "sgd"), "bad value for 'method'"),
     ("sweep", ("--method", "sgd"), "bad value for 'method'"),
     ("sweep", ("--axis", "lr"), "bad value for 'axis'"),
+    ("train", ("--preset", "nope"),
+     "bad value for 'preset': expected one of blobs-desk | blobs-smoke, got 'nope'"),
+    ("sweep", ("--preset", "nope"),
+     "bad value for 'preset': expected one of blobs-desk | blobs-smoke, got 'nope'"),
 ]
 
 
@@ -480,8 +498,8 @@ def test_removed_or_abbreviated_flag_is_rejected(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-# dests that stay strings: paths, and a preset's name
-_STRING_DESTS = {"out", "data", "checkpoint", "labels", "preset",
+# dests that stay strings: paths
+_STRING_DESTS = {"out", "data", "checkpoint", "labels",
                  "idx_images", "idx_labels"}
 
 
@@ -804,6 +822,22 @@ def test_eval_refused_out_prints_no_report(tmp_path, run_dir, data_dir, capsys, 
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["eval", "export-labels"])
+def test_out_that_is_a_directory_is_config_error(tmp_path, data_dir, capsys, command):
+    # refused before anything is read, so nothing reaches stdout
+    ckpt, snap = _model_and_labels(tmp_path, data_dir)
+    out = tmp_path / "report"
+    out.mkdir()
+    reads = (("eval", "--data", data_dir, "--checkpoint", ckpt, "--labels", snap)
+             if command == "eval" else ("export-labels", "--labels", snap))
+    capsys.readouterr()
+    assert run_cli(*reads, "--out", out) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"config error: --out {out} is a directory" in captured.err
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
+
+
 def test_eval_that_fails_makes_no_out_directory(tmp_path, data_dir, capsys):
     ckpt = tmp_path / "m.ckpt"
     Mlp((2, 7)).save(ckpt)
@@ -1096,8 +1130,11 @@ def test_sweep_cardinality_and_summary(tmp_path):
 
 def test_sweep_records_failures_and_continues(tmp_path):
     out = tmp_path / "sw"
-    # second value is an invalid noise ratio: that cell fails, sweep keeps going
-    assert run_cli("sweep", "--axis", "noise_ratio", "--values", "0.2,1.5",
+    # a bad value is refused before --out exists, so this cell fails as it
+    # runs: a file stands where its directory would go. The sweep keeps going.
+    (out / "cells").mkdir(parents=True)
+    (out / "cells" / "noise_ratio=0.3").write_text("not a directory")
+    assert run_cli("sweep", "--axis", "noise_ratio", "--values", "0.2,0.3",
                    "--seeds", "0", "--blobs", "n=150", "c=3", "d=2", "sep=6",
                    "--noise", "uniform:0.2", "--meta", "0.06", "--test", "0.2",
                    "--method", "mslg", *TRAIN_FAST, "--out", out) == EXIT_OK

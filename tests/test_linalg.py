@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import mslg.rng
 from mslg.linalg import softmax, softmax_backward
 from mslg.rng import Rng
 
@@ -157,3 +158,14 @@ def test_rng_child_streams_are_keyed_and_reproducible():
     assert not np.array_equal(a, Rng(17, 1, 5).uniform(32))
     assert not np.array_equal(a, Rng(17, 4, 1).uniform(32))
     assert not np.array_equal(a, Rng(18, 1, 4).uniform(32))
+
+
+def test_stream_keys_are_distinct():
+    # every first stream key sits in one table: gen and train may share a
+    # seed, so two equal keys would draw the same numbers for two uses; the
+    # values are pinned, as artifacts depend on them
+    keys = {name: value for name, value in vars(mslg.rng).items()
+            if name.isupper() and isinstance(value, int)}
+    assert keys == {"ROLE_INIT": 0, "ROLE_TRAIN": 1, "ROLE_META": 2, "GEN_DATA": 10,
+                    "GEN_SPLIT": 11, "GEN_NOISE": 12, "PROBE_INIT": 101, "PROBE_ORDER": 102}
+    assert len(set(keys.values())) == len(keys)

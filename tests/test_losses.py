@@ -225,7 +225,7 @@ def test_peaked_wrong_label_gradient_ratio():
 
 # -- input checks ------------------------------------------------------------------
 # The training loop runs the logit-space kernels of mslg.trainer, which skip
-# these checks; the public losses keep them.
+# these checks; the reference losses keep them.
 
 _GOOD = np.array([[0.25, 0.75], [0.5, 0.5]])
 _PUBLIC_LOSSES = {

@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
+import re
 
 import pytest
 
-from mslg.presets import PRESETS, preset_names, resolve_preset
+from mslg.presets import PRESETS
 from mslg.trainer import TrainConfig
 
 
@@ -23,31 +25,25 @@ def test_cifar10_shared_hyperparameters():
 
 def test_every_preset_differs_from_the_defaults_and_the_others():
     # a preset equal to TrainConfig() or to another preset is a name for nothing
-    configs = {"TrainConfig()": TrainConfig(),
-               **{name: resolve_preset(name) for name in preset_names()}}
+    configs = {"TrainConfig()": TrainConfig(), **PRESETS}
     for (a, cfg_a), (b, cfg_b) in itertools.combinations(configs.items(), 2):
         assert cfg_a != cfg_b, f"{a} equals {b}"
 
 
 def test_desk_preset_keeps_warmup_fraction():
-    cfg = resolve_preset("blobs-desk")
+    cfg = PRESETS["blobs-desk"]
     frac = cfg.warmup_epochs / cfg.total_epochs
     assert abs(frac - 44 / 120) < 0.02
-    cfg.validate()
 
 
-def test_all_presets_validate():
-    for name in preset_names():
-        resolve_preset(name).validate()
+def test_a_preset_cannot_be_assigned_to():
+    # the presets are shared by every caller, so none may change one for the rest
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        PRESETS["blobs-desk"].beta = -999.0
+    assert PRESETS["blobs-desk"].beta == 50.0
 
 
-def test_resolve_returns_fresh_copy():
-    a = resolve_preset("blobs-desk")
-    a.beta = -999.0
-    assert PRESETS["blobs-desk"].beta != -999.0
-    assert resolve_preset("blobs-desk").beta != -999.0
-
-
-def test_unknown_preset():
-    with pytest.raises(ValueError, match="unknown preset"):
-        resolve_preset("nope")
+def test_a_config_derived_from_a_preset_is_checked():
+    with pytest.raises(ValueError, match=re.escape("need 0 <= warmup (30) <= total (10)")):
+        dataclasses.replace(PRESETS["blobs-desk"], total_epochs=10)
+    assert dataclasses.replace(PRESETS["blobs-desk"], total_epochs=30).total_epochs == 30

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -21,10 +22,9 @@ from mslg.datasets import (
 from mslg.linalg import softmax, softmax_backward
 from mslg.losses import PROB_FLOOR, cce_loss, classification_objective, kl_loss_v2
 from mslg.model import Mlp, NumericalError, SgdState
-from mslg.rng import Rng
+from mslg.rng import ROLE_META, Rng
 from mslg.soft_labels import SoftLabelStore
 from mslg.trainer import (
-    ROLE_META,
     EpochMetrics,
     TrainConfig,
     accuracy,
@@ -65,7 +65,7 @@ def test_bilevel_oracle_twenty_seeds():
 
 
 # -- logit-space loss kernels -------------------------------------------------------
-# Each kernel must equal its public probability-space loss pulled back through
+# Each kernel must equal its reference probability-space loss pulled back through
 # the softmax Jacobian, including on rows near one-hot.
 
 
@@ -107,7 +107,7 @@ def test_cce_logit_kernel_is_the_pulled_back_public_loss(seed, b, c, scale, peak
     assert scalar == pytest.approx(ref.scalar, rel=1e-12, abs=1e-12)
     onehot = np.eye(c)[y]
     assert np.array_equal(dz, (f - onehot) / b)
-    # the public gradient floors 1/f_y at 1/PROB_FLOOR, so the two agree
+    # the reference gradient floors 1/f_y at 1/PROB_FLOOR, so the two agree
     # only on rows where the label's probability is above the floor
     rows = f[np.arange(b), y] >= PROB_FLOOR
     pulled = softmax_backward(f, ref.grad_wrt_predictions)
@@ -601,21 +601,21 @@ def test_label_recovery_on_feature_dependent_noise():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(alpha=0.0).validate()
+        TrainConfig(alpha=0.0)
     with pytest.raises(ValueError):
-        TrainConfig(warmup_epochs=10, total_epochs=5).validate()
+        TrainConfig(warmup_epochs=10, total_epochs=5)
     with pytest.raises(ValueError):
-        TrainConfig(lambda_schedule=()).validate()
+        TrainConfig(lambda_schedule=())
     with pytest.raises(ValueError, match="strictly increase"):
-        TrainConfig(lambda_schedule=((0, 0.1), (10, 0.1), (5, 0.01))).validate()
+        TrainConfig(lambda_schedule=((0, 0.1), (10, 0.1), (5, 0.01)))
     # no rate holds before the first start, so the schedule begins at epoch 0
     for start in (10, -5):
         with pytest.raises(ValueError, match=f"must start at epoch 0, got {start}"):
-            TrainConfig(lambda_schedule=((start, 0.1), (20, 0.01))).validate()
+            TrainConfig(lambda_schedule=((start, 0.1), (20, 0.01)))
     with pytest.raises(ValueError, match="rates must be >= 0"):
-        TrainConfig(lambda_schedule=((0, 0.1), (5, -0.02))).validate()
-    TrainConfig(lambda_schedule=((0, 0.0),)).validate()  # a zero rate stays legal
-    TrainConfig(warmup_epochs=5, total_epochs=5).validate()  # CE baseline
+        TrainConfig(lambda_schedule=((0, 0.1), (5, -0.02)))
+    TrainConfig(lambda_schedule=((0, 0.0),))  # a zero rate stays legal
+    TrainConfig(warmup_epochs=5, total_epochs=5)  # CE baseline
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -624,14 +624,22 @@ def test_config_validation():
 def test_config_rejects_non_finite_floats(field, bad):
     value = ((0, 1e-2), (5, bad)) if field == "lambda_schedule" else bad
     with pytest.raises(ValueError, match=f"{field} must be finite"):
-        TrainConfig(**{field: value}).validate()
+        TrainConfig(**{field: value})
 
 
 @pytest.mark.parametrize("hidden", [(0,), (16, 0), (8, -2)])
 def test_config_rejects_hidden_widths_below_one(hidden):
     with pytest.raises(ValueError, match="hidden_sizes"):
-        TrainConfig(hidden_sizes=hidden).validate()
-    TrainConfig(hidden_sizes=()).validate()  # no hidden layer: a linear model
+        TrainConfig(hidden_sizes=hidden)
+    TrainConfig(hidden_sizes=())  # no hidden layer: a linear model
+
+
+def test_config_is_frozen():
+    # a config that exists was checked when built, so none may change after
+    cfg = TrainConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.beta = 1.0
+    assert cfg == TrainConfig()
 
 
 def test_lambda_schedule_lookup():
@@ -683,14 +691,14 @@ def test_train_rejects_empty_meta_set_without_hanging():
     script = textwrap.dedent("""
         import numpy as np
         from mslg.datasets import LabeledDataset, gen_blobs
-        from mslg.presets import resolve_preset
-        from mslg.rng import Rng
+        from mslg.presets import PRESETS
+        from mslg.rng import ROLE_META, Rng
         from mslg.trainer import train
 
         train_ds = gen_blobs(60, 3, 2, 6.0, Rng(0))
         empty = LabeledDataset(np.zeros((0, 2)), np.zeros(0), np.zeros(0), 3)
         try:
-            train(train_ds, empty, resolve_preset("blobs-smoke"))
+            train(train_ds, empty, PRESETS["blobs-smoke"])
         except ValueError as exc:
             print(exc)
         else:
