@@ -15,21 +15,24 @@ empty item in a non-empty comma list, is a configuration error naming the key.
 --blobs tokens are key=value items, so an unknown or repeated key is an error
 naming the flag. Data comes from one source, --blobs or the --idx-* pair.
 Flags must be spelled in full. Seeds are non-negative, and no two sweep cells
-may share a directory. `gen` generates its data, and `sweep` checks every
-cell's training configuration, split sizes and noise ratio, before creating
---out. A manifest.json must hold a JSON object.
+may share a directory. `gen` generates its data, and `sweep` generates each
+value's data for its first seed and resolves its training configuration,
+before creating --out. A manifest.json must hold a JSON object.
 
 Each command writes only into a directory that it owns or that no command
 owns. `gen` owns one that holds a dataset.csv or whose manifest records
 "command": "gen", and `train` one whose manifest records "train"; `sweep`,
 `eval` and `export-labels` own none. An --out file may not be one of the
-command's own inputs. Each refusal comes before anything is written, and
-`eval` and `export-labels` check --out before they read anything. `train`
-writes every file beside its manifest, and a rerun first removes the previous
-run's model, labels and last_good pair, with any temp file a killed write left.
+command's own inputs, nor lie under an existing file. Each refusal comes
+before anything is written, and `eval` and `export-labels` check --out before
+they read anything. `train` writes every file beside its manifest, and a rerun
+first removes the previous run's model, labels and last_good pair, with any
+temp file a killed write left.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical abort
-(a non-finite loss or gradient; the rolling last_good checkpoint survives).
+(a non-finite loss or gradient in training; the rolling last_good checkpoint
+survives). A checkpoint or label snapshot that holds a non-finite value is a
+configuration error naming the file.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from . import __version__
 from .atomic import atomic_write
 from .datasets import (
     LabeledDataset,
-    flip_count,
     gen_blobs,
     inject_feature_dependent,
     inject_uniform,
@@ -55,7 +57,6 @@ from .datasets import (
     load_idx_images,
     save_dataset_csv,
     split,
-    split_sizes,
 )
 from .model import Mlp, NumericalError
 from .presets import PRESETS
@@ -103,11 +104,15 @@ def _out_dir(path_str: str | Path, command: str) -> Path:
 
 def _out_file(path_str: str | Path, *inputs) -> Path:
     """An --out file, not a directory, in a directory that no command owns and
-    that the write creates. One of the command's own `inputs` is an error. The
-    checks come before anything is read or written."""
+    that the write creates, so no existing ancestor may be a file. One of the
+    command's own `inputs` is an error. The checks come before anything is
+    read or written."""
     path = Path(path_str)
     if path.is_dir():
         raise ValueError(f"--out {path} is a directory; expected a file path")
+    blocker = next((p for p in path.parents if p.exists() and not p.is_dir()), None)
+    if blocker is not None:
+        raise ValueError(f"--out {path}: {blocker} is not a directory")
     _check_owner(path.parent, None)
     if any(path.resolve() == Path(i).resolve() for i in inputs if i):
         raise ValueError(f"--out {path} is also an input of this command")
@@ -150,12 +155,11 @@ def _parse_noise(spec: str) -> tuple[str, float]:
     return _one_of("uniform", "feature_dependent")(kind), _finite_float(ratio)
 
 
-def _parse_schedule(spec: str) -> tuple[tuple[int, float], ...]:
-    pairs = []
-    for item in spec.split(","):
-        epoch, lr = item.split(":")
-        pairs.append((int(epoch), float(lr)))
-    return tuple(pairs)
+def _epoch_rate(item: str) -> tuple[int, float]:
+    if item.count(":") != 1:
+        raise ValueError(f"expected epoch:rate, got {item!r}")
+    epoch, rate = item.split(":")
+    return int(epoch), float(rate)
 
 
 def _comma_list(item):
@@ -170,7 +174,7 @@ _TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig))
 # type of its default), then gen's --blobs keys and flags, then
 # train's and sweep's own
 _PARSERS = {
-    **{f.name: {"lambda_schedule": _parse_schedule, "hidden_sizes": _comma_list(int),
+    **{f.name: {"lambda_schedule": _comma_list(_epoch_rate), "hidden_sizes": _comma_list(int),
                 "seed": _non_negative_int}.get(f.name, type(f.default))
        for f in dataclasses.fields(TrainConfig)},
     "n": int, "c": int, "d": int, "sep": _finite_float,
@@ -477,12 +481,11 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--seeds must be distinct, got {','.join(map(str, args.seeds))}")
     if args.axis == "noise_ratio" and args.noise[0] == "none":
         raise ValueError("noise_ratio sweep needs --noise kind:ratio")
-    # each value's split sizes (of the source's n), noise ratio and training
-    # config, checked before anything is written; the seed changes none of them
-    n = _source(_cell_args(args, args.values[0], args.seeds[0]))[0].n
+    # each value's data, generated as `gen` does for the first seed and
+    # discarded, and its training config, checked before anything is written
     for value in args.values:
         cell = _cell_args(args, value, args.seeds[0])
-        flip_count(cell.noise[1], split_sizes(n, cell.meta, cell.test)[0])
+        _generate_dataset(cell)
         _resolve_train_config(cell)
     out = _out_dir(args.out, "sweep")
 

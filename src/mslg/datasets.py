@@ -48,11 +48,9 @@ __all__ = [
     "IdxTruncatedError",
     "gen_blobs",
     "load_idx_images",
-    "flip_count",
     "inject_uniform",
     "inject_feature_dependent",
     "split",
-    "split_sizes",
     "save_dataset_csv",
     "load_dataset_csv",
 ]
@@ -219,7 +217,7 @@ def load_idx_images(images_path, labels_path) -> LabeledDataset:
 # -- noise injectors ----------------------------------------------------------
 
 
-def flip_count(ratio: float, n: int) -> int:
+def _flip_count(ratio: float, n: int) -> int:
     """The labels that `ratio` flips among n; a ratio outside [0, 1) is an error."""
     if not (0.0 <= ratio < 1.0):
         raise ValueError(f"noise ratio must be in [0, 1), got {ratio}")
@@ -229,7 +227,7 @@ def flip_count(ratio: float, n: int) -> int:
 def inject_uniform(ds: LabeledDataset, ratio: float, rng: Rng) -> LabeledDataset:
     """Flip exactly round(ratio*N) labels, chosen without replacement, each to
     a uniformly random class other than the true one."""
-    k = flip_count(ratio, ds.n)
+    k = _flip_count(ratio, ds.n)
     noisy = ds.true_labels.copy()
     if k > 0:
         chosen = rng.choice(ds.n, size=k, replace=False)
@@ -268,7 +266,7 @@ def inject_feature_dependent(ds: LabeledDataset, ratio: float,
     Samples whose runner-up happens to equal the true label are passed over
     so every flip really corrupts, keeping the realized noise rate exact.
     """
-    k = flip_count(ratio, ds.n)
+    k = _flip_count(ratio, ds.n)
     noisy = ds.true_labels.copy()
     if k > 0:
         probe = _fit_probe(ds.features, ds.true_labels, ds.num_classes, seed)
@@ -299,31 +297,24 @@ def inject_feature_dependent(ds: LabeledDataset, ratio: float,
 # -- splitting ----------------------------------------------------------------
 
 
-def split_sizes(n: int, meta_fraction: float,
-                test_fraction: float) -> tuple[int, int, int]:
-    """The (train, meta, test) sizes that `split` gives n samples: meta and
-    test are round(fraction * n), train the rest, and each must be at least 1."""
+def split(ds: LabeledDataset, meta_fraction: float, test_fraction: float,
+          rng: Rng) -> tuple[LabeledDataset, LabeledDataset, LabeledDataset]:
+    """Disjoint (train, meta, test) with clean labels on meta and test: meta
+    and test are round(fraction * n), train the rest, and each must be at
+    least 1. Call this on the *clean* dataset and inject noise into the
+    returned train split only.
+    """
     if meta_fraction < 0 or test_fraction < 0 or meta_fraction + test_fraction >= 1:
         raise ValueError(
             f"invalid fractions meta={meta_fraction}, test={test_fraction}"
         )
+    n = ds.n
     m = int(round(meta_fraction * n))
     t = int(round(test_fraction * n))
     for tag, size in (("train", n - m - t), ("meta", m), ("test", t)):
         if size < 1:
             raise ValueError(f"the {tag} split of {n} samples would be empty "
                              f"(meta {meta_fraction}, test {test_fraction})")
-    return n - m - t, m, t
-
-
-def split(ds: LabeledDataset, meta_fraction: float, test_fraction: float,
-          rng: Rng) -> tuple[LabeledDataset, LabeledDataset, LabeledDataset]:
-    """Disjoint (train, meta, test) with clean labels on meta and test, of
-    `split_sizes`. Call this on the *clean* dataset and inject noise into the
-    returned train split only.
-    """
-    n = ds.n
-    _, m, t = split_sizes(n, meta_fraction, test_fraction)
     perm = rng.permutation(n)
     parts = {"meta": perm[:m], "test": perm[m:m + t], "train": perm[m + t:]}
     out = []

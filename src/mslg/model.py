@@ -235,8 +235,11 @@ class Mlp:
             raise CheckpointError(
                 f"{path}: expected {expected} parameter bytes, found {len(payload)}"
             )
+        params = np.frombuffer(payload, dtype="<f8")
+        if not np.isfinite(params).all():
+            raise CheckpointError(f"{path}: a parameter is not finite")
         model = cls(sizes)
-        model.set_flat(np.frombuffer(payload, dtype="<f8"))
+        model.set_flat(params)
         return model
 
 

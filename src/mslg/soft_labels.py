@@ -113,6 +113,8 @@ class SoftLabelStore:
                 f"{path}: expected {n * c * 8} logit bytes, found {len(payload)}"
             )
         logits = np.frombuffer(payload, dtype="<f8").reshape(n, c)
+        if not np.isfinite(logits).all():
+            raise LabelSnapshotError(f"{path}: a logit is not finite")
         return cls(logits.copy(), k)
 
     def export_csv(self, path) -> None:

@@ -234,6 +234,12 @@ def _model_and_labels(directory, data):
     return ckpt, snap
 
 
+def _reading(command, data, ckpt, snap):
+    """The argv of `eval` or `export-labels` reading these inputs, without --out."""
+    return (("eval", "--data", data, "--checkpoint", ckpt, "--labels", snap)
+            if command == "eval" else ("export-labels", "--labels", snap))
+
+
 # every file of a finished `train` run directory
 _RUN_DIR = {"manifest.json", "metrics.csv", "model.ckpt", "labels.slbl",
             "last_good.ckpt", "last_good.slbl"}
@@ -355,6 +361,13 @@ _BASE = {
 }
 
 
+# feature-dependent noise on overlapping clusters: too few samples have a
+# runner-up class other than their own
+_UNREACHABLE_FLIPS = (
+    ("--blobs", "n=300", "c=4", "sep=0", "--noise", "feature_dependent:0.9"),
+    "only 163 of 219 samples can be corrupted toward their runner-up class; "
+    "cannot reach 197 flips")
+
 _BAD_VALUES = [
     # gen keys: --blobs tokens, then flags
     *[("gen", ("--blobs", f"{key}=x"), f"--blobs: bad value for '{key}'")
@@ -385,6 +398,8 @@ _BAD_VALUES = [
     ("gen", ("--blobs", "n=2", "c=2", "--meta", "0.4", "--test", "0.5"),
      "the train split of 2 samples would be empty"),
     ("gen", ("--idx-images", "images.idx"), "--idx-images requires --idx-labels"),
+    # a noise ratio that only injecting the noise finds out of reach
+    ("gen", _UNREACHABLE_FLIPS[0], _UNREACHABLE_FLIPS[1]),
     # train: every TrainConfig flag, the run's own flags, and values that
     # parse but fail validation
     *[("train", (flag, "abc"), f"bad value for '{key}'")
@@ -396,7 +411,12 @@ _BAD_VALUES = [
                         ("--total-epochs", "total_epochs"),
                         ("--entropy-weight", "entropy_weight"), ("--seed", "seed"),
                         ("--hidden", "hidden_sizes")]],
-    ("train", ("--lambda-schedule", "0"), "bad value for 'lambda_schedule'"),
+    ("train", ("--lambda-schedule", "0"),
+     "bad value for 'lambda_schedule': expected epoch:rate, got '0'"),
+    ("train", ("--lambda-schedule", "0:0.02,"),
+     "bad value for 'lambda_schedule': expected epoch:rate, got ''"),
+    ("train", ("--lambda-schedule", "0:0.02:1"),
+     "bad value for 'lambda_schedule': expected epoch:rate, got '0:0.02:1'"),
     ("train", ("--alpha", "nan"), "alpha must be finite"),
     ("train", ("--momentum", "inf"), "momentum must be finite"),
     ("train", ("--lambda-schedule", "0:nan"), "lambda_schedule must be finite"),
@@ -448,6 +468,8 @@ _BAD_VALUES = [
      "noise ratio must be in [0, 1), got 1.5"),
     ("sweep", ("--axis", "noise_ratio", "--noise", "uniform:0.2", "--values", "0.2,1.5"),
      "noise ratio must be in [0, 1), got 1.5"),
+    ("sweep", ("--values", "1,2", "--seeds", "0,1", *_UNREACHABLE_FLIPS[0]),
+     _UNREACHABLE_FLIPS[1]),
     # choices: parsed by key like every other value, not by argparse
     ("train", ("--method", "sgd"), "bad value for 'method'"),
     ("sweep", ("--method", "sgd"), "bad value for 'method'"),
@@ -469,6 +491,29 @@ def test_bad_flag_value_is_config_error_naming_key(tmp_path, data_dir, capsys,
     assert run_cli(*_BASE[command](data_dir), *bad, "--out", out) == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+# gen's flags that sweep takes too
+_SWEEP_GEN_FLAGS = {"--blobs", "--noise", "--meta", "--test", "--idx-images"}
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param(bad, id=" ".join(bad)) for command, bad, _ in _BAD_VALUES
+    if command == "gen" and {a for a in bad if a.startswith("--")} <= _SWEEP_GEN_FLAGS])
+def test_sweep_refuses_what_gen_refuses(tmp_path, capsys, bad):
+    # sweep generates each value's data as gen does, so it fails the same way
+    # before its --out exists
+    gen_out, sweep_out = tmp_path / "gen", tmp_path / "sweep"
+    assert run_cli("gen", *bad, "--out", gen_out) == EXIT_CONFIG
+    gen_err = capsys.readouterr().err
+    assert run_cli("sweep", "--axis", "beta", "--values", "1", "--seeds", "0", *bad,
+                   *TRAIN_FAST, "--out", sweep_out) == EXIT_CONFIG
+    assert capsys.readouterr().err == gen_err
+    assert not gen_out.exists() and not sweep_out.exists()
+
+
+def test_lambda_schedule_parses_to_epoch_rate_pairs():
+    assert mslg.cli._PARSERS["lambda_schedule"]("0:0.02,30:5e-3") == ((0, 0.02), (30, 0.005))
 
 
 @pytest.mark.parametrize("argv", [
@@ -800,8 +845,7 @@ def test_sweep_out_that_is_a_run_dir_is_config_error(run_dir, capsys):
 def test_out_that_is_an_input_is_config_error(tmp_path, data_dir, capsys, command, flag):
     ckpt, snap = _model_and_labels(tmp_path, data_dir)
     before = _files(tmp_path)
-    reads = (("eval", "--data", data_dir, "--checkpoint", ckpt, "--labels", snap)
-             if command == "eval" else ("export-labels", "--labels", snap))
+    reads = _reading(command, data_dir, ckpt, snap)
     out = ckpt if flag == "--checkpoint" else snap
     assert run_cli(*reads, "--out", out) == EXIT_CONFIG
     assert f"--out {out} is also an input of this command" in capsys.readouterr().err
@@ -828,14 +872,59 @@ def test_out_that_is_a_directory_is_config_error(tmp_path, data_dir, capsys, com
     ckpt, snap = _model_and_labels(tmp_path, data_dir)
     out = tmp_path / "report"
     out.mkdir()
-    reads = (("eval", "--data", data_dir, "--checkpoint", ckpt, "--labels", snap)
-             if command == "eval" else ("export-labels", "--labels", snap))
+    reads = _reading(command, data_dir, ckpt, snap)
     capsys.readouterr()
     assert run_cli(*reads, "--out", out) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert f"config error: --out {out} is a directory" in captured.err
     assert captured.out == ""
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,target", [("eval", "afile/rep.json"),
+                                            ("export-labels", "afile/sub/l.csv")])
+def test_out_under_a_file_is_config_error(tmp_path, data_dir, capsys, command, target):
+    # refused before anything is read: nothing reaches stdout, nothing is made
+    ckpt, snap = _model_and_labels(tmp_path, data_dir)
+    (tmp_path / "afile").write_text("a file")
+    before = sorted(tmp_path.rglob("*"))
+    reads = _reading(command, data_dir, ckpt, snap)
+    capsys.readouterr()
+    out = tmp_path / target
+    assert run_cli(*reads, "--out", out) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert (f"config error: --out {out}: {tmp_path / 'afile'} is not a directory"
+            in captured.err)
+    assert captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("command,artifact,message", [
+    ("eval", "model.ckpt", "a parameter is not finite"),
+    ("eval", "labels.slbl", "a logit is not finite"),
+    ("export-labels", "labels.slbl", "a logit is not finite"),
+])
+def test_non_finite_artifact_is_config_error(tmp_path, data_dir, capsys, value,
+                                             command, artifact, message):
+    # refused as it is loaded, so eval reports nothing computed from it
+    ckpt, snap = _model_and_labels(tmp_path, data_dir)
+    if artifact == "model.ckpt":
+        model = Mlp.load(ckpt)
+        model.params[0] = value
+        model.save(ckpt)
+    else:
+        store = SoftLabelStore.load(snap)
+        store.logits[0, 0] = value
+        store.save(snap)
+    out = tmp_path / "out" / "o"
+    reads = _reading(command, data_dir, ckpt, snap)
+    capsys.readouterr()
+    assert run_cli(*reads, "--out", out) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"config error: {tmp_path / artifact}: {message}" in captured.err
+    assert captured.out == ""
+    assert not out.parent.exists()
 
 
 def test_eval_that_fails_makes_no_out_directory(tmp_path, data_dir, capsys):
@@ -878,8 +967,7 @@ def test_out_may_not_replace_a_file_of_a_data_dir(tmp_path, data_dir, capsys, co
         (data / name).write_bytes((data_dir / name).read_bytes())
     before = {p.name: p.read_bytes() for p in data.iterdir()}
     ckpt, snap = _model_and_labels(tmp_path, data)
-    reads = (("eval", "--data", data, "--checkpoint", ckpt, "--labels", snap) if command == "eval"
-             else ("export-labels", "--labels", snap))
+    reads = _reading(command, data, ckpt, snap)
     out = data / target
     assert run_cli(*reads, "--out", out) == EXIT_CONFIG
     assert (f"--out: {data.resolve()} holds the output of `gen`; only `gen` writes there"

@@ -25,7 +25,6 @@ from mslg.datasets import (
     load_idx_images,
     save_dataset_csv,
     split,
-    split_sizes,
 )
 from mslg.losses import PROB_FLOOR, cce_logit_loss
 from mslg.model import Mlp, SgdState, sgd_step
@@ -318,7 +317,6 @@ def test_split_sizes_disjoint_and_complete():
     assert meta.n == 1000
     assert test.n == 5000
     assert train.n == 44_000
-    assert split_sizes(50_000, 0.02, 0.1) == (44_000, 1000, 5000)
     all_ids = np.concatenate([train.ids, meta.ids, test.ids])
     assert len(set(all_ids.tolist())) == 50_000
 

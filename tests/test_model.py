@@ -543,13 +543,22 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), sizes=st.lists(st.integers(1, 9), min_size=2, max_size=5))
 def test_checkpoint_roundtrip_bitwise_property(data, sizes):
-    # any float64 bit pattern, NaN payloads and infinities included
+    # any float64 bit pattern, NaN payloads and infinities included: a
+    # non-finite parameter is refused as it is loaded, naming the file, and
+    # every finite pattern comes back bit for bit
     model = Mlp(sizes)
     params = data.draw(hnp.arrays(np.float64, model.num_params,
                                   elements=st.floats(width=64)))
-    model.params[...] = params
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.ckpt"
+        if not np.isfinite(params).all():
+            model.params[...] = params
+            model.save(path)
+            with pytest.raises(CheckpointError) as refused:
+                Mlp.load(path)
+            assert str(refused.value) == f"{path}: a parameter is not finite"
+            params = np.where(np.isfinite(params), params, 0.0)
+        model.params[...] = params
         model.save(path)
         loaded = Mlp.load(path)
     assert loaded.layer_sizes == tuple(sizes)
