@@ -612,7 +612,7 @@ def main(argv=None) -> int:
     try:
         _parse_values(args)
         return args.func(args)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

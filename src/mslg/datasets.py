@@ -71,6 +71,9 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.features = np.ascontiguousarray(self.features, dtype=np.float64)
+        if self.features.ndim != 2 or self.features.shape[1] < 1:
+            raise ValueError(f"features must be (N, D) with D >= 1, "
+                             f"got shape {self.features.shape}")
         self.true_labels = np.asarray(self.true_labels, dtype=np.int64).ravel()
         self.noisy_labels = np.asarray(self.noisy_labels, dtype=np.int64).ravel()
         n = self.features.shape[0]

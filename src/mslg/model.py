@@ -95,15 +95,6 @@ class Mlp:
         parts = [flat[where].reshape(shape) for where, shape in self._blocks]
         return parts[:self.num_layers], parts[self.num_layers:]
 
-    def set_flat(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64).ravel()
-        if flat.size != self.num_params:
-            raise ValueError(
-                f"flat parameter vector has {flat.size} entries, model has {self.num_params}"
-            )
-        self.params[...] = flat
-        self._version += 1
-
     def copy(self) -> "Mlp":
         dup = Mlp(self.layer_sizes)
         dup.params[...] = self.params
@@ -239,7 +230,7 @@ class Mlp:
         if not np.isfinite(params).all():
             raise CheckpointError(f"{path}: a parameter is not finite")
         model = cls(sizes)
-        model.set_flat(params)
+        model.params[...] = params
         return model
 
 

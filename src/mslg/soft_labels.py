@@ -43,7 +43,7 @@ class SoftLabelStore:
 
     @classmethod
     def init_from_noisy(cls, noisy_labels, num_classes: int,
-                        k: float = 10.0) -> "SoftLabelStore":
+                        k: float) -> "SoftLabelStore":
         """logits_i = k * onehot(noisy_i); argmax of the soft label equals the
         noisy label for any k > 0."""
         noisy = np.asarray(noisy_labels, dtype=np.int64).ravel()
@@ -107,6 +107,10 @@ class SoftLabelStore:
         version, n, c, k = struct.unpack_from("<IQId", blob, 4)
         if version != SNAPSHOT_VERSION:
             raise LabelSnapshotError(f"{path}: unsupported snapshot version {version}")
+        if c < 1:
+            raise LabelSnapshotError(f"{path}: need at least one class, got {c}")
+        if not np.isfinite(k):
+            raise LabelSnapshotError(f"{path}: K is not finite, got {k}")
         payload = blob[4 + header:]
         if len(payload) != n * c * 8:
             raise LabelSnapshotError(

@@ -223,18 +223,16 @@ def _meta_batches(m: int, seed: int, epoch: int, batches: int,
 
 def _epoch_metrics(epoch: int, train_loss: float, align: float, model: Mlp,
                    store: SoftLabelStore, train_ds: LabeledDataset,
-                   meta_ds: LabeledDataset, test_ds: LabeledDataset | None,
+                   meta_ds: LabeledDataset, test_ds: LabeledDataset,
                    lr: float) -> EpochMetrics:
     meta_loss = cce_loss(model.predict(meta_ds.features), meta_ds.noisy_labels).scalar
-    test_acc = accuracy(model, test_ds) if test_ds is not None else 0.0
-    return EpochMetrics(epoch, train_loss, meta_loss, test_acc,
+    return EpochMetrics(epoch, train_loss, meta_loss, accuracy(model, test_ds),
                         recovery_rate(store, train_ds), align, lr)
 
 
 def warmup_epoch(model: Mlp, train_ds: LabeledDataset, store: SoftLabelStore,
                  opt: SgdState, cfg: TrainConfig, epoch: int,
-                 meta_ds: LabeledDataset,
-                 test_ds: LabeledDataset | None = None) -> EpochMetrics:
+                 meta_ds: LabeledDataset, test_ds: LabeledDataset) -> EpochMetrics:
     """One pass of plain cross-entropy SGD on the noisy hard labels."""
     opt.lr = cfg.lr_at(epoch)
     order = epoch_order(cfg.seed, epoch, train_ds.n)
@@ -247,8 +245,7 @@ def warmup_epoch(model: Mlp, train_ds: LabeledDataset, store: SoftLabelStore,
 
 def mslg_epoch(model: Mlp, train_ds: LabeledDataset, store: SoftLabelStore,
                opt: SgdState, cfg: TrainConfig, epoch: int,
-               meta_ds: LabeledDataset,
-               test_ds: LabeledDataset | None = None) -> EpochMetrics:
+               meta_ds: LabeledDataset, test_ds: LabeledDataset) -> EpochMetrics:
     """One label-correction epoch: per batch, update the soft labels from the
     meta gradient, then take a committed step on the corrected labels."""
     opt.lr = cfg.lr_at(epoch)
@@ -282,12 +279,13 @@ def mslg_epoch(model: Mlp, train_ds: LabeledDataset, store: SoftLabelStore,
 
 
 def train(train_ds: LabeledDataset, meta_ds: LabeledDataset, cfg: TrainConfig,
-          test_ds: LabeledDataset | None = None, epoch_callback=None
+          test_ds: LabeledDataset, epoch_callback=None
           ) -> tuple[Mlp, SoftLabelStore, list[EpochMetrics]]:
     """Warm-up epochs of cross-entropy, then label-correction epochs.
 
     With warmup_epochs == total_epochs this *is* the cross-entropy baseline;
-    the label store is created but never updated. test_ds only feeds metrics.
+    the label store is created but never updated. test_ds is scored every
+    epoch for the metrics' test_accuracy and is never trained on.
     epoch_callback(epoch, model, store, metrics) runs after every epoch.
     """
     if meta_ds is train_ds:

@@ -82,13 +82,13 @@ def fd_param_grad(model, x, scalar_of_probs, h=1e-5):
     for k in range(flat.size):
         p = flat.copy()
         p[k] += h
-        model.set_flat(p)
+        model.params[...] = p
         up = scalar_of_probs(model.predict(x))
         p[k] -= 2 * h
-        model.set_flat(p)
+        model.params[...] = p
         down = scalar_of_probs(model.predict(x))
         out[k] = (up - down) / (2 * h)
-    model.set_flat(flat)
+    model.params[...] = flat
     return out
 
 

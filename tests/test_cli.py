@@ -512,6 +512,16 @@ def test_sweep_refuses_what_gen_refuses(tmp_path, capsys, bad):
     assert not gen_out.exists() and not sweep_out.exists()
 
 
+def test_key_error_in_a_command_is_not_a_config_error(tmp_path, monkeypatch):
+    # no input makes a command raise KeyError, so one that does is a bug and
+    # keeps its traceback
+    def broken(args):
+        raise KeyError("bug")
+    monkeypatch.setattr(mslg.cli, "cmd_export_labels", broken)
+    with pytest.raises(KeyError, match="bug"):
+        run_cli("export-labels", "--labels", tmp_path / "l.slbl", "--out", tmp_path / "l.csv")
+
+
 def test_lambda_schedule_parses_to_epoch_rate_pairs():
     assert mslg.cli._PARSERS["lambda_schedule"]("0:0.02,30:5e-3") == ((0, 0.02), (30, 0.005))
 
@@ -600,6 +610,8 @@ def test_train_flag_sets_its_field(field):
     ("oversized field", "dataset.csv:6: field larger than field limit"),
     ("non-UTF-8 byte", "dataset.csv:6: byte 0xff is not UTF-8"),
     ("no test split", "dataset.csv has no 'test' split"),
+    ("no feature column", "dataset.csv: 'meta' split: features must be (N, D) with D >= 1, "
+                          "got shape (12, 0)"),
 ])
 def test_train_malformed_dataset_is_config_error(tmp_path, data_dir, capsys, fault, message):
     # file lines 4 and 6 are meta rows; a row short of one feature must not
@@ -609,6 +621,9 @@ def test_train_malformed_dataset_is_config_error(tmp_path, data_dir, capsys, fau
         lines = []
     elif fault == "no test split":
         lines = [line for line in lines if not line.endswith(",test")]
+    elif fault == "no feature column":
+        lines = [",".join(cells[:1] + cells[-3:]) for cells in
+                 (line.split(",") for line in lines)]
     elif fault == "missing feature":
         cells = lines[3].split(",")
         del cells[2]
@@ -904,6 +919,8 @@ def test_out_under_a_file_is_config_error(tmp_path, data_dir, capsys, command, t
     ("eval", "model.ckpt", "a parameter is not finite"),
     ("eval", "labels.slbl", "a logit is not finite"),
     ("export-labels", "labels.slbl", "a logit is not finite"),
+    ("eval", "labels.slbl", "K is not finite"),
+    ("export-labels", "labels.slbl", "K is not finite"),
 ])
 def test_non_finite_artifact_is_config_error(tmp_path, data_dir, capsys, value,
                                              command, artifact, message):
@@ -915,7 +932,10 @@ def test_non_finite_artifact_is_config_error(tmp_path, data_dir, capsys, value,
         model.save(ckpt)
     else:
         store = SoftLabelStore.load(snap)
-        store.logits[0, 0] = value
+        if message.startswith("K "):  # the header's K, else one logit
+            store.k = value
+        else:
+            store.logits[0, 0] = value
         store.save(snap)
     out = tmp_path / "out" / "o"
     reads = _reading(command, data_dir, ckpt, snap)
@@ -923,6 +943,22 @@ def test_non_finite_artifact_is_config_error(tmp_path, data_dir, capsys, value,
     assert run_cli(*reads, "--out", out) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert f"config error: {tmp_path / artifact}: {message}" in captured.err
+    assert captured.out == ""
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "export-labels"])
+def test_label_snapshot_without_classes_is_config_error(tmp_path, data_dir, capsys,
+                                                         command):
+    ckpt, snap = _model_and_labels(tmp_path, data_dir)
+    n = SoftLabelStore.load(snap).n
+    SoftLabelStore(np.zeros((n, 0)), 10.0).save(snap)
+    out = tmp_path / "out" / "o"
+    reads = _reading(command, data_dir, ckpt, snap)
+    capsys.readouterr()
+    assert run_cli(*reads, "--out", out) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"config error: {snap}: need at least one class, got 0" in captured.err
     assert captured.out == ""
     assert not out.parent.exists()
 
@@ -1114,7 +1150,7 @@ def test_eval_label_snapshot_of_another_shape_is_config_error(tmp_path, data_dir
     ckpt, snap = tmp_path / "m.ckpt", tmp_path / "labels.slbl"
     Mlp((2, 3)).save(ckpt)
     n = n_train + extra_rows
-    SoftLabelStore.init_from_noisy(np.zeros(n, np.int64), classes).save(snap)
+    SoftLabelStore.init_from_noisy(np.zeros(n, np.int64), classes, 10.0).save(snap)
     assert run_cli("eval", "--data", data_dir, "--checkpoint", ckpt,
                    "--labels", snap) == EXIT_CONFIG
     assert (f"label snapshot shape ({n}, {classes}) does not match train split "
@@ -1143,7 +1179,7 @@ def test_eval_noise_flag_precision_and_recall_match_hand_counts():
     learned = np.array([0, 2, 0, 1, 1, 2])
     train_ds = LabeledDataset(np.zeros((6, 2)), true, noisy, 3)
     test_ds = LabeledDataset(np.zeros((3, 2)), np.arange(3), np.arange(3), 3)
-    store = SoftLabelStore.init_from_noisy(learned, 3)
+    store = SoftLabelStore.init_from_noisy(learned, 3, 10.0)
     report = build_eval_report(Mlp((2, 3)), store, {"train": train_ds, "test": test_ds})
     assert report["n_corrupted"] == 2 and report["noise_flagged"] == 3
     assert report["noise_flag_precision"] == pytest.approx(1 / 3, rel=1e-15)

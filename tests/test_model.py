@@ -440,7 +440,7 @@ def test_flatten_roundtrip_identity():
     model = _tiny_net(27, (3, 6, 4, 2))
     flat = model.params.copy()
     other = Mlp((3, 6, 4, 2))
-    other.set_flat(flat)
+    other.params[...] = flat
     assert np.array_equal(other.params, flat)
     for w1, w2 in zip(model.weights, other.weights):
         assert np.array_equal(w1, w2)

@@ -655,23 +655,23 @@ def test_lambda_schedule_lookup():
 def test_train_rejects_shared_meta_set():
     train_ds, meta_ds, test_ds = _blob_setting()
     with pytest.raises(ValueError, match="disjoint"):
-        train(train_ds, train_ds, _warm_cfg())
+        train(train_ds, train_ds, _warm_cfg(), test_ds)
 
 
 def test_train_rejects_meta_set_of_other_shape():
-    train_ds, meta_ds, _ = _blob_setting()
+    train_ds, meta_ds, test_ds = _blob_setting()
     wider = LabeledDataset(np.hstack([meta_ds.features, meta_ds.features]),
                            meta_ds.true_labels, meta_ds.noisy_labels, 3)
     with pytest.raises(ValueError, match="features"):
-        train(train_ds, wider, _warm_cfg())
+        train(train_ds, wider, _warm_cfg(), test_ds)
     more_classes = LabeledDataset(meta_ds.features, meta_ds.true_labels,
                                   meta_ds.noisy_labels, 4)
     with pytest.raises(ValueError, match="classes"):
-        train(train_ds, more_classes, _warm_cfg())
+        train(train_ds, more_classes, _warm_cfg(), test_ds)
 
 
 def test_train_rejects_meta_label_out_of_range_before_training(monkeypatch):
-    train_ds, meta_ds, _ = _blob_setting()
+    train_ds, meta_ds, test_ds = _blob_setting()
 
     def no_epoch(*args, **kwargs):
         raise AssertionError("an epoch ran before the meta labels were checked")
@@ -682,7 +682,7 @@ def test_train_rejects_meta_label_out_of_range_before_training(monkeypatch):
                                meta_ds.noisy_labels.copy(), 3)
         wrong.noisy_labels[1] = bad
         with pytest.raises(ValueError, match=rf"meta label {bad} out of range \[0, 3\)"):
-            train(train_ds, wrong, _warm_cfg())
+            train(train_ds, wrong, _warm_cfg(), test_ds)
 
 
 def test_train_rejects_empty_meta_set_without_hanging():
@@ -696,9 +696,10 @@ def test_train_rejects_empty_meta_set_without_hanging():
         from mslg.trainer import train
 
         train_ds = gen_blobs(60, 3, 2, 6.0, Rng(0))
+        test_ds = gen_blobs(30, 3, 2, 6.0, Rng(1))
         empty = LabeledDataset(np.zeros((0, 2)), np.zeros(0), np.zeros(0), 3)
         try:
-            train(train_ds, empty, PRESETS["blobs-smoke"])
+            train(train_ds, empty, PRESETS["blobs-smoke"], test_ds)
         except ValueError as exc:
             print(exc)
         else:
@@ -713,10 +714,10 @@ def test_train_rejects_empty_meta_set_without_hanging():
 
 
 def test_train_rejects_empty_training_set():
-    train_ds, meta_ds, _ = _blob_setting()
+    _, meta_ds, test_ds = _blob_setting()
     empty = LabeledDataset(np.zeros((0, 2)), np.zeros(0), np.zeros(0), 3)
     with pytest.raises(ValueError, match="training set is empty"):
-        train(empty, meta_ds, _warm_cfg())
+        train(empty, meta_ds, _warm_cfg(), test_ds)
 
 
 def test_metrics_csv_format():
