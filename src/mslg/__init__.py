@@ -16,12 +16,13 @@ from .datasets import (
     split,
 )
 from .linalg import softmax, softmax_backward
-from .model import Mlp, NumericalError, SgdState, sgd_pass, sgd_step
+from .model import Mlp, NumericalError, sgd_pass, sgd_step
 from .presets import PRESETS
 from .rng import Rng
 from .soft_labels import SoftLabelStore
 from .trainer import (
     EpochMetrics,
+    RunState,
     TrainConfig,
     accuracy,
     label_gradient_along,
@@ -38,9 +39,9 @@ __all__ = [
     "LabeledDataset", "gen_blobs",
     "inject_feature_dependent", "inject_uniform", "load_idx_images", "split",
     "softmax", "softmax_backward",
-    "Mlp", "NumericalError", "SgdState", "sgd_pass", "sgd_step",
+    "Mlp", "NumericalError", "sgd_pass", "sgd_step",
     "PRESETS", "Rng", "SoftLabelStore",
-    "EpochMetrics", "TrainConfig", "accuracy",
+    "EpochMetrics", "RunState", "TrainConfig", "accuracy",
     "label_gradient_along", "meta_gradient_direction",
     "mslg_epoch", "recovery_rate", "train", "warmup_epoch",
     "__version__",

@@ -346,10 +346,10 @@ def cmd_train(args) -> int:
     }
     _write_json(out / "manifest.json", manifest)
 
-    def on_epoch(epoch, model, store, metrics):
+    def on_epoch(state, metrics):
         metrics_csv.write(metrics_csv_row(metrics))
-        model.save(out / "last_good.ckpt")
-        store.save(out / "last_good.slbl")
+        state.model.save(out / "last_good.ckpt")
+        state.store.save(out / "last_good.slbl")
 
     # one line-buffered handle: each row reaches the OS as its epoch ends
     with open(out / "metrics.csv", "w", encoding="utf-8", newline="",

@@ -37,7 +37,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .losses import cce_logit_grad
-from .model import Mlp, SgdState, sgd_pass
+from .model import Mlp, sgd_pass
 from .rng import PROBE_INIT, PROBE_ORDER, Rng
 
 __all__ = [
@@ -251,10 +251,10 @@ def _fit_probe(features: np.ndarray, labels: np.ndarray, num_classes: int,
     exact CE gradient, `losses.cce_logit_grad` alone: it never reads its loss. Its
     init and batch orders are the streams `Rng(seed, PROBE_INIT/PROBE_ORDER)`."""
     model = Mlp((features.shape[1], *PROBE_HIDDEN, num_classes), Rng(seed, PROBE_INIT))
-    opt = SgdState(lr=PROBE_LR, momentum=PROBE_MOMENTUM)
+    velocity, rates = np.zeros(model.num_params), (PROBE_LR, PROBE_MOMENTUM, 0.0)
     shuffle_rng = Rng(seed, PROBE_ORDER)
     for _ in range(PROBE_EPOCHS):
-        sgd_pass(model, opt, features, shuffle_rng.permutation(features.shape[0]),
+        sgd_pass(model, velocity, rates, features, shuffle_rng.permutation(features.shape[0]),
                  PROBE_BATCH, lambda ids, probs, _: (0.0, cce_logit_grad(probs, labels[ids])))
     return model
 

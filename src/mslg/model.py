@@ -13,16 +13,16 @@ mask of hidden layer i as `acts[i + 1] > 0`, which equals the pre-activation's
 `> 0` for every float, NaN and -0.0 included.
 
 The parameters live in one contiguous float64 vector `params`; `weights[i]`
-and `biases[i]` are reshaped views into it. Its order, shared by gradients,
-the optimizer state and checkpoints: all weight matrices in layer order, each
-row-major, then all bias vectors in layer order.
+and `biases[i]` are reshaped views into it, in a `copy.deepcopy` or `pickle`
+copy too. Its order, shared by gradients, the SGD velocity and checkpoints:
+all weight matrices in layer order, each row-major, then all bias vectors in
+layer order.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "NumericalError",
     "CheckpointError",
     "Mlp",
-    "SgdState",
     "sgd_step",
     "sgd_pass",
 ]
@@ -94,6 +93,11 @@ class Mlp:
         """Per-layer (weights, biases) views into a vector in parameter order."""
         parts = [flat[where].reshape(shape) for where, shape in self._blocks]
         return parts[:self.num_layers], parts[self.num_layers:]
+
+    def __setstate__(self, state: dict) -> None:
+        # deepcopy and pickle rebuild `params` and each view as separate arrays
+        self.__dict__.update(state)
+        self.weights, self.biases = self.views(self.params)
 
     def copy(self) -> "Mlp":
         dup = Mlp(self.layer_sizes)
@@ -234,20 +238,11 @@ class Mlp:
         return model
 
 
-@dataclass
-class SgdState:
-    """SGD with classical momentum and decoupled-from-nothing weight decay:
-    v <- mu*v + (g + wd*theta); theta <- theta - lr*v, in that order."""
-
-    lr: float
-    momentum: float = 0.0
-    weight_decay: float = 0.0
-    velocity: np.ndarray | None = None
-
-
-def sgd_step(model: Mlp, grad: np.ndarray, opt: SgdState) -> None:
-    """Apply one optimizer step in place. Aborts on non-finite gradients,
-    naming the first layer that holds one, before touching any parameter."""
+def sgd_step(model: Mlp, grad: np.ndarray, velocity: np.ndarray, lr: float,
+             momentum: float, weight_decay: float) -> None:
+    """One SGD step in place: velocity <- momentum*velocity + (grad +
+    weight_decay*params), then params <- params - lr*velocity. Aborts on a
+    non-finite gradient, naming its first layer, before touching anything."""
     if np.shape(grad) != model.params.shape:
         raise ValueError(f"gradient shape {np.shape(grad)} does not match "
                          f"{model.num_params} parameters")
@@ -257,23 +252,22 @@ def sgd_step(model: Mlp, grad: np.ndarray, opt: SgdState) -> None:
         layer = next(i for i, (w, b) in enumerate(zip(dws, dbs))
                      if not (w.all() and b.all()))
         raise NumericalError(f"non-finite gradient in layer {layer}")
-    if opt.velocity is None:
-        opt.velocity = np.zeros_like(model.params)
-    opt.velocity *= opt.momentum
-    opt.velocity += grad + opt.weight_decay * model.params
-    model.params -= opt.lr * opt.velocity
+    velocity *= momentum
+    velocity += grad + weight_decay * model.params
+    model.params -= lr * velocity
     model._version += 1
 
 
-def sgd_pass(model: Mlp, opt: SgdState, x, order, batch_size: int, batch_loss) -> float:
-    """One SGD pass over the rows `order` of `x`, in batches: a forward, then
-    `batch_loss(ids, probs, cache)` -> (batch-mean loss, dL/dz), then one
-    `sgd_step` each. Returns the sample-weighted mean of the batch losses."""
+def sgd_pass(model: Mlp, velocity: np.ndarray, rates: tuple[float, float, float],
+             x, order, batch_size: int, batch_loss) -> float:
+    """One SGD pass over the rows `order` of `x` in batches, each a forward,
+    `batch_loss(ids, probs, cache)` -> (batch-mean loss, dL/dz) and one `sgd_step`
+    at `rates` (lr, momentum, weight decay). Returns the sample-weighted mean loss."""
     loss_sum = 0.0
     for start in range(0, order.size, batch_size):
         ids = order[start:start + batch_size]
         probs, cache = model.forward(x[ids])
         loss, dz = batch_loss(ids, probs, cache)
-        sgd_step(model, model.backward(cache, dz), opt)
+        sgd_step(model, model.backward(cache, dz), velocity, *rates)
         loss_sum += loss * ids.size
     return loss_sum / order.size

@@ -44,10 +44,6 @@ class Rng:
         return self._gen.permutation(n)
 
     def choice(self, a, size=None, replace: bool = True):
-        """Index/element draw; rejects empty choice sets."""
-        n = a if isinstance(a, (int, np.integer)) else len(a)
-        if n == 0:
-            raise ValueError("choice: empty choice set")
         return self._gen.choice(a, size=size, replace=replace)
 
     def integers(self, low, high=None, size=None):

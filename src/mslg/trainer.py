@@ -11,11 +11,13 @@ alternates, per batch:
   3. a committed optimizer step on KL(f||yhat_new) + entropy, with rate
      lambda from the schedule.
 
-Both stages step through `model.sgd_pass`, the one SGD loop: per batch of
-the epoch's order it runs the forward, asks the stage's batch loss for the
-loss and its gradient with respect to the logits, and commits one
-`sgd_step`. The warm-up's batch loss is cross-entropy on the noisy labels;
-stage two's does steps 1 and 2 and returns the loss of step 3.
+Each stage's epoch function advances one `RunState` (next epoch, model, SGD
+velocity, label store) in place through `model.sgd_pass`, the one SGD loop:
+per batch of the epoch's order it runs the forward, asks the stage's batch
+loss for the loss and its gradient with respect to the logits, and commits
+one `sgd_step` at the config's rates. The warm-up's batch loss is
+cross-entropy on the noisy labels; stage two's does steps 1 and 2 and
+returns the loss of step 3.
 
 The label gradient in step 2 is the mixed second derivative of the training
 loss contracted with the meta gradient. It is computed without any second
@@ -45,13 +47,14 @@ import numpy as np
 
 from .datasets import LabeledDataset
 from .losses import cce_logit_loss, cce_loss, kl_logit_loss
-from .model import Mlp, NumericalError, SgdState, sgd_pass
+from .model import Mlp, NumericalError, sgd_pass
 from .rng import ROLE_INIT, ROLE_META, ROLE_TRAIN, Rng
 from .soft_labels import SoftLabelStore
 
 __all__ = [
     "TrainConfig",
     "EpochMetrics",
+    "RunState",
     "METRICS_COLUMNS",
     "accuracy",
     "recovery_rate",
@@ -134,6 +137,22 @@ class EpochMetrics:
 
 
 METRICS_COLUMNS = tuple(f.name for f in fields(EpochMetrics))
+
+
+@dataclass
+class RunState:
+    """What one epoch hands the next; the epoch functions advance it in place."""
+    epoch: int                 # the next epoch to run
+    model: Mlp
+    velocity: np.ndarray       # the SGD momentum buffer, in parameter order
+    store: SoftLabelStore
+
+    @classmethod
+    def initial(cls, cfg: TrainConfig, train_ds: LabeledDataset) -> "RunState":
+        model = Mlp((train_ds.dim, *cfg.hidden_sizes, train_ds.num_classes),
+                    Rng(cfg.seed, ROLE_INIT))
+        return cls(0, model, np.zeros(model.num_params), SoftLabelStore.init_from_noisy(
+            train_ds.noisy_labels, train_ds.num_classes, cfg.k_init))
 
 
 # -- evaluation helpers (these may read true labels) --------------------------
@@ -221,61 +240,61 @@ def _meta_batches(m: int, seed: int, epoch: int, batches: int,
 # -- epochs ---------------------------------------------------------------------
 
 
-def _epoch_metrics(epoch: int, train_loss: float, align: float, model: Mlp,
-                   store: SoftLabelStore, train_ds: LabeledDataset,
-                   meta_ds: LabeledDataset, test_ds: LabeledDataset,
-                   lr: float) -> EpochMetrics:
-    meta_loss = cce_loss(model.predict(meta_ds.features), meta_ds.noisy_labels).scalar
-    return EpochMetrics(epoch, train_loss, meta_loss, accuracy(model, test_ds),
-                        recovery_rate(store, train_ds), align, lr)
+def _epoch_metrics(state: RunState, cfg: TrainConfig, train_loss: float, align: float,
+                   train_ds: LabeledDataset, meta_ds: LabeledDataset,
+                   test_ds: LabeledDataset) -> EpochMetrics:
+    epoch = state.epoch - 1  # the epoch just trained
+    meta_loss = cce_loss(state.model.predict(meta_ds.features), meta_ds.noisy_labels).scalar
+    return EpochMetrics(epoch, train_loss, meta_loss, accuracy(state.model, test_ds),
+                        recovery_rate(state.store, train_ds), align, cfg.lr_at(epoch))
 
 
-def warmup_epoch(model: Mlp, train_ds: LabeledDataset, store: SoftLabelStore,
-                 opt: SgdState, cfg: TrainConfig, epoch: int,
+def warmup_epoch(state: RunState, cfg: TrainConfig, train_ds: LabeledDataset,
                  meta_ds: LabeledDataset, test_ds: LabeledDataset) -> EpochMetrics:
     """One pass of plain cross-entropy SGD on the noisy hard labels."""
-    opt.lr = cfg.lr_at(epoch)
-    order = epoch_order(cfg.seed, epoch, train_ds.n)
+    rates = (cfg.lr_at(state.epoch), cfg.momentum, cfg.weight_decay)
+    order = epoch_order(cfg.seed, state.epoch, train_ds.n)
     noisy = train_ds.noisy_labels
-    train_loss = sgd_pass(model, opt, train_ds.features, order, cfg.batch_size,
-                          lambda ids, probs, _: cce_logit_loss(probs, noisy[ids]))
-    return _epoch_metrics(epoch, train_loss, 0.0, model, store,
-                          train_ds, meta_ds, test_ds, opt.lr)
+    train_loss = sgd_pass(state.model, state.velocity, rates, train_ds.features, order,
+                          cfg.batch_size, lambda ids, probs, _: cce_logit_loss(probs, noisy[ids]))
+    state.epoch += 1
+    return _epoch_metrics(state, cfg, train_loss, 0.0, train_ds, meta_ds, test_ds)
 
 
-def mslg_epoch(model: Mlp, train_ds: LabeledDataset, store: SoftLabelStore,
-               opt: SgdState, cfg: TrainConfig, epoch: int,
+def mslg_epoch(state: RunState, cfg: TrainConfig, train_ds: LabeledDataset,
                meta_ds: LabeledDataset, test_ds: LabeledDataset) -> EpochMetrics:
     """One label-correction epoch: per batch, update the soft labels from the
     meta gradient, then take a committed step on the corrected labels."""
-    opt.lr = cfg.lr_at(epoch)
-    order = epoch_order(cfg.seed, epoch, train_ds.n)
+    rates = (cfg.lr_at(state.epoch), cfg.momentum, cfg.weight_decay)
+    order = epoch_order(cfg.seed, state.epoch, train_ds.n)
     batches = -(-train_ds.n // cfg.batch_size)
-    meta_rows = iter(_meta_batches(meta_ds.n, cfg.seed, epoch, batches, cfg.batch_size))
+    meta_rows = iter(_meta_batches(meta_ds.n, cfg.seed, state.epoch, batches, cfg.batch_size))
     align_sum = 0.0
 
     # theta only moves at the committed step, so the pass's one forward serves
     # the look-ahead gradient, the label tangent and the committed step
     def batch_loss(ids, probs, cache):
         nonlocal align_sum
-        yhat = store.soft_labels(ids)
+        yhat = state.store.soft_labels(ids)
         if not np.all(np.isfinite(yhat)):
             raise NumericalError("non-finite soft label in the training batch")
         m_idx = next(meta_rows)
         g_meta, g_train = meta_gradient_direction(
-            model, cache, yhat, meta_ds.features[m_idx],
+            state.model, cache, yhat, meta_ds.features[m_idx],
             meta_ds.noisy_labels[m_idx], cfg.alpha)
-        store.apply_label_gradient(
-            ids, label_gradient_along(model, cache, g_meta, cfg.alpha), cfg.beta)
+        state.store.apply_label_gradient(
+            ids, label_gradient_along(state.model, cache, g_meta, cfg.alpha), cfg.beta)
         # mean over (meta sample, train sample) gradient dot products collapses
         # to the dot of the two batch-mean gradients by bilinearity; einsum
         # sums it without BLAS, whose threads would split it and move its bits
         align_sum += float(np.einsum("i,i->", g_meta, g_train))
-        return kl_logit_loss(probs, store.soft_labels(ids), cfg.entropy_weight)
+        return kl_logit_loss(probs, state.store.soft_labels(ids), cfg.entropy_weight)
 
-    train_loss = sgd_pass(model, opt, train_ds.features, order, cfg.batch_size, batch_loss)
-    return _epoch_metrics(epoch, train_loss, align_sum / batches, model, store,
-                          train_ds, meta_ds, test_ds, opt.lr)
+    train_loss = sgd_pass(state.model, state.velocity, rates, train_ds.features, order,
+                          cfg.batch_size, batch_loss)
+    state.epoch += 1
+    return _epoch_metrics(state, cfg, train_loss, align_sum / batches,
+                          train_ds, meta_ds, test_ds)
 
 
 def train(train_ds: LabeledDataset, meta_ds: LabeledDataset, cfg: TrainConfig,
@@ -286,37 +305,30 @@ def train(train_ds: LabeledDataset, meta_ds: LabeledDataset, cfg: TrainConfig,
     With warmup_epochs == total_epochs this *is* the cross-entropy baseline;
     the label store is created but never updated. test_ds is scored every
     epoch for the metrics' test_accuracy and is never trained on.
-    epoch_callback(epoch, model, store, metrics) runs after every epoch.
+    epoch_callback(state, metrics) runs after every epoch, on the advanced state.
     """
     if meta_ds is train_ds:
         raise ValueError("meta set must be disjoint from the training set")
-    if train_ds.n == 0:
-        raise ValueError("training set is empty")
-    if meta_ds.n == 0:
-        raise ValueError("meta set is empty")
-    if (meta_ds.dim, meta_ds.num_classes) != (train_ds.dim, train_ds.num_classes):
-        raise ValueError(
-            f"meta set has {meta_ds.dim} features and {meta_ds.num_classes} classes, "
-            f"training set has {train_ds.dim} and {train_ds.num_classes}")
+    for name, ds in (("training", train_ds), ("meta", meta_ds), ("test", test_ds)):
+        if ds.n == 0:
+            raise ValueError(f"{name} set is empty")
+        if (ds.dim, ds.num_classes) != (train_ds.dim, train_ds.num_classes):
+            raise ValueError(
+                f"{name} set has {ds.dim} features and {ds.num_classes} classes, "
+                f"training set has {train_ds.dim} and {train_ds.num_classes}")
     meta_y = meta_ds.noisy_labels
     bad = (meta_y < 0) | (meta_y >= meta_ds.num_classes)
     if bad.any():
         raise ValueError(f"meta label {meta_y[bad.argmax()]} out of range "
                          f"[0, {meta_ds.num_classes})")
-    model = Mlp((train_ds.dim, *cfg.hidden_sizes, train_ds.num_classes),
-                Rng(cfg.seed, ROLE_INIT))
-    store = SoftLabelStore.init_from_noisy(train_ds.noisy_labels,
-                                           train_ds.num_classes, cfg.k_init)
-    opt = SgdState(lr=cfg.lr_at(0), momentum=cfg.momentum,
-                   weight_decay=cfg.weight_decay)
+    state = RunState.initial(cfg, train_ds)
     history: list[EpochMetrics] = []
-    for epoch in range(cfg.total_epochs):
-        run_epoch = warmup_epoch if epoch < cfg.warmup_epochs else mslg_epoch
-        m = run_epoch(model, train_ds, store, opt, cfg, epoch, meta_ds, test_ds)
-        history.append(m)
+    while state.epoch < cfg.total_epochs:
+        run_epoch = warmup_epoch if state.epoch < cfg.warmup_epochs else mslg_epoch
+        history.append(run_epoch(state, cfg, train_ds, meta_ds, test_ds))
         if epoch_callback is not None:
-            epoch_callback(epoch, model, store, m)
-    return model, store, history
+            epoch_callback(state, history[-1])
+    return state.model, state.store, history
 
 
 # -- metrics CSV ------------------------------------------------------------------

@@ -26,11 +26,12 @@ import numpy as np
 from mslg.datasets import LabeledDataset
 from mslg.linalg import softmax
 from mslg.losses import cce_loss
-from mslg.model import Mlp, SgdState, sgd_step
+from mslg.model import Mlp, sgd_step
 from mslg.rng import Rng
 from mslg.soft_labels import SoftLabelStore
-from mslg.trainer import (accuracy, epoch_order, kl_logit_loss, label_gradient_along,
-                          meta_gradient_direction, recovery_rate, training_loss_grad)
+from mslg.trainer import (RunState, accuracy, epoch_order, kl_logit_loss,
+                          label_gradient_along, meta_gradient_direction, recovery_rate,
+                          training_loss_grad)
 
 
 def grad_errors(analytic, reference, rel=1e-4, abs_floor=1e-8):
@@ -144,25 +145,21 @@ def brute_force_logit_grad(model, x, logits, meta_x, meta_y, alpha, h=1e-4):
 
 def frozen_soft_ce_run(train_ds, meta_ds, test_ds, cfg):
     """Soft cross-entropy on the frozen initial labels, from the trainer's
-    initial model and epoch orders: (model, store, per-epoch (train loss,
-    meta loss, test accuracy, label recovery))."""
-    model = Mlp((train_ds.dim, *cfg.hidden_sizes, train_ds.num_classes),
-                Rng(cfg.seed, 0))
-    store = SoftLabelStore.init_from_noisy(train_ds.noisy_labels,
-                                           train_ds.num_classes, cfg.k_init)
+    initial state (`RunState.initial`) and epoch orders: (model, store,
+    per-epoch (train loss, meta loss, test accuracy, label recovery))."""
+    state = RunState.initial(cfg, train_ds)
+    model, store, velocity = state.model, state.store, state.velocity
     frozen = store.soft_labels()
-    opt = SgdState(lr=cfg.lr_at(0), momentum=cfg.momentum,
-                   weight_decay=cfg.weight_decay)
     history = []
     for epoch in range(cfg.total_epochs):
-        opt.lr = cfg.lr_at(epoch)
+        rates = (cfg.lr_at(epoch), cfg.momentum, cfg.weight_decay)
         order = epoch_order(cfg.seed, epoch, train_ds.n)
         loss_sum = 0.0
         for start in range(0, train_ds.n, cfg.batch_size):
             ids = order[start:start + cfg.batch_size]
             probs, cache = model.forward(train_ds.features[ids])
             loss, dz = kl_logit_loss(probs, frozen[ids])
-            sgd_step(model, model.backward(cache, dz), opt)
+            sgd_step(model, model.backward(cache, dz), velocity, *rates)
             loss_sum += loss * ids.size
         meta_loss = cce_loss(model.predict(meta_ds.features),
                              meta_ds.noisy_labels).scalar

@@ -27,7 +27,7 @@ from mslg.datasets import (
     split,
 )
 from mslg.losses import PROB_FLOOR, cce_logit_loss
-from mslg.model import Mlp, SgdState, sgd_step
+from mslg.model import Mlp, sgd_step
 from mslg.rng import Rng
 
 from helpers import disk_fills_mid_write, idx_images_bytes, idx_labels_bytes
@@ -44,13 +44,14 @@ def _sgd_fit(x, y, sizes, epochs, seed):
     orders from the streams Rng(seed, 101) and Rng(seed, 102), batch 32,
     learning rate 0.1, momentum 0.9, on `cce_logit_loss`'s gradient."""
     model = Mlp(sizes, Rng(seed, 101))
-    opt, orders = SgdState(lr=0.1, momentum=0.9), Rng(seed, 102)
+    velocity, orders = np.zeros(model.num_params), Rng(seed, 102)
     for _ in range(epochs):
         order = orders.permutation(len(y))
         for start in range(0, len(y), 32):
             idx = order[start:start + 32]
             probs, cache = model.forward(x[idx])
-            sgd_step(model, model.backward(cache, cce_logit_loss(probs, y[idx])[1]), opt)
+            grad = model.backward(cache, cce_logit_loss(probs, y[idx])[1])
+            sgd_step(model, grad, velocity, 0.1, 0.9, 0.0)
     return model
 
 

@@ -133,9 +133,10 @@ def test_rng_uniform_mean_law_of_large_numbers():
 
 
 def test_rng_choice_empty_set_errors():
-    with pytest.raises(ValueError, match="empty"):
+    # numpy's own refusals: Rng.choice adds no check of its own
+    with pytest.raises(ValueError, match="a must be a positive integer"):
         Rng(0).choice(0)
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(ValueError, match="a cannot be empty"):
         Rng(0).choice([])
 
 

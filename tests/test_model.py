@@ -1,4 +1,6 @@
 import ast
+import copy
+import pickle
 import struct
 import tempfile
 import tracemalloc
@@ -21,7 +23,7 @@ from mslg.losses import (
     kl_loss_v2,
 )
 from mslg.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, PREDICT_ROWS, CheckpointError,
-                        Mlp, NumericalError, SgdState, sgd_pass, sgd_step)
+                        Mlp, NumericalError, sgd_pass, sgd_step)
 from mslg.rng import Rng
 
 from helpers import (FailingArray, assert_grads_close, fd_param_grad, kink_free_batch,
@@ -231,7 +233,8 @@ def test_backward_linearity():
 def test_backward_stale_cache_rejected():
     model = _tiny_net(12)
     probs, cache = model.forward(Rng(13).normal(size=(2, 2)))
-    sgd_step(model, model.backward(cache, np.ones_like(probs)), SgdState(lr=0.1))
+    sgd_step(model, model.backward(cache, np.ones_like(probs)), np.zeros(model.num_params),
+             0.1, 0.0, 0.0)
     with pytest.raises(ValueError, match="stale"):
         model.backward(cache, np.ones_like(probs))
 
@@ -274,14 +277,14 @@ def _const_grads(model, value):
 def test_sgd_zero_lr_leaves_params():
     model = _tiny_net(14)
     before = model.params.copy()
-    sgd_step(model, _const_grads(model, 1.0), SgdState(lr=0.0, momentum=0.9))
+    sgd_step(model, _const_grads(model, 1.0), np.zeros(model.num_params), 0.0, 0.9, 0.0)
     assert np.array_equal(model.params, before)
 
 
 def test_sgd_plain_reduction():
     model = _tiny_net(15)
     before = model.params.copy()
-    sgd_step(model, _const_grads(model, 0.5), SgdState(lr=0.1))
+    sgd_step(model, _const_grads(model, 0.5), np.zeros(model.num_params), 0.1, 0.0, 0.0)
     assert np.allclose(model.params, before - 0.1 * 0.5, atol=1e-15)
 
 
@@ -289,9 +292,9 @@ def test_sgd_momentum_two_steps_displacement():
     # v1 = g, v2 = 0.9 g + g = 1.9 g -> total displacement lr*g*(1 + 1.9)
     model = _tiny_net(16)
     before = model.params.copy()
-    opt = SgdState(lr=0.2, momentum=0.9, weight_decay=0.0)
-    sgd_step(model, _const_grads(model, 1.0), opt)
-    sgd_step(model, _const_grads(model, 1.0), opt)
+    velocity = np.zeros(model.num_params)
+    sgd_step(model, _const_grads(model, 1.0), velocity, 0.2, 0.9, 0.0)
+    sgd_step(model, _const_grads(model, 1.0), velocity, 0.2, 0.9, 0.0)
     assert np.allclose(model.params, before - 0.2 * (1.0 + 1.9), atol=1e-12)
 
 
@@ -300,8 +303,7 @@ def test_sgd_weight_decay_order():
     model = Mlp((1, 1))
     model.weights[0][...] = 2.0
     model.biases[0][...] = 1.0
-    sgd_step(model, np.array([1.0, 0.5]),
-             SgdState(lr=0.1, momentum=0.0, weight_decay=0.01))
+    sgd_step(model, np.array([1.0, 0.5]), np.zeros(2), 0.1, 0.0, 0.01)
     assert model.weights[0][0, 0] == pytest.approx(2.0 - 0.1 * (1.0 + 0.02), abs=1e-15)
     assert model.biases[0][0] == pytest.approx(1.0 - 0.1 * (0.5 + 0.01), abs=1e-15)
 
@@ -310,10 +312,11 @@ def test_sgd_nonfinite_gradient_aborts():
     model = _tiny_net(17)
     grads = _const_grads(model, 1.0)
     grads[0] = np.nan  # first entry of layer 0's weights
-    before = model.params.copy()
+    before, velocity = model.params.copy(), np.full(model.num_params, 0.5)
     with pytest.raises(NumericalError, match="layer 0"):
-        sgd_step(model, grads, SgdState(lr=0.1))
+        sgd_step(model, grads, velocity, 0.1, 0.9, 0.0)
     assert np.array_equal(model.params, before)
+    assert np.all(velocity == 0.5)
 
 
 def test_sgd_rejects_gradient_of_wrong_length():
@@ -321,7 +324,7 @@ def test_sgd_rejects_gradient_of_wrong_length():
     before = model.params.copy()
     for bad in (np.ones(1), np.ones(model.num_params + 1)):
         with pytest.raises(ValueError, match="gradient shape"):
-            sgd_step(model, bad, SgdState(lr=0.1))
+            sgd_step(model, bad, np.zeros(model.num_params), 0.1, 0.0, 0.0)
     assert np.array_equal(model.params, before)
 
 
@@ -331,19 +334,20 @@ def test_sgd_nonfinite_gradient_names_its_layer():
     grads = _const_grads(model, 1.0)
     grads[-1] = np.inf
     with pytest.raises(NumericalError, match="layer 1"):
-        sgd_step(model, grads, SgdState(lr=0.1))
+        sgd_step(model, grads, np.zeros(model.num_params), 0.1, 0.0, 0.0)
 
 
 def test_sgd_bitwise_reproducible():
     def run():
         model = _tiny_net(18)
-        opt = SgdState(lr=0.05, momentum=0.9, weight_decay=1e-4)
+        velocity = np.zeros(model.num_params)
         x = Rng(19).normal(size=(8, 2))
         y = Rng(20).integers(0, 2, size=8)
         for _ in range(5):
             probs, cache = model.forward(x)
             lv = cce_loss(probs, y)
-            sgd_step(model, model.backward(cache, lv.grad_wrt_predictions), opt)
+            sgd_step(model, model.backward(cache, lv.grad_wrt_predictions), velocity,
+                     0.05, 0.9, 1e-4)
         return model.params
 
     assert np.array_equal(run(), run())
@@ -365,18 +369,19 @@ def test_sgd_pass_steps_each_batch_of_order_in_turn():
         return losses[len(seen) - 1], cce_logit_grad(probs, y[ids])
 
     model = _tiny_net(22)
-    opt = SgdState(lr=0.1, momentum=0.9, weight_decay=1e-4)
-    mean = sgd_pass(model, opt, x, order, 2, batch_loss)
+    velocity = np.zeros(model.num_params)
+    mean = sgd_pass(model, velocity, (0.1, 0.9, 1e-4), x, order, 2, batch_loss)
     assert seen == [[3, 0], [4, 1], [2]]
     assert mean == (2 * losses[0] + 2 * losses[1] + losses[2]) / 5
 
     reference = _tiny_net(22)
-    ref_opt = SgdState(lr=0.1, momentum=0.9, weight_decay=1e-4)
+    ref_velocity = np.zeros(reference.num_params)
     for ids in seen:
         probs, cache = reference.forward(x[ids])
-        sgd_step(reference, reference.backward(cache, cce_logit_grad(probs, y[ids])), ref_opt)
+        grad = reference.backward(cache, cce_logit_grad(probs, y[ids]))
+        sgd_step(reference, grad, ref_velocity, 0.1, 0.9, 1e-4)
     assert np.array_equal(model.params, reference.params)
-    assert np.array_equal(opt.velocity, ref_opt.velocity)
+    assert np.array_equal(velocity, ref_velocity)
 
 
 def _sgd_step_uses():
@@ -402,6 +407,22 @@ def test_sgd_step_is_used_only_inside_sgd_pass():
     # every training loop steps through sgd_pass; a method supplies its batch
     # loss and does not copy the loop
     assert _sgd_step_uses() == [("model", "sgd_pass")]
+
+
+@pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+                         ids=["deepcopy", "pickle"])
+def test_a_copied_model_predicts_with_the_params_it_trains(duplicate):
+    # the copy's weight and bias views must read its own params, or an SGD step
+    # on the copy moves params that its forward never reads
+    model = _tiny_net(71, sizes=(2, 4, 3, 2))
+    dup = duplicate(model)
+    assert all(np.shares_memory(v, dup.params) for v in dup.weights + dup.biases)
+    assert not np.shares_memory(dup.params, model.params)
+    dup.params += 1.0
+    x = Rng(72).normal(size=(5, 2))
+    expected = model.perturbed(np.ones(model.num_params), 1.0).forward(x)[0]
+    assert np.array_equal(dup.forward(x)[0], expected)
+    assert np.array_equal(model.params + 1.0, dup.params)
 
 
 # -- perturb / flatten ---------------------------------------------------------------
@@ -516,7 +537,8 @@ def test_tangent_stale_or_foreign_cache_rejected():
     direction = np.ones(model.num_params)
     with pytest.raises(ValueError, match="stale"):
         _tiny_net(67).tangent(cache, direction)
-    sgd_step(model, model.backward(cache, np.ones_like(probs)), SgdState(lr=0.1))
+    sgd_step(model, model.backward(cache, np.ones_like(probs)), np.zeros(model.num_params),
+             0.1, 0.0, 0.0)
     with pytest.raises(ValueError, match="stale"):
         model.tangent(cache, direction)
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import os
 import subprocess
@@ -21,11 +22,12 @@ from mslg.datasets import (
 )
 from mslg.linalg import softmax, softmax_backward
 from mslg.losses import PROB_FLOOR, cce_loss, classification_objective, kl_loss_v2
-from mslg.model import Mlp, NumericalError, SgdState
+from mslg.model import Mlp, NumericalError
 from mslg.rng import ROLE_META, Rng
 from mslg.soft_labels import SoftLabelStore
 from mslg.trainer import (
     EpochMetrics,
+    RunState,
     TrainConfig,
     accuracy,
     cce_logit_loss,
@@ -214,17 +216,14 @@ def test_logit_label_update_equals_the_probability_space_pull_back():
 def test_nonfinite_label_logit_aborts_mslg_batch_before_parameters_move(bad):
     train_ds, meta_ds, test_ds = _blob_setting(seed=6)
     cfg = _warm_cfg(warmup_epochs=0, total_epochs=1)
-    model = Mlp((2, *cfg.hidden_sizes, 3), Rng(cfg.seed, 0))
-    store = SoftLabelStore.init_from_noisy(train_ds.noisy_labels, 3, cfg.k_init)
+    state = RunState.initial(cfg, train_ds)
     first_batch = epoch_order(cfg.seed, 0, train_ds.n)[:cfg.batch_size]
-    store.logits[first_batch[3], 1] = bad
-    before = model.params.copy()
-    opt = SgdState(lr=cfg.lr_at(0), momentum=cfg.momentum,
-                   weight_decay=cfg.weight_decay)
+    state.store.logits[first_batch[3], 1] = bad
+    before = state.model.params.copy()
     with pytest.raises(NumericalError, match="soft label"), np.errstate(invalid="ignore"):
-        mslg_epoch(model, train_ds, store, opt, cfg, 0, meta_ds, test_ds)
-    assert np.array_equal(model.params, before)
-    assert opt.velocity is None
+        mslg_epoch(state, cfg, train_ds, meta_ds, test_ds)
+    assert np.array_equal(state.model.params, before)
+    assert not state.velocity.any()  # no step was taken
 
 
 # per MSLG batch, backward runs for g_train, then g_meta, then the committed
@@ -238,9 +237,8 @@ def test_nonfinite_gradient_aborts_mslg_batch_before_labels_move(monkeypatch, me
                                                                    call, message):
     train_ds, meta_ds, test_ds = _blob_setting(seed=6)
     cfg = _warm_cfg(warmup_epochs=0, total_epochs=1)
-    model = Mlp((2, *cfg.hidden_sizes, 3), Rng(cfg.seed, 0))
-    store = SoftLabelStore.init_from_noisy(train_ds.noisy_labels, 3, cfg.k_init)
-    before = store.logits.copy()
+    state = RunState.initial(cfg, train_ds)
+    before = state.store.logits.copy()
     original, calls = getattr(Mlp, method), [0]
 
     def poisoned(self, *args):
@@ -248,12 +246,10 @@ def test_nonfinite_gradient_aborts_mslg_batch_before_labels_move(monkeypatch, me
         out = original(self, *args)
         return np.full_like(out, np.nan) if calls[0] == call else out
     monkeypatch.setattr(Mlp, method, poisoned)
-    opt = SgdState(lr=cfg.lr_at(0), momentum=cfg.momentum,
-                   weight_decay=cfg.weight_decay)
     with pytest.raises(NumericalError) as exc:
-        mslg_epoch(model, train_ds, store, opt, cfg, 0, meta_ds, test_ds)
+        mslg_epoch(state, cfg, train_ds, meta_ds, test_ds)
     assert str(exc.value) == message
-    assert np.array_equal(store.logits, before)
+    assert np.array_equal(state.store.logits, before)
 
 
 # -- gradient alignment ---------------------------------------------------------------
@@ -314,11 +310,7 @@ def test_mean_grad_alignment_is_the_mean_over_the_epochs_batches(monkeypatch):
         return g_meta, g_train
 
     monkeypatch.setattr(mslg.trainer, "meta_gradient_direction", recording)
-    model = Mlp((2, *cfg.hidden_sizes, 3), Rng(cfg.seed, 0))
-    store = SoftLabelStore.init_from_noisy(train_ds.noisy_labels, 3, cfg.k_init)
-    opt = SgdState(lr=cfg.lr_at(0), momentum=cfg.momentum,
-                   weight_decay=cfg.weight_decay)
-    metrics = mslg_epoch(model, train_ds, store, opt, cfg, 0, meta_ds, test_ds)
+    metrics = mslg_epoch(RunState.initial(cfg, train_ds), cfg, train_ds, meta_ds, test_ds)
     assert len(pairs) == 7 and train_ds.n == 210
     expected = float(np.mean([np.sum(g_meta * g_train) for g_meta, g_train in pairs]))
     assert expected != 0.0
@@ -405,12 +397,11 @@ def _warm_cfg(**kw):
 def test_warmup_zero_lr_leaves_parameters():
     train_ds, meta_ds, test_ds = _blob_setting()
     cfg = _warm_cfg(lambda_schedule=((0, 0.0),))
-    model = Mlp((2, 16, 3), Rng(0, 0))
-    before = model.params.copy()
-    store = SoftLabelStore.init_from_noisy(train_ds.noisy_labels, 3, cfg.k_init)
-    opt = SgdState(lr=0.0, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
-    metrics = warmup_epoch(model, train_ds, store, opt, cfg, 0, meta_ds, test_ds)
-    assert np.array_equal(model.params, before)
+    state = RunState.initial(cfg, train_ds)
+    before = state.model.params.copy()
+    metrics = warmup_epoch(state, cfg, train_ds, meta_ds, test_ds)
+    assert np.array_equal(state.model.params, before)
+    assert state.epoch == 1
     assert isinstance(metrics, EpochMetrics)
     assert metrics.train_loss > 0.0
     assert 0.0 <= metrics.test_accuracy <= 1.0
@@ -493,10 +484,7 @@ def test_mslg_batch_runs_two_forwards_three_backwards_one_tangent(monkeypatch):
     # The per-epoch evaluation in _epoch_metrics is not counted.
     train_ds, meta_ds, test_ds = _blob_setting(seed=6)
     cfg = _warm_cfg(warmup_epochs=0, total_epochs=1)
-    model = Mlp((2, *cfg.hidden_sizes, 3), Rng(cfg.seed, 0))
-    store = SoftLabelStore.init_from_noisy(train_ds.noisy_labels, 3, cfg.k_init)
-    opt = SgdState(lr=cfg.lr_at(0), momentum=cfg.momentum,
-                   weight_decay=cfg.weight_decay)
+    state = RunState.initial(cfg, train_ds)
     counts = {"forward": 0, "backward": 0, "tangent": 0}
     counting = [True]
 
@@ -521,7 +509,7 @@ def test_mslg_batch_runs_two_forwards_three_backwards_one_tangent(monkeypatch):
             counting[0] = True
     monkeypatch.setattr(mslg.trainer, "_epoch_metrics", uncounted)
 
-    mslg_epoch(model, train_ds, store, opt, cfg, 0, meta_ds, test_ds)
+    mslg_epoch(state, cfg, train_ds, meta_ds, test_ds)
     batches = -(-train_ds.n // cfg.batch_size)
     assert batches > 1
     assert counts == {"forward": 2 * batches, "backward": 3 * batches,
@@ -555,9 +543,8 @@ def test_meta_batches_differ_across_epochs():
 def test_mslg_epoch_draws_meta_row_k_for_batch_k(monkeypatch):
     train_ds, meta_ds, test_ds = _blob_setting(seed=6)
     cfg = _warm_cfg(warmup_epochs=0, total_epochs=1)
-    model = Mlp((2, *cfg.hidden_sizes, 3), Rng(cfg.seed, 0))
-    store = SoftLabelStore.init_from_noisy(train_ds.noisy_labels, 3, cfg.k_init)
-    opt = SgdState(lr=cfg.lr_at(0))
+    state = RunState.initial(cfg, train_ds)
+    state.epoch = 4
     seen = []
     original = mslg.trainer.meta_gradient_direction
 
@@ -566,7 +553,7 @@ def test_mslg_epoch_draws_meta_row_k_for_batch_k(monkeypatch):
         return original(model, cache, yhat, meta_x, meta_y, alpha)
     monkeypatch.setattr(mslg.trainer, "meta_gradient_direction", recording)
 
-    mslg_epoch(model, train_ds, store, opt, cfg, 4, meta_ds, test_ds)
+    mslg_epoch(state, cfg, train_ds, meta_ds, test_ds)
     rows = _meta_batches(meta_ds.n, cfg.seed, 4, len(seen), cfg.batch_size)
     assert len(seen) == -(-train_ds.n // cfg.batch_size)
     for (meta_x, meta_y), row in zip(seen, rows):
@@ -594,6 +581,45 @@ def test_label_recovery_on_feature_dependent_noise():
     assert final > 0.0
     corrupted = int(train_ds.corrupted_mask().sum())
     assert corrupted == round(0.4 * train_ds.n)
+
+
+# -- run state ---------------------------------------------------------------------
+
+
+def _continue(state, cfg, train_ds, meta_ds, test_ds):
+    """Run the epoch functions from `state` to the end, as `train` does."""
+    history = []
+    while state.epoch < cfg.total_epochs:
+        run_epoch = warmup_epoch if state.epoch < cfg.warmup_epochs else mslg_epoch
+        history.append(run_epoch(state, cfg, train_ds, meta_ds, test_ds))
+    return history
+
+
+# (warmup, total, the epoch after which the state is copied)
+@pytest.mark.parametrize("warmup, total, after", [(3, 6, 2), (3, 6, 3), (3, 6, 4), (4, 4, 1)],
+                         ids=["mslg-last-warmup", "mslg-first-mslg", "mslg-inside",
+                              "ce-inside-warmup"])
+def test_a_copied_run_state_continues_bit_for_bit(warmup, total, after):
+    # the state handed to the epoch callback holds everything the rest of the
+    # run reads: a deepcopy of it, continued, ends bit-equal to the whole run
+    train_ds, meta_ds, test_ds = _blob_setting(seed=3, noise=0.3)
+    cfg = _warm_cfg(warmup_epochs=warmup, total_epochs=total, beta=20.0)
+    saved = {}
+
+    def save(state, metrics):
+        assert metrics.epoch == state.epoch - 1  # the state is the next epoch's
+        saved[state.epoch] = copy.deepcopy(state)
+
+    model, store, history = train(train_ds, meta_ds, cfg, test_ds, epoch_callback=save)
+    resumed = saved[after + 1]
+    rest = _continue(resumed, cfg, train_ds, meta_ds, test_ds)
+    assert len(rest) == total - after - 1 and rest == history[after + 1:]
+    assert resumed.epoch == total
+    assert np.array_equal(resumed.model.params, model.params)
+    assert np.array_equal(resumed.velocity, saved[total].velocity)
+    assert np.array_equal(resumed.store.logits, store.logits)
+    if warmup < total:
+        assert not np.array_equal(store.logits, saved[1].store.logits)  # labels moved
 
 
 # -- config ------------------------------------------------------------------------
@@ -668,6 +694,28 @@ def test_train_rejects_meta_set_of_other_shape():
                                   meta_ds.noisy_labels, 4)
     with pytest.raises(ValueError, match="classes"):
         train(train_ds, more_classes, _warm_cfg(), test_ds)
+
+
+def test_train_checks_the_test_split_before_building_the_model(monkeypatch):
+    # the test split is scored after every epoch, so it is checked with the
+    # meta split, before the run state (and its model) is built
+    train_ds, meta_ds, test_ds = _blob_setting()
+
+    def no_state(*args, **kwargs):
+        raise AssertionError("the run state was built before the test split was checked")
+    monkeypatch.setattr(mslg.trainer.RunState, "initial", no_state)
+    wider = LabeledDataset(np.hstack([test_ds.features, test_ds.features]),
+                           test_ds.true_labels, test_ds.noisy_labels, 3)
+    with pytest.raises(ValueError, match="test set has 4 features and 3 classes"):
+        train(train_ds, meta_ds, _warm_cfg(), wider)
+    more_classes = LabeledDataset(test_ds.features, test_ds.true_labels,
+                                  test_ds.noisy_labels, 4)
+    with pytest.raises(ValueError, match="test set has 2 features and 4 classes"):
+        train(train_ds, meta_ds, _warm_cfg(), more_classes)
+    # an empty test split would score every epoch's test accuracy as NaN
+    empty = LabeledDataset(np.zeros((0, 2)), np.zeros(0), np.zeros(0), 3)
+    with pytest.raises(ValueError, match="test set is empty"):
+        train(train_ds, meta_ds, _warm_cfg(), empty)
 
 
 def test_train_rejects_meta_label_out_of_range_before_training(monkeypatch):
