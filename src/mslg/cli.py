@@ -346,10 +346,15 @@ def cmd_train(args) -> int:
     }
     _write_json(out / "manifest.json", manifest)
 
+    slbl_version = -1  # the store version last_good.slbl holds
+
     def on_epoch(state, metrics):
+        nonlocal slbl_version
         metrics_csv.write(metrics_csv_row(metrics))
         state.model.save(out / "last_good.ckpt")
-        state.store.save(out / "last_good.slbl")
+        if state.store.version != slbl_version:  # else the file holds these labels
+            state.store.save(out / "last_good.slbl")
+            slbl_version = state.store.version
 
     # one line-buffered handle: each row reaches the OS as its epoch ends
     with open(out / "metrics.csv", "w", encoding="utf-8", newline="",

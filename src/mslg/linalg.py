@@ -32,9 +32,9 @@ def softmax(v) -> np.ndarray:
     here (losses add their own floors where they take logs).
     """
     arr = np.asarray(v, dtype=np.float64)
-    shifted = arr - arr.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = arr - arr.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    return np.divide(e, e.sum(axis=-1, keepdims=True), out=e)
 
 
 def softmax_backward(s, upstream) -> np.ndarray:

@@ -167,8 +167,9 @@ def cce_logit_grad(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
 def cce_logit_loss(probs: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     """Cross entropy against hard labels, batch mean: (scalar, dL/dz), the
     gradient of `cce_logit_grad`."""
-    picked = probs[np.arange(probs.shape[0]), y]
-    return float(-np.mean(np.log(np.maximum(picked, PROB_FLOOR)))), cce_logit_grad(probs, y)
+    b = probs.shape[0]
+    picked = probs[np.arange(b), y]
+    return float(-(np.log(np.maximum(picked, PROB_FLOOR)).sum() / b)), cce_logit_grad(probs, y)
 
 
 def kl_logit_loss(probs: np.ndarray, yhat: np.ndarray,

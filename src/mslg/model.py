@@ -12,11 +12,11 @@ the probabilities, and nothing else. `backward` and `tangent` take the ReLU
 mask of hidden layer i as `acts[i + 1] > 0`, which equals the pre-activation's
 `> 0` for every float, NaN and -0.0 included.
 
-The parameters live in one contiguous float64 vector `params`; `weights[i]`
-and `biases[i]` are reshaped views into it, in a `copy.deepcopy` or `pickle`
-copy too. Its order, shared by gradients, the SGD velocity and checkpoints:
-all weight matrices in layer order, each row-major, then all bias vectors in
-layer order.
+The parameters live in one contiguous float64 vector `params`, cut by a
+block table that `copy` shares and `backward` writes its gradient through;
+`weights[i]` and `biases[i]` are reshaped views into it, in a `copy.deepcopy`
+or `pickle` copy too. Its order, shared by gradients, the SGD velocity and
+checkpoints: weight matrices in layer order, each row-major, then biases.
 """
 
 from __future__ import annotations
@@ -100,8 +100,8 @@ class Mlp:
         self.weights, self.biases = self.views(self.params)
 
     def copy(self) -> "Mlp":
-        dup = Mlp(self.layer_sizes)
-        dup.params[...] = self.params
+        dup = Mlp.__new__(Mlp)  # shares the block table that `__init__` would rebuild
+        dup.__setstate__({**self.__dict__, "params": self.params.copy(), "_version": 0})
         return dup
 
     def perturbed(self, direction: np.ndarray, eps: float) -> "Mlp":
@@ -130,13 +130,14 @@ class Mlp:
                 f"input has {x.shape[1]} features, model expects {self.layer_sizes[0]}"
             )
         acts = [x]  # each layer's input
-        for i in range(self.num_layers):
-            z = acts[-1] @ self.weights[i]
-            z += self.biases[i]
-            if i < self.num_layers - 1:
+        last = len(self.weights) - 1
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            z = acts[-1] @ w
+            z += b
+            if i < last:
                 acts.append(np.maximum(z, 0.0, out=z))
         probs = softmax(z)
-        if not np.all(np.isfinite(probs)):
+        if not np.isfinite(probs).all():
             raise NumericalError("forward produced non-finite probabilities")
         cache = {"model": self, "version": self._version, "acts": acts, "probs": probs}
         return probs, cache
@@ -163,13 +164,14 @@ class Mlp:
                 f"dL_dz shape {dz.shape} does not match forward output {cache['probs'].shape}"
             )
         grad = np.empty(self.num_params)
-        dws, dbs = self.views(grad)
-        for i in range(self.num_layers - 1, -1, -1):
-            np.matmul(cache["acts"][i].T, dz, out=dws[i])
-            dz.sum(axis=0, out=dbs[i])
+        acts, n = cache["acts"], len(self.weights)
+        for i in range(n - 1, -1, -1):
+            (w_at, w_shape), (b_at, _) = self._blocks[i], self._blocks[n + i]
+            np.matmul(acts[i].T, dz, out=grad[w_at].reshape(w_shape))
+            dz.sum(axis=0, out=grad[b_at])
             if i > 0:
-                da = dz @ self.weights[i].T
-                dz = da * (cache["acts"][i] > 0.0)
+                dz = dz @ self.weights[i].T
+                dz *= acts[i] > 0.0
         return grad
 
     def tangent(self, cache: dict, direction: np.ndarray) -> np.ndarray:
@@ -253,8 +255,9 @@ def sgd_step(model: Mlp, grad: np.ndarray, velocity: np.ndarray, lr: float,
                      if not (w.all() and b.all()))
         raise NumericalError(f"non-finite gradient in layer {layer}")
     velocity *= momentum
-    velocity += grad + weight_decay * model.params
-    model.params -= lr * velocity
+    step = weight_decay * model.params  # one temporary, reused for lr*velocity
+    velocity += np.add(grad, step, out=step)
+    model.params -= np.multiply(lr, velocity, out=step)
     model._version += 1
 
 

@@ -3,8 +3,8 @@
 Each training sample owns a row of unconstrained logits; the softmax of a row
 is the sample's soft label. Updates are gradients with respect to the logits
 and land on them directly, so the derived labels stay valid distributions no
-matter how far the logits drift. Logits start at K * onehot(noisy label),
-which makes the initial soft labels a sharpened copy of the noisy labels.
+matter how far the logits drift. Logits start at K * onehot(noisy label); at
+a K > 0 that `check_k` accepts, each initial label peaks at its noisy label.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ class SoftLabelStore:
         if self.logits.ndim != 2:
             raise ValueError(f"logits must be (N, C), got shape {self.logits.shape}")
         self.k = float(k)
+        self.version = 0  # apply_label_gradient, which alone moves the logits, bumps it
 
     @property
     def n(self) -> int:
@@ -41,11 +42,20 @@ class SoftLabelStore:
     def num_classes(self) -> int:
         return self.logits.shape[1]
 
+    @staticmethod
+    def check_k(k: float, name: str) -> None:
+        """Refuse a K > 0 at which softmax loses the noisy label: unless exp(-k)
+        is below 1 - 2**-52, dividing row k * onehot(j)'s (1, exp(-k), ...) by
+        its sum may round both to one value, and the argmax falls to class 0."""
+        if k > 0 and not np.exp(-k) < 1.0 - 2.0 ** -52:
+            raise ValueError(f"{name} {k} is too small: softmax ties the initial labels")
+
     @classmethod
     def init_from_noisy(cls, noisy_labels, num_classes: int,
                         k: float) -> "SoftLabelStore":
-        """logits_i = k * onehot(noisy_i); argmax of the soft label equals the
-        noisy label for any k > 0."""
+        """logits_i = k * onehot(noisy_i); the argmax of the soft label equals
+        the noisy label for every k > 0 that `check_k` accepts."""
+        cls.check_k(k, "k")
         noisy = np.asarray(noisy_labels, dtype=np.int64).ravel()
         c = int(num_classes)
         if np.any(noisy < 0) or np.any(noisy >= c):
@@ -73,7 +83,7 @@ class SoftLabelStore:
     def apply_label_gradient(self, ids, grad_wrt_logits, beta: float) -> int:
         """Descend the selected logits: logits[ids] -= beta * grad_wrt_logits.
         Rows with non-finite gradients are skipped (not zero-filled); returns
-        the number skipped. Other rows are untouched."""
+        the number skipped. Other rows are untouched. Bumps `version`."""
         rows = self._rows(ids)
         grad = np.asarray(grad_wrt_logits, dtype=np.float64)
         if grad.shape != (rows.size, self.num_classes):
@@ -83,6 +93,7 @@ class SoftLabelStore:
         ok = np.all(np.isfinite(grad), axis=1)
         rows_ok = rows[ok]
         self.logits[rows_ok] -= float(beta) * grad[ok]
+        self.version += 1
         return int(rows.size - rows_ok.size)
 
     # -- snapshot io -------------------------------------------------------

@@ -17,7 +17,8 @@ per batch of the epoch's order it runs the forward, asks the stage's batch
 loss for the loss and its gradient with respect to the logits, and commits
 one `sgd_step` at the config's rates. The warm-up's batch loss is
 cross-entropy on the noisy labels; stage two's does steps 1 and 2 and
-returns the loss of step 3.
+returns the loss of step 3. Only stage two moves the labels, so the epoch
+metrics recount label recovery only when the store's version has moved.
 
 The label gradient in step 2 is the mixed second derivative of the training
 loss contracted with the meta gradient. It is computed without any second
@@ -78,7 +79,7 @@ class TrainConfig:
     alpha: float = 0.5            # look-ahead step learning rate
     beta: float = 4000.0          # label learning rate
     lambda_schedule: tuple[tuple[int, float], ...] = ((0, 1e-2), (40, 1e-3), (80, 1e-4))
-    k_init: float = 10.0          # label logit init scale
+    k_init: float = 10.0          # label logit init scale, see SoftLabelStore.check_k
     batch_size: int = 128
     momentum: float = 0.9
     weight_decay: float = 1e-4
@@ -99,6 +100,7 @@ class TrainConfig:
             raise ValueError(f"need alpha > 0 and beta >= 0, got {self.alpha}, {self.beta}")
         if self.k_init <= 0:  # the initial label's argmax is the noisy label only for k > 0
             raise ValueError(f"need k_init > 0, got {self.k_init}")
+        SoftLabelStore.check_k(self.k_init, "k_init")  # and only for a k it accepts
         if self.batch_size < 1 or self.total_epochs < 0:
             raise ValueError(f"need batch_size >= 1 and total_epochs >= 0, "
                              f"got {self.batch_size}, {self.total_epochs}")
@@ -146,6 +148,7 @@ class RunState:
     model: Mlp
     velocity: np.ndarray       # the SGD momentum buffer, in parameter order
     store: SoftLabelStore
+    recovery: tuple[int, float] = (-1, 0.0)  # (store.version, recovery rate) last counted
 
     @classmethod
     def initial(cls, cfg: TrainConfig, train_ds: LabeledDataset) -> "RunState":
@@ -165,7 +168,7 @@ def accuracy(model: Mlp, ds: LabeledDataset) -> float:
 
 def recovery_rate(store: SoftLabelStore, ds: LabeledDataset) -> float:
     """Fraction of corrupted samples whose soft-label argmax equals the hidden
-    true label. Zero right after initialization by construction."""
+    true label; zero after `init_from_noisy`, whose argmax is the noisy label."""
     mask = ds.corrupted_mask()
     if not mask.any():
         return 0.0
@@ -195,12 +198,12 @@ def meta_gradient_direction(model: Mlp, cache: dict, yhat, meta_x, meta_y,
     g_train, and the flat training-batch gradient at theta.
     """
     g_train = training_loss_grad(model, cache, yhat)
-    if not np.all(np.isfinite(g_train)):
+    if not np.isfinite(g_train).all():
         raise NumericalError("meta gradient: non-finite training gradient")
     theta_hat = model.perturbed(g_train, -alpha)
     probs_m, cache_m = theta_hat.forward(meta_x)
     g_meta = theta_hat.backward(cache_m, cce_logit_loss(probs_m, meta_y)[1])
-    if not np.all(np.isfinite(g_meta)):
+    if not np.isfinite(g_meta).all():
         raise NumericalError("meta gradient: non-finite meta gradient")
     return g_meta, g_train
 
@@ -216,7 +219,7 @@ def label_gradient_along(model: Mlp, cache: dict, direction: np.ndarray,
     """
     t = model.tangent(cache, direction)
     out = alpha / t.shape[0] * t
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericalError("label gradient: non-finite tangent")
     return out
 
@@ -245,8 +248,10 @@ def _epoch_metrics(state: RunState, cfg: TrainConfig, train_loss: float, align: 
                    test_ds: LabeledDataset) -> EpochMetrics:
     epoch = state.epoch - 1  # the epoch just trained
     meta_loss = cce_loss(state.model.predict(meta_ds.features), meta_ds.noisy_labels).scalar
+    if state.recovery[0] != state.store.version:  # else no label moved since the last count
+        state.recovery = (state.store.version, recovery_rate(state.store, train_ds))
     return EpochMetrics(epoch, train_loss, meta_loss, accuracy(state.model, test_ds),
-                        recovery_rate(state.store, train_ds), align, cfg.lr_at(epoch))
+                        state.recovery[1], align, cfg.lr_at(epoch))
 
 
 def warmup_epoch(state: RunState, cfg: TrainConfig, train_ds: LabeledDataset,
@@ -276,7 +281,7 @@ def mslg_epoch(state: RunState, cfg: TrainConfig, train_ds: LabeledDataset,
     def batch_loss(ids, probs, cache):
         nonlocal align_sum
         yhat = state.store.soft_labels(ids)
-        if not np.all(np.isfinite(yhat)):
+        if not np.isfinite(yhat).all():
             raise NumericalError("non-finite soft label in the training batch")
         m_idx = next(meta_rows)
         g_meta, g_train = meta_gradient_direction(

@@ -10,6 +10,10 @@ defined once; every caller passes its own inputs, step and tolerance:
   meta loss after the virtual step (`brute_force_logit_grad`);
 - soft cross-entropy on the frozen initial labels (`frozen_soft_ce_run`),
   which stage two equals at beta = 0 and entropy weight 0;
+- the shared per-batch passes written the plain way, with fresh temporaries,
+  per-call views and `np.mean` (`plain_softmax`, `plain_forward`,
+  `plain_backward`, `plain_sgd_step`, `plain_cce_logit_loss`), which the
+  package's lean passes equal bit for bit;
 - IDX fixture files (`idx_images_bytes`, `idx_labels_bytes`);
 - a split of the wide benchmark's test shape (`wide_eval_split`), the
   traced peak of a call (`traced_peak`) and the bound on scoring it
@@ -25,7 +29,7 @@ import numpy as np
 
 from mslg.datasets import LabeledDataset
 from mslg.linalg import softmax
-from mslg.losses import cce_loss
+from mslg.losses import PROB_FLOOR, cce_loss
 from mslg.model import Mlp, sgd_step
 from mslg.rng import Rng
 from mslg.soft_labels import SoftLabelStore
@@ -166,6 +170,57 @@ def frozen_soft_ce_run(train_ds, meta_ds, test_ds, cfg):
         history.append((loss_sum / train_ds.n, meta_loss,
                         accuracy(model, test_ds), recovery_rate(store, train_ds)))
     return model, store, history
+
+
+def plain_softmax(v):
+    """Row-wise softmax with max subtraction, each step a fresh array."""
+    arr = np.asarray(v, dtype=np.float64)
+    shifted = arr - arr.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def plain_forward(model, x):
+    """(probs, acts) of `model` on the batch x: each layer's input, then the
+    softmax of the last layer's output."""
+    acts = [x]
+    for i in range(model.num_layers):
+        z = acts[-1] @ model.weights[i]
+        z += model.biases[i]
+        if i < model.num_layers - 1:
+            acts.append(np.maximum(z, 0.0, out=z))
+    return plain_softmax(z), acts
+
+
+def plain_backward(model, acts, dz):
+    """Flat parameter gradient for dL/dz = dz, written through per-layer views."""
+    grad = np.empty(model.num_params)
+    dws, dbs = model.views(grad)
+    for i in range(model.num_layers - 1, -1, -1):
+        np.matmul(acts[i].T, dz, out=dws[i])
+        dz.sum(axis=0, out=dbs[i])
+        if i > 0:
+            da = dz @ model.weights[i].T
+            dz = da * (acts[i] > 0.0)
+    return grad
+
+
+def plain_sgd_step(params, grad, velocity, lr, momentum, weight_decay):
+    """velocity <- momentum*velocity + (grad + weight_decay*params), then
+    params <- params - lr*velocity, both in place."""
+    velocity *= momentum
+    velocity += grad + weight_decay * params
+    params -= lr * velocity
+
+
+def plain_cce_logit_loss(probs, y):
+    """(batch-mean cross entropy, (f - onehot(y)) / b)."""
+    b = probs.shape[0]
+    picked = probs[np.arange(b), y]
+    dz = probs.copy()
+    dz[np.arange(b), y] -= 1.0
+    dz /= b
+    return float(-np.mean(np.log(np.maximum(picked, PROB_FLOOR)))), dz
 
 
 def idx_images_bytes(images):

@@ -17,7 +17,7 @@ from mslg.datasets import LabeledDataset, load_dataset_csv, split
 from mslg.model import Mlp
 from mslg.rng import Rng
 from mslg.soft_labels import SoftLabelStore
-from mslg.trainer import TrainConfig
+from mslg.trainer import TrainConfig, epoch_order
 
 from helpers import (WIDE_EVAL_PEAK, disk_fills_mid_write, idx_images_bytes, idx_labels_bytes,
                      traced_peak, wide_eval_split)
@@ -428,6 +428,8 @@ _BAD_VALUES = [
     # the initial soft label's argmax is the noisy label only for k > 0
     ("train", ("--k", "0"), "need k_init > 0, got 0.0"),
     ("train", ("--k", "-5"), "need k_init > 0, got -5.0"),
+    # so small a K that softmax ties every initial label, whose argmax falls to 0
+    ("train", ("--k", "1e-17"), "k_init 1e-17 is too small"),
     ("train", ("--seed", "-1"), "bad value for 'seed'"),
     ("train", ("--lambda-schedule", "0:-0.02"), "lambda_schedule rates must be >= 0"),
     ("train", ("--lambda-schedule", "10:0.1"), "lambda_schedule must start at epoch 0, got 10"),
@@ -716,6 +718,78 @@ def test_train_numerical_abort_keeps_last_good(tmp_path, data_dir):
     assert (out / "last_good.ckpt").exists()
     assert not (out / "model.ckpt").exists()
     Mlp.load(out / "last_good.ckpt")  # still a readable checkpoint
+
+
+def _recording_label_saves(monkeypatch):
+    """The file names that SoftLabelStore.save writes, in order."""
+    saved = []
+    save = SoftLabelStore.save
+
+    def recording(store, path):
+        saved.append(Path(path).name)
+        save(store, path)
+    monkeypatch.setattr(SoftLabelStore, "save", recording)
+    return saved
+
+
+def test_ce_train_writes_each_label_snapshot_once(tmp_path, data_dir, monkeypatch):
+    # no CE epoch moves the labels, so last_good.slbl is written after the
+    # first epoch only, and it holds what labels.slbl holds
+    saved = _recording_label_saves(monkeypatch)
+    out = tmp_path / "run"
+    assert run_cli("train", "--data", data_dir, "--out", out, "--method", "ce",
+                   *TRAIN_FAST) == EXIT_OK
+    assert saved == ["last_good.slbl", "labels.slbl"]
+    assert (out / "last_good.slbl").read_bytes() == (out / "labels.slbl").read_bytes()
+
+
+@pytest.mark.parametrize("warmup", [1, 2, 5])
+def test_mslg_train_rewrites_last_good_labels_after_each_mslg_epoch(tmp_path, data_dir,
+                                                                   monkeypatch, warmup):
+    # once after the first warm-up epoch, once after each of the 6 - warmup
+    # label-correction epochs, and labels.slbl at the end
+    saved = _recording_label_saves(monkeypatch)
+    out = tmp_path / "run"
+    assert run_cli("train", "--data", data_dir, "--out", out, "--method", "mslg",
+                   *TRAIN_FAST, "--warmup-epochs", warmup) == EXIT_OK
+    assert saved == ["last_good.slbl"] * (1 + 6 - warmup) + ["labels.slbl"]
+    assert (out / "last_good.slbl").read_bytes() == (out / "labels.slbl").read_bytes()
+
+
+@pytest.mark.parametrize("warmup", [4, 2], ids=["warm-up", "mslg"])
+def test_numerical_abort_keeps_the_labels_of_the_last_completed_epoch(tmp_path, data_dir,
+                                                                      monkeypatch, warmup):
+    # after epoch 4 of a 2-epoch warm-up (or epoch 2 of a 4-epoch one) a NaN
+    # goes where the next epoch reads it: into the label row of that epoch's
+    # last sample, so MSLG moves the other batches' labels before it aborts,
+    # or into the model, so the warm-up aborts on its first forward
+    completes = 6 - warmup
+    completed, states = [], []  # each completed epoch's label logits; the run state
+    run = mslg.cli.train
+
+    def recording(train_ds, meta_ds, cfg, test_ds, epoch_callback):
+        def callback(state, metrics):
+            epoch_callback(state, metrics)
+            completed.append(state.store.logits.copy())
+            states[:] = [state]
+            if state.epoch == completes and state.epoch < warmup:
+                state.model.params[0] = np.nan
+            elif state.epoch == completes:
+                state.store.logits[epoch_order(cfg.seed, state.epoch, train_ds.n)[-1]] = np.nan
+        return run(train_ds, meta_ds, cfg, test_ds, epoch_callback=callback)
+    monkeypatch.setattr(mslg.cli, "train", recording)
+    out = tmp_path / "run"
+    assert run_cli("train", "--data", data_dir, "--out", out, "--method", "mslg",
+                   *TRAIN_FAST, "--warmup-epochs", warmup) == EXIT_NUMERIC
+    assert len(completed) == completes
+    kept = SoftLabelStore.load(out / "last_good.slbl").logits
+    assert np.array_equal(kept, completed[-1])
+    if warmup > completes:
+        assert np.array_equal(kept, completed[0])  # the initial labels
+    else:
+        assert not np.array_equal(kept, completed[0])
+        finite = np.isfinite(states[0].store.logits).all(axis=1)
+        assert (states[0].store.logits[finite] != kept[finite]).any()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -16,6 +16,7 @@ import mslg.model
 from mslg.linalg import softmax, softmax_backward
 from mslg.losses import (
     cce_logit_grad,
+    cce_logit_loss,
     cce_loss,
     classification_objective,
     entropy_loss,
@@ -27,7 +28,8 @@ from mslg.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, PREDICT_ROWS, Chec
 from mslg.rng import Rng
 
 from helpers import (FailingArray, assert_grads_close, fd_param_grad, kink_free_batch,
-                     wide_eval_split)
+                     plain_backward, plain_cce_logit_loss, plain_forward, plain_sgd_step,
+                     plain_softmax, wide_eval_split)
 
 
 def _tiny_net(seed=0, sizes=(2, 4, 2)):
@@ -409,8 +411,8 @@ def test_sgd_step_is_used_only_inside_sgd_pass():
     assert _sgd_step_uses() == [("model", "sgd_pass")]
 
 
-@pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
-                         ids=["deepcopy", "pickle"])
+@pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m)),
+                                       Mlp.copy], ids=["deepcopy", "pickle", "copy"])
 def test_a_copied_model_predicts_with_the_params_it_trains(duplicate):
     # the copy's weight and bias views must read its own params, or an SGD step
     # on the copy moves params that its forward never reads
@@ -423,6 +425,55 @@ def test_a_copied_model_predicts_with_the_params_it_trains(duplicate):
     expected = model.perturbed(np.ones(model.num_params), 1.0).forward(x)[0]
     assert np.array_equal(dup.forward(x)[0], expected)
     assert np.array_equal(model.params + 1.0, dup.params)
+
+
+# -- the shared passes equal their plain formulas bit for bit ---------------------
+
+
+def _same_bits(a, b):
+    # np.array_equal takes -0.0 for 0.0; the bytes do not
+    return np.array_equal(a, b) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(hidden=st.one_of(st.just((16,)),  # the noise probe's model
+                        st.lists(st.integers(1, 40), min_size=1, max_size=3).map(tuple)),
+       d=st.integers(1, 40), c=st.integers(1, 40), b=st.integers(1, 70),
+       seed=st.integers(0, 2**16), momentum=st.sampled_from([0.0, 0.9, 0.37]),
+       weight_decay=st.sampled_from([0.0, 1e-4, 5e-3]), lr=st.sampled_from([0.1, 0.013]))
+@example(hidden=(16,), d=2, c=3, b=32, seed=0, momentum=0.9, weight_decay=0.0, lr=0.1)  # probe
+def test_shared_passes_equal_their_plain_formulas_bit_for_bit(hidden, d, c, b, seed, momentum,
+                                                               weight_decay, lr):
+    # the forward, CE kernel, backward, SGD step and softmax of every training
+    # batch reorder no arithmetic: the artifacts' bytes depend on it
+    model = Mlp((d, *hidden, c), Rng(seed, 0))
+    model.params += 0.1 * Rng(seed, 1).normal(size=model.num_params)  # non-zero biases
+    x = Rng(seed, 2).normal(size=(b, d))
+    y = Rng(seed, 3).integers(0, c, size=b)
+
+    probs, cache = model.forward(x)
+    plain_probs, plain_acts = plain_forward(model, x)
+    assert _same_bits(probs, plain_probs)
+    assert all(_same_bits(a, p) for a, p in zip(cache["acts"], plain_acts, strict=True))
+
+    loss, dz = cce_logit_loss(probs, y)
+    plain_loss, plain_dz = plain_cce_logit_loss(probs, y)
+    assert loss == plain_loss and _same_bits(dz, plain_dz)
+
+    held = dz.copy()
+    grad = model.backward(cache, dz)
+    assert _same_bits(dz, held)  # the caller's dL/dz is not masked in place
+    assert _same_bits(grad, plain_backward(model, plain_acts, held))
+
+    velocity = Rng(seed, 4).normal(size=model.num_params)  # a momentum already built up
+    params, plain_velocity = model.params.copy(), velocity.copy()
+    sgd_step(model, grad, velocity, lr, momentum, weight_decay)
+    plain_sgd_step(params, grad, plain_velocity, lr, momentum, weight_decay)
+    assert _same_bits(model.params, params) and _same_bits(velocity, plain_velocity)
+
+    logits = 30.0 * Rng(seed, 5).normal(size=(b, c))
+    assert _same_bits(softmax(logits), plain_softmax(logits))
+    assert _same_bits(softmax(logits[0]), plain_softmax(logits[0]))
 
 
 # -- perturb / flatten ---------------------------------------------------------------

@@ -47,6 +47,27 @@ def test_init_argmax_matches_noisy_for_positive_k():
         assert np.array_equal(store.soft_labels().argmax(axis=1), noisy)
 
 
+def test_init_refuses_a_k_too_small_to_keep_the_noisy_label():
+    # exp(-1e-17) rounds to 1, so every initial label would tie and its
+    # argmax fall to class 0; at 1e-15 the noisy label still holds
+    noisy = [1, 2, 3, 0, 2]
+    with pytest.raises(ValueError, match="k 1e-17 is too small"):
+        _store(noisy, c=4, k=1e-17)
+    assert _store(noisy, c=4, k=1e-15).soft_labels().argmax(axis=1).tolist() == noisy
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.floats(1e-17, 1e-14), c=st.integers(2, 64))
+def test_every_accepted_k_keeps_each_noisy_label_as_the_argmax(k, c):
+    noisy = np.arange(c)  # one row per class: each position of the peak
+    try:
+        store = _store(noisy, c=c, k=k)
+    except ValueError:
+        assert k < 1e-15  # only a K near 2**-52 is refused
+        return
+    assert np.array_equal(store.soft_labels().argmax(axis=1), noisy)
+
+
 def test_init_out_of_range_label():
     with pytest.raises(ValueError, match="out of range"):
         _store([0, 3], c=3)
@@ -141,6 +162,20 @@ def test_simplex_preserved_after_many_updates():
         store.apply_label_gradient(ids, rng.normal(size=(8, 4)) * 5, beta=2.0)
     sums = store.soft_labels().sum(axis=1)
     assert np.abs(sums - 1.0).max() <= 1e-9
+
+
+def test_version_counts_the_label_updates(tmp_path):
+    # a reader tells moved labels by the version alone: every update bumps it,
+    # one that skips each row too; nothing else does
+    store = _store([0, 1, 2], c=3)
+    assert store.version == 0
+    store.soft_labels()
+    store.save(tmp_path / "s.slbl")
+    assert store.version == 0
+    store.apply_label_gradient([0, 2], np.ones((2, 3)), 1.0)
+    store.apply_label_gradient([1], np.full((1, 3), np.nan), 1.0)
+    assert store.version == 2
+    assert SoftLabelStore.load(tmp_path / "s.slbl").version == 0
 
 
 def test_apply_shape_mismatch():

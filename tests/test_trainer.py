@@ -477,6 +477,26 @@ def test_mslg_epoch_deterministic():
     assert any(m.mean_grad_alignment != 0.0 for m in h1[2:])
 
 
+def test_recovery_is_counted_only_after_the_labels_move(monkeypatch):
+    # warm-up epochs leave the labels as initialised, so their rows all read
+    # the initial store's recovery, counted once; each MSLG epoch recounts
+    train_ds, meta_ds, test_ds = _blob_setting(seed=4, noise=0.3)
+    cfg = _warm_cfg(warmup_epochs=3, total_epochs=5, beta=20.0)
+    counted = []  # the store version at each count
+
+    def counting(store, ds):
+        counted.append(store.version)
+        return recovery_rate(store, ds)
+    monkeypatch.setattr(mslg.trainer, "recovery_rate", counting)
+    _, store, history = train(train_ds, meta_ds, cfg, test_ds)
+    initial = recovery_rate(SoftLabelStore.init_from_noisy(train_ds.noisy_labels, 3, cfg.k_init),
+                            train_ds)
+    assert [m.label_recovery_rate for m in history[:3]] == [initial] * 3
+    assert history[-1].label_recovery_rate == recovery_rate(store, train_ds)
+    batches = -(-train_ds.n // cfg.batch_size)
+    assert counted == [0, batches, 2 * batches]
+
+
 def test_mslg_batch_runs_two_forwards_three_backwards_one_tangent(monkeypatch):
     # per batch: one forward at theta shared by the training gradient, the
     # label tangent and the committed step, plus the meta forward at
@@ -642,6 +662,10 @@ def test_config_validation():
         TrainConfig(lambda_schedule=((0, 0.1), (5, -0.02)))
     TrainConfig(lambda_schedule=((0, 0.0),))  # a zero rate stays legal
     TrainConfig(warmup_epochs=5, total_epochs=5)  # CE baseline
+    # exp(-1e-17) rounds to 1, so every initial soft label would tie
+    with pytest.raises(ValueError, match="k_init 1e-17 is too small"):
+        TrainConfig(k_init=1e-17)
+    TrainConfig(k_init=1e-15)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
