@@ -140,7 +140,7 @@ def gen_blobs(n: int, num_classes: int, dim: int, separation: float,
         centers[:, 0] = radius * np.cos(angles)
         centers[:, 1] = radius * np.sin(angles)
     labels = _balanced_labels(n, num_classes)
-    feats = centers[labels] + rng.normal(size=(n, dim))
+    feats = centers[labels] + rng.standard_normal((n, dim))
     order = rng.permutation(n)
     return LabeledDataset(feats[order], labels[order], labels[order].copy(),
                           num_classes)

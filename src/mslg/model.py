@@ -76,7 +76,7 @@ class Mlp:
         if rng is not None:
             for w in self.weights:
                 limit = np.sqrt(6.0 / w.shape[0])
-                w[...] = (rng.uniform(size=w.shape) * 2.0 - 1.0) * limit
+                w[...] = (rng.random(w.shape) * 2.0 - 1.0) * limit
         self._version = 0
 
     # -- shape / parameter plumbing --------------------------------------

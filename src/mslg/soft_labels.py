@@ -44,9 +44,14 @@ class SoftLabelStore:
 
     @staticmethod
     def check_k(k: float, name: str) -> None:
-        """Refuse a K > 0 at which softmax loses the noisy label: unless exp(-k)
-        is below 1 - 2**-52, dividing row k * onehot(j)'s (1, exp(-k), ...) by
-        its sum may round both to one value, and the argmax falls to class 0."""
+        """Refuse a K no label can start from: a non-finite one (softmax's shift
+        takes inf - inf), a negative one (each argmax leaves the noisy label), and
+        a K > 0 at which softmax loses the noisy label: unless exp(-k) is below
+        1 - 2**-52, dividing row k * onehot(j)'s (1, exp(-k), ...) by its sum may
+        round both to one value, and the argmax falls to class 0. K = 0 is
+        uniform labels."""
+        if not 0 <= k < np.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {k}")
         if k > 0 and not np.exp(-k) < 1.0 - 2.0 ** -52:
             raise ValueError(f"{name} {k} is too small: softmax ties the initial labels")
 

@@ -15,7 +15,7 @@ Each stage's epoch function advances one `RunState` (next epoch, model, SGD
 velocity, label store) in place through `model.sgd_pass`, the one SGD loop:
 per batch of the epoch's order it runs the forward, asks the stage's batch
 loss for the loss and its gradient with respect to the logits, and commits
-one `sgd_step` at the config's rates. The warm-up's batch loss is
+one `sgd_step` at the epoch's rates. The warm-up's batch loss is
 cross-entropy on the noisy labels; stage two's does steps 1 and 2 and
 returns the loss of step 3. Only stage two moves the labels, so the epoch
 metrics recount label recovery only when the store's version has moved.
@@ -71,6 +71,9 @@ __all__ = [
 ]
 
 
+MOMENTUM = 0.9  # the paper's SGD momentum, in both stages; no preset changes it
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Checked when built, by a call or by `dataclasses.replace`: one that exists is valid."""
@@ -81,7 +84,6 @@ class TrainConfig:
     lambda_schedule: tuple[tuple[int, float], ...] = ((0, 1e-2), (40, 1e-3), (80, 1e-4))
     k_init: float = 10.0          # label logit init scale, see SoftLabelStore.check_k
     batch_size: int = 128
-    momentum: float = 0.9
     weight_decay: float = 1e-4
     warmup_epochs: int = 44
     total_epochs: int = 120
@@ -118,8 +120,8 @@ class TrainConfig:
             raise ValueError(f"lambda_schedule epochs must strictly increase: {starts}")
         if any(lr < 0 for _, lr in self.lambda_schedule):
             raise ValueError(f"lambda_schedule rates must be >= 0: {self.lambda_schedule}")
-        if not (0 <= self.momentum < 1) or self.weight_decay < 0:
-            raise ValueError("need momentum in [0,1) and weight_decay >= 0")
+        if self.weight_decay < 0:
+            raise ValueError(f"need weight_decay >= 0, got {self.weight_decay}")
         if any(h < 1 for h in self.hidden_sizes):
             raise ValueError(f"hidden_sizes must all be >= 1, got {self.hidden_sizes}")
 
@@ -257,7 +259,7 @@ def _epoch_metrics(state: RunState, cfg: TrainConfig, train_loss: float, align: 
 def warmup_epoch(state: RunState, cfg: TrainConfig, train_ds: LabeledDataset,
                  meta_ds: LabeledDataset, test_ds: LabeledDataset) -> EpochMetrics:
     """One pass of plain cross-entropy SGD on the noisy hard labels."""
-    rates = (cfg.lr_at(state.epoch), cfg.momentum, cfg.weight_decay)
+    rates = (cfg.lr_at(state.epoch), MOMENTUM, cfg.weight_decay)
     order = epoch_order(cfg.seed, state.epoch, train_ds.n)
     noisy = train_ds.noisy_labels
     train_loss = sgd_pass(state.model, state.velocity, rates, train_ds.features, order,
@@ -270,7 +272,7 @@ def mslg_epoch(state: RunState, cfg: TrainConfig, train_ds: LabeledDataset,
                meta_ds: LabeledDataset, test_ds: LabeledDataset) -> EpochMetrics:
     """One label-correction epoch: per batch, update the soft labels from the
     meta gradient, then take a committed step on the corrected labels."""
-    rates = (cfg.lr_at(state.epoch), cfg.momentum, cfg.weight_decay)
+    rates = (cfg.lr_at(state.epoch), MOMENTUM, cfg.weight_decay)
     order = epoch_order(cfg.seed, state.epoch, train_ds.n)
     batches = -(-train_ds.n // cfg.batch_size)
     meta_rows = iter(_meta_batches(meta_ds.n, cfg.seed, state.epoch, batches, cfg.batch_size))

@@ -33,7 +33,7 @@ from mslg.losses import PROB_FLOOR, cce_loss
 from mslg.model import Mlp, sgd_step
 from mslg.rng import Rng
 from mslg.soft_labels import SoftLabelStore
-from mslg.trainer import (RunState, accuracy, epoch_order, kl_logit_loss,
+from mslg.trainer import (MOMENTUM, RunState, accuracy, epoch_order, kl_logit_loss,
                           label_gradient_along, meta_gradient_direction, recovery_rate,
                           training_loss_grad)
 
@@ -156,7 +156,7 @@ def frozen_soft_ce_run(train_ds, meta_ds, test_ds, cfg):
     frozen = store.soft_labels()
     history = []
     for epoch in range(cfg.total_epochs):
-        rates = (cfg.lr_at(epoch), cfg.momentum, cfg.weight_decay)
+        rates = (cfg.lr_at(epoch), MOMENTUM, cfg.weight_decay)
         order = epoch_order(cfg.seed, epoch, train_ds.n)
         loss_sum = 0.0
         for start in range(0, train_ds.n, cfg.batch_size):

@@ -290,7 +290,7 @@ def test_train_preset_resolution_paper_values(tmp_path, data_dir):
     assert cfg["alpha"] == 0.5
     assert cfg["beta"] == 4000.0
     assert cfg["k_init"] == 10.0
-    assert cfg["momentum"] == 0.9
+    assert "momentum" not in cfg  # the method's constant, not a setting
     assert cfg["weight_decay"] == 1e-4
     assert cfg["total_epochs"] == 2 and cfg["warmup_epochs"] == 1
     desk = tmp_path / "desk"
@@ -405,8 +405,7 @@ _BAD_VALUES = [
     *[("train", (flag, "abc"), f"bad value for '{key}'")
       for flag, key in [("--alpha", "alpha"), ("--beta", "beta"), ("--k", "k_init"),
                         ("--lambda-schedule", "lambda_schedule"),
-                        ("--batch-size", "batch_size"), ("--momentum", "momentum"),
-                        ("--weight-decay", "weight_decay"),
+                        ("--batch-size", "batch_size"), ("--weight-decay", "weight_decay"),
                         ("--warmup-epochs", "warmup_epochs"),
                         ("--total-epochs", "total_epochs"),
                         ("--entropy-weight", "entropy_weight"), ("--seed", "seed"),
@@ -418,7 +417,6 @@ _BAD_VALUES = [
     ("train", ("--lambda-schedule", "0:0.02:1"),
      "bad value for 'lambda_schedule': expected epoch:rate, got '0:0.02:1'"),
     ("train", ("--alpha", "nan"), "alpha must be finite"),
-    ("train", ("--momentum", "inf"), "momentum must be finite"),
     ("train", ("--lambda-schedule", "0:nan"), "lambda_schedule must be finite"),
     ("train", ("--hidden", "0"), "hidden_sizes must all be >= 1"),
     # an empty item is not skipped: "8,,8" is not a 2-layer model, "," not a
@@ -577,7 +575,7 @@ def test_every_cli_option_is_routed():
 # a value of every TrainConfig field, other than its default
 _FIELD_VALUES = {
     "alpha": "0.25", "beta": "12.5", "lambda_schedule": "0:0.5,7:0.25",
-    "k_init": "3.5", "batch_size": "16", "momentum": "0.5", "weight_decay": "0.001",
+    "k_init": "3.5", "batch_size": "16", "weight_decay": "0.001",
     "warmup_epochs": "3", "total_epochs": "50", "entropy_weight": "0.25",
     "seed": "9", "hidden_sizes": "8,4",
 }
@@ -598,6 +596,19 @@ def test_train_flag_sets_its_field(field):
     assert getattr(by_flag, field) == value != getattr(TrainConfig(), field)
     # and no other field
     assert dataclasses.replace(by_flag, **{field: getattr(TrainConfig(), field)}) == TrainConfig()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_momentum_is_not_a_setting(tmp_path, data_dir, capsys, command):
+    # SGD momentum is the method's constant: no config field, so no flag either
+    with pytest.raises(TypeError, match="momentum"):
+        TrainConfig(momentum=0.5)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*_BASE[command](data_dir), "--momentum", "0.5", "--out", out)
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --momentum 0.5" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("fault,message", [

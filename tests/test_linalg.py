@@ -119,21 +119,21 @@ def test_softmax_backward_shape_mismatch():
 def test_rng_same_seed_same_stream():
     a = Rng(42)
     b = Rng(42)
-    assert np.array_equal(a.uniform(1000), b.uniform(1000))
-    assert np.array_equal(a.normal(1000), b.normal(1000))
+    assert np.array_equal(a.random(1000), b.random(1000))
+    assert np.array_equal(a.standard_normal(1000), b.standard_normal(1000))
 
 
 def test_rng_different_seed_differs():
-    assert not np.array_equal(Rng(1).uniform(100), Rng(2).uniform(100))
+    assert not np.array_equal(Rng(1).random(100), Rng(2).random(100))
 
 
 def test_rng_uniform_mean_law_of_large_numbers():
-    draws = Rng(123).uniform(100_000)
+    draws = Rng(123).random(100_000)
     assert abs(draws.mean() - 0.5) <= 0.01
 
 
 def test_rng_choice_empty_set_errors():
-    # numpy's own refusals: Rng.choice adds no check of its own
+    # numpy's own refusals: Rng is numpy's Generator and adds no check of its own
     with pytest.raises(ValueError, match="a must be a positive integer"):
         Rng(0).choice(0)
     with pytest.raises(ValueError, match="a cannot be empty"):
@@ -152,13 +152,13 @@ def test_rng_child_streams_are_keyed_and_reproducible():
         ss = np.random.SeedSequence(seed, spawn_key=key)
         return np.random.Generator(np.random.PCG64(ss)).random(32)
 
-    a = Rng(17, 1, 4).uniform(32)
+    a = Rng(17, 1, 4).random(32)
     assert np.array_equal(a, spawned(17, 1, 4))
-    assert np.array_equal(a, Rng(17, 1, 4).uniform(32))
-    assert np.array_equal(Rng(17).uniform(32), spawned(17))
-    assert not np.array_equal(a, Rng(17, 1, 5).uniform(32))
-    assert not np.array_equal(a, Rng(17, 4, 1).uniform(32))
-    assert not np.array_equal(a, Rng(18, 1, 4).uniform(32))
+    assert np.array_equal(a, Rng(17, 1, 4).random(32))
+    assert np.array_equal(Rng(17).random(32), spawned(17))
+    assert not np.array_equal(a, Rng(17, 1, 5).random(32))
+    assert not np.array_equal(a, Rng(17, 4, 1).random(32))
+    assert not np.array_equal(a, Rng(18, 1, 4).random(32))
 
 
 def test_stream_keys_are_distinct():

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from mslg.presets import PRESETS
-from mslg.trainer import TrainConfig
+from mslg.trainer import MOMENTUM, TrainConfig
 
 
 def test_cifar10_shared_hyperparameters():
@@ -15,7 +15,7 @@ def test_cifar10_shared_hyperparameters():
     assert cfg.alpha == 0.5
     assert cfg.beta == 4000.0
     assert cfg.k_init == 10.0
-    assert cfg.momentum == 0.9
+    assert MOMENTUM == 0.9  # not a setting: every run's SGD momentum
     assert cfg.weight_decay == 1e-4
     assert cfg.batch_size == 128
     assert cfg.lambda_schedule == ((0, 1e-2), (40, 1e-3), (80, 1e-4))

@@ -56,6 +56,20 @@ def test_init_refuses_a_k_too_small_to_keep_the_noisy_label():
     assert _store(noisy, c=4, k=1e-15).soft_labels().argmax(axis=1).tolist() == noisy
 
 
+@pytest.mark.parametrize("k", [float("inf"), float("-inf"), float("nan")])
+def test_init_refuses_a_non_finite_k(k):
+    # inf - inf in softmax's shift would make every soft label NaN
+    with pytest.raises(ValueError, match=f"k must be finite and >= 0, got {k}"):
+        _store([0, 1], c=2, k=k)
+
+
+@pytest.mark.parametrize("k", [-3.0, -1e-300])
+def test_init_refuses_a_negative_k(k):
+    # -K * onehot puts every argmax on another class than the noisy label
+    with pytest.raises(ValueError, match=f"k must be finite and >= 0, got {k}"):
+        _store([0, 1], c=2, k=k)
+
+
 @settings(max_examples=200, deadline=None)
 @given(k=st.floats(1e-17, 1e-14), c=st.integers(2, 64))
 def test_every_accepted_k_keeps_each_noisy_label_as_the_argmax(k, c):

@@ -388,7 +388,7 @@ def _blob_setting(seed=0, n=300, noise=0.0, separation=8.0, c=3):
 
 def _warm_cfg(**kw):
     base = dict(alpha=0.5, beta=50.0, lambda_schedule=((0, 0.05),),
-                batch_size=32, momentum=0.9, weight_decay=1e-4,
+                batch_size=32, weight_decay=1e-4,
                 warmup_epochs=20, total_epochs=20, hidden_sizes=(16,), seed=0)
     base.update(kw)
     return TrainConfig(**base)
@@ -661,6 +661,9 @@ def test_config_validation():
     with pytest.raises(ValueError, match="rates must be >= 0"):
         TrainConfig(lambda_schedule=((0, 0.1), (5, -0.02)))
     TrainConfig(lambda_schedule=((0, 0.0),))  # a zero rate stays legal
+    with pytest.raises(ValueError, match="need weight_decay >= 0, got -0.001"):
+        TrainConfig(weight_decay=-1e-3)
+    TrainConfig(weight_decay=0.0)
     TrainConfig(warmup_epochs=5, total_epochs=5)  # CE baseline
     # exp(-1e-17) rounds to 1, so every initial soft label would tie
     with pytest.raises(ValueError, match="k_init 1e-17 is too small"):
@@ -669,8 +672,8 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-@pytest.mark.parametrize("field", ["alpha", "beta", "k_init", "momentum",
-                                   "weight_decay", "entropy_weight", "lambda_schedule"])
+@pytest.mark.parametrize("field", ["alpha", "beta", "k_init", "weight_decay",
+                                   "entropy_weight", "lambda_schedule"])
 def test_config_rejects_non_finite_floats(field, bad):
     value = ((0, 1e-2), (5, bad)) if field == "lambda_schedule" else bad
     with pytest.raises(ValueError, match=f"{field} must be finite"):

@@ -18,8 +18,17 @@ iteration: one child loads the harness as above and runs one checked
 iteration (`harness.GENS_PER_ITERATION` x gen, then train and eval, through
 `harness.Runner`, which calls `harness.run_iteration`) in `--work`/iteration;
 the tool exits 1 if an operation failed. On wide-mslg that line is 2.5-3 MB
-above every command's. Hashing in chunks moves it by only 0.1-0.3 MB, so the
-whole-file hash is not what sets it; the cause is not yet known.
+above every command's. A per-step `ru_maxrss` trace of one such process
+(seed 1, 2-core x86_64, numpy 2.4 on OpenBLAS) shows why. Loading the harness
+takes it to 37.7 MB. The first gen takes it to 47.0, of which `gen_blobs`
+alone adds 8.6, and the whole-file hash of the 10.2 MB `dataset.csv` to 49.0.
+The later gens stay inside that freed heap. `train`'s first forward adds
+1.0 MB, the OpenBLAS buffer of the process's first matmul (uniform noise fits
+no probe), and the evaluation of its first epoch 0.4, for 50.6 in all. So
+`train`, on top of the heap that gen and the hash left resident, sets the
+peak, where each command's own child starts from about 35.8 MB (the
+interpreter, numpy and mslg). Hashing in chunks moves the line by only
+0.1-0.3 MB.
 """
 
 import argparse
