@@ -140,10 +140,10 @@ def gen_blobs(n: int, num_classes: int, dim: int, separation: float,
         centers[:, 0] = radius * np.cos(angles)
         centers[:, 1] = radius * np.sin(angles)
     labels = _balanced_labels(n, num_classes)
-    feats = centers[labels] + rng.standard_normal((n, dim))
+    feats = rng.standard_normal((n, dim))
+    feats += centers[labels]  # in place: at most two (n, dim) arrays live at once
     order = rng.permutation(n)
-    return LabeledDataset(feats[order], labels[order], labels[order].copy(),
-                          num_classes)
+    return LabeledDataset(feats[order], labels[order], labels[order].copy(), num_classes)
 
 
 # -- IDX reader ---------------------------------------------------------------

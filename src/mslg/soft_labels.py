@@ -31,6 +31,7 @@ class SoftLabelStore:
         self.logits = np.ascontiguousarray(logits, dtype=np.float64)
         if self.logits.ndim != 2:
             raise ValueError(f"logits must be (N, C), got shape {self.logits.shape}")
+        self.check_k(k, "k")
         self.k = float(k)
         self.version = 0  # apply_label_gradient, which alone moves the logits, bumps it
 
@@ -43,24 +44,23 @@ class SoftLabelStore:
         return self.logits.shape[1]
 
     @staticmethod
-    def check_k(k: float, name: str) -> None:
+    def check_k(k: float, name: str, error=ValueError) -> None:
         """Refuse a K no label can start from: a non-finite one (softmax's shift
         takes inf - inf), a negative one (each argmax leaves the noisy label), and
         a K > 0 at which softmax loses the noisy label: unless exp(-k) is below
         1 - 2**-52, dividing row k * onehot(j)'s (1, exp(-k), ...) by its sum may
         round both to one value, and the argmax falls to class 0. K = 0 is
-        uniform labels."""
+        uniform labels. A refusal raises `error`."""
         if not 0 <= k < np.inf:
-            raise ValueError(f"{name} must be finite and >= 0, got {k}")
+            raise error(f"{name} must be finite and >= 0, got {k}")
         if k > 0 and not np.exp(-k) < 1.0 - 2.0 ** -52:
-            raise ValueError(f"{name} {k} is too small: softmax ties the initial labels")
+            raise error(f"{name} {k} is too small: softmax ties the initial labels")
 
     @classmethod
     def init_from_noisy(cls, noisy_labels, num_classes: int,
                         k: float) -> "SoftLabelStore":
         """logits_i = k * onehot(noisy_i); the argmax of the soft label equals
         the noisy label for every k > 0 that `check_k` accepts."""
-        cls.check_k(k, "k")
         noisy = np.asarray(noisy_labels, dtype=np.int64).ravel()
         c = int(num_classes)
         if np.any(noisy < 0) or np.any(noisy >= c):
@@ -125,8 +125,7 @@ class SoftLabelStore:
             raise LabelSnapshotError(f"{path}: unsupported snapshot version {version}")
         if c < 1:
             raise LabelSnapshotError(f"{path}: need at least one class, got {c}")
-        if not np.isfinite(k):
-            raise LabelSnapshotError(f"{path}: K is not finite, got {k}")
+        cls.check_k(k, f"{path}: K", LabelSnapshotError)
         payload = blob[4 + header:]
         if len(payload) != n * c * 8:
             raise LabelSnapshotError(

@@ -8,6 +8,9 @@ defined once; every caller passes its own inputs, step and tolerance:
 - the tiny bilevel problem (`tiny_bilevel_instance`), its analytic
   label-logit gradient (`label_logit_grad`) and central differences of its
   meta loss after the virtual step (`brute_force_logit_grad`);
+- one MSLG batch written out from the paper's three steps with the oracles
+  of this module (`reference_mslg_batch`), which `mslg_epoch` equals batch
+  by batch;
 - soft cross-entropy on the frozen initial labels (`frozen_soft_ce_run`),
   which stage two equals at beta = 0 and entropy weight 0;
 - the shared per-batch passes written the plain way, with fresh temporaries,
@@ -28,8 +31,8 @@ import tracemalloc
 import numpy as np
 
 from mslg.datasets import LabeledDataset
-from mslg.linalg import softmax
-from mslg.losses import PROB_FLOOR, cce_loss
+from mslg.linalg import softmax, softmax_backward
+from mslg.losses import PROB_FLOOR, cce_loss, classification_objective, kl_loss_v2
 from mslg.model import Mlp, sgd_step
 from mslg.rng import Rng
 from mslg.soft_labels import SoftLabelStore
@@ -145,6 +148,38 @@ def brute_force_logit_grad(model, x, logits, meta_x, meta_y, alpha, h=1e-4):
     """Central differences of the bilevel meta loss over every label logit."""
     return central_difference(
         lambda v: meta_loss_after_virtual(model, x, v, meta_x, meta_y, alpha), logits, h)
+
+
+def reference_mslg_batch(model, velocity, logits, x, meta_x, meta_y, cfg, lr):
+    """One MSLG batch (arXiv 2007.05836) from the oracles of this module, on
+    copies: (params, velocity, label logits, g_meta . g_train) after it.
+
+    Every gradient is a reference loss's gradient in probability space pulled
+    back through `softmax_backward` and `plain_backward`:
+    1. look-ahead: g_train of KL(f||softmax(logits)) at theta, and
+       theta_hat = theta - alpha * g_train;
+    2. label step: logits - beta * `brute_force_logit_grad`, central
+       differences of the meta loss after the look-ahead;
+    3. committed step: `plain_sgd_step` at rate `lr` and `MOMENTUM` on the
+       gradient of KL(f||softmax(new logits)) + entropy_weight * entropy(f).
+    g_meta is the meta batch's cross-entropy gradient at theta_hat.
+    """
+    def grad_at(net, x_batch, loss):
+        probs, acts = plain_forward(net, x_batch)
+        return plain_backward(net, acts, softmax_backward(probs, loss(probs)))
+
+    g_train = grad_at(model, x, lambda f: kl_loss_v2(f, plain_softmax(logits))
+                      .grad_wrt_predictions)
+    ahead = Mlp(model.layer_sizes)
+    ahead.params[...] = model.params - cfg.alpha * g_train
+    g_meta = grad_at(ahead, meta_x, lambda f: cce_loss(f, meta_y).grad_wrt_predictions)
+    new_logits = logits - cfg.beta * brute_force_logit_grad(model, x, logits, meta_x,
+                                                            meta_y, cfg.alpha)
+    grad = grad_at(model, x, lambda f: classification_objective(
+        f, plain_softmax(new_logits), cfg.entropy_weight).grad_wrt_predictions)
+    params, velocity = model.params.copy(), velocity.copy()
+    plain_sgd_step(params, grad, velocity, lr, MOMENTUM, cfg.weight_decay)
+    return params, velocity, new_logits, float(g_meta @ g_train)
 
 
 def frozen_soft_ce_run(train_ds, meta_ds, test_ds, cfg):

@@ -1,4 +1,6 @@
-"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
+"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line,
+and beside criterion 1 two tests that pin the whole MSLG step against
+`helpers.reference_mslg_batch`, where `pytest -x` reaches them in seconds.
 
 Run with `pytest tests/test_acceptance.py -s` to watch the lines stream;
 without -s they still appear for failing criteria. The desk-scale trend
@@ -16,6 +18,7 @@ from mslg.datasets import (
     IdxBadMagicError,
     IdxCountMismatchError,
     IdxTruncatedError,
+    LabeledDataset,
     gen_blobs,
     inject_feature_dependent,
     load_idx_images,
@@ -33,19 +36,23 @@ from mslg.model import Mlp
 from mslg.presets import PRESETS
 from mslg.rng import Rng
 from mslg.trainer import (
+    RunState,
     TrainConfig,
+    _meta_batches,
     accuracy,
+    epoch_order,
     kl_logit_loss,
     metrics_csv_header,
     metrics_csv_row,
+    mslg_epoch,
     recovery_rate,
     train,
 )
 
-from helpers import (brute_force_logit_grad, fd_grad_presoftmax, fd_param_grad,
-                     frozen_soft_ce_run, grad_errors, grads_close, idx_images_bytes,
-                     idx_labels_bytes, kink_free_batch, label_logit_grad,
-                     tiny_bilevel_instance)
+from helpers import (assert_grads_close, brute_force_logit_grad, fd_grad_presoftmax,
+                     fd_param_grad, frozen_soft_ce_run, grad_errors, grads_close,
+                     idx_images_bytes, idx_labels_bytes, kink_free_batch,
+                     label_logit_grad, reference_mslg_batch, tiny_bilevel_instance)
 
 SEEDS = (0, 1, 2)
 
@@ -132,6 +139,69 @@ def test_criterion_1_bilevel_oracle():
     _report(1, "bilevel oracle within 1e-3 on 20 tiny instances, < 5 s",
             worst <= 1.0 and elapsed < 5.0,
             f"worst err/tol {worst:.3f}, {elapsed:.2f}s")
+
+
+# -- the whole MSLG step: criterion 1's label gradient, composed ----------------------------
+# Criterion 1 pins the label gradient and criterion 3b the beta = 0 path; these
+# pin how one epoch composes the three steps: the rate of the label step, the
+# labels the committed step reads, its entropy term and the alignment metric.
+
+
+def _tiny_epoch(seed):
+    """(state, cfg, train, meta, test) at `tiny_bilevel_instance`'s sizes: batches
+    of 4 over 10 training rows (the last batch short), 6 meta rows, so the meta
+    stream wraps, and labels and velocity off their initial values."""
+    def part(role, rows):
+        y = Rng(seed, role, 1).integers(0, 2, size=rows)
+        return LabeledDataset(Rng(seed, role, 0).normal(size=(rows, 2)), y, y, 2)
+
+    train_ds, meta_ds, test_ds = part(6, 10), part(7, 6), part(8, 4)
+    cfg = TrainConfig(alpha=0.5, beta=10.0, lambda_schedule=((0, 0.1),), batch_size=4,
+                      weight_decay=1e-2, warmup_epochs=0, total_epochs=1, seed=seed,
+                      hidden_sizes=(4,))
+    state = RunState.initial(cfg, train_ds)
+    state.store.logits += Rng(seed, 3).normal(size=state.store.logits.shape)
+    state.velocity += 0.1 * Rng(seed, 9).normal(size=state.velocity.shape)
+    return state, cfg, train_ds, meta_ds, test_ds
+
+
+def _reference_epoch(state, cfg, train_ds, meta_ds):
+    """(params, velocity, label logits, per-batch g_meta . g_train) after
+    `reference_mslg_batch` over the epoch's batch order and meta rows."""
+    model = Mlp(state.model.layer_sizes)
+    model.params[...] = state.model.params
+    velocity, logits = state.velocity.copy(), state.store.logits.copy()
+    order = epoch_order(cfg.seed, state.epoch, train_ds.n)
+    batches = -(-train_ds.n // cfg.batch_size)
+    dots = []
+    for k, rows in enumerate(_meta_batches(meta_ds.n, cfg.seed, state.epoch, batches,
+                                           cfg.batch_size)):
+        ids = order[k * cfg.batch_size:(k + 1) * cfg.batch_size]
+        params, velocity, logits[ids], dot = reference_mslg_batch(
+            model, velocity, logits[ids], train_ds.features[ids], meta_ds.features[rows],
+            meta_ds.noisy_labels[rows], cfg, cfg.lr_at(state.epoch))
+        model.params[...] = params
+        dots.append(dot)
+    return model.params, velocity, logits, dots
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_mslg_epoch_is_the_reference_step_batch_by_batch(seed):
+    state, cfg, train_ds, meta_ds, test_ds = _tiny_epoch(seed)
+    params, velocity, logits, _ = _reference_epoch(state, cfg, train_ds, meta_ds)
+    mslg_epoch(state, cfg, train_ds, meta_ds, test_ds)
+    assert_grads_close(state.store.logits, logits)
+    assert_grads_close(state.model.params, params)
+    assert_grads_close(state.velocity, velocity)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_mean_grad_alignment_is_the_reference_mean_over_batches(seed):
+    state, cfg, train_ds, meta_ds, test_ds = _tiny_epoch(seed)
+    dots = _reference_epoch(state, cfg, train_ds, meta_ds)[3]
+    assert len(dots) == 3
+    metrics = mslg_epoch(state, cfg, train_ds, meta_ds, test_ds)
+    assert_grads_close(metrics.mean_grad_alignment, np.mean(dots))
 
 
 # -- criterion 2: analytic-gradient suite -------------------------------------------------

@@ -17,7 +17,7 @@ from mslg.datasets import LabeledDataset, load_dataset_csv, split
 from mslg.model import Mlp
 from mslg.rng import Rng
 from mslg.soft_labels import SoftLabelStore
-from mslg.trainer import TrainConfig, epoch_order
+from mslg.trainer import TrainConfig, accuracy, epoch_order
 
 from helpers import (WIDE_EVAL_PEAK, disk_fills_mid_write, idx_images_bytes, idx_labels_bytes,
                      traced_peak, wide_eval_split)
@@ -886,6 +886,18 @@ def run_dir(tmp_path, data_dir):
     return run
 
 
+def test_train_scores_the_test_split_that_eval_scores(run_dir, data_dir, capsys):
+    # the last epoch's test_accuracy is eval's for the final model.ckpt; the
+    # meta split reads otherwise, so scoring it in place of the test split fails
+    capsys.readouterr()
+    assert run_cli("eval", "--data", data_dir, "--checkpoint", run_dir / "model.ckpt") == EXIT_OK
+    reported = json.loads(capsys.readouterr().out)["test_accuracy"]
+    header, *_, last = (run_dir / "metrics.csv").read_text().splitlines()
+    assert float(last.split(",")[header.split(",").index("test_accuracy")]) == reported
+    meta = load_dataset_csv(data_dir / "dataset.csv", 3)["meta"]
+    assert accuracy(Mlp.load(run_dir / "model.ckpt"), meta) != reported
+
+
 def test_train_out_that_is_another_data_dir_is_config_error(tmp_path, data_dir, capsys):
     other = tmp_path / "other"
     assert run_cli(*GEN_SMALL, "--seed", "2", "--out", other) == EXIT_OK
@@ -1004,8 +1016,11 @@ def test_out_under_a_file_is_config_error(tmp_path, data_dir, capsys, command, t
     ("eval", "model.ckpt", "a parameter is not finite"),
     ("eval", "labels.slbl", "a logit is not finite"),
     ("export-labels", "labels.slbl", "a logit is not finite"),
-    ("eval", "labels.slbl", "K is not finite"),
-    ("export-labels", "labels.slbl", "K is not finite"),
+    # the header's K: refused by `SoftLabelStore.check_k`, with the file named
+    pytest.param("eval", "labels.slbl", "K must be finite and >= 0, got",
+                 id="eval-labels.slbl-K is not finite"),
+    pytest.param("export-labels", "labels.slbl", "K must be finite and >= 0, got",
+                 id="export-labels-labels.slbl-K is not finite"),
 ])
 def test_non_finite_artifact_is_config_error(tmp_path, data_dir, capsys, value,
                                              command, artifact, message):
@@ -1028,6 +1043,28 @@ def test_non_finite_artifact_is_config_error(tmp_path, data_dir, capsys, value,
     assert run_cli(*reads, "--out", out) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert f"config error: {tmp_path / artifact}: {message}" in captured.err
+    assert captured.out == ""
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("k,message", [
+    (-3.0, "K must be finite and >= 0, got -3.0"),
+    (1e-17, "K 1e-17 is too small: softmax ties the initial labels"),
+])
+@pytest.mark.parametrize("command", ["eval", "export-labels"])
+def test_label_snapshot_with_a_refused_finite_k_is_config_error(tmp_path, data_dir, capsys,
+                                                                command, k, message):
+    # a header K that no label store could start from, as `init_from_noisy` refuses it
+    ckpt, snap = _model_and_labels(tmp_path, data_dir)
+    store = SoftLabelStore.load(snap)
+    store.k = k
+    store.save(snap)
+    out = tmp_path / "out" / "o"
+    reads = _reading(command, data_dir, ckpt, snap)
+    capsys.readouterr()
+    assert run_cli(*reads, "--out", out) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"config error: {snap}: {message}" in captured.err
     assert captured.out == ""
     assert not out.parent.exists()
 

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import tempfile
 import tracemalloc
@@ -65,6 +66,21 @@ def test_blobs_deterministic_and_balanced():
     assert np.array_equal(a.true_labels, b.true_labels)
     counts = np.bincount(a.true_labels, minlength=4)
     assert counts.max() - counts.min() <= 1
+
+
+@pytest.mark.parametrize("n,c,d,sep,seed,digest", [
+    (2000, 4, 2, 6.0, 1, "40d4ef512f71bb05d815f0e303fabd3aa8a8ca87b17733510a8b96f8cc4eb193"),
+    (8000, 10, 64, 8.0, 7, "8b4ee596cbfbad6a753355a01d35004de75d0d260acea152e8ebd96b448f4a9c"),
+], ids=["desk", "wide"])
+def test_blobs_bits_are_pinned(n, c, d, sep, seed, digest):
+    # the benchmark's desk and wide shapes: a rewrite of gen_blobs must keep
+    # every feature and label bit, since each artifact downstream hashes them
+    ds = gen_blobs(n, c, d, sep, Rng(seed))
+    h = hashlib.sha256()
+    for part in (ds.features.astype("<f8"), ds.true_labels.astype("<i8"),
+                 ds.noisy_labels.astype("<i8")):
+        h.update(part.tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_blobs_zero_separation_near_chance():

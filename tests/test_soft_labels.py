@@ -70,6 +70,20 @@ def test_init_refuses_a_negative_k(k):
         _store([0, 1], c=2, k=k)
 
 
+# one K of each kind that `check_k` refuses: NaN, the infinities, a negative
+# K and a positive one too small to keep the noisy label
+REFUSED_K = (float("nan"), float("inf"), float("-inf"), -3.0, 1e-17)
+
+
+@pytest.mark.parametrize("k", REFUSED_K)
+def test_the_constructor_refuses_what_check_k_refuses(k):
+    with pytest.raises(ValueError) as refused:
+        SoftLabelStore(np.zeros((2, 2)), k)
+    with pytest.raises(ValueError) as checked:
+        SoftLabelStore.check_k(k, "k")
+    assert str(refused.value) == str(checked.value)
+
+
 @settings(max_examples=200, deadline=None)
 @given(k=st.floats(1e-17, 1e-14), c=st.integers(2, 64))
 def test_every_accepted_k_keeps_each_noisy_label_as_the_argmax(k, c):
@@ -216,22 +230,37 @@ def test_snapshot_roundtrip_bitwise(tmp_path):
 @given(data=st.data(), n=st.integers(0, 12), c=st.integers(1, 6),
        k=st.floats(width=64))
 def test_snapshot_roundtrip_bitwise_property(data, n, c, k):
-    # any float64 bit pattern for the logits and K, NaN and infinities
-    # included: a non-finite logit is refused as it is loaded, naming the
-    # file, and every finite pattern comes back bit for bit
+    # any float64 bit pattern for the logits and K: a non-finite logit, each K
+    # of REFUSED_K (drawn every time, so no profile can miss one) and a drawn K
+    # that `check_k` refuses are refused as they are loaded, naming the file;
+    # every finite logit and every other K comes back bit for bit
     logits = data.draw(hnp.arrays(np.float64, (n, c), elements=st.floats(width=64)))
+    finite = np.where(np.isfinite(logits), logits, 0.0)
+    try:
+        SoftLabelStore.check_k(k, "k")
+        refused = REFUSED_K
+    except ValueError:
+        refused, k = REFUSED_K + (k,), 0.0
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "labels.slbl"
         if not np.isfinite(logits).all():
             SoftLabelStore(logits, k).save(path)
-            with pytest.raises(LabelSnapshotError) as refused:
+            with pytest.raises(LabelSnapshotError) as bad_logit:
                 SoftLabelStore.load(path)
-            assert str(refused.value) == f"{path}: a logit is not finite"
-            logits = np.where(np.isfinite(logits), logits, 0.0)
-        SoftLabelStore(logits, k).save(path)
+            assert str(bad_logit.value) == f"{path}: a logit is not finite"
+        for bad in refused:
+            store = SoftLabelStore(finite, 0.0)
+            store.k = bad  # a header K that the constructor refuses
+            store.save(path)
+            with pytest.raises(LabelSnapshotError) as bad_k:
+                SoftLabelStore.load(path)
+            with pytest.raises(ValueError) as checked:
+                SoftLabelStore.check_k(bad, f"{path}: K")
+            assert str(bad_k.value) == str(checked.value)
+        SoftLabelStore(finite, k).save(path)
         loaded = SoftLabelStore.load(path)
     assert loaded.logits.shape == (n, c)
-    assert loaded.logits.tobytes() == logits.tobytes()
+    assert loaded.logits.tobytes() == finite.tobytes()
     assert struct.pack("<d", loaded.k) == struct.pack("<d", k)
 
 
