@@ -3,10 +3,11 @@
 Subcommands: gen | train | eval | sweep | export-labels.
 
 Every run directory gets a manifest.json carrying the fully resolved
-configuration and seeds, sufficient to reproduce the run bit for bit, and the
-sha256 of the train split it read; `eval` refuses a checkpoint or a label
-snapshot that sits beside such a manifest when --data holds a different train
-split. Every path is used as given, relative to the working directory.
+configuration and seeds, sufficient to reproduce the run bit for bit on the
+same numpy and BLAS build and CPU code path, and the sha256 of the train split
+it read; `eval` refuses a checkpoint or a label snapshot that sits beside such
+a manifest when --data holds a different train split. Every path is used as
+given, relative to the working directory.
 Training-config resolution order: preset, then command-line flags; later wins.
 
 Each value (flag or --blobs token) is parsed once, by its key in `_PARSERS`,
@@ -32,7 +33,8 @@ temp file a killed write left.
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical abort
 (a non-finite loss or gradient in training; the rolling last_good checkpoint
 survives). A checkpoint or label snapshot that holds a non-finite value is a
-configuration error naming the file.
+configuration error naming the file, and a size whose arrays no memory holds is
+one naming the allocation.
 """
 
 from __future__ import annotations
@@ -617,7 +619,7 @@ def main(argv=None) -> int:
     try:
         _parse_values(args)
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -1,7 +1,7 @@
 """Named training-configuration presets: desk-scale configurations tuned on
 the synthetic generators in this package. `TrainConfig()` itself holds the
-published CIFAR-10 hyperparameters, so no preset repeats them. SGD momentum is
-no setting: every run takes the paper's 0.9, `trainer.MOMENTUM`.
+published CIFAR-10 hyperparameters, so no preset repeats them. SGD momentum and
+the look-ahead rate are the paper's constants, `trainer.MOMENTUM` and `ALPHA`.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from .trainer import TrainConfig
 
 __all__ = ["PRESETS"]
 
-# 80 epochs with the paper's ~37% warm-up fraction, alpha and the default
+# 80 epochs with the paper's ~37% warm-up fraction and the default
 # (32, 32) hidden layers. beta, K, weight decay and the entropy weight
 # are recalibrated for the small-MLP gradient scale: a warm-up that saturates
 # its predictions kills the label-gradient signal, so the full-scale values

@@ -3,7 +3,7 @@
 Stage one is plain cross-entropy warm-up on the noisy labels. Stage two
 alternates, per batch:
 
-  1. a look-ahead step theta_hat = theta - alpha * grad KL(f||yhat) on the
+  1. a look-ahead step theta_hat = theta - ALPHA * grad KL(f||yhat) on the
      training batch, a plain gradient step on the flat parameter vector;
   2. a label update: the gradient of the meta cross-entropy (clean meta
      batch, evaluated at theta_hat) with respect to the batch's label
@@ -72,6 +72,7 @@ __all__ = [
 
 
 MOMENTUM = 0.9  # the paper's SGD momentum, in both stages; no preset changes it
+ALPHA = 0.5     # the paper's look-ahead rate at every noise level; beta is the label rate
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,6 @@ class TrainConfig:
     """Checked when built, by a call or by `dataclasses.replace`: one that exists is valid."""
     # the defaults are the paper's CIFAR-10 hyperparameters; it lowers beta to
     # 2000 at 60% uniform noise and to 400 at 80%
-    alpha: float = 0.5            # look-ahead step learning rate
     beta: float = 4000.0          # label learning rate
     lambda_schedule: tuple[tuple[int, float], ...] = ((0, 1e-2), (40, 1e-3), (80, 1e-4))
     k_init: float = 10.0          # label logit init scale, see SoftLabelStore.check_k
@@ -98,8 +98,8 @@ class TrainConfig:
         for name, value in values:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.alpha <= 0 or self.beta < 0:
-            raise ValueError(f"need alpha > 0 and beta >= 0, got {self.alpha}, {self.beta}")
+        if self.beta < 0:
+            raise ValueError(f"need beta >= 0, got {self.beta}")
         if self.k_init <= 0:  # the initial label's argmax is the noisy label only for k > 0
             raise ValueError(f"need k_init > 0, got {self.k_init}")
         SoftLabelStore.check_k(self.k_init, "k_init")  # and only for a k it accepts
@@ -288,9 +288,9 @@ def mslg_epoch(state: RunState, cfg: TrainConfig, train_ds: LabeledDataset,
         m_idx = next(meta_rows)
         g_meta, g_train = meta_gradient_direction(
             state.model, cache, yhat, meta_ds.features[m_idx],
-            meta_ds.noisy_labels[m_idx], cfg.alpha)
+            meta_ds.noisy_labels[m_idx], ALPHA)
         state.store.apply_label_gradient(
-            ids, label_gradient_along(state.model, cache, g_meta, cfg.alpha), cfg.beta)
+            ids, label_gradient_along(state.model, cache, g_meta, ALPHA), cfg.beta)
         # mean over (meta sample, train sample) gradient dot products collapses
         # to the dot of the two batch-mean gradients by bilinearity; einsum
         # sums it without BLAS, whose threads would split it and move its bits

@@ -36,7 +36,7 @@ from mslg.losses import PROB_FLOOR, cce_loss, classification_objective, kl_loss_
 from mslg.model import Mlp, sgd_step
 from mslg.rng import Rng
 from mslg.soft_labels import SoftLabelStore
-from mslg.trainer import (MOMENTUM, RunState, accuracy, epoch_order, kl_logit_loss,
+from mslg.trainer import (ALPHA, MOMENTUM, RunState, accuracy, epoch_order, kl_logit_loss,
                           label_gradient_along, meta_gradient_direction, recovery_rate,
                           training_loss_grad)
 
@@ -157,7 +157,7 @@ def reference_mslg_batch(model, velocity, logits, x, meta_x, meta_y, cfg, lr):
     Every gradient is a reference loss's gradient in probability space pulled
     back through `softmax_backward` and `plain_backward`:
     1. look-ahead: g_train of KL(f||softmax(logits)) at theta, and
-       theta_hat = theta - alpha * g_train;
+       theta_hat = theta - ALPHA * g_train;
     2. label step: logits - beta * `brute_force_logit_grad`, central
        differences of the meta loss after the look-ahead;
     3. committed step: `plain_sgd_step` at rate `lr` and `MOMENTUM` on the
@@ -171,10 +171,10 @@ def reference_mslg_batch(model, velocity, logits, x, meta_x, meta_y, cfg, lr):
     g_train = grad_at(model, x, lambda f: kl_loss_v2(f, plain_softmax(logits))
                       .grad_wrt_predictions)
     ahead = Mlp(model.layer_sizes)
-    ahead.params[...] = model.params - cfg.alpha * g_train
+    ahead.params[...] = model.params - ALPHA * g_train
     g_meta = grad_at(ahead, meta_x, lambda f: cce_loss(f, meta_y).grad_wrt_predictions)
     new_logits = logits - cfg.beta * brute_force_logit_grad(model, x, logits, meta_x,
-                                                            meta_y, cfg.alpha)
+                                                            meta_y, ALPHA)
     grad = grad_at(model, x, lambda f: classification_objective(
         f, plain_softmax(new_logits), cfg.entropy_weight).grad_wrt_predictions)
     params, velocity = model.params.copy(), velocity.copy()

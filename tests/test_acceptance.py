@@ -36,6 +36,7 @@ from mslg.model import Mlp
 from mslg.presets import PRESETS
 from mslg.rng import Rng
 from mslg.trainer import (
+    ALPHA,
     RunState,
     TrainConfig,
     _meta_batches,
@@ -121,15 +122,13 @@ def meta_sweep(desk_runs):
 
 
 def test_criterion_1_bilevel_oracle():
-    cfg = TrainConfig(alpha=0.5)
     t0 = time.perf_counter()
     worst = 0.0
     for seed in range(20):
         model, x, store, meta_x, meta_y = tiny_bilevel_instance(seed)
         yhat = store.soft_labels(np.arange(4))
-        analytic = label_logit_grad(model, x, yhat, meta_x, meta_y, cfg.alpha)
-        oracle = brute_force_logit_grad(model, x, store.logits, meta_x, meta_y,
-                                        cfg.alpha)
+        analytic = label_logit_grad(model, x, yhat, meta_x, meta_y, ALPHA)
+        oracle = brute_force_logit_grad(model, x, store.logits, meta_x, meta_y, ALPHA)
         err, tol = grad_errors(analytic, oracle, rel=1e-3)
         worst = max(worst, float((err / tol).max()))
         if not np.all(err <= tol):
@@ -156,7 +155,7 @@ def _tiny_epoch(seed):
         return LabeledDataset(Rng(seed, role, 0).normal(size=(rows, 2)), y, y, 2)
 
     train_ds, meta_ds, test_ds = part(6, 10), part(7, 6), part(8, 4)
-    cfg = TrainConfig(alpha=0.5, beta=10.0, lambda_schedule=((0, 0.1),), batch_size=4,
+    cfg = TrainConfig(beta=10.0, lambda_schedule=((0, 0.1),), batch_size=4,
                       weight_decay=1e-2, warmup_epochs=0, total_epochs=1, seed=seed,
                       hidden_sizes=(4,))
     state = RunState.initial(cfg, train_ds)

@@ -70,6 +70,16 @@ def test_gen_rerun_byte_identical(tmp_path):
     assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
 
 
+def test_gen_of_a_size_no_memory_holds_is_config_error(tmp_path, capsys):
+    # 10**15 int64 labels are 7.11 PiB, beyond any address space, so the
+    # allocation fails at once; never try a size whose allocation might succeed
+    out = tmp_path / "D"
+    assert run_cli("gen", "--blobs", "n=1000000000000000", "c=4", "d=2",
+                   "--out", out) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: Unable to allocate 7.11 PiB")
+    assert not out.exists()
+
+
 def test_gen_requires_source(tmp_path):
     out = tmp_path / "x"
     assert run_cli("gen", "--out", out) == EXIT_CONFIG
@@ -287,10 +297,9 @@ def test_train_preset_resolution_paper_values(tmp_path, data_dir):
                    *short) == EXIT_OK
     cfg = json.loads((out / "manifest.json").read_text())["config"]
     # with no --preset, the paper's CIFAR-10 values
-    assert cfg["alpha"] == 0.5
     assert cfg["beta"] == 4000.0
     assert cfg["k_init"] == 10.0
-    assert "momentum" not in cfg  # the method's constant, not a setting
+    assert "momentum" not in cfg and "alpha" not in cfg  # the method's constants
     assert cfg["weight_decay"] == 1e-4
     assert cfg["total_epochs"] == 2 and cfg["warmup_epochs"] == 1
     desk = tmp_path / "desk"
@@ -403,7 +412,7 @@ _BAD_VALUES = [
     # train: every TrainConfig flag, the run's own flags, and values that
     # parse but fail validation
     *[("train", (flag, "abc"), f"bad value for '{key}'")
-      for flag, key in [("--alpha", "alpha"), ("--beta", "beta"), ("--k", "k_init"),
+      for flag, key in [("--beta", "beta"), ("--k", "k_init"),
                         ("--lambda-schedule", "lambda_schedule"),
                         ("--batch-size", "batch_size"), ("--weight-decay", "weight_decay"),
                         ("--warmup-epochs", "warmup_epochs"),
@@ -416,7 +425,7 @@ _BAD_VALUES = [
      "bad value for 'lambda_schedule': expected epoch:rate, got ''"),
     ("train", ("--lambda-schedule", "0:0.02:1"),
      "bad value for 'lambda_schedule': expected epoch:rate, got '0:0.02:1'"),
-    ("train", ("--alpha", "nan"), "alpha must be finite"),
+    ("train", ("--beta", "nan"), "beta must be finite"),
     ("train", ("--lambda-schedule", "0:nan"), "lambda_schedule must be finite"),
     ("train", ("--hidden", "0"), "hidden_sizes must all be >= 1"),
     # an empty item is not skipped: "8,,8" is not a 2-layer model, "," not a
@@ -451,7 +460,7 @@ _BAD_VALUES = [
     # --out exists
     ("sweep", ("--lambda-schedule", "0:-0.02"), "lambda_schedule rates must be >= 0"),
     ("sweep", ("--lambda-schedule", "10:0.1"), "lambda_schedule must start at epoch 0, got 10"),
-    ("sweep", ("--values", "-1"), "need alpha > 0 and beta >= 0, got 0.5, -1.0"),
+    ("sweep", ("--values", "-1"), "need beta >= 0, got -1.0"),
     ("sweep", ("--axis", "noise_ratio", "--noise", "none"),
      "noise_ratio sweep needs --noise kind:ratio"),
     # every swept value's split sizes, from the source's sample count, as gen
@@ -574,7 +583,7 @@ def test_every_cli_option_is_routed():
 
 # a value of every TrainConfig field, other than its default
 _FIELD_VALUES = {
-    "alpha": "0.25", "beta": "12.5", "lambda_schedule": "0:0.5,7:0.25",
+    "beta": "12.5", "lambda_schedule": "0:0.5,7:0.25",
     "k_init": "3.5", "batch_size": "16", "weight_decay": "0.001",
     "warmup_epochs": "3", "total_epochs": "50", "entropy_weight": "0.25",
     "seed": "9", "hidden_sizes": "8,4",
@@ -600,15 +609,17 @@ def test_train_flag_sets_its_field(field):
 
 @pytest.mark.parametrize("command", ["train", "sweep"])
 def test_momentum_is_not_a_setting(tmp_path, data_dir, capsys, command):
-    # SGD momentum is the method's constant: no config field, so no flag either
-    with pytest.raises(TypeError, match="momentum"):
-        TrainConfig(momentum=0.5)
+    # SGD momentum and the look-ahead rate alpha are the method's constants:
+    # no config field, so no flag either
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        run_cli(*_BASE[command](data_dir), "--momentum", "0.5", "--out", out)
-    assert exc.value.code == EXIT_CONFIG
-    assert "unrecognized arguments: --momentum 0.5" in capsys.readouterr().err
-    assert not out.exists()
+    for key, value in [("momentum", "0.5"), ("alpha", "0.3")]:
+        with pytest.raises(TypeError, match=key):
+            TrainConfig(**{key: float(value)})
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*_BASE[command](data_dir), f"--{key}", value, "--out", out)
+        assert exc.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: --{key} {value}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("fault,message", [

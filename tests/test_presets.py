@@ -5,14 +5,14 @@ import re
 import pytest
 
 from mslg.presets import PRESETS
-from mslg.trainer import MOMENTUM, TrainConfig
+from mslg.trainer import ALPHA, MOMENTUM, TrainConfig
 
 
 def test_cifar10_shared_hyperparameters():
     # TrainConfig's defaults are the paper's CIFAR-10 values (beta for up to
     # 40% uniform noise and for feature-dependent noise)
     cfg = TrainConfig()
-    assert cfg.alpha == 0.5
+    assert ALPHA == 0.5  # not a setting: every run's look-ahead rate
     assert cfg.beta == 4000.0
     assert cfg.k_init == 10.0
     assert MOMENTUM == 0.9  # not a setting: every run's SGD momentum

@@ -4,16 +4,20 @@
 
 Reads `tools/mutants.txt`: one block per mutant, naming the bug it stands
 for, a file under `--src`, an exact old string that must occur in it once,
-and the new string. Every old string is checked before anything runs, so the
-list cannot rot unseen. Then, for each mutant, it copies `--src` and this
-checkout's `tests/` (without `test_mutants.py`, the smoke test of this tool),
-`tools/`, `benchmarks/` and `pyproject.toml` to a temporary directory,
-applies the edit to the copy of `--src` and runs `pytest -x -q tests` there;
-the suite's `pythonpath` makes it import the mutated copy. It prints one line
-per mutant: `killed` or `SURVIVED`, the seconds the run took, the bug and the
-first failing test. It exits 1 if a mutant survives, if an old string is
-missing or repeated, or if pytest ends any other way than passed or failed.
-The unmutated tree is assumed to pass the suite.
+the new string and, optionally, the test node that kills it (`kills:`). Every
+old string is checked before anything runs, so the list cannot rot unseen.
+Then, for each mutant, it copies `--src` and this checkout's `tests/`
+(without `test_mutants.py`, the smoke test of this tool), `tools/`,
+`benchmarks/` and `pyproject.toml` to a temporary directory, applies the edit
+to the copy of `--src` and runs `pytest -x -q` there on the hinted node; the
+suite's `pythonpath` makes it import the mutated copy. When there is no hint,
+or the hinted node does not kill the mutant, it runs `pytest -x -q tests`,
+after a `stale` line naming a hint that did not kill, so a stale hint costs
+time but cannot hide a survivor. It prints one line per mutant: `killed` or
+`SURVIVED`, the seconds its runs took, the bug and the first failing test. It
+exits 1 if a mutant survives, if an old string is missing or repeated, or if
+the whole suite's pytest ends any other way than passed or failed. The
+unmutated tree is assumed to pass the suite.
 """
 
 import argparse
@@ -40,6 +44,7 @@ class Mutant:
     file: str
     old: str
     new: str
+    kills: str = ""  # the test node that kills it, run before the whole suite
 
 
 def read_mutants() -> list[Mutant]:
@@ -86,6 +91,21 @@ def run_mutant(src: Path, mutant: Mutant, tests=("tests",)) -> tuple[int, float,
     return proc.returncode, seconds, failed[0] if failed else ""
 
 
+def judge(src: Path, mutant: Mutant, suite=("tests",)) -> tuple[int, float, str, str]:
+    """`run_mutant` on the mutant's hinted node, then on `suite` unless the
+    hint killed it: (exit code, seconds of both runs, first failing test, a
+    note naming a hint that did not kill, else "")."""
+    if mutant.kills:
+        code, seconds, first = run_mutant(src, mutant, [mutant.kills])
+        if code == 1:
+            return code, seconds, first, ""
+        note = f"hint {mutant.kills} did not kill it (pytest exit {code})"
+    else:
+        seconds, note = 0.0, ""
+    code, more, first = run_mutant(src, mutant, suite)
+    return code, seconds + more, first, note
+
+
 def main(argv) -> int:
     p = argparse.ArgumentParser(prog="tools/mutants.py", description=__doc__.split("\n")[0])
     p.add_argument("--src", required=True, type=Path,
@@ -99,7 +119,9 @@ def main(argv) -> int:
         return 1
     bad = 0
     for mutant in mutants:
-        code, seconds, first = run_mutant(src, mutant)
+        code, seconds, first, note = judge(src, mutant)
+        if note:
+            print(f"stale     {mutant.bug}: {note}", flush=True)
         verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"pytest exit {code}")
         print(f"{verdict:8s}  {seconds:5.1f} s  {mutant.bug}  {first}", flush=True)
         bad += code != 1
