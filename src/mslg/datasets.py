@@ -364,16 +364,22 @@ def _first_non_utf8(path) -> str:
     return f"{path}: not UTF-8"
 
 
+def _int64(text: str) -> int:
+    if not -2**63 <= (value := int(text)) < 2**63:
+        raise ValueError("out of the int64 range")
+    return value
+
+
 def load_dataset_csv(path, num_classes: int | None = None) -> dict[str, LabeledDataset]:
     """Splits keyed by their split column, read in one pass: ids and labels
     as int64, features as finite float64. A malformed row, or a field that
     is not a number of its column's type, names `path:line: 'column'`; a
     label outside [0, num_classes) names file and split. `num_classes`
     defaults to one more than the largest label."""
-    # per split: its rows' line numbers, each row's (id, true_label,
-    # noisy_label), and its features packed as they are read
-    rows_by_tag: dict[str, tuple[list, list, array]] = defaultdict(
-        lambda: ([], [], array("d")))
+    # per split, packed as they are read: its rows' line numbers, each row's
+    # (id, true_label, noisy_label) and its features
+    rows_by_tag: dict[str, tuple[array, array, array]] = defaultdict(
+        lambda: (array("q"), array("q"), array("d")))
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -383,16 +389,16 @@ def load_dataset_csv(path, num_classes: int | None = None) -> dict[str, LabeledD
             if header[:1] != ["id"] or header[-3:] != ["true_label", "noisy_label", "split"]:
                 raise ValueError(f"{path}: unexpected dataset CSV header {header!r}")
             width = len(header)
-            parsers = (int, *[float] * (width - 4), int, int)
+            parsers = (_int64, *[float] * (width - 4), _int64, _int64)
             for row in reader:
                 if len(row) != width:
                     raise ValueError(f"{path}:{reader.line_num}: {len(row)} fields, "
                                      f"header has {width}")
                 lines, ints, feats = rows_by_tag[row[-1]]
                 try:
-                    ints += int(row[0]), int(row[-3]), int(row[-2])
+                    ints.extend((int(row[0]), int(row[-3]), int(row[-2])))
                     feats.extend(map(float, row[1:-3]))
-                except ValueError:
+                except (ValueError, OverflowError):
                     # parse the row again, in column order, to name its first bad field
                     for column, parse, text in zip(header, parsers, row):
                         try:
@@ -411,13 +417,7 @@ def load_dataset_csv(path, num_classes: int | None = None) -> dict[str, LabeledD
     arrays = {}
     for tag, (lines, ints, feats) in rows_by_tag.items():
         n = len(lines)
-        try:
-            columns = np.array(ints, np.int64).reshape(n, 3).T  # id, true_label, noisy_label
-        except OverflowError:
-            j, i = next((j, i) for j in range(3) for i in range(n)
-                        if not -2**63 <= ints[3 * i + j] < 2**63)
-            raise ValueError(f"{path}:{lines[i]}: {header[(0, -3, -2)[j]]!r}: "
-                             f"out of the int64 range") from None
+        columns = np.frombuffer(ints, np.int64).reshape(n, 3).T  # id, true_label, noisy_label
         x = np.frombuffer(feats, np.float64).reshape(n, width - 4)
         bad = ~np.isfinite(x)
         if bad.any():

@@ -22,11 +22,10 @@ checkpoints: weight matrices in layer order, each row-major, then biases.
 from __future__ import annotations
 
 import math
-import struct
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import read_frame, write_frame
 from .linalg import as_matrix, softmax, softmax_backward
 from .rng import Rng
 
@@ -197,44 +196,23 @@ class Mlp:
     # -- checkpoint io -----------------------------------------------------
 
     def save(self, path) -> None:
-        """Little-endian binary: magic, u32 version, u32 n_sizes, u32 sizes,
-        then float64 parameters in flatten order. Written through a temp file,
-        so a crash mid-write leaves the previous file at `path` intact."""
+        """An `atomic.write_frame` frame: magic `MLPC`, u32 version, u32
+        n_sizes, u32 sizes, then the parameters in parameter order."""
         sizes = self.layer_sizes
-        with atomic_write(path) as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(sizes)))
-            fh.write(struct.pack(f"<{len(sizes)}I", *sizes))
-            fh.write(self.params.astype("<f8").tobytes())
+        write_frame(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, f"{len(sizes) + 1}I",
+                    (len(sizes), *sizes), self.params)
 
     @classmethod
     def load(cls, path) -> "Mlp":
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        if len(blob) < 12 or blob[:4] != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}: bad checkpoint magic")
-        version, n_sizes = struct.unpack_from("<II", blob, 4)
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        off = 12
-        if len(blob) < off + 4 * n_sizes:
-            raise CheckpointError(f"{path}: truncated checkpoint header")
-        sizes = struct.unpack_from(f"<{n_sizes}I", blob, off)
-        off += 4 * n_sizes
-        if n_sizes < 2 or 0 in sizes:
-            raise CheckpointError(f"{path}: layer sizes must be >= 2 positive ints, "
-                                  f"got {sizes}")
-        # checked before the model is built, so a corrupt header cannot
-        # allocate more than the file holds
-        expected = 8 * sum((n_in + 1) * n_out for n_in, n_out in zip(sizes, sizes[1:]))
-        payload = blob[off:]
-        if len(payload) != expected:
-            raise CheckpointError(
-                f"{path}: expected {expected} parameter bytes, found {len(payload)}"
-            )
-        params = np.frombuffer(payload, dtype="<f8")
-        if not np.isfinite(params).all():
-            raise CheckpointError(f"{path}: a parameter is not finite")
+        def header(take):
+            (n_sizes,) = take("I")
+            sizes = take(f"{n_sizes}I")
+            if n_sizes < 2 or 0 in sizes:
+                raise CheckpointError(f"{path}: layer sizes must be >= 2 positive ints, "
+                                      f"got {sizes}")
+            return sizes, sum((n_in + 1) * n_out for n_in, n_out in zip(sizes, sizes[1:]))
+        sizes, params = read_frame(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointError,
+                                   "checkpoint", "parameter", header)
         model = cls(sizes)
         model.params[...] = params
         return model

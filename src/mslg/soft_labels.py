@@ -5,21 +5,20 @@ is the sample's soft label. Updates are gradients with respect to the logits
 and land on them directly, so the derived labels stay valid distributions no
 matter how far the logits drift. Logits start at K * onehot(noisy label); at
 a K > 0 that `check_k` accepts, each initial label peaks at its noisy label.
+A snapshot holds the logits alone; K is the run's `k_init`, in its manifest.
 """
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import atomic_write, read_frame, write_frame
 from .linalg import softmax
 
 __all__ = ["SoftLabelStore", "LabelSnapshotError", "SNAPSHOT_MAGIC"]
 
 SNAPSHOT_MAGIC = b"SLBL"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2  # version 1 also held K
 
 
 class LabelSnapshotError(ValueError):
@@ -27,12 +26,10 @@ class LabelSnapshotError(ValueError):
 
 
 class SoftLabelStore:
-    def __init__(self, logits: np.ndarray, k: float):
+    def __init__(self, logits: np.ndarray):
         self.logits = np.ascontiguousarray(logits, dtype=np.float64)
         if self.logits.ndim != 2:
             raise ValueError(f"logits must be (N, C), got shape {self.logits.shape}")
-        self.check_k(k, "k")
-        self.k = float(k)
         self.version = 0  # apply_label_gradient, which alone moves the logits, bumps it
 
     @property
@@ -44,23 +41,24 @@ class SoftLabelStore:
         return self.logits.shape[1]
 
     @staticmethod
-    def check_k(k: float, name: str, error=ValueError) -> None:
-        """Refuse a K no label can start from: a non-finite one (softmax's shift
-        takes inf - inf), a negative one (each argmax leaves the noisy label), and
-        a K > 0 at which softmax loses the noisy label: unless exp(-k) is below
-        1 - 2**-52, dividing row k * onehot(j)'s (1, exp(-k), ...) by its sum may
-        round both to one value, and the argmax falls to class 0. K = 0 is
-        uniform labels. A refusal raises `error`."""
+    def check_k(k: float, name: str) -> None:
+        """Refuse a K that `init_from_noisy` cannot start from, with a ValueError
+        naming `name`: a non-finite K (softmax's shift takes inf - inf), a negative
+        one (each argmax leaves the noisy label), and a K > 0 at which softmax
+        loses the noisy label: unless exp(-k) is below 1 - 2**-52, dividing row
+        k * onehot(j)'s (1, exp(-k), ...) by its sum may round both to one value,
+        and the argmax falls to class 0. K = 0 is uniform labels."""
         if not 0 <= k < np.inf:
-            raise error(f"{name} must be finite and >= 0, got {k}")
+            raise ValueError(f"{name} must be finite and >= 0, got {k}")
         if k > 0 and not np.exp(-k) < 1.0 - 2.0 ** -52:
-            raise error(f"{name} {k} is too small: softmax ties the initial labels")
+            raise ValueError(f"{name} {k} is too small: softmax ties the initial labels")
 
     @classmethod
     def init_from_noisy(cls, noisy_labels, num_classes: int,
                         k: float) -> "SoftLabelStore":
         """logits_i = k * onehot(noisy_i); the argmax of the soft label equals
         the noisy label for every k > 0 that `check_k` accepts."""
+        cls.check_k(k, "k")
         noisy = np.asarray(noisy_labels, dtype=np.int64).ravel()
         c = int(num_classes)
         if np.any(noisy < 0) or np.any(noisy >= c):
@@ -68,7 +66,7 @@ class SoftLabelStore:
             raise ValueError(f"noisy label {bad} out of range [0, {c})")
         logits = np.zeros((noisy.size, c))
         logits[np.arange(noisy.size), noisy] = float(k)
-        return cls(logits, k)
+        return cls(logits)
 
     def _rows(self, ids) -> np.ndarray:
         """Sample ids are the row indices 0..N-1; anything else is unknown
@@ -104,37 +102,21 @@ class SoftLabelStore:
     # -- snapshot io -------------------------------------------------------
 
     def save(self, path) -> None:
-        """Little-endian binary: magic, u32 version, u64 N, u32 C, f64 K,
-        then row-major float64 logits. Written through a temp file, so a crash
-        mid-write leaves the previous file at `path` intact."""
-        with atomic_write(path) as fh:
-            fh.write(SNAPSHOT_MAGIC)
-            fh.write(struct.pack("<IQId", SNAPSHOT_VERSION, self.n,
-                                 self.num_classes, self.k))
-            fh.write(self.logits.astype("<f8").tobytes())
+        """An `atomic.write_frame` frame: magic `SLBL`, u32 version, u64 N,
+        u32 C, then the logits row-major."""
+        write_frame(path, SNAPSHOT_MAGIC, SNAPSHOT_VERSION, "QI", (self.n, self.num_classes),
+                    self.logits)
 
     @classmethod
     def load(cls, path) -> "SoftLabelStore":
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        header = struct.calcsize("<IQId")
-        if len(blob) < 4 + header or blob[:4] != SNAPSHOT_MAGIC:
-            raise LabelSnapshotError(f"{path}: corrupt snapshot header")
-        version, n, c, k = struct.unpack_from("<IQId", blob, 4)
-        if version != SNAPSHOT_VERSION:
-            raise LabelSnapshotError(f"{path}: unsupported snapshot version {version}")
-        if c < 1:
-            raise LabelSnapshotError(f"{path}: need at least one class, got {c}")
-        cls.check_k(k, f"{path}: K", LabelSnapshotError)
-        payload = blob[4 + header:]
-        if len(payload) != n * c * 8:
-            raise LabelSnapshotError(
-                f"{path}: expected {n * c * 8} logit bytes, found {len(payload)}"
-            )
-        logits = np.frombuffer(payload, dtype="<f8").reshape(n, c)
-        if not np.isfinite(logits).all():
-            raise LabelSnapshotError(f"{path}: a logit is not finite")
-        return cls(logits.copy(), k)
+        def header(take):
+            n, c = take("QI")
+            if c < 1:
+                raise LabelSnapshotError(f"{path}: need at least one class, got {c}")
+            return (n, c), n * c
+        (n, c), logits = read_frame(path, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+                                    LabelSnapshotError, "snapshot", "logit", header)
+        return cls(logits.reshape(n, c).copy())
 
     def export_csv(self, path) -> None:
         """CSV: sample_id, yhat_0..yhat_{C-1}, argmax."""

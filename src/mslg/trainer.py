@@ -28,9 +28,9 @@ in parameter space is the forward-mode tangent J_theta f . g_meta scaled by
 -1/b. The tangent is exact and reuses the activations of the one forward pass
 at theta, which also serves steps 1 and 3.
 
-The hot path works in logit space: its loss kernels (`cce_logit_loss` and
-`kl_logit_loss` of `mslg.losses`) return the gradient with respect to the
-model's pre-softmax output z, which `Mlp.backward` takes directly. They skip
+The hot path works in logit space: its kernels (`cce_logit_loss`, the meta
+step's `cce_logit_grad` and `kl_logit_loss` of `mslg.losses`) return the gradient
+with respect to the pre-softmax output z, which `Mlp.backward` takes. They skip
 the simplex checks of the reference losses; the loop checks finiteness instead
 (the forward, the soft labels of each batch, and every gradient before it is
 applied).
@@ -47,7 +47,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .datasets import LabeledDataset
-from .losses import cce_logit_loss, cce_loss, kl_logit_loss
+from .losses import cce_logit_grad, cce_logit_loss, cce_loss, kl_logit_loss
 from .model import Mlp, NumericalError, sgd_pass
 from .rng import ROLE_INIT, ROLE_META, ROLE_TRAIN, Rng
 from .soft_labels import SoftLabelStore
@@ -204,7 +204,7 @@ def meta_gradient_direction(model: Mlp, cache: dict, yhat, meta_x, meta_y,
         raise NumericalError("meta gradient: non-finite training gradient")
     theta_hat = model.perturbed(g_train, -alpha)
     probs_m, cache_m = theta_hat.forward(meta_x)
-    g_meta = theta_hat.backward(cache_m, cce_logit_loss(probs_m, meta_y)[1])
+    g_meta = theta_hat.backward(cache_m, cce_logit_grad(probs_m, meta_y))
     if not np.isfinite(g_meta).all():
         raise NumericalError("meta gradient: non-finite meta gradient")
     return g_meta, g_train

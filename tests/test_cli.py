@@ -1027,11 +1027,6 @@ def test_out_under_a_file_is_config_error(tmp_path, data_dir, capsys, command, t
     ("eval", "model.ckpt", "a parameter is not finite"),
     ("eval", "labels.slbl", "a logit is not finite"),
     ("export-labels", "labels.slbl", "a logit is not finite"),
-    # the header's K: refused by `SoftLabelStore.check_k`, with the file named
-    pytest.param("eval", "labels.slbl", "K must be finite and >= 0, got",
-                 id="eval-labels.slbl-K is not finite"),
-    pytest.param("export-labels", "labels.slbl", "K must be finite and >= 0, got",
-                 id="export-labels-labels.slbl-K is not finite"),
 ])
 def test_non_finite_artifact_is_config_error(tmp_path, data_dir, capsys, value,
                                              command, artifact, message):
@@ -1043,10 +1038,7 @@ def test_non_finite_artifact_is_config_error(tmp_path, data_dir, capsys, value,
         model.save(ckpt)
     else:
         store = SoftLabelStore.load(snap)
-        if message.startswith("K "):  # the header's K, else one logit
-            store.k = value
-        else:
-            store.logits[0, 0] = value
+        store.logits[0, 0] = value
         store.save(snap)
     out = tmp_path / "out" / "o"
     reads = _reading(command, data_dir, ckpt, snap)
@@ -1058,24 +1050,19 @@ def test_non_finite_artifact_is_config_error(tmp_path, data_dir, capsys, value,
     assert not out.parent.exists()
 
 
-@pytest.mark.parametrize("k,message", [
-    (-3.0, "K must be finite and >= 0, got -3.0"),
-    (1e-17, "K 1e-17 is too small: softmax ties the initial labels"),
-])
 @pytest.mark.parametrize("command", ["eval", "export-labels"])
-def test_label_snapshot_with_a_refused_finite_k_is_config_error(tmp_path, data_dir, capsys,
-                                                                command, k, message):
-    # a header K that no label store could start from, as `init_from_noisy` refuses it
+def test_label_snapshot_of_version_1_is_config_error(tmp_path, data_dir, capsys, command):
+    # version 1 also held K after C; its logits are the ones version 2 holds
     ckpt, snap = _model_and_labels(tmp_path, data_dir)
     store = SoftLabelStore.load(snap)
-    store.k = k
-    store.save(snap)
+    snap.write_bytes(b"SLBL" + struct.pack("<IQId", 1, store.n, store.num_classes, 10.0)
+                     + store.logits.astype("<f8").tobytes())
     out = tmp_path / "out" / "o"
     reads = _reading(command, data_dir, ckpt, snap)
     capsys.readouterr()
     assert run_cli(*reads, "--out", out) == EXIT_CONFIG
     captured = capsys.readouterr()
-    assert f"config error: {snap}: {message}" in captured.err
+    assert f"config error: {snap}: unsupported snapshot version 1" in captured.err
     assert captured.out == ""
     assert not out.parent.exists()
 
@@ -1085,7 +1072,7 @@ def test_label_snapshot_without_classes_is_config_error(tmp_path, data_dir, caps
                                                          command):
     ckpt, snap = _model_and_labels(tmp_path, data_dir)
     n = SoftLabelStore.load(snap).n
-    SoftLabelStore(np.zeros((n, 0)), 10.0).save(snap)
+    SoftLabelStore(np.zeros((n, 0))).save(snap)
     out = tmp_path / "out" / "o"
     reads = _reading(command, data_dir, ckpt, snap)
     capsys.readouterr()

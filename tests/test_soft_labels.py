@@ -70,20 +70,6 @@ def test_init_refuses_a_negative_k(k):
         _store([0, 1], c=2, k=k)
 
 
-# one K of each kind that `check_k` refuses: NaN, the infinities, a negative
-# K and a positive one too small to keep the noisy label
-REFUSED_K = (float("nan"), float("inf"), float("-inf"), -3.0, 1e-17)
-
-
-@pytest.mark.parametrize("k", REFUSED_K)
-def test_the_constructor_refuses_what_check_k_refuses(k):
-    with pytest.raises(ValueError) as refused:
-        SoftLabelStore(np.zeros((2, 2)), k)
-    with pytest.raises(ValueError) as checked:
-        SoftLabelStore.check_k(k, "k")
-    assert str(refused.value) == str(checked.value)
-
-
 @settings(max_examples=200, deadline=None)
 @given(k=st.floats(1e-17, 1e-14), c=st.integers(2, 64))
 def test_every_accepted_k_keeps_each_noisy_label_as_the_argmax(k, c):
@@ -134,7 +120,7 @@ def test_apply_constant_gradient_is_noop():
 
 
 def test_apply_hand_case_delta():
-    store = SoftLabelStore(np.array([[0.5, -1.0]]), k=0.0)
+    store = SoftLabelStore(np.array([[0.5, -1.0]]))
     store.apply_label_gradient([0], np.array([[1.0, -0.25]]), beta=2.0)
     assert np.allclose(store.logits, [[-1.5, -0.5]], atol=1e-15)
 
@@ -158,16 +144,16 @@ def test_apply_scales_linearly_in_beta():
     base.logits += rng.normal(size=(2, 3))
     start = base.logits.copy()
 
-    one = SoftLabelStore(start.copy(), k=10.0)
+    one = SoftLabelStore(start.copy())
     one.apply_label_gradient([0, 1], grad, beta=0.5)
-    two = SoftLabelStore(start.copy(), k=10.0)
+    two = SoftLabelStore(start.copy())
     two.apply_label_gradient([0, 1], grad, beta=1.0)
 
     delta_one = one.logits - start
     delta_two = two.logits - start
     assert np.allclose(delta_two, 2.0 * delta_one, rtol=0, atol=1e-12)
 
-    zero = SoftLabelStore(start.copy(), k=10.0)
+    zero = SoftLabelStore(start.copy())
     zero.apply_label_gradient([0, 1], grad, beta=0.0)
     assert np.array_equal(zero.logits, start)
 
@@ -221,47 +207,32 @@ def test_snapshot_roundtrip_bitwise(tmp_path):
     store.logits += rng.normal(size=store.logits.shape)
     path = tmp_path / "labels.slbl"
     store.save(path)
+    # the v2 layout: magic, u32 version, u64 N, u32 C, then the logits; no K
+    assert path.read_bytes() == (SNAPSHOT_MAGIC + struct.pack("<IQI", 2, 17, 3)
+                                 + store.logits.astype("<f8").tobytes())
     loaded = SoftLabelStore.load(path)
-    assert loaded.k == store.k
     assert np.array_equal(loaded.logits, store.logits)
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), n=st.integers(0, 12), c=st.integers(1, 6),
-       k=st.floats(width=64))
-def test_snapshot_roundtrip_bitwise_property(data, n, c, k):
-    # any float64 bit pattern for the logits and K: a non-finite logit, each K
-    # of REFUSED_K (drawn every time, so no profile can miss one) and a drawn K
-    # that `check_k` refuses are refused as they are loaded, naming the file;
-    # every finite logit and every other K comes back bit for bit
+@given(data=st.data(), n=st.integers(0, 12), c=st.integers(1, 6))
+def test_snapshot_roundtrip_bitwise_property(data, n, c):
+    # any float64 bit pattern for the logits: a non-finite logit is refused
+    # as it is loaded, naming the file, and every finite one comes back bit
+    # for bit
     logits = data.draw(hnp.arrays(np.float64, (n, c), elements=st.floats(width=64)))
     finite = np.where(np.isfinite(logits), logits, 0.0)
-    try:
-        SoftLabelStore.check_k(k, "k")
-        refused = REFUSED_K
-    except ValueError:
-        refused, k = REFUSED_K + (k,), 0.0
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "labels.slbl"
         if not np.isfinite(logits).all():
-            SoftLabelStore(logits, k).save(path)
+            SoftLabelStore(logits).save(path)
             with pytest.raises(LabelSnapshotError) as bad_logit:
                 SoftLabelStore.load(path)
             assert str(bad_logit.value) == f"{path}: a logit is not finite"
-        for bad in refused:
-            store = SoftLabelStore(finite, 0.0)
-            store.k = bad  # a header K that the constructor refuses
-            store.save(path)
-            with pytest.raises(LabelSnapshotError) as bad_k:
-                SoftLabelStore.load(path)
-            with pytest.raises(ValueError) as checked:
-                SoftLabelStore.check_k(bad, f"{path}: K")
-            assert str(bad_k.value) == str(checked.value)
-        SoftLabelStore(finite, k).save(path)
+        SoftLabelStore(finite).save(path)
         loaded = SoftLabelStore.load(path)
     assert loaded.logits.shape == (n, c)
     assert loaded.logits.tobytes() == finite.tobytes()
-    assert struct.pack("<d", loaded.k) == struct.pack("<d", k)
 
 
 def test_snapshot_truncated_file(tmp_path):
@@ -282,7 +253,7 @@ def test_snapshot_corrupt_header(tmp_path):
     path.write_bytes(b"SL")
     with pytest.raises(LabelSnapshotError, match="header"):
         SoftLabelStore.load(path)
-    path.write_bytes(SNAPSHOT_MAGIC + struct.pack("<IQId", SNAPSHOT_VERSION + 1, 1, 2, 1.0)
+    path.write_bytes(SNAPSHOT_MAGIC + struct.pack("<IQI", SNAPSHOT_VERSION + 1, 1, 2)
                      + bytes(16))
     with pytest.raises(LabelSnapshotError) as exc:
         SoftLabelStore.load(path)

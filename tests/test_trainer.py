@@ -294,7 +294,7 @@ def test_label_update_raises_alignment_or_lowers_meta_loss():
         beta = 1.0
         ok = False
         for _ in range(10):
-            trial = SoftLabelStore(logits0.copy(), k=10.0)
+            trial = SoftLabelStore(logits0.copy())
             yhat = trial.soft_labels(ids)
             grad = label_logit_grad(model, x, yhat, meta_x, meta_y, ALPHA)
             trial.apply_label_gradient(ids, grad, beta)
@@ -318,7 +318,7 @@ def test_single_label_update_descends_meta_loss_with_halving():
         beta = 4.0
         descended = False
         for _ in range(10):
-            trial = SoftLabelStore(logits0.copy(), k=10.0)
+            trial = SoftLabelStore(logits0.copy())
             yhat = trial.soft_labels(ids)
             grad = label_logit_grad(model, x, yhat, meta_x, meta_y, ALPHA)
             trial.apply_label_gradient(ids, grad, beta)
