@@ -25,6 +25,7 @@ from .trainer import (
     RunState,
     TrainConfig,
     accuracy,
+    epochs,
     label_gradient_along,
     meta_gradient_direction,
     mslg_epoch,
@@ -41,7 +42,7 @@ __all__ = [
     "softmax", "softmax_backward",
     "Mlp", "NumericalError", "sgd_pass", "sgd_step",
     "PRESETS", "Rng", "SoftLabelStore",
-    "EpochMetrics", "RunState", "TrainConfig", "accuracy",
+    "EpochMetrics", "RunState", "TrainConfig", "accuracy", "epochs",
     "label_gradient_along", "meta_gradient_direction",
     "mslg_epoch", "recovery_rate", "train", "warmup_epoch",
     "__version__",

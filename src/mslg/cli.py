@@ -65,11 +65,12 @@ from .presets import PRESETS
 from .rng import GEN_DATA, GEN_NOISE, GEN_SPLIT, Rng
 from .soft_labels import SoftLabelStore
 from .trainer import (
+    RunState,
     TrainConfig,
+    epochs,
     metrics_csv_header,
     metrics_csv_row,
     recovery_rate,
-    train,
 )
 
 EXIT_OK = 0
@@ -348,35 +349,27 @@ def cmd_train(args) -> int:
     }
     _write_json(out / "manifest.json", manifest)
 
+    state = RunState.initial(cfg, splits["train"])
     slbl_version = -1  # the store version last_good.slbl holds
-
-    def on_epoch(state, metrics):
-        nonlocal slbl_version
-        metrics_csv.write(metrics_csv_row(metrics))
-        state.model.save(out / "last_good.ckpt")
-        if state.store.version != slbl_version:  # else the file holds these labels
-            state.store.save(out / "last_good.slbl")
-            slbl_version = state.store.version
-
     # one line-buffered handle: each row reaches the OS as its epoch ends
-    with open(out / "metrics.csv", "w", encoding="utf-8", newline="",
-              buffering=1) as metrics_csv:
+    with open(out / "metrics.csv", "w", encoding="utf-8", newline="", buffering=1) as metrics_csv:
         metrics_csv.write(metrics_csv_header())
         try:
-            model, store, history = train(splits["train"], splits["meta"], cfg,
-                                          splits["test"], epoch_callback=on_epoch)
+            for last in epochs(state, cfg, splits["train"], splits["meta"], splits["test"]):
+                metrics_csv.write(metrics_csv_row(last))
+                state.model.save(out / "last_good.ckpt")
+                if state.store.version != slbl_version:  # else the file holds these labels
+                    state.store.save(out / "last_good.slbl")
+                    slbl_version = state.store.version
         except NumericalError:
-            print(f"numerical abort; last good checkpoint kept in {out}",
-                  file=sys.stderr)
+            print(f"numerical abort; last good checkpoint kept in {out}", file=sys.stderr)
             raise
 
-    model.save(out / "model.ckpt")
-    store.save(out / "labels.slbl")
-    last = history[-1] if history else None
-    if last is not None:
-        print(f"done: {len(history)} epochs, test accuracy "
-              f"{last.test_accuracy:.4f}, label recovery "
-              f"{last.label_recovery_rate:.4f} -> {out}")
+    state.model.save(out / "model.ckpt")
+    state.store.save(out / "labels.slbl")
+    if state.epoch > 0:  # `last` holds the final epoch's metrics
+        print(f"done: {state.epoch} epochs, test accuracy {last.test_accuracy:.4f}, "
+              f"label recovery {last.label_recovery_rate:.4f} -> {out}")
     return EXIT_OK
 
 

@@ -220,17 +220,21 @@ def load_idx_images(images_path, labels_path) -> LabeledDataset:
 # -- noise injectors ----------------------------------------------------------
 
 
-def _flip_count(ratio: float, n: int) -> int:
-    """The labels that `ratio` flips among n; a ratio outside [0, 1) is an error."""
+def _flip_count(ratio: float, ds: LabeledDataset) -> int:
+    """The labels `ratio` flips in `ds`; an error outside [0, 1) or for a flip with one class."""
     if not (0.0 <= ratio < 1.0):
         raise ValueError(f"noise ratio must be in [0, 1), got {ratio}")
-    return int(round(ratio * n))
+    k = int(round(ratio * ds.n))
+    if k > 0 and ds.num_classes < 2:
+        raise ValueError(f"noise ratio {ratio} flips {k} labels, but the data has "
+                         f"{ds.num_classes} class; a flip needs at least 2")
+    return k
 
 
 def inject_uniform(ds: LabeledDataset, ratio: float, rng: Rng) -> LabeledDataset:
     """Flip exactly round(ratio*N) labels, chosen without replacement, each to
     a uniformly random class other than the true one."""
-    k = _flip_count(ratio, ds.n)
+    k = _flip_count(ratio, ds)
     noisy = ds.true_labels.copy()
     if k > 0:
         chosen = rng.choice(ds.n, size=k, replace=False)
@@ -269,7 +273,7 @@ def inject_feature_dependent(ds: LabeledDataset, ratio: float,
     Samples whose runner-up happens to equal the true label are passed over
     so every flip really corrupts, keeping the realized noise rate exact.
     """
-    k = _flip_count(ratio, ds.n)
+    k = _flip_count(ratio, ds)
     noisy = ds.true_labels.copy()
     if k > 0:
         probe = _fit_probe(ds.features, ds.true_labels, ds.num_classes, seed)

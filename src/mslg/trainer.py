@@ -11,8 +11,10 @@ alternates, per batch:
   3. a committed optimizer step on KL(f||yhat_new) + entropy, with rate
      lambda from the schedule.
 
-Each stage's epoch function advances one `RunState` (next epoch, model, SGD
-velocity, label store) in place through `model.sgd_pass`, the one SGD loop:
+`epochs` advances one `RunState` (next epoch, model, SGD velocity, label
+store) in place to the end of the run, choosing each epoch's stage, and yields
+every epoch's metrics; `train` runs it from `RunState.initial`. Each stage's
+epoch function advances the state through `model.sgd_pass`, the one SGD loop:
 per batch of the epoch's order it runs the forward, asks the stage's batch
 loss for the loss and its gradient with respect to the logits, and commits
 one `sgd_step` at the epoch's rates. The warm-up's batch loss is
@@ -42,6 +44,7 @@ Rng(seed, ROLE_*, ...) of the run seed, so equal configs give equal bits.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -65,6 +68,7 @@ __all__ = [
     "label_gradient_along",
     "warmup_epoch",
     "mslg_epoch",
+    "epochs",
     "train",
     "metrics_csv_header",
     "metrics_csv_row",
@@ -304,16 +308,10 @@ def mslg_epoch(state: RunState, cfg: TrainConfig, train_ds: LabeledDataset,
                           train_ds, meta_ds, test_ds)
 
 
-def train(train_ds: LabeledDataset, meta_ds: LabeledDataset, cfg: TrainConfig,
-          test_ds: LabeledDataset, epoch_callback=None
-          ) -> tuple[Mlp, SoftLabelStore, list[EpochMetrics]]:
-    """Warm-up epochs of cross-entropy, then label-correction epochs.
-
-    With warmup_epochs == total_epochs this *is* the cross-entropy baseline;
-    the label store is created but never updated. test_ds is scored every
-    epoch for the metrics' test_accuracy and is never trained on.
-    epoch_callback(state, metrics) runs after every epoch, on the advanced state.
-    """
+def epochs(state: RunState, cfg: TrainConfig, train_ds: LabeledDataset,
+           meta_ds: LabeledDataset, test_ds: LabeledDataset) -> Iterator[EpochMetrics]:
+    """Advance `state` to cfg.total_epochs, yielding each epoch's metrics. The splits
+    are checked first, whatever epoch the state is at; test_ds is never trained on."""
     if meta_ds is train_ds:
         raise ValueError("meta set must be disjoint from the training set")
     for name, ds in (("training", train_ds), ("meta", meta_ds), ("test", test_ds)):
@@ -328,13 +326,17 @@ def train(train_ds: LabeledDataset, meta_ds: LabeledDataset, cfg: TrainConfig,
     if bad.any():
         raise ValueError(f"meta label {meta_y[bad.argmax()]} out of range "
                          f"[0, {meta_ds.num_classes})")
-    state = RunState.initial(cfg, train_ds)
-    history: list[EpochMetrics] = []
     while state.epoch < cfg.total_epochs:
         run_epoch = warmup_epoch if state.epoch < cfg.warmup_epochs else mslg_epoch
-        history.append(run_epoch(state, cfg, train_ds, meta_ds, test_ds))
-        if epoch_callback is not None:
-            epoch_callback(state, history[-1])
+        yield run_epoch(state, cfg, train_ds, meta_ds, test_ds)
+
+
+def train(train_ds: LabeledDataset, meta_ds: LabeledDataset, cfg: TrainConfig,
+          test_ds: LabeledDataset) -> tuple[Mlp, SoftLabelStore, list[EpochMetrics]]:
+    """`epochs` from `RunState.initial`: the final model and labels, and every
+    epoch's metrics. warmup_epochs == total_epochs is the cross-entropy baseline."""
+    state = RunState.initial(cfg, train_ds)
+    history = list(epochs(state, cfg, train_ds, meta_ds, test_ds))
     return state.model, state.store, history
 
 

@@ -118,6 +118,37 @@ def test_gen_idx_without_pixels_is_config_error(tmp_path, capsys, n, rows, cols)
     assert not out.exists()
 
 
+
+def _one_class_idx(tmp_path):
+    """An IDX pair of 40 2x2 images whose labels are all 0."""
+    images, labels = tmp_path / "i.idx", tmp_path / "l.idx"
+    images.write_bytes(idx_images_bytes([[[i, 255 - i], [3 * i % 256, 7]] for i in range(40)]))
+    labels.write_bytes(idx_labels_bytes([0] * 40))
+    return images, labels
+
+
+@pytest.mark.parametrize("noise", ["uniform:0.2", "feature_dependent:0.2"])
+def test_gen_noise_on_one_class_is_config_error(tmp_path, capsys, noise):
+    # no label has another class to be flipped to
+    images, labels = _one_class_idx(tmp_path)
+    out = tmp_path / "data"
+    assert run_cli("gen", "--idx-images", images, "--idx-labels", labels,
+                   "--noise", noise, "--out", out) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: noise ratio 0.2 flips ")
+    assert err.endswith(" labels, but the data has 1 class; a flip needs at least 2\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("noise", ["none", "uniform:0.01", "feature_dependent:0.01"])
+def test_gen_without_a_flip_on_one_class_succeeds(tmp_path, noise):
+    images, labels = _one_class_idx(tmp_path)
+    out = tmp_path / "data"
+    assert run_cli("gen", "--idx-images", images, "--idx-labels", labels,
+                   "--noise", noise, "--out", out) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["num_classes"], manifest["corrupted"]) == (1, 0)
+
 @pytest.mark.parametrize("sources,message", [
     pytest.param(("--blobs", "n=150", "--idx-labels", "l.idx"),
                  "two sources: --blobs and --idx-images", id="blobs+idx-labels"),
@@ -787,19 +818,18 @@ def test_numerical_abort_keeps_the_labels_of_the_last_completed_epoch(tmp_path, 
     # or into the model, so the warm-up aborts on its first forward
     completes = 6 - warmup
     completed, states = [], []  # each completed epoch's label logits; the run state
-    run = mslg.cli.train
+    run = mslg.cli.epochs
 
-    def recording(train_ds, meta_ds, cfg, test_ds, epoch_callback):
-        def callback(state, metrics):
-            epoch_callback(state, metrics)
+    def recording(state, cfg, train_ds, meta_ds, test_ds):
+        for metrics in run(state, cfg, train_ds, meta_ds, test_ds):
+            yield metrics  # cmd_train writes this epoch's files before the next resumes
             completed.append(state.store.logits.copy())
             states[:] = [state]
             if state.epoch == completes and state.epoch < warmup:
                 state.model.params[0] = np.nan
             elif state.epoch == completes:
                 state.store.logits[epoch_order(cfg.seed, state.epoch, train_ds.n)[-1]] = np.nan
-        return run(train_ds, meta_ds, cfg, test_ds, epoch_callback=callback)
-    monkeypatch.setattr(mslg.cli, "train", recording)
+    monkeypatch.setattr(mslg.cli, "epochs", recording)
     out = tmp_path / "run"
     assert run_cli("train", "--data", data_dir, "--out", out, "--method", "mslg",
                    *TRAIN_FAST, "--warmup-epochs", warmup) == EXIT_NUMERIC

@@ -258,6 +258,19 @@ def test_uniform_invalid_ratio():
         inject_uniform(ds, -0.1, Rng(0))
 
 
+
+@pytest.mark.parametrize("inject", [lambda ds, ratio: inject_uniform(ds, ratio, Rng(0)),
+                                    lambda ds, ratio: inject_feature_dependent(ds, ratio, 0)],
+                         ids=["uniform", "feature_dependent"])
+def test_a_flip_among_one_class_is_refused_naming_the_class_count(inject):
+    # no other class exists to flip a label to; a ratio that flips none still works
+    labels = np.zeros(40, dtype=np.int64)
+    ds = LabeledDataset(Rng(1).normal(size=(40, 2)), labels, labels.copy(), 1)
+    with pytest.raises(ValueError, match="flips 8 labels, but the data has 1 class"):
+        inject(ds, 0.2)
+    for ratio in (0.0, 0.01):  # round(0.01 * 40) == 0
+        assert np.array_equal(inject(ds, ratio).noisy_labels, labels)
+
 # -- feature-dependent noise -----------------------------------------------------------
 
 

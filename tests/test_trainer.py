@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -33,6 +34,7 @@ from mslg.trainer import (
     accuracy,
     cce_logit_loss,
     epoch_order,
+    epochs,
     kl_logit_loss,
     label_gradient_along,
     meta_gradient_direction,
@@ -561,40 +563,49 @@ def test_label_recovery_on_feature_dependent_noise():
 # -- run state ---------------------------------------------------------------------
 
 
-def _continue(state, cfg, train_ds, meta_ds, test_ds):
-    """Run the epoch functions from `state` to the end, as `train` does."""
-    history = []
-    while state.epoch < cfg.total_epochs:
-        run_epoch = warmup_epoch if state.epoch < cfg.warmup_epochs else mslg_epoch
-        history.append(run_epoch(state, cfg, train_ds, meta_ds, test_ds))
-    return history
-
-
 # (warmup, total, the epoch after which the state is copied)
 @pytest.mark.parametrize("warmup, total, after", [(3, 6, 2), (3, 6, 3), (3, 6, 4), (4, 4, 1)],
                          ids=["mslg-last-warmup", "mslg-first-mslg", "mslg-inside",
                               "ce-inside-warmup"])
 def test_a_copied_run_state_continues_bit_for_bit(warmup, total, after):
-    # the state handed to the epoch callback holds everything the rest of the
-    # run reads: a deepcopy of it, continued, ends bit-equal to the whole run
+    # the state that `epochs` advances holds everything the rest of the run
+    # reads: a deepcopy of it, continued by `epochs`, ends bit-equal to the whole run
     train_ds, meta_ds, test_ds = _blob_setting(seed=3, noise=0.3)
     cfg = _warm_cfg(warmup_epochs=warmup, total_epochs=total, beta=20.0)
-    saved = {}
-
-    def save(state, metrics):
+    state = RunState.initial(cfg, train_ds)
+    saved, history = {0: copy.deepcopy(state)}, []
+    for metrics in epochs(state, cfg, train_ds, meta_ds, test_ds):
         assert metrics.epoch == state.epoch - 1  # the state is the next epoch's
         saved[state.epoch] = copy.deepcopy(state)
-
-    model, store, history = train(train_ds, meta_ds, cfg, test_ds, epoch_callback=save)
+        history.append(metrics)
     resumed = saved[after + 1]
-    rest = _continue(resumed, cfg, train_ds, meta_ds, test_ds)
+    rest = list(epochs(resumed, cfg, train_ds, meta_ds, test_ds))
     assert len(rest) == total - after - 1 and rest == history[after + 1:]
     assert resumed.epoch == total
-    assert np.array_equal(resumed.model.params, model.params)
-    assert np.array_equal(resumed.velocity, saved[total].velocity)
-    assert np.array_equal(resumed.store.logits, store.logits)
+    assert np.array_equal(resumed.model.params, state.model.params)
+    assert np.array_equal(resumed.velocity, state.velocity)
+    assert np.array_equal(resumed.store.logits, state.store.logits)
     if warmup < total:
-        assert not np.array_equal(store.logits, saved[1].store.logits)  # labels moved
+        assert not np.array_equal(state.store.logits, saved[0].store.logits)  # labels moved
+
+
+@pytest.mark.parametrize("k", [0, 2, 5, 6])
+def test_epochs_runs_the_rest_of_a_run_and_checks_the_splits_at_any_epoch(k):
+    # from a state at epoch k, exactly the epochs k..total-1 run; a state that
+    # has advanced still gets the split checks, and a refused call leaves it as it was
+    train_ds, meta_ds, test_ds = _blob_setting(seed=3, noise=0.3)
+    cfg = _warm_cfg(warmup_epochs=3, total_epochs=6, beta=20.0)
+    state = RunState.initial(cfg, train_ds)
+    assert len(list(itertools.islice(epochs(state, cfg, train_ds, meta_ds, test_ds), k))) == k
+    ahead = copy.deepcopy(state)
+    with pytest.raises(ValueError, match="disjoint"):
+        next(epochs(ahead, cfg, train_ds, train_ds, test_ds))
+    empty = LabeledDataset(np.zeros((0, 2)), np.zeros(0), np.zeros(0), 3)
+    with pytest.raises(ValueError, match="test set is empty"):
+        next(epochs(ahead, cfg, train_ds, meta_ds, empty))
+    assert ahead.epoch == k and np.array_equal(ahead.model.params, state.model.params)
+    rest = list(epochs(state, cfg, train_ds, meta_ds, test_ds))
+    assert [m.epoch for m in rest] == list(range(k, 6)) and state.epoch == 6
 
 
 # -- config ------------------------------------------------------------------------
@@ -679,14 +690,14 @@ def test_train_rejects_meta_set_of_other_shape():
         train(train_ds, more_classes, _warm_cfg(), test_ds)
 
 
-def test_train_checks_the_test_split_before_building_the_model(monkeypatch):
+def test_train_checks_the_test_split_before_any_epoch_runs(monkeypatch):
     # the test split is scored after every epoch, so it is checked with the
-    # meta split, before the run state (and its model) is built
+    # meta split, before the first epoch trains
     train_ds, meta_ds, test_ds = _blob_setting()
 
-    def no_state(*args, **kwargs):
-        raise AssertionError("the run state was built before the test split was checked")
-    monkeypatch.setattr(mslg.trainer.RunState, "initial", no_state)
+    def no_epoch(*args, **kwargs):
+        raise AssertionError("an epoch ran before the test split was checked")
+    monkeypatch.setattr(mslg.trainer, "warmup_epoch", no_epoch)
     wider = LabeledDataset(np.hstack([test_ds.features, test_ds.features]),
                            test_ds.true_labels, test_ds.noisy_labels, 3)
     with pytest.raises(ValueError, match="test set has 4 features and 3 classes"):

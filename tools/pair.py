@@ -11,10 +11,13 @@ parent's `gen` with the workload's `gen` flags from `benchmarks/harness.py`'s
 `WORKLOADS`, in a temporary directory. Each side resolves the workload's
 `train` flags and loads the splits with its own code, then the two advance
 their own `RunState` one epoch at a time (warm-up epochs, then MSLG epochs,
-as `trainer.train` runs them), the side that goes first alternating from
-epoch to epoch and from seed to seed. Both trees must run the workload for
-the same number of epochs. BLAS and OpenMP pools are pinned to one thread
-before numpy loads.
+as `trainer.epochs` runs them), the side that goes first alternating from
+epoch to epoch and from seed to seed. Each side picks its epoch's stage
+itself rather than calling `trainer.epochs`, so that it also drives trees
+older than that function. Both trees must resolve the workload to the same
+total epochs; otherwise the tool exits naming both totals, since unequal work
+has no ratio. BLAS and OpenMP pools are pinned to one thread before numpy
+loads.
 
 It prints one line per seed: each side's summed epoch seconds, their ratio
 (change over parent) and whether the two sides' final parameters, SGD
@@ -102,7 +105,11 @@ def pair(parent, change, workload, seed: int, parent_first: bool) -> tuple[Side,
         argv = ["train", "--data", str(data), "--out", str(Path(tmp) / "run"),
                 "--seed", str(seed), *workload.train]
         sides = Side(parent, argv), Side(change, argv)
-    for epoch in range(sides[0].cfg.total_epochs):
+    totals = [side.cfg.total_epochs for side in sides]
+    if totals[0] != totals[1]:
+        sys.exit(f"seed {seed}: the parent runs {totals[0]} epochs and the change "
+                 f"{totals[1]}; both must train the same epochs")
+    for epoch in range(totals[0]):
         for side in sides if (epoch % 2 == 0) == parent_first else sides[::-1]:
             side.epoch()
     return sides
