@@ -23,18 +23,18 @@ before creating --out. A manifest.json must hold a JSON object.
 Each command writes only into a directory that it owns or that no command
 owns. `gen` owns one that holds a dataset.csv or whose manifest records
 "command": "gen", and `train` one whose manifest records "train"; `sweep`,
-`eval` and `export-labels` own none. An --out file may not be one of the
-command's own inputs, nor lie under an existing file. Each refusal comes
-before anything is written, and `eval` and `export-labels` check --out before
-they read anything. `train` writes every file beside its manifest, and a rerun
-first removes the previous run's model, labels and last_good pair, with any
-temp file a killed write left.
+`eval` and `export-labels` own none. No --out may lie under an existing file,
+nor may an --out directory be one or an --out file one of the command's own
+inputs. Each refusal comes before anything is written, and `eval` and
+`export-labels` check --out before they read anything. `train` writes every
+file beside its manifest, and a rerun first removes the previous run's model,
+labels and last_good pair, with any temp file a killed write left.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical abort
 (a non-finite loss or gradient in training; the rolling last_good checkpoint
 survives). A checkpoint or label snapshot that holds a non-finite value is a
 configuration error naming the file, and a size whose arrays no memory holds is
-one naming the allocation.
+one naming the allocation; `sweep` records each of these in its failed cell's row.
 """
 
 from __future__ import annotations
@@ -78,6 +78,11 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
+# the errors that end a command, with the exit code and the words that `main`
+# prints before them; a sweep records them in the failed cell's row instead
+_ENDINGS = {ValueError: (EXIT_CONFIG, "config error"), MemoryError: (EXIT_CONFIG, "config error"),
+            OSError: (EXIT_IO, "io error"), NumericalError: (EXIT_NUMERIC, "numerical abort")}
+
 
 def _owner(directory: Path) -> str | None:
     """The command whose output `directory` holds: `gen` when it holds a
@@ -88,8 +93,13 @@ def _owner(directory: Path) -> str | None:
     return _read_manifest(manifest).get("command") if manifest.is_file() else None
 
 
-def _check_owner(directory: Path, command: str | None) -> None:
-    """An error when a command other than `command` owns `directory`."""
+def _check_owner(out: Path, directory: Path, command: str | None) -> None:
+    """An error naming --out `out` when an existing file lies in `directory`'s
+    path, or when a command other than `command` owns `directory`."""
+    blocker = next((p for p in [directory, *directory.parents] if p.exists() and not p.is_dir()),
+                   None)
+    if blocker is not None:
+        raise ValueError(f"--out {out}: {blocker} is not a directory")
     owner = _owner(directory.resolve())
     if owner is not None and owner != command:
         raise ValueError(f"--out: {directory.resolve()} holds the output of `{owner}`; "
@@ -100,23 +110,20 @@ def _out_dir(path_str: str | Path, command: str) -> Path:
     """An --out directory, checked by `_check_owner` before anything is
     written; created."""
     path = Path(path_str)
-    _check_owner(path, command)
+    _check_owner(path, path, command)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
 def _out_file(path_str: str | Path, *inputs) -> Path:
-    """An --out file, not a directory, in a directory that no command owns and
-    that the write creates, so no existing ancestor may be a file. One of the
-    command's own `inputs` is an error. The checks come before anything is
-    read or written."""
+    """An --out file, not a directory, in a directory that the write creates
+    and that `_check_owner` accepts for no command. One of the command's own
+    `inputs` is an error. The checks come before anything is read or
+    written."""
     path = Path(path_str)
     if path.is_dir():
         raise ValueError(f"--out {path} is a directory; expected a file path")
-    blocker = next((p for p in path.parents if p.exists() and not p.is_dir()), None)
-    if blocker is not None:
-        raise ValueError(f"--out {path}: {blocker} is not a directory")
-    _check_owner(path.parent, None)
+    _check_owner(path, path.parent, None)
     if any(path.resolve() == Path(i).resolve() for i in inputs if i):
         raise ValueError(f"--out {path} is also an input of this command")
     return path
@@ -503,7 +510,7 @@ def cmd_sweep(args) -> int:
                 cell_dir = out / "cells" / cell / f"seed{seed}"
                 try:
                     report = _sweep_cell(_cell_args(args, value, seed), cell_dir)
-                except (ValueError, OSError, NumericalError) as exc:
+                except tuple(_ENDINGS) as exc:
                     status = f"error: {exc}".replace(",", ";")
                     runs.write(f"{key},{seed},{status},,\n")
                     continue
@@ -612,15 +619,10 @@ def main(argv=None) -> int:
     try:
         _parse_values(args)
         return args.func(args)
-    except (ValueError, MemoryError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except NumericalError as exc:
-        print(f"numerical abort: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    except tuple(_ENDINGS) as exc:
+        code, kind = next(_ENDINGS[t] for t in type(exc).__mro__ if t in _ENDINGS)
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

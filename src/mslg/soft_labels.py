@@ -4,7 +4,7 @@ Each training sample owns a row of unconstrained logits; the softmax of a row
 is the sample's soft label. Updates are gradients with respect to the logits
 and land on them directly, so the derived labels stay valid distributions no
 matter how far the logits drift. Logits start at K * onehot(noisy label); at
-a K > 0 that `check_k` accepts, each initial label peaks at its noisy label.
+every K that `check_k` accepts, each initial label peaks at its noisy label.
 A snapshot holds the logits alone; K is the run's `k_init`, in its manifest.
 """
 
@@ -43,21 +43,21 @@ class SoftLabelStore:
     @staticmethod
     def check_k(k: float, name: str) -> None:
         """Refuse a K that `init_from_noisy` cannot start from, with a ValueError
-        naming `name`: a non-finite K (softmax's shift takes inf - inf), a negative
-        one (each argmax leaves the noisy label), and a K > 0 at which softmax
-        loses the noisy label: unless exp(-k) is below 1 - 2**-52, dividing row
-        k * onehot(j)'s (1, exp(-k), ...) by its sum may round both to one value,
-        and the argmax falls to class 0. K = 0 is uniform labels."""
-        if not 0 <= k < np.inf:
-            raise ValueError(f"{name} must be finite and >= 0, got {k}")
-        if k > 0 and not np.exp(-k) < 1.0 - 2.0 ** -52:
+        naming `name`: a non-finite K (softmax's shift takes inf - inf), one <= 0
+        (each argmax leaves the noisy label, or ties at class 0), and one at which
+        softmax loses the noisy label: unless exp(-k) is below 1 - 2**-52,
+        dividing row k * onehot(j)'s (1, exp(-k), ...) by its sum may round both
+        to one value, and the argmax falls to class 0."""
+        if not 0 < k < np.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {k}")
+        if not np.exp(-k) < 1.0 - 2.0 ** -52:
             raise ValueError(f"{name} {k} is too small: softmax ties the initial labels")
 
     @classmethod
     def init_from_noisy(cls, noisy_labels, num_classes: int,
                         k: float) -> "SoftLabelStore":
         """logits_i = k * onehot(noisy_i); the argmax of the soft label equals
-        the noisy label for every k > 0 that `check_k` accepts."""
+        the noisy label for every k that `check_k` accepts, and it refuses the rest."""
         cls.check_k(k, "k")
         noisy = np.asarray(noisy_labels, dtype=np.int64).ravel()
         c = int(num_classes)

@@ -104,9 +104,7 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.beta < 0:
             raise ValueError(f"need beta >= 0, got {self.beta}")
-        if self.k_init <= 0:  # the initial label's argmax is the noisy label only for k > 0
-            raise ValueError(f"need k_init > 0, got {self.k_init}")
-        SoftLabelStore.check_k(self.k_init, "k_init")  # and only for a k it accepts
+        SoftLabelStore.check_k(self.k_init, "k_init")  # > 0, and no tie in softmax
         if self.batch_size < 1 or self.total_epochs < 0:
             raise ValueError(f"need batch_size >= 1 and total_epochs >= 0, "
                              f"got {self.batch_size}, {self.total_epochs}")

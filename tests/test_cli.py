@@ -464,8 +464,8 @@ _BAD_VALUES = [
     ("train", ("--hidden", "8,,8"), "bad value for 'hidden_sizes'"),
     ("train", ("--hidden", ","), "bad value for 'hidden_sizes'"),
     # the initial soft label's argmax is the noisy label only for k > 0
-    ("train", ("--k", "0"), "need k_init > 0, got 0.0"),
-    ("train", ("--k", "-5"), "need k_init > 0, got -5.0"),
+    ("train", ("--k", "0"), "k_init must be finite and > 0, got 0.0"),
+    ("train", ("--k", "-5"), "k_init must be finite and > 0, got -5.0"),
     # so small a K that softmax ties every initial label, whose argmax falls to 0
     ("train", ("--k", "1e-17"), "k_init 1e-17 is too small"),
     ("train", ("--seed", "-1"), "bad value for 'seed'"),
@@ -1034,14 +1034,18 @@ def test_out_that_is_a_directory_is_config_error(tmp_path, data_dir, capsys, com
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("command,target", [("eval", "afile/rep.json"),
-                                            ("export-labels", "afile/sub/l.csv")])
+@pytest.mark.parametrize("command,target", [
+    ("eval", "afile/rep.json"), ("export-labels", "afile/sub/l.csv"),
+    # an --out directory may not be an existing file either
+    *((command, target) for command in ("gen", "train", "sweep")
+      for target in ("afile", "afile/sub"))])
 def test_out_under_a_file_is_config_error(tmp_path, data_dir, capsys, command, target):
-    # refused before anything is read: nothing reaches stdout, nothing is made
+    # refused before anything is written: nothing reaches stdout, nothing is made
     ckpt, snap = _model_and_labels(tmp_path, data_dir)
     (tmp_path / "afile").write_text("a file")
     before = sorted(tmp_path.rglob("*"))
-    reads = _reading(command, data_dir, ckpt, snap)
+    reads = (GEN_SMALL if command == "gen" else _BASE[command](data_dir)
+             if command in _BASE else _reading(command, data_dir, ckpt, snap))
     capsys.readouterr()
     out = tmp_path / target
     assert run_cli(*reads, "--out", out) == EXIT_CONFIG
@@ -1416,6 +1420,24 @@ def test_sweep_records_failures_and_continues(tmp_path):
     statuses = [row.split(",")[3] for row in rows]
     assert statuses[0] == "ok"
     assert statuses[1].startswith("error")
+
+
+def test_sweep_records_cells_that_no_memory_holds_and_continues(tmp_path, capsys):
+    # a hidden width of 10**17 makes 6 * 10**17 + 3 parameters, 4.16 EiB,
+    # beyond any address space, so each cell's allocation fails at once; never
+    # try a size whose allocation might succeed. A bad size is an error of the
+    # cell that runs it, as any other, and the sweep goes on to the next
+    out = tmp_path / "sw"
+    assert run_cli("sweep", "--axis", "beta", "--values", "1,2", "--seeds", "0,1",
+                   "--blobs", "n=150", "c=3", "d=2", *TRAIN_FAST,
+                   "--hidden", "100000000000000000", "--out", out) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1].startswith("sweep finished: 0/4 runs ok")
+    runs = (out / "runs.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:3] for row in runs] == [
+        ["beta", value, seed] for value in ("1", "2") for seed in ("0", "1")]
+    assert all(row.split(",")[3].startswith("error: Unable to allocate 4.16 EiB")
+               and row.endswith(",,") for row in runs)
+    assert (out / "summary.csv").read_text().splitlines()[1:] == ["beta,1,0,,,,", "beta,2,0,,,,"]
 
 
 @pytest.mark.parametrize("values,seeds,message", [

@@ -39,3 +39,20 @@ def test_trees_that_resolve_the_workload_to_other_totals_are_refused(tmp_path):
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == ("seed 1: the parent runs 10 epochs and the change 12; "
                            "both must train the same epochs\n")
+
+
+def test_each_side_is_driven_by_its_trees_epochs(tmp_path):
+    # the stage schedule is `trainer.epochs`'s alone: a change whose `epochs`
+    # raises before its first epoch must fail the tool with that error
+    change = tmp_path / "src"
+    shutil.copytree(SRC / "mslg", change / "mslg", ignore=shutil.ignore_patterns("__pycache__"))
+    trainer = change / "mslg" / "trainer.py"
+    text = trainer.read_text()
+    loop = "    while state.epoch < cfg.total_epochs:\n"
+    assert text.count(loop) == 1
+    trainer.write_text(text.replace(loop, '    raise RuntimeError("epochs-marker")\n' + loop))
+    proc = subprocess.run([sys.executable, str(TOOL), "--parent", str(SRC), "--change",
+                           str(change), "--workload", "smoke", "--seeds", "1"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.endswith("RuntimeError: epochs-marker\n")

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import mslg.soft_labels
+from mslg.datasets import LabeledDataset
 from mslg.rng import Rng
 from mslg.soft_labels import (SNAPSHOT_MAGIC, SNAPSHOT_VERSION, LabelSnapshotError,
                                SoftLabelStore)
+from mslg.trainer import recovery_rate
 
 from helpers import FailingArray, disk_fills_mid_write
 
@@ -36,8 +38,10 @@ def test_init_peaked_values():
 
 
 def test_init_zero_k_uniform():
-    store = _store([0, 1, 2, 1], c=3, k=0.0)
-    assert np.allclose(store.soft_labels(), 1.0 / 3.0, atol=1e-15)
+    # K = 0 would make every initial label uniform, whose argmax is class 0,
+    # not the noisy label, so it is refused with the other K <= 0
+    with pytest.raises(ValueError, match=r"^k must be finite and > 0, got 0.0$"):
+        _store([0, 1, 2, 1], c=3, k=0.0)
 
 
 def test_init_argmax_matches_noisy_for_positive_k():
@@ -59,27 +63,33 @@ def test_init_refuses_a_k_too_small_to_keep_the_noisy_label():
 @pytest.mark.parametrize("k", [float("inf"), float("-inf"), float("nan")])
 def test_init_refuses_a_non_finite_k(k):
     # inf - inf in softmax's shift would make every soft label NaN
-    with pytest.raises(ValueError, match=f"k must be finite and >= 0, got {k}"):
+    with pytest.raises(ValueError, match=f"k must be finite and > 0, got {k}"):
         _store([0, 1], c=2, k=k)
 
 
 @pytest.mark.parametrize("k", [-3.0, -1e-300])
 def test_init_refuses_a_negative_k(k):
     # -K * onehot puts every argmax on another class than the noisy label
-    with pytest.raises(ValueError, match=f"k must be finite and >= 0, got {k}"):
+    with pytest.raises(ValueError, match=f"k must be finite and > 0, got {k}"):
         _store([0, 1], c=2, k=k)
 
 
-@settings(max_examples=200, deadline=None)
-@given(k=st.floats(1e-17, 1e-14), c=st.integers(2, 64))
+@settings(max_examples=300, deadline=None)
+@given(k=st.one_of(st.floats(1e-17, 1e-14),  # near the tie at 2**-52
+                   st.floats(0.0, exclude_min=True, allow_infinity=False)),
+       c=st.integers(2, 64))
 def test_every_accepted_k_keeps_each_noisy_label_as_the_argmax(k, c):
-    noisy = np.arange(c)  # one row per class: each position of the peak
+    # one row per class, each position of the peak, and a true label one class
+    # on, so every row is corrupted: no initial label may recover one
+    noisy = np.arange(c)
     try:
         store = _store(noisy, c=c, k=k)
     except ValueError:
         assert k < 1e-15  # only a K near 2**-52 is refused
         return
     assert np.array_equal(store.soft_labels().argmax(axis=1), noisy)
+    ds = LabeledDataset(np.zeros((c, 1)), (noisy + 1) % c, noisy, c)
+    assert recovery_rate(store, ds) == 0.0
 
 
 def test_init_out_of_range_label():

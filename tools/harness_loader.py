@@ -1,8 +1,9 @@
 """The benchmark harness, imported for a tool with the `mslg` package of any
 source tree.
 
-Both tools in this directory call `load_harness`, so each pins the BLAS and
-OpenMP pools, checks `--src` and names an unknown workload the same way.
+`artifact_digests`, `peak_rss` and `pair` call `load_harness`, so each pins
+the BLAS and OpenMP pools, checks its source tree and names an unknown
+workload the same way.
 """
 
 import os

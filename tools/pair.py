@@ -10,14 +10,12 @@ relatively). For each seed, the workload's data is generated once, by the
 parent's `gen` with the workload's `gen` flags from `benchmarks/harness.py`'s
 `WORKLOADS`, in a temporary directory. Each side resolves the workload's
 `train` flags and loads the splits with its own code, then the two advance
-their own `RunState` one epoch at a time (warm-up epochs, then MSLG epochs,
-as `trainer.epochs` runs them), the side that goes first alternating from
-epoch to epoch and from seed to seed. Each side picks its epoch's stage
-itself rather than calling `trainer.epochs`, so that it also drives trees
-older than that function. Both trees must resolve the workload to the same
-total epochs; otherwise the tool exits naming both totals, since unequal work
-has no ratio. BLAS and OpenMP pools are pinned to one thread before numpy
-loads.
+their own `RunState` one epoch at a time, each with its own `trainer.epochs`
+(the loop that `mslg train` runs, which picks each epoch's stage), the side
+that goes first alternating from epoch to epoch and from seed to seed. Both
+trees must resolve the workload to the same total epochs; otherwise the tool
+exits naming both totals, since unequal work has no ratio. BLAS and OpenMP
+pools are pinned to one thread before numpy loads.
 
 It prints one line per seed: each side's summed epoch seconds, their ratio
 (change over parent) and whether the two sides' final parameters, SGD
@@ -75,16 +73,14 @@ class Side:
         cli._parse_values(args)
         self.cfg = cli._resolve_train_config(args)
         splits, _ = cli._load_splits(Path(args.data))
-        self.splits = splits["train"], splits["meta"], splits["test"]
-        self.trainer = package.trainer
-        self.state = self.trainer.RunState.initial(self.cfg, splits["train"])
+        self.state = package.trainer.RunState.initial(self.cfg, splits["train"])
+        self.epochs = package.trainer.epochs(self.state, self.cfg, splits["train"],
+                                             splits["meta"], splits["test"])
         self.seconds = 0.0
 
     def epoch(self) -> None:
-        trainer, state = self.trainer, self.state
-        run = trainer.warmup_epoch if state.epoch < self.cfg.warmup_epochs else trainer.mslg_epoch
         start = time.perf_counter()
-        run(state, self.cfg, *self.splits)
+        next(self.epochs)
         self.seconds += time.perf_counter() - start
 
     def final(self) -> dict[str, bytes]:
